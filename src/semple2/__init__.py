@@ -42,13 +42,10 @@ from .recursion import (
     CacheError,
     INVARIANT_LABELS,
     InvariantTable,
-    TailPolynomial,
     compute_up_to,
-    extract_invariants,
-    recursion_rhs,
-    seed_degree1,
+    kontsevich,
 )
-from .verify import OracleReport, expand_cover_series, kontsevich, run_selftest
+from .verify import OracleReport, expand_cover_series, run_selftest
 
 __version__ = "0.1.0"
 
@@ -63,7 +60,6 @@ __all__ = [
     "InvariantTable",
     "OracleReport",
     "RPotential",
-    "TailPolynomial",
     "UnsupportedProfileError",
     "build_double_cover_potential",
     "build_gluing_matrix",
@@ -75,7 +71,6 @@ __all__ = [
     "divisor_pairing",
     "dual_index",
     "expand_cover_series",
-    "extract_invariants",
     "from_i_basis",
     "gluing_matrix_json",
     "integrate",
@@ -84,9 +79,7 @@ __all__ = [
     "mul_classes",
     "parse_class_expr",
     "plucker_class",
-    "recursion_rhs",
     "run_selftest",
-    "seed_degree1",
     "to_i_basis",
     "triple_product",
 ]

@@ -66,7 +66,7 @@ class CurveInvariants:
         if self.c == 1:
             warnings.warn(
                 "a degree-1 curve is a line; the contact formulas assume the "
-                "fixed curves contain no line", stacklevel=2)
+                "fixed curves contain no line", stacklevel=3)
 
 
 @dataclass(frozen=True)

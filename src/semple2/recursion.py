@@ -3,8 +3,9 @@
 For each degree d the generating polynomial of invariants specified by at
 least 3d-3 point conditions (the "tail" of the degree-d potential) is
 weight-homogeneous of weight 3d-1 with y200-exponent at least 3d-3: it
-holds exactly thirteen coefficients.  Degree 1 is the closed-form seed;
-every higher degree follows from the quadratic identity
+holds exactly thirteen coefficients, n_L / (monomial factorial) for the
+thirteen labeled integers n_L.  Degree 1 is the closed-form seed; every
+higher degree follows from the quadratic identity
 
     (3d-3 fold y200-derivative of the degree-d potential)
       = 18 * sum over splits d1+d2=d, gluing indices s,t, and
@@ -15,38 +16,35 @@ every higher degree follows from the quadratic identity
 where T is the gluing matrix, ' marks y200-derivatives as dictated by the
 product rule, and D_s is the derivative in the reduced variable y_s or,
 for a divisor index, multiplication by the pairing of that divisor with
-the lifted curve class (d for h, 2d-2 for hd, 3d-6 for z, 0 for the
-identity).  The divisor exponentials of the two factors cancel exactly
-against the matrix prefactor; the identity below asserts that per split.
+the lifted curve class (d for h, 2d-2 for hd).  The divisor exponentials
+of the two factors cancel exactly against the matrix prefactor.
 
-Only tails are ever stored.  A term whose derivative order dips below a
-stored tail's y200-range is always paired with a factor that vanishes
-identically (the partner's order exceeds its maximal y200-exponent); the
-code asserts this instead of silently reading truncated data.
+A degree-d' tail survives an o-fold y200-derivative only for o <= 3d'-1,
+and the product rule splits 3d-4 derivatives between the two factors, so
+the only live orders are o = 3d'-3+j with j in {0, 1, 2} and j1 + j2 = 2.
+The o-fold derivative of the tail is then a fixed weight-(2-j) polynomial
+in the residual variables whose coefficients are the n_L over a small
+factorial, independent of d'.  The whole identity therefore compiles to
+a bilinear stencil: rational weights on (j1, insertion kinds, L1, L2,
+Lout), derived once from the gluing matrix, applied to the integer
+columns of lower degrees with a single exact division per output.
+The Fraction-polynomial form of the same identity is kept in
+`semple2.verify` as a differential oracle.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
-from typing import Dict, Tuple
+from functools import lru_cache
+from itertools import product
+from math import comb, factorial, lcm, prod
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .poly import (
-    Poly,
-    add_scaled,
-    coefficient,
-    homogeneous_weight,
-    monomial,
-    monomial_weight,
-    mul,
-    partial,
-    scale,
-    term,
-    zero,
-)
+from .poly import Poly, homogeneous_weight, monomial, monomial_weight, mul, partial, term
 from .potentials import GLUABLE, GluingMatrix, build_gluing_matrix
 
 #: the thirteen labels in printed-table row order
@@ -74,8 +72,8 @@ LABEL_MONOMIAL: Dict[str, Dict[str, int]] = {
     "hdz.hdz": {"y011": 2},
 }
 
-# b! of each residual monomial
-_B_FACTORIAL = {
+#: b! of each residual monomial: the invariant over its tail coefficient
+LABEL_FACTORIAL: Dict[str, int] = {
     label: prod(factorial(e) for e in exps.values())
     for label, exps in LABEL_MONOMIAL.items()
 }
@@ -105,179 +103,123 @@ class CacheError(ValueError):
     """Raised when a persisted invariant table fails validation."""
 
 
+#: the degree-1 column: the closed-form seed of the recursion
+SEED: Dict[str, int] = {
+    "h2hd": 1, "h2z": 3, "hd2z": -3,
+    "h2.h2": 1, "h2.hd2": 0, "h2.hz": 0, "h2.hdz": -3,
+    "hd2.hd2": 0, "hd2.hz": 0, "hd2.hdz": 0,
+    "hz.hz": 0, "hz.hdz": 0, "hdz.hdz": 9,
+}
+
+#: one stencil weight: (s kind, t kind, index of L1, index of L2, index of
+#: Lout, integer weight); a kind is a divisor index, or None for a derivative
+StencilTerm = Tuple[Optional[str], Optional[str], int, int, int, int]
+
+
 @dataclass(frozen=True)
-class TailPolynomial:
-    """The stored part of the degree-d potential: thirteen coefficients."""
+class Stencil:
+    """The degree recursion as integer weights over one common denominator.
 
-    degree: int
-    poly: Poly
-
-    def __post_init__(self):
-        d = self.degree
-        if d < 1:
-            raise ValueError("degree must be positive")
-        if len(self.poly) > 13:
-            raise AssertionError("a tail has at most thirteen terms")
-        for m in self.poly:
-            exps = dict(m)
-            if exps.get("y200", 0) < 3 * d - 3:
-                raise AssertionError(f"tail term {m} has fewer than {3*d-3} point slots")
-            if monomial_weight(m) != 3 * d - 1:
-                raise AssertionError(f"tail term {m} has weight != {3*d-1}")
-
-
-def seed_degree1() -> TailPolynomial:
-    """The closed-form degree-1 generating polynomial (the whole tail)."""
-    p = zero()
-    for exps, c in (
-        ({"y210": 1}, Fraction(1)),
-        ({"y201": 1}, Fraction(3)),
-        ({"y021": 1}, Fraction(-3)),
-        ({"y200": 2}, Fraction(1, 2)),
-        ({"y200": 1, "y011": 1}, Fraction(-3)),
-        ({"y011": 2}, Fraction(9, 2)),
-    ):
-        add_scaled(p, term(exps, 1), c)
-    return TailPolynomial(1, p)
-
-
-def _insert(label: str, degree: int, p: Poly) -> Poly:
-    """Apply the index-s insertion to a divisor-free polynomial."""
-    if label in DIVISOR_RULE:
-        return scale(p, DIVISOR_RULE[label](degree))
-    return partial(p, "y" + label)
-
-
-def recursion_rhs(d: int, tails: Dict[int, TailPolynomial],
-                  matrix: GluingMatrix) -> Poly:
-    """The weight-2 polynomial whose coefficients carry the degree-d invariants.
-
-    Requires tails for every degree below d and a gluing matrix built with
-    cap >= 2.  The result equals the (3d-3)-fold y200-derivative of the
-    degree-d potential.
+    For a split d1 + d2 = d and j1 in {0, 1, 2}, each term of by_j1[j1]
+    adds weight * c * k_s(d1) * k_t(d2) * n_d1[L1] * n_d2[L2] to den times
+    the degree-d invariant Lout, where k is the divisor multiplier of the
+    kind (1 for a derivative) and c = comb(3d-6, 3d1-4+j1) * d1*d2
+    - comb(3d-6, 3d1-3+j1) * d1^2 collects the two product-rule terms.
     """
-    if d < 2:
-        raise ValueError("the recursion starts at degree 2")
+
+    den: int
+    by_j1: Tuple[Tuple[StencilTerm, ...], ...]
+
+
+def _derivative_part(label: str, j: int) -> Poly:
+    """The (3d-3+j)-fold y200-derivative of a tail's L-term, per unit of n_L."""
+    exps = dict(LABEL_MONOMIAL[label])
+    b = exps.get("y200", 0)
+    if b < j:
+        return {}
+    exps["y200"] = b - j
+    return term(exps, Fraction(1, prod(factorial(e) for e in exps.values())))
+
+
+def derive_stencil(matrix: GluingMatrix) -> Stencil:
+    """Compile the quadratic identity through the gluing matrix (cap >= 2)."""
     if matrix.cap < 2:
         raise ValueError("gluing matrix cap too small for weight-2 extraction")
-    for dd in range(1, d):
-        if dd not in tails:
-            raise ValueError(f"missing tail for degree {dd}")
-
-    # weight slices of the matrix entries, fetched by needed weight
     slices: Dict[Tuple[str, str, int], Poly] = {}
     for (s, t), p in matrix.entries.items():
         for m, c in p.items():
-            w = monomial_weight(m)
-            slices.setdefault((s, t, w), {})[m] = c
+            slices.setdefault((s, t, monomial_weight(m)), {})[m] = c
+    out_index = {monomial(LABEL_MONOMIAL[lbl]): i for i, lbl in enumerate(INVARIANT_LABELS)}
 
-    der_cache: Dict[Tuple[int, int], Poly] = {}
+    def inserted(s: str, p: Poly) -> Poly:
+        return p if s in DIVISOR_RULE else partial(p, "y" + s)
 
-    def dpow(dd: int, order: int) -> Poly:
-        key = (dd, order)
-        if key not in der_cache:
-            der_cache[key] = partial(tails[dd].poly, "y200", order)
-        return der_cache[key]
+    def kind(s: str) -> Optional[str]:
+        return s if s in DIVISOR_RULE else None
 
-    ins_cache: Dict[Tuple[str, int, int], Poly] = {}
-
-    def inserted(label: str, deg: int, order: int) -> Poly:
-        key = (label, deg, order)
-        if key not in ins_cache:
-            ins_cache[key] = _insert(label, deg, dpow(deg, order))
-        return ins_cache[key]
-
-    acc: Poly = zero()
-
-    def accumulate(scalar: int, d1: int, o1: int, d2: int, o2: int) -> None:
-        left = dpow(d1, o1)
-        right = dpow(d2, o2)
-        # a read below the stored tail range must come with a vanishing partner
-        if o1 < 3 * d1 - 3 and right:
-            raise AssertionError(
-                f"recursion would read outside the degree-{d1} tail (order {o1})")
-        if o2 < 3 * d2 - 3 and left:
-            raise AssertionError(
-                f"recursion would read outside the degree-{d2} tail (order {o2})")
-        if not left or not right:
-            return
-        for s in _ACTIVE:
-            f = inserted(s, d1, o1)
-            if not f:
-                continue
-            wf = homogeneous_weight(f)
-            for t in _ACTIVE:
-                g = inserted(t, d2, o2)
-                if not g:
+    weights: List[Dict[tuple, Fraction]] = [{}, {}, {}]
+    for j1, acc in enumerate(weights):
+        for i1, l1 in enumerate(INVARIANT_LABELS):
+            left = _derivative_part(l1, j1)
+            for i2, l2 in enumerate(INVARIANT_LABELS):
+                right = _derivative_part(l2, 2 - j1)
+                if not left or not right:
                     continue
-                needed = 2 - wf - homogeneous_weight(g)
-                if needed < 0:
-                    continue
-                entry = slices.get((s, t, needed))
-                if entry:
-                    add_scaled(acc, mul(mul(f, entry), g), scalar)
+                for s, t in product(_ACTIVE, repeat=2):
+                    f, g = inserted(s, left), inserted(t, right)
+                    if not f or not g:
+                        continue
+                    needed = 2 - homogeneous_weight(f) - homogeneous_weight(g)
+                    entry = slices.get((s, t, needed))
+                    if not entry:
+                        continue
+                    for m, c in mul(mul(f, entry), g).items():
+                        if m not in out_index:
+                            raise ArithmeticError(f"stencil term {m} is outside the 13 labels")
+                        iout = out_index[m]
+                        key = (kind(s), kind(t), i1, i2, iout)
+                        acc[key] = acc.get(key, 0) \
+                            + 18 * c * LABEL_FACTORIAL[INVARIANT_LABELS[iout]]
+    den = lcm(*(w.denominator for acc in weights for w in acc.values()))
+    return Stencil(den, tuple(
+        tuple((*key, int(w * den)) for key, w in acc.items() if w) for acc in weights))
 
+
+@lru_cache(maxsize=1)
+def _production_stencil() -> Stencil:
+    return derive_stencil(build_gluing_matrix(2))
+
+
+def recursion_rhs(d: int, columns: Dict[int, Sequence[int]],
+                  stencil: Stencil) -> Tuple[int, ...]:
+    """The degree-d column, in INVARIANT_LABELS order, from all lower ones."""
+    if d < 2:
+        raise ValueError("the recursion starts at degree 2")
+    for dd in range(1, d):
+        if dd not in columns:
+            raise ValueError(f"missing column for degree {dd}")
     m = 3 * d - 6
+    acc = [0] * len(INVARIANT_LABELS)
     for d1 in range(1, d):
         d2 = d - d1
-        # divisor-exponential cancellation against the matrix prefactor
-        assert d1 + d2 == d
-        assert (2 * d1 - 2) + (2 * d2 - 2) + matrix.y010_exponent == 2 * d - 2
-        assert (3 * d1 - 6) + (3 * d2 - 6) + matrix.y001_exponent == 3 * d - 6
-        for a1 in range(m + 1):
-            a2 = m - a1
-            c = 18 * comb(m, a1)
-            accumulate(c * d1 * d2, d1, a1 + 1, d2, a2 + 1)
-            accumulate(-c * d1 * d1, d1, a1, d2, a2 + 2)
-    return acc
-
-
-def tail_from_weight2(d: int, w2: Poly) -> TailPolynomial:
-    """Reattach the 3d-3 forced point slots to a weight-2 derivative polynomial."""
-    shift = 3 * d - 3
-    p: Poly = {}
-    for m, c in w2.items():
-        exps = dict(m)
-        b200 = exps.get("y200", 0)
-        exps["y200"] = b200 + shift
-        p[monomial(exps)] = c * Fraction(factorial(b200), factorial(b200 + shift))
-    return TailPolynomial(d, p)
-
-
-def extract_invariants(tail: TailPolynomial) -> Dict[str, int]:
-    """The thirteen labeled integers of a tail, via b! times a coefficient."""
-    d = tail.degree
-    w2 = partial(tail.poly, "y200", 3 * d - 3)
-    known = {monomial(LABEL_MONOMIAL[lbl]): lbl for lbl in INVARIANT_LABELS}
-    stray = set(w2) - set(known)
-    if stray:
-        raise ArithmeticError(f"degree-{d} tail has terms outside the 13 labels: {stray}")
-    out: Dict[str, int] = {}
-    for label in INVARIANT_LABELS:
-        value = coefficient(w2, monomial(LABEL_MONOMIAL[label])) * _B_FACTORIAL[label]
-        if value.denominator != 1:
-            raise ArithmeticError(
-                f"invariant {label} at degree {d} is not an integer: {value}")
-        out[label] = int(value)
-    return out
-
-
-def tail_from_invariants(d: int, values: Dict[str, int]) -> TailPolynomial:
-    """Rebuild a tail from its thirteen labeled integers (cache resume)."""
-    p: Poly = {}
-    shift = 3 * d - 3
-    for label in INVARIANT_LABELS:
-        n = values[label]
-        if not n:
-            continue
-        exps = dict(LABEL_MONOMIAL[label])
-        exps["y200"] = exps.get("y200", 0) + shift
-        m = monomial(exps)
-        fact = 1
-        for e in dict(m).values():
-            fact *= factorial(e)
-        p[m] = Fraction(n, fact)
-    return TailPolynomial(d, p)
+        n1, n2 = columns[d1], columns[d2]
+        k1 = {None: 1, **{s: rule(d1) for s, rule in DIVISOR_RULE.items()}}
+        k2 = {None: 1, **{t: rule(d2) for t, rule in DIVISOR_RULE.items()}}
+        for j1, terms in enumerate(stencil.by_j1):
+            a1 = 3 * d1 - 4 + j1
+            c = comb(m, a1) * d1 * d2 if a1 >= 0 else 0
+            c -= comb(m, a1 + 1) * d1 * d1
+            if not c:
+                continue
+            for ks, kt, i1, i2, iout, w in terms:
+                acc[iout] += c * w * k1[ks] * k2[kt] * n1[i1] * n2[i2]
+    out = []
+    for label, total in zip(INVARIANT_LABELS, acc):
+        value, rest = divmod(total, stencil.den)
+        if rest:
+            raise ArithmeticError(f"invariant {label} at degree {d} is not an integer")
+        out.append(value)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -309,16 +251,45 @@ def ratio_failures(column: Dict[str, int]) -> list:
     return bad
 
 
+def kontsevich_row(dmax: int) -> List[int]:
+    """Rational plane curves of degree d through 3d-1 general points, for
+    d = 0..dmax (0 at d = 0), by the classical quadratic recursion."""
+    row = [0, 1]
+    for d in range(2, dmax + 1):
+        row.append(sum(
+            row[d1] * row[d - d1] * (
+                d1 * d1 * (d - d1) ** 2 * comb(3 * d - 4, 3 * d1 - 2)
+                - d1 ** 3 * (d - d1) * comb(3 * d - 4, 3 * d1 - 1))
+            for d1 in range(1, d)))
+    return row[:dmax + 1]
+
+
+def kontsevich(d: int) -> int:
+    """Rational plane curves of degree d through 3d-1 general points.
+
+    Classical quadratic recursion, independent of the invariant stencil.
+    """
+    if d < 1:
+        raise ValueError("degree must be positive")
+    return kontsevich_row(d)[d]
+
+
 def validate_table(values: Dict[int, Dict[str, int]]) -> None:
-    seed_values = extract_invariants(seed_degree1())
+    """Raise CacheError unless every column has the 13 labels, degree 1 is
+    the seed, and each degree meets the 3:1 identities and the classical
+    point count."""
+    points = kontsevich_row(max(values, default=0))
     for d, column in values.items():
         if set(column) != set(INVARIANT_LABELS):
             raise CacheError(f"degree {d} does not carry exactly the 13 labels")
-        if d == 1 and column != seed_values:
+        if d == 1 and column != SEED:
             raise CacheError("cached degree-1 column disagrees with the seed")
         bad = ratio_failures(column)
         if bad:
             raise CacheError(f"degree {d} fails ratio identities: {'; '.join(bad)}")
+        if column["h2.h2"] != points[d]:
+            raise CacheError(f"degree {d} fails the point count: h2.h2 = "
+                             f"{column['h2.h2']}, the classical recursion gives {points[d]}")
 
 
 def table_to_json(table: InvariantTable) -> str:
@@ -365,34 +336,45 @@ def load_table(path: str) -> InvariantTable:
 
 
 def save_table(table: InvariantTable, path: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(table_to_json(table) + "\n")
-    os.replace(tmp, path)
+    """Write the table atomically: a unique temporary file in the same
+    directory, renamed over the target only once it is complete."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(table_to_json(table) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise
 
 
-def compute_up_to(dmax: int, cache_path: str | None = None,
-                  matrix: GluingMatrix | None = None) -> InvariantTable:
-    """Invariants for degrees 1..dmax, resuming from a cache when given."""
+def compute_up_to(dmax: int, cache_path: str | None = None) -> InvariantTable:
+    """Invariants for degrees 1..dmax, resuming from a cache when given.
+
+    The cache is rewritten only when this call adds a degree to it.
+    """
     if dmax < 1:
         raise ValueError("dmax must be at least 1")
     known: Dict[int, Dict[str, int]] = {}
     if cache_path and os.path.exists(cache_path):
         known = dict(load_table(cache_path).values)
 
-    tails: Dict[int, TailPolynomial] = {1: seed_degree1()}
-    values: Dict[int, Dict[str, int]] = {1: extract_invariants(tails[1])}
-    for d in range(2, dmax + 1):
+    values: Dict[int, Dict[str, int]] = {1: dict(SEED)}
+    columns: Dict[int, Tuple[int, ...]] = {}
+    for d in range(1, dmax + 1):
         if d in known:
             values[d] = dict(known[d])
-            tails[d] = tail_from_invariants(d, known[d])
-            continue
-        if matrix is None:
-            matrix = build_gluing_matrix(2)
-        tails[d] = tail_from_weight2(d, recursion_rhs(d, tails, matrix))
-        values[d] = extract_invariants(tails[d])
+        elif d > 1:
+            column = recursion_rhs(d, columns, _production_stencil())
+            values[d] = dict(zip(INVARIANT_LABELS, column))
+        columns[d] = tuple(values[d][lbl] for lbl in INVARIANT_LABELS)
 
-    if cache_path:
+    if cache_path and not values.keys() <= known.keys():
         merged = dict(known)
         merged.update({d: dict(col) for d, col in values.items()})
         save_table(InvariantTable(merged), cache_path)

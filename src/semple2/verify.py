@@ -1,16 +1,23 @@
 """Independent oracles and the bundled self-test.
 
-Two oracles live here, deliberately sharing no code with the production
-pipeline beyond the polynomial substrate:
+Three oracles live here, sharing no code with the production stencil
+beyond the polynomial substrate and the label tables:
 
 * the classical count of rational plane curves of degree d through 3d-1
-  general points, via the standard quadratic recursion over binomial
-  coefficients, cross-checking one full row of the invariant table;
+  general points (`kontsevich`, defined in `semple2.recursion` because
+  cache validation needs it too), cross-checking one full row of the
+  invariant table;
 
 * a brute-force series expander for the two cover potentials, which
   multiplies out truncated exponential factors and then filters monomials
   by the subscript constraints, term-for-term comparable with the
-  optimized constructions.
+  optimized constructions;
+
+* the degree recursion run literally on Fraction tail polynomials
+  (`reference_table`), the differential oracle for the integer stencil
+  of `semple2.recursion`.  It is for tests: through degree 8 it costs
+  about 0.2 s, most of the self-test's budget, so the self-test does not
+  run it.
 
 run_selftest wires these and the golden reference tables into a single
 machine-readable report list.  The reference integers are test fixtures,
@@ -21,31 +28,50 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 from typing import Dict, List, Tuple
 
 from . import chow
 from .chow import ChowClass, DUAL, I_CLASS, LABELS, integrate, i_basis_class, mul_classes
-from .poly import Poly, WEIGHT, add, monomial_degree_in, mul, scale, truncate_weight, var, zero
+from .poly import (
+    Poly,
+    WEIGHT,
+    add,
+    add_scaled,
+    coefficient,
+    homogeneous_weight,
+    monomial,
+    monomial_degree_in,
+    monomial_weight,
+    mul,
+    partial,
+    scale,
+    term,
+    truncate_weight,
+    var,
+    zero,
+)
 from .potentials import (
     DOUBLE_FIRST,
     GLUABLE,
     TRIPLE_W,
     TRIPLE_Y,
+    GluingMatrix,
     build_double_cover_potential,
     build_gluing_matrix,
     build_triple_cover_potential,
 )
 from .recursion import (
     CacheError,
+    DIVISOR_RULE,
     INVARIANT_LABELS,
+    LABEL_FACTORIAL,
+    LABEL_MONOMIAL,
     InvariantTable,
     compute_up_to,
-    extract_invariants,
+    kontsevich,
     load_table,
     ratio_failures,
-    seed_degree1,
 )
 from .contact import contact_coefficients
 
@@ -77,24 +103,190 @@ TABLE2_REFERENCE: Dict[int, Tuple[int, int, int]] = {
 }
 
 
-@lru_cache(maxsize=None)
-def kontsevich(d: int) -> int:
-    """Rational plane curves of degree d through 3d-1 general points.
+#: indices that can meet a nonzero gluing-matrix row, identity excluded
+_ACTIVE = tuple(k for k in GLUABLE if k != "000")
 
-    Classical quadratic recursion, independent of the main pipeline.
+
+@dataclass(frozen=True)
+class TailPolynomial:
+    """The stored part of the degree-d potential: thirteen coefficients."""
+
+    degree: int
+    poly: Poly
+
+    def __post_init__(self):
+        d = self.degree
+        if d < 1:
+            raise ValueError("degree must be positive")
+        if len(self.poly) > 13:
+            raise AssertionError("a tail has at most thirteen terms")
+        for m in self.poly:
+            exps = dict(m)
+            if exps.get("y200", 0) < 3 * d - 3:
+                raise AssertionError(f"tail term {m} has fewer than {3*d-3} point slots")
+            if monomial_weight(m) != 3 * d - 1:
+                raise AssertionError(f"tail term {m} has weight != {3*d-1}")
+
+
+def seed_degree1() -> TailPolynomial:
+    """The closed-form degree-1 generating polynomial (the whole tail)."""
+    p = zero()
+    for exps, c in (
+        ({"y210": 1}, Fraction(1)),
+        ({"y201": 1}, Fraction(3)),
+        ({"y021": 1}, Fraction(-3)),
+        ({"y200": 2}, Fraction(1, 2)),
+        ({"y200": 1, "y011": 1}, Fraction(-3)),
+        ({"y011": 2}, Fraction(9, 2)),
+    ):
+        add_scaled(p, term(exps, 1), c)
+    return TailPolynomial(1, p)
+
+
+def _insert(label: str, degree: int, p: Poly) -> Poly:
+    """Apply the index-s insertion to a divisor-free polynomial."""
+    if label in DIVISOR_RULE:
+        return scale(p, DIVISOR_RULE[label](degree))
+    return partial(p, "y" + label)
+
+
+def reference_rhs(d: int, tails: Dict[int, TailPolynomial],
+                  matrix: GluingMatrix) -> Poly:
+    """The weight-2 polynomial whose coefficients carry the degree-d invariants.
+
+    Requires tails for every degree below d and a gluing matrix built with
+    cap >= 2.  The result equals the (3d-3)-fold y200-derivative of the
+    degree-d potential.
     """
-    if d < 1:
-        raise ValueError("degree must be positive")
-    if d == 1:
-        return 1
-    total = 0
+    if d < 2:
+        raise ValueError("the recursion starts at degree 2")
+    if matrix.cap < 2:
+        raise ValueError("gluing matrix cap too small for weight-2 extraction")
+    for dd in range(1, d):
+        if dd not in tails:
+            raise ValueError(f"missing tail for degree {dd}")
+
+    # weight slices of the matrix entries, fetched by needed weight
+    slices: Dict[Tuple[str, str, int], Poly] = {}
+    for (s, t), p in matrix.entries.items():
+        for m, c in p.items():
+            w = monomial_weight(m)
+            slices.setdefault((s, t, w), {})[m] = c
+
+    der_cache: Dict[Tuple[int, int], Poly] = {}
+
+    def dpow(dd: int, order: int) -> Poly:
+        key = (dd, order)
+        if key not in der_cache:
+            der_cache[key] = partial(tails[dd].poly, "y200", order)
+        return der_cache[key]
+
+    ins_cache: Dict[Tuple[str, int, int], Poly] = {}
+
+    def inserted(label: str, deg: int, order: int) -> Poly:
+        key = (label, deg, order)
+        if key not in ins_cache:
+            ins_cache[key] = _insert(label, deg, dpow(deg, order))
+        return ins_cache[key]
+
+    acc: Poly = zero()
+
+    def accumulate(scalar: int, d1: int, o1: int, d2: int, o2: int) -> None:
+        left = dpow(d1, o1)
+        right = dpow(d2, o2)
+        # a read below the stored tail range must come with a vanishing partner
+        if o1 < 3 * d1 - 3 and right:
+            raise AssertionError(
+                f"recursion would read outside the degree-{d1} tail (order {o1})")
+        if o2 < 3 * d2 - 3 and left:
+            raise AssertionError(
+                f"recursion would read outside the degree-{d2} tail (order {o2})")
+        if not left or not right:
+            return
+        for s in _ACTIVE:
+            f = inserted(s, d1, o1)
+            if not f:
+                continue
+            wf = homogeneous_weight(f)
+            for t in _ACTIVE:
+                g = inserted(t, d2, o2)
+                if not g:
+                    continue
+                needed = 2 - wf - homogeneous_weight(g)
+                if needed < 0:
+                    continue
+                entry = slices.get((s, t, needed))
+                if entry:
+                    add_scaled(acc, mul(mul(f, entry), g), scalar)
+
+    m = 3 * d - 6
     for d1 in range(1, d):
         d2 = d - d1
-        total += kontsevich(d1) * kontsevich(d2) * (
-            d1 * d1 * d2 * d2 * comb(3 * d - 4, 3 * d1 - 2)
-            - d1 ** 3 * d2 * comb(3 * d - 4, 3 * d1 - 1)
-        )
-    return total
+        for a1 in range(m + 1):
+            a2 = m - a1
+            c = 18 * comb(m, a1)
+            accumulate(c * d1 * d2, d1, a1 + 1, d2, a2 + 1)
+            accumulate(-c * d1 * d1, d1, a1, d2, a2 + 2)
+    return acc
+
+
+def tail_from_weight2(d: int, w2: Poly) -> TailPolynomial:
+    """Reattach the 3d-3 forced point slots to a weight-2 derivative polynomial."""
+    shift = 3 * d - 3
+    p: Poly = {}
+    for m, c in w2.items():
+        exps = dict(m)
+        b200 = exps.get("y200", 0)
+        exps["y200"] = b200 + shift
+        p[monomial(exps)] = c * Fraction(factorial(b200), factorial(b200 + shift))
+    return TailPolynomial(d, p)
+
+
+def extract_invariants(tail: TailPolynomial) -> Dict[str, int]:
+    """The thirteen labeled integers of a tail, via b! times a coefficient."""
+    d = tail.degree
+    w2 = partial(tail.poly, "y200", 3 * d - 3)
+    known = {monomial(LABEL_MONOMIAL[lbl]): lbl for lbl in INVARIANT_LABELS}
+    stray = set(w2) - set(known)
+    if stray:
+        raise ArithmeticError(f"degree-{d} tail has terms outside the 13 labels: {stray}")
+    out: Dict[str, int] = {}
+    for label in INVARIANT_LABELS:
+        value = coefficient(w2, monomial(LABEL_MONOMIAL[label])) * LABEL_FACTORIAL[label]
+        if value.denominator != 1:
+            raise ArithmeticError(
+                f"invariant {label} at degree {d} is not an integer: {value}")
+        out[label] = int(value)
+    return out
+
+
+def tail_from_invariants(d: int, values: Dict[str, int]) -> TailPolynomial:
+    """Rebuild a tail from its thirteen labeled integers (cache resume)."""
+    p: Poly = {}
+    shift = 3 * d - 3
+    for label in INVARIANT_LABELS:
+        n = values[label]
+        if not n:
+            continue
+        exps = dict(LABEL_MONOMIAL[label])
+        exps["y200"] = exps.get("y200", 0) + shift
+        m = monomial(exps)
+        fact = 1
+        for e in dict(m).values():
+            fact *= factorial(e)
+        p[m] = Fraction(n, fact)
+    return TailPolynomial(d, p)
+
+
+def reference_table(dmax: int) -> InvariantTable:
+    """Invariants for degrees 1..dmax by the Fraction-polynomial recursion."""
+    if dmax < 1:
+        raise ValueError("dmax must be at least 1")
+    matrix = build_gluing_matrix(2)
+    tails: Dict[int, TailPolynomial] = {1: seed_degree1()}
+    for d in range(2, dmax + 1):
+        tails[d] = tail_from_weight2(d, reference_rhs(d, tails, matrix))
+    return InvariantTable({d: extract_invariants(t) for d, t in tails.items()})
 
 
 def _exp_factor(name: str, coeff: int, order: int) -> Poly:

@@ -9,5 +9,5 @@ def matrix2():
 
 
 @pytest.fixture(scope="session")
-def table8(matrix2):
-    return compute_up_to(8, matrix=matrix2)
+def table8():
+    return compute_up_to(8)

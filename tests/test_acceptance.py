@@ -34,14 +34,15 @@ from semple2.potentials import (
     build_gluing_matrix,
     build_triple_cover_potential,
 )
-from semple2.recursion import (
-    INVARIANT_LABELS,
-    compute_up_to,
+from semple2.recursion import INVARIANT_LABELS, compute_up_to, ratio_failures
+from semple2.verify import (
+    TABLE1_REFERENCE,
+    TABLE2_REFERENCE,
+    expand_cover_series,
     extract_invariants,
-    ratio_failures,
+    kontsevich,
     seed_degree1,
 )
-from semple2.verify import TABLE1_REFERENCE, TABLE2_REFERENCE, expand_cover_series, kontsevich
 
 
 def _ok(text):

@@ -92,6 +92,21 @@ def test_corrupt_cache_fails_table(tmp_path, capsys):
     assert "cache" in err
 
 
+def test_cache_with_wrong_point_count_fails_count(tmp_path, capsys):
+    path = str(tmp_path / "cache.json")
+    assert run(capsys, "table", "--max-degree", "6", "--cache", path)[0] == 0
+    with open(path) as handle:
+        data = json.load(handle)
+    data["5"]["h2.h2"] = str(int(data["5"]["h2.h2"]) + 1)
+    with open(path, "w") as handle:
+        json.dump(data, handle, indent=2)
+    code, out, err = run(capsys, "count", "--degree", "5", "--points", "14",
+                         "--cache", path)
+    assert code == 4
+    assert out == ""
+    assert "point count" in err
+
+
 def test_contact_formula_only(capsys):
     code, out, _ = run(capsys, "contact", "--degree", "4")
     assert code == 0

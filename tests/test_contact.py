@@ -137,3 +137,9 @@ def test_plucker_rejects_negative_class():
 def test_line_input_warns():
     with pytest.warns(UserWarning):
         CurveInvariants(1, 0, 0)
+
+
+def test_line_warning_points_at_the_caller():
+    with pytest.warns(UserWarning) as caught:
+        CurveInvariants(1, 0, 0)
+    assert caught[0].filename == __file__

@@ -1,24 +1,40 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import semple2
 from semple2.poly import monomial_weight, term
 from semple2.recursion import (
     CacheError,
     INVARIANT_LABELS,
-    TailPolynomial,
+    SEED,
+    Stencil,
     compute_up_to,
-    extract_invariants,
+    derive_stencil,
+    kontsevich_row,
     load_table,
     ratio_failures,
     recursion_rhs,
     save_table,
-    seed_degree1,
     table_from_json,
+    table_to_json,
+)
+from semple2.verify import (
+    TABLE1_REFERENCE,
+    TailPolynomial,
+    extract_invariants,
+    kontsevich,
+    reference_rhs,
+    reference_table,
+    seed_degree1,
     tail_from_invariants,
     tail_from_weight2,
 )
-from semple2.verify import TABLE1_REFERENCE, kontsevich
 
 SEED_COLUMN = {
     "h2hd": 1, "h2z": 3, "hd2z": -3,
@@ -44,7 +60,7 @@ def test_seed_invariants():
 
 def test_degree2_from_gluing_matrix(matrix2):
     tails = {1: seed_degree1()}
-    tail2 = tail_from_weight2(2, recursion_rhs(2, tails, matrix2))
+    tail2 = tail_from_weight2(2, reference_rhs(2, tails, matrix2))
     assert extract_invariants(tail2) == D2_COLUMN
 
 
@@ -77,7 +93,7 @@ def test_kontsevich_row_through_degree8(table8):
 def test_tail_well_formedness(matrix2):
     tails = {1: seed_degree1()}
     for d in range(2, 7):
-        tails[d] = tail_from_weight2(d, recursion_rhs(d, tails, matrix2))
+        tails[d] = tail_from_weight2(d, reference_rhs(d, tails, matrix2))
         assert len(tails[d].poly) <= 13
         for m in tails[d].poly:
             assert dict(m).get("y200", 0) >= 3 * d - 3
@@ -99,20 +115,22 @@ def test_non_integral_invariant_is_a_hard_failure():
 
 def test_recursion_requires_all_lower_tails(matrix2):
     with pytest.raises(ValueError):
-        recursion_rhs(3, {1: seed_degree1()}, matrix2)
+        reference_rhs(3, {1: seed_degree1()}, matrix2)
+    with pytest.raises(ValueError):
+        recursion_rhs(3, {1: tuple(SEED.values())}, derive_stencil(matrix2))
 
 
 def test_tail_roundtrip_through_invariants(table8, matrix2):
     tails = {1: seed_degree1()}
     for d in range(2, 5):
-        tails[d] = tail_from_weight2(d, recursion_rhs(d, tails, matrix2))
+        tails[d] = tail_from_weight2(d, reference_rhs(d, tails, matrix2))
         rebuilt = tail_from_invariants(d, extract_invariants(tails[d]))
         assert rebuilt.poly == tails[d].poly
 
 
-def test_determinism(matrix2):
-    a = compute_up_to(4, matrix=matrix2)
-    b = compute_up_to(4, matrix=matrix2)
+def test_determinism():
+    a = compute_up_to(4)
+    b = compute_up_to(4)
     assert a == b
 
 
@@ -122,11 +140,11 @@ def test_compute_up_to_one():
     assert table.column(1) == SEED_COLUMN
 
 
-def test_cache_roundtrip(tmp_path, matrix2):
+def test_cache_roundtrip(tmp_path):
     path = str(tmp_path / "cache.json")
-    direct = compute_up_to(5, matrix=matrix2)
-    first = compute_up_to(3, cache_path=path, matrix=matrix2)
-    resumed = compute_up_to(5, cache_path=path, matrix=matrix2)
+    direct = compute_up_to(5)
+    first = compute_up_to(3, cache_path=path)
+    resumed = compute_up_to(5, cache_path=path)
     assert first.values == {d: direct.column(d) for d in (1, 2, 3)}
     assert resumed == direct
     assert load_table(path).values == direct.values
@@ -140,7 +158,6 @@ def test_cache_rejects_garbage(tmp_path):
 
 
 def test_cache_rejects_bad_seed(tmp_path, table8):
-    import json
     column = {lbl: str(v) for lbl, v in table8.column(1).items()}
     column["h2hd"] = "2"  # also breaks h2z = 3*h2hd
     path = tmp_path / "cache.json"
@@ -150,7 +167,6 @@ def test_cache_rejects_bad_seed(tmp_path, table8):
 
 
 def test_cache_rejects_ratio_violation(tmp_path, table8):
-    import json
     column = {lbl: str(v) for lbl, v in table8.column(3).items()}
     column["hz.hz"] = str(int(column["hz.hz"]) + 1)
     path = tmp_path / "cache.json"
@@ -168,3 +184,78 @@ def test_cache_save_is_loadable(tmp_path, table8):
     path = str(tmp_path / "cache.json")
     save_table(table8, path)
     assert load_table(path).values == table8.values
+
+
+def test_stencil_matches_the_fraction_recursion_through_degree20():
+    assert compute_up_to(20) == reference_table(20)
+
+
+def test_stencil_division_must_be_exact():
+    # one weight, 1/2 of n_1[h2hd] * n_1[h2hd] into h2hd: 1/2 is no integer
+    half = Stencil(2, ((), ((None, None, 0, 0, 0, 1),), ()))
+    with pytest.raises(ArithmeticError):
+        recursion_rhs(2, {1: tuple(SEED.values())}, half)
+
+
+def test_kontsevich_row_is_the_classical_sequence():
+    assert kontsevich_row(6) == [0, 1, 1, 12, 620, 87304, 26312976]
+    assert kontsevich_row(0) == [0]
+
+
+def test_cache_rejects_wrong_point_count(tmp_path, table8):
+    # h2.h2 enters no 3:1 identity: only the classical recursion catches it
+    data = json.loads(table_to_json(table8))
+    data["5"]["h2.h2"] = str(int(data["5"]["h2.h2"]) + 1)
+    path = tmp_path / "cache.json"
+    path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    with pytest.raises(CacheError, match="point count"):
+        load_table(str(path))
+    with pytest.raises(CacheError):
+        compute_up_to(5, cache_path=str(path))
+
+
+def test_save_leaves_no_temporary_file(tmp_path, table8):
+    path = tmp_path / "cache.json"
+    save_table(table8, str(path))
+    save_table(table8, str(path))
+    assert os.listdir(tmp_path) == ["cache.json"]
+
+
+def test_failed_save_removes_its_temporary_file(tmp_path, table8, monkeypatch):
+    path = tmp_path / "cache.json"
+    save_table(table8, str(path))
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError):
+        save_table(compute_up_to(2), str(path))
+    assert os.listdir(tmp_path) == ["cache.json"]
+    assert path.read_bytes() == before
+
+
+def test_warm_compute_does_not_rewrite_the_cache(tmp_path):
+    path = tmp_path / "cache.json"
+    compute_up_to(6, cache_path=str(path))
+    before = (path.read_bytes(), path.stat().st_mtime_ns)
+    os.utime(path, ns=(0, 0))
+    compute_up_to(6, cache_path=str(path))
+    compute_up_to(4, cache_path=str(path))
+    assert (path.read_bytes(), path.stat().st_mtime_ns) == (before[0], 0)
+    compute_up_to(7, cache_path=str(path))
+    assert path.stat().st_mtime_ns != 0
+    assert load_table(str(path)).degrees() == tuple(range(1, 8))
+
+
+def test_optimized_interpreter_prints_the_same_table():
+    src = str(Path(semple2.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env.pop("SEMPLE2_CACHE", None)
+    argv = ["-m", "semple2.cli", "table", "--max-degree", "8", "--format", "json"]
+    plain = subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                           check=True, timeout=60)
+    optimized = subprocess.run([sys.executable, "-O", *argv], env=env,
+                               capture_output=True, check=True, timeout=60)
+    assert plain.stdout and optimized.stdout == plain.stdout
