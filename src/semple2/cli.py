@@ -5,7 +5,9 @@ triple-contact formula, `count` evaluates mixed condition profiles,
 `chow-eval` normalizes ring expressions, and `verify` runs the self-test.
 Data goes to stdout, diagnostics to stderr.  All integers are emitted as
 decimal strings in JSON output.  Exit codes: 0 success, 2 usage error,
-3 unsupported profile, 4 verification or cache failure.
+3 unsupported profile, 4 verification or cache failure.  Each subcommand
+imports only the modules it runs, so a query served from the cache loads
+neither the Chow ring nor the oracles.
 """
 
 from __future__ import annotations
@@ -16,17 +18,6 @@ import os
 import sys
 from typing import List
 
-from .chow import (
-    ChowParseError,
-    I_BASIS_ORDER,
-    I_BASIS_SYMBOL,
-    LABELS,
-    Z_BASIS_SYMBOL,
-    format_coords,
-    integrate,
-    parse_class_expr,
-    to_i_basis,
-)
 from .contact import (
     ConditionProfile,
     CurveInvariants,
@@ -37,7 +28,6 @@ from .contact import (
     plucker_class,
 )
 from .recursion import INVARIANT_LABELS, CacheError, InvariantTable, compute_up_to
-from .verify import run_selftest
 
 CACHE_ENV = "SEMPLE2_CACHE"
 
@@ -175,6 +165,9 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_chow_eval(args) -> int:
+    from .chow import (I_BASIS_ORDER, I_BASIS_SYMBOL, LABELS, Z_BASIS_SYMBOL,
+                       format_coords, integrate, parse_class_expr, to_i_basis)
+
     cls = parse_class_expr(args.expr)
     if args.basis == "z":
         coords = {label: cls.coordinate(label) for label in LABELS}
@@ -204,6 +197,8 @@ def _cmd_chow_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_selftest
+
     reports = run_selftest(args.max_degree, cache_path=args.cache)
     for r in reports:
         _diag(("PASS" if r.passed else "FAIL") + f" {r.name} [{r.degrees}]")
@@ -261,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the self-test oracles")
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--cache", default=None,
-                   help="also validate this cache file")
+                   help="also validate this cache file against the computed table")
     p.set_defaults(func=_cmd_verify)
     return parser
 
@@ -277,7 +272,8 @@ def main(argv: List[str] | None = None) -> int:
     except CacheError as exc:
         _diag(f"error: {exc}")
         return EXIT_VERIFY
-    except (ChowParseError, ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:
+        # ChowParseError is a ValueError
         _diag(f"error: {exc}")
         return EXIT_USAGE
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Dict, Iterator, Tuple
 
@@ -272,6 +273,15 @@ def build_gluing_matrix(cap: int) -> GluingMatrix:
                           y001_exponent=2 * triple.divisor_coeff)
     _check_matrix(matrix)
     return matrix
+
+
+@lru_cache(maxsize=None)
+def _shared_gluing_matrix(cap: int) -> GluingMatrix:
+    """One matrix per cap and process, for the stencil and the self-test.
+
+    Callers only read it; `build_gluing_matrix` returns a fresh one.
+    """
+    return build_gluing_matrix(cap)
 
 
 def _check_matrix(matrix: GluingMatrix) -> None:

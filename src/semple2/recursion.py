@@ -38,14 +38,14 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial, lcm, prod
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .poly import Poly, homogeneous_weight, monomial, monomial_weight, mul, partial, term
-from .potentials import GLUABLE, GluingMatrix, build_gluing_matrix
+if TYPE_CHECKING:
+    from .poly import Poly
+    from .potentials import GluingMatrix
 
 #: the thirteen labels in printed-table row order
 INVARIANT_LABELS: Tuple[str, ...] = (
@@ -95,9 +95,6 @@ DIVISOR_RULE = {
     "001": lambda d: 3 * d - 6,
 }
 
-#: indices that can meet a nonzero gluing-matrix row, identity excluded
-_ACTIVE = tuple(k for k in GLUABLE if k != "000")
-
 
 class CacheError(ValueError):
     """Raised when a persisted invariant table fails validation."""
@@ -131,20 +128,31 @@ class Stencil:
     by_j1: Tuple[Tuple[StencilTerm, ...], ...]
 
 
-def _derivative_part(label: str, j: int) -> Poly:
-    """The (3d-3+j)-fold y200-derivative of a tail's L-term, per unit of n_L."""
-    exps = dict(LABEL_MONOMIAL[label])
-    b = exps.get("y200", 0)
-    if b < j:
-        return {}
-    exps["y200"] = b - j
-    return term(exps, Fraction(1, prod(factorial(e) for e in exps.values())))
-
-
 def derive_stencil(matrix: GluingMatrix) -> Stencil:
-    """Compile the quadratic identity through the gluing matrix (cap >= 2)."""
+    """Compile the quadratic identity through the gluing matrix (cap >= 2).
+
+    The polynomial engine is imported here, not at module level: a table
+    served from the cache never derives a stencil.
+    """
+    from fractions import Fraction
+
+    from .poly import homogeneous_weight, monomial, monomial_weight, mul, partial, term
+    from .potentials import GLUABLE
+
     if matrix.cap < 2:
         raise ValueError("gluing matrix cap too small for weight-2 extraction")
+    # indices that can meet a nonzero gluing-matrix row, identity excluded
+    active = tuple(k for k in GLUABLE if k != "000")
+
+    def derivative_part(label: str, j: int) -> Poly:
+        """The (3d-3+j)-fold y200-derivative of a tail's L-term, per unit of n_L."""
+        exps = dict(LABEL_MONOMIAL[label])
+        b = exps.get("y200", 0)
+        if b < j:
+            return {}
+        exps["y200"] = b - j
+        return term(exps, Fraction(1, prod(factorial(e) for e in exps.values())))
+
     slices: Dict[Tuple[str, str, int], Poly] = {}
     for (s, t), p in matrix.entries.items():
         for m, c in p.items():
@@ -160,12 +168,12 @@ def derive_stencil(matrix: GluingMatrix) -> Stencil:
     weights: List[Dict[tuple, Fraction]] = [{}, {}, {}]
     for j1, acc in enumerate(weights):
         for i1, l1 in enumerate(INVARIANT_LABELS):
-            left = _derivative_part(l1, j1)
+            left = derivative_part(l1, j1)
             for i2, l2 in enumerate(INVARIANT_LABELS):
-                right = _derivative_part(l2, 2 - j1)
+                right = derivative_part(l2, 2 - j1)
                 if not left or not right:
                     continue
-                for s, t in product(_ACTIVE, repeat=2):
+                for s, t in product(active, repeat=2):
                     f, g = inserted(s, left), inserted(t, right)
                     if not f or not g:
                         continue
@@ -187,7 +195,9 @@ def derive_stencil(matrix: GluingMatrix) -> Stencil:
 
 @lru_cache(maxsize=1)
 def _production_stencil() -> Stencil:
-    return derive_stencil(build_gluing_matrix(2))
+    from .potentials import _shared_gluing_matrix
+
+    return derive_stencil(_shared_gluing_matrix(2))
 
 
 def recursion_rhs(d: int, columns: Dict[int, Sequence[int]],

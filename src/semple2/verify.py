@@ -57,6 +57,7 @@ from .potentials import (
     TRIPLE_W,
     TRIPLE_Y,
     GluingMatrix,
+    _shared_gluing_matrix,
     build_double_cover_potential,
     build_gluing_matrix,
     build_triple_cover_potential,
@@ -455,8 +456,8 @@ def _check_table2(table: InvariantTable, dmax: int) -> OracleReport:
 
 
 def _check_cap_independence() -> OracleReport:
-    m2 = build_gluing_matrix(2)
-    m3 = build_gluing_matrix(3)
+    m2 = _shared_gluing_matrix(2)
+    m3 = _shared_gluing_matrix(3)
     bad = []
     for s in GLUABLE:
         for t in GLUABLE:
@@ -468,14 +469,21 @@ def _check_cap_independence() -> OracleReport:
                    "caps 2 and 3 agree at weight <= 2")
 
 
-def _check_cache(cache_path: str) -> OracleReport:
+def _check_cache(cache_path: str, table: InvariantTable, dmax: int) -> OracleReport:
+    """The cache must load, validate, and agree with the freshly computed
+    table at every cached degree up to dmax."""
     try:
-        load_table(cache_path)
+        cached = load_table(cache_path)
     except CacheError as exc:
         return OracleReport("cache-validation", False, "a valid cache file",
                             str(exc), "-")
-    return OracleReport("cache-validation", True, "a valid cache file",
-                        "cache loads and validates", "-")
+    degrees = [d for d in cached.degrees() if d <= dmax]
+    bad = [f"{lbl}(d={d})={cached.get(d, lbl)} computed {table.get(d, lbl)}"
+           for d in degrees for lbl in INVARIANT_LABELS
+           if cached.get(d, lbl) != table.get(d, lbl)]
+    return _report("cache-validation", bad,
+                   f"{degrees[0]}..{degrees[-1]}" if degrees else "-",
+                   "a valid cache file equal to the computed table")
 
 
 def run_selftest(dmax: int, cache_path: str | None = None) -> List[OracleReport]:
@@ -494,7 +502,7 @@ def run_selftest(dmax: int, cache_path: str | None = None) -> List[OracleReport]
         _check_cap_independence(),
     ]
     if cache_path is not None:
-        reports.append(_check_cache(cache_path))
+        reports.append(_check_cache(cache_path, table, dmax))
     return reports
 
 

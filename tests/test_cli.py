@@ -3,7 +3,7 @@ import json
 import pytest
 
 from semple2 import cli
-from semple2.recursion import INVARIANT_LABELS
+from semple2.recursion import INVARIANT_LABELS, load_table, save_table
 from semple2.verify import TABLE1_REFERENCE
 
 TABLE6_CSV = """\
@@ -249,6 +249,23 @@ def test_verify_corrupt_cache(tmp_path, capsys):
     reports = json.loads(out)
     assert reports[-1]["name"] == "cache-validation"
     assert reports[-1]["status"] == "fail"
+
+
+def test_verify_compares_the_cache_with_the_computed_table(tmp_path, capsys, table8):
+    # hd2z is in no 3:1 identity and is not the point row, so loading passes
+    path = tmp_path / "bad.json"
+    save_table(table8, str(path))
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["5"]["hd2z"] = str(int(data["5"]["hd2z"]) + 1)
+    path.write_text(json.dumps(data), encoding="utf-8")
+    load_table(str(path))
+    code, out, err = run(capsys, "verify", "--max-degree", "6", "--cache", str(path))
+    assert code == 4
+    report = json.loads(out)[-1]
+    assert report["name"] == "cache-validation" and report["status"] == "fail"
+    assert report["actual"] == "hd2z(d=5)=216181 computed 216180"
+    assert report["degrees"] == "1..6"
+    assert "FAIL cache-validation" in err
 
 
 def test_missing_subcommand_is_usage_error(capsys):
