@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 #: z-basis labels in canonical order (codimension 0,1,1,1,2,2,2,2,3,3,3,4
 #: after sorting by degree; the order below mirrors the printed table).
@@ -151,13 +151,6 @@ class ChowClass:
         return ChowClass(tuple(
             Fraction(1 if i == _LABEL_INDEX[label] else 0) for i in range(12)))
 
-    @staticmethod
-    def from_dict(values: Dict[str, int | Fraction]) -> "ChowClass":
-        coords = [Fraction(0)] * 12
-        for label, v in values.items():
-            coords[_LABEL_INDEX[label]] = Fraction(v)
-        return ChowClass(tuple(coords))
-
     def coordinate(self, label: str) -> Fraction:
         return self.coords[_LABEL_INDEX[label]]
 
@@ -184,11 +177,6 @@ class ChowClass:
 
     def is_zero(self) -> bool:
         return not any(self.coords)
-
-    def graded_part(self, q: int) -> "ChowClass":
-        return ChowClass(tuple(
-            x if codim(LABELS[i]) == q else Fraction(0)
-            for i, x in enumerate(self.coords)))
 
     def __str__(self) -> str:
         return format_coords(self.coords, LABELS, Z_BASIS_SYMBOL)
@@ -315,21 +303,33 @@ def divisor_pairing(d: int, divisor: ChowClass) -> Fraction:
             + divisor.coordinate("001") * (3 * d - 6))
 
 
-def _startup_checks() -> None:
-    # the derived rewrite z^2 -> 3(hd - h)z must be consistent with the
-    # independently printed relations i^2 = 3(h - hd)i and i*z = 0
-    lhs = mul_classes(I_CLASS, I_CLASS)
-    rhs = mul_classes((H - HD).scaled(3), I_CLASS)
-    if lhs != rhs:
-        raise AssertionError("relation i^2 = 3(h-hd)i fails under the rewrite system")
+def relation_failures() -> List[str]:
+    """The printed relations i^2 = 3(h - hd)i and i*z = 0 that fail under
+    the derived rewrite z^2 -> 3(hd - h)z; empty if none."""
+    bad = []
+    if mul_classes(I_CLASS, I_CLASS) != mul_classes((H - HD).scaled(3), I_CLASS):
+        bad.append("i^2 != 3(h-hd)i")
     if not mul_classes(I_CLASS, Z).is_zero():
-        raise AssertionError("relation i*z = 0 fails under the rewrite system")
+        bad.append("i*z != 0")
+    return bad
+
+
+def pairing_failures() -> List[str]:
+    """The z-basis/i-basis pairings that are not Kronecker; empty if none."""
+    bad = []
     for k in LABELS:
         for l in LABELS:
-            val = integrate(mul_classes(ChowClass.basis(k), i_basis_class(l)))
+            value = integrate(mul_classes(ChowClass.basis(k), i_basis_class(l)))
             expect = Fraction(1 if l == DUAL[k] else 0)
-            if val != expect:
-                raise AssertionError(f"pairing of {k} with dual {l} is {val}")
+            if value != expect:
+                bad.append(f"pair({k},{l})={value} expected {expect}")
+    return bad
+
+
+def _startup_checks() -> None:
+    bad = relation_failures() + pairing_failures()
+    if bad:
+        raise AssertionError("Chow ring tables are inconsistent: " + "; ".join(bad[:8]))
 
 
 _startup_checks()
@@ -433,9 +433,14 @@ class _Parser:
             k2, v = self.take()
             if k2 != "num":
                 raise ChowParseError("exponent must be a nonnegative integer")
+            # square-and-multiply: about 2*log2(v) products
             out = ONE
-            for _ in range(v):
-                out = mul_classes(out, base)
+            while v:
+                if v & 1:
+                    out = mul_classes(out, base)
+                v >>= 1
+                if v:
+                    base = mul_classes(base, base)
             return out
         return base
 

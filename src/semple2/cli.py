@@ -94,6 +94,9 @@ def _cmd_table(args) -> int:
 
 def _curve_from_args(args) -> CurveInvariants | None:
     if args.plucker is not None:
+        if any(v is not None for v in (args.c, args.class_, args.kappa,
+                                       args.nodes, args.cusps)):
+            raise ValueError("give either --plucker or --c/--class/--kappa/--nodes/--cusps")
         c, nodes, cusps = _parse_triple(args.plucker)
         return plucker_class(c, nodes, cusps)
     if args.c is None:

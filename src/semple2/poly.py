@@ -21,7 +21,6 @@ carry weight zero.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 from typing import Dict, Iterable, Mapping, Tuple
 
 Monomial = Tuple[Tuple[str, int], ...]
@@ -79,21 +78,8 @@ def monomial_degree_in(m: Monomial, names: Iterable[str]) -> int:
     return sum(e for name, e in m if name in wanted)
 
 
-def monomial_factorial(m: Monomial) -> int:
-    """Product of the factorials of the exponents (the a! of a monomial y^a)."""
-    out = 1
-    for _, e in m:
-        out *= factorial(e)
-    return out
-
-
 def zero() -> Poly:
     return {}
-
-
-def const(value: int | Fraction) -> Poly:
-    c = Fraction(value)
-    return {(): c} if c else {}
 
 
 def term(exps: Mapping[str, int], value: int | Fraction) -> Poly:
@@ -114,14 +100,6 @@ def add(a: Poly, b: Poly) -> Poly:
         else:
             out.pop(m, None)
     return out
-
-
-def neg(a: Poly) -> Poly:
-    return {m: -c for m, c in a.items()}
-
-
-def sub(a: Poly, b: Poly) -> Poly:
-    return add(a, neg(b))
 
 
 def scale(a: Poly, value: int | Fraction) -> Poly:
@@ -199,11 +177,6 @@ def truncate_weight(p: Poly, cap: int) -> Poly:
     return {m: c for m, c in p.items() if monomial_weight(m) <= cap}
 
 
-def weight_part(p: Poly, w: int) -> Poly:
-    """The weight-homogeneous component of weight w."""
-    return {m: c for m, c in p.items() if monomial_weight(m) == w}
-
-
 def homogeneous_weight(p: Poly) -> int | None:
     """Weight of a weight-homogeneous polynomial; None for the zero poly.
 
@@ -225,59 +198,3 @@ def variables(p: Poly) -> set:
         for name, _ in m:
             names.add(name)
     return names
-
-
-def exp_truncated(p: Poly, cap: int) -> Poly:
-    """exp(p) expanded as a series and truncated at weight cap.
-
-    Every variable occurring in p must have positive weight, otherwise the
-    expansion would not terminate under a weight cap.
-    """
-    for name in variables(p):
-        if WEIGHT[name] <= 0:
-            raise PolyError(f"exp of weight-0 variable {name} does not truncate")
-    result = const(1)
-    power = const(1)
-    n = 0
-    while True:
-        n += 1
-        power = truncate_weight(mul(power, p), cap)
-        if not power:
-            break
-        result = add(result, scale(power, Fraction(1, factorial(n))))
-    return result
-
-
-def _mono_str(m: Monomial) -> str:
-    if not m:
-        return "1"
-    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in m)
-
-
-def sorted_terms(p: Poly) -> list[tuple[Monomial, Fraction]]:
-    """Terms in the canonical order used for all serialization."""
-
-    def key(item: tuple[Monomial, Fraction]):
-        dense = [0] * len(VAR_ORDER)
-        for name, e in item[0]:
-            dense[_VAR_INDEX[name]] = e
-        return tuple(-x for x in dense)
-
-    return sorted(p.items(), key=key)
-
-
-def poly_str(p: Poly) -> str:
-    if not p:
-        return "0"
-    parts = []
-    for m, c in sorted_terms(p):
-        sign = "-" if c < 0 else "+"
-        mag = -c if c < 0 else c
-        body = _mono_str(m) if mag == 1 and m else (
-            f"{mag}" if not m else f"{mag}*{_mono_str(m)}")
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out

@@ -24,7 +24,6 @@ against the divisor exponentials of the recursion and is never expanded.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -40,7 +39,6 @@ from .poly import (
     add_scaled,
     mul,
     partial,
-    sorted_terms,
     term,
     truncate_weight,
     variables,
@@ -51,8 +49,6 @@ from .poly import (
 #: mixed slot with subscript 110; its second entry is 1 like every factor,
 #: and third entries are all 0, so only first entries constrain anything)
 DOUBLE_FIRST = {"y020": 1, "y210": 2, "z010": 0, "z110": 1, "z210": 2}
-#: exponential coefficients: (1/2) exp(2*y020) exp(2*y210) exp(z...) each
-DOUBLE_EXP_COEFF = {"y020": 2, "y210": 2, "z010": 1, "z110": 1, "z210": 1}
 
 #: (first, second) subscript entries for the triple-cover alphabet; all
 #: third entries are 1 and do not constrain
@@ -88,10 +84,6 @@ class RPotential:
     cap: int
     divisor_var: str          # "y010" for the double cover, "y001" for the triple
     divisor_coeff: int
-
-    def gluing_vars(self) -> Tuple[str, ...]:
-        return ("z010", "z110", "z210") if self.kind == "double_cover" \
-            else tuple(sorted(TRIPLE_W))
 
 
 def _check_quadratic(body: Poly, gluing: Tuple[str, ...], kind: str) -> None:
@@ -296,21 +288,3 @@ def _check_matrix(matrix: GluingMatrix) -> None:
             raise AssertionError(f"entry ({s},{t}) contains forbidden variables {bad}")
     if matrix.y010_exponent != 2 or matrix.y001_exponent != 6:
         raise AssertionError("divisor prefactor must be exp(2*y010 + 6*y001)")
-
-
-def gluing_matrix_json(matrix: GluingMatrix) -> str:
-    """Canonical JSON snapshot of the matrix, for regression dumps."""
-    data = {
-        "cap": matrix.cap,
-        "prefactor": {"y010": matrix.y010_exponent, "y001": matrix.y001_exponent},
-        "entries": {},
-    }
-    for s in GLUABLE:
-        for t in GLUABLE:
-            p = matrix.entry(s, t)
-            if not p:
-                continue
-            data["entries"][f"{s},{t}"] = [
-                [{v: e for v, e in m}, str(c)] for m, c in sorted_terms(p)
-            ]
-    return json.dumps(data, indent=2, sort_keys=True)

@@ -347,19 +347,26 @@ def load_table(path: str) -> InvariantTable:
 
 def save_table(table: InvariantTable, path: str) -> None:
     """Write the table atomically: a unique temporary file in the same
-    directory, renamed over the target only once it is complete."""
+    directory, renamed over the target only once it is complete.
+
+    Raises CacheError when the file cannot be created, written or renamed.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".",
-                               suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".",
+                                   suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(table_to_json(table) + "\n")
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except FileNotFoundError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except FileNotFoundError:
+                pass
+        if isinstance(exc, OSError):
+            raise CacheError(f"cannot write cache {path}: {exc}") from exc
         raise
 
 

@@ -32,7 +32,6 @@ from math import comb, factorial
 from typing import Dict, List, Tuple
 
 from . import chow
-from .chow import ChowClass, DUAL, I_CLASS, LABELS, integrate, i_basis_class, mul_classes
 from .poly import (
     Poly,
     WEIGHT,
@@ -58,9 +57,7 @@ from .potentials import (
     TRIPLE_Y,
     GluingMatrix,
     _shared_gluing_matrix,
-    build_double_cover_potential,
     build_gluing_matrix,
-    build_triple_cover_potential,
 )
 from .recursion import (
     CacheError,
@@ -261,24 +258,6 @@ def extract_invariants(tail: TailPolynomial) -> Dict[str, int]:
     return out
 
 
-def tail_from_invariants(d: int, values: Dict[str, int]) -> TailPolynomial:
-    """Rebuild a tail from its thirteen labeled integers (cache resume)."""
-    p: Poly = {}
-    shift = 3 * d - 3
-    for label in INVARIANT_LABELS:
-        n = values[label]
-        if not n:
-            continue
-        exps = dict(LABEL_MONOMIAL[label])
-        exps["y200"] = exps.get("y200", 0) + shift
-        m = monomial(exps)
-        fact = 1
-        for e in dict(m).values():
-            fact *= factorial(e)
-        p[m] = Fraction(n, fact)
-    return TailPolynomial(d, p)
-
-
 def reference_table(dmax: int) -> InvariantTable:
     """Invariants for degrees 1..dmax by the Fraction-polynomial recursion."""
     if dmax < 1:
@@ -382,25 +361,13 @@ def _report(name: str, mismatches: List[str], degrees: str,
 
 
 def _check_pairing() -> OracleReport:
-    bad = []
-    for k in LABELS:
-        for l in LABELS:
-            value = integrate(mul_classes(ChowClass.basis(k), i_basis_class(l)))
-            expect = Fraction(1 if l == DUAL[k] else 0)
-            if value != expect:
-                bad.append(f"pair({k},{l})={value} expected {expect}")
-    return _report("dual-pairing-matrix", bad, "-", "144 Kronecker pairings")
+    return _report("dual-pairing-matrix", chow.pairing_failures(), "-",
+                   "144 Kronecker pairings")
 
 
 def _check_relations() -> OracleReport:
-    bad = []
-    lhs = mul_classes(I_CLASS, I_CLASS)
-    rhs = mul_classes((chow.H - chow.HD).scaled(3), I_CLASS)
-    if lhs != rhs:
-        bad.append("i^2 != 3(h-hd)i")
-    if not mul_classes(I_CLASS, chow.Z).is_zero():
-        bad.append("i*z != 0")
-    return _report("ring-relations", bad, "-", "i^2 = 3(h-hd)i and i*z = 0")
+    return _report("ring-relations", chow.relation_failures(), "-",
+                   "i^2 = 3(h-hd)i and i*z = 0")
 
 
 def _check_seed() -> OracleReport:
@@ -504,11 +471,3 @@ def run_selftest(dmax: int, cache_path: str | None = None) -> List[OracleReport]
     if cache_path is not None:
         reports.append(_check_cache(cache_path, table, dmax))
     return reports
-
-
-def builders_match_series(cap: int) -> bool:
-    """Term-for-term equality of both builders with the brute-force expander."""
-    return (build_double_cover_potential(cap).body
-            == expand_cover_series("double_cover", cap)
-            and build_triple_cover_potential(cap).body
-            == expand_cover_series("triple_cover", cap))

@@ -1,6 +1,7 @@
 import pytest
 
-from semple2 import build_gluing_matrix, compute_up_to
+from semple2.potentials import build_gluing_matrix
+from semple2.recursion import compute_up_to
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from semple2 import chow
 from semple2.chow import (
     ChowClass,
     ChowParseError,
@@ -185,3 +186,24 @@ def test_parse_errors():
     for bad in ("h +", "q", "h^x", "(h", "3/0*h", "h)", ""):
         with pytest.raises(ChowParseError):
             parse_class_expr(bad)
+
+
+def test_power_equals_repeated_product():
+    base = parse_class_expr("1+h+z")
+    repeated = ONE
+    for n in range(13):
+        assert parse_class_expr(f"(1+h+z)^{n}") == repeated, n
+        repeated = mul_classes(repeated, base)
+
+
+def test_huge_power_takes_logarithmically_many_products(monkeypatch):
+    calls = []
+    real = chow.mul_classes
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(chow, "mul_classes", counted)
+    assert parse_class_expr("h^3000000").is_zero()
+    assert 0 < len(calls) <= 2 * (3000000 - 1).bit_length()  # 2*ceil(log2 n)

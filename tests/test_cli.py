@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -73,7 +74,7 @@ def test_table_uses_cache(tmp_path, capsys):
                         "--cache", path)
     assert code == 0
     assert out1 == out2
-    assert json.loads(open(path).read())["5"]["h2hd"] == "51040"
+    assert json.loads(Path(path).read_text())["5"]["h2hd"] == "51040"
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
@@ -81,7 +82,7 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.CACHE_ENV, path)
     code, _, _ = run(capsys, "table", "--max-degree", "2", "--format", "csv")
     assert code == 0
-    assert "2" in json.loads(open(path).read())
+    assert "2" in json.loads(Path(path).read_text())
 
 
 def test_corrupt_cache_fails_table(tmp_path, capsys):
@@ -105,6 +106,15 @@ def test_cache_with_wrong_point_count_fails_count(tmp_path, capsys):
     assert code == 4
     assert out == ""
     assert "point count" in err
+
+
+def test_missing_cache_directory_is_a_cache_error(tmp_path, capsys):
+    path = tmp_path / "no" / "such" / "dir" / "cache.json"
+    code, out, err = run(capsys, "table", "--max-degree", "3", "--cache", str(path))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: cannot write cache") and err.count("\n") == 1
+    assert not (tmp_path / "no").exists()
 
 
 def test_contact_formula_only(capsys):
@@ -155,6 +165,16 @@ def test_contact_conflicting_curve_options(capsys):
                        "--c", "3", "--class", "6", "--nodes", "1")
     assert code == 2
     assert "error" in err
+
+
+def test_contact_plucker_rejects_explicit_curve_options(capsys):
+    for extra in (("--c", "2", "--class", "2", "--kappa", "0"),
+                  ("--nodes", "1"), ("--cusps", "0"), ("--kappa", "0")):
+        code, out, err = run(capsys, "contact", "--degree", "3",
+                             "--plucker", "3,1,0", *extra)
+        assert code == 2, extra
+        assert out == ""
+        assert "--plucker" in err
 
 
 def test_count_points_only(capsys):

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import pytest
@@ -14,7 +13,6 @@ from semple2.potentials import (
     build_double_cover_potential,
     build_gluing_matrix,
     build_triple_cover_potential,
-    gluing_matrix_json,
 )
 from semple2.verify import expand_cover_series
 
@@ -138,16 +136,3 @@ def test_matrix_cap_independence(matrix2):
         for t in GLUABLE:
             assert truncate_weight(m3.entry(s, t), 2) == \
                 truncate_weight(matrix2.entry(s, t), 2)
-
-
-def test_matrix_json_dump(matrix2):
-    data = json.loads(gluing_matrix_json(matrix2))
-    assert data["cap"] == 2
-    assert data["prefactor"] == {"y010": 2, "y001": 6}
-    assert "100,100" in data["entries"]
-    for key, terms in data["entries"].items():
-        s, t = key.split(",")
-        assert data["entries"][f"{t},{s}"] == terms
-        for mono, coeff in terms:
-            Fraction(coeff)  # parses exactly
-            assert "y200" not in mono

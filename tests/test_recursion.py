@@ -32,7 +32,6 @@ from semple2.verify import (
     reference_rhs,
     reference_table,
     seed_degree1,
-    tail_from_invariants,
     tail_from_weight2,
 )
 
@@ -118,14 +117,6 @@ def test_recursion_requires_all_lower_tails(matrix2):
         reference_rhs(3, {1: seed_degree1()}, matrix2)
     with pytest.raises(ValueError):
         recursion_rhs(3, {1: tuple(SEED.values())}, derive_stencil(matrix2))
-
-
-def test_tail_roundtrip_through_invariants(table8, matrix2):
-    tails = {1: seed_degree1()}
-    for d in range(2, 5):
-        tails[d] = tail_from_weight2(d, reference_rhs(d, tails, matrix2))
-        rebuilt = tail_from_invariants(d, extract_invariants(tails[d]))
-        assert rebuilt.poly == tails[d].poly
 
 
 def test_determinism():
@@ -230,10 +221,18 @@ def test_failed_save_removes_its_temporary_file(tmp_path, table8, monkeypatch):
         raise OSError("rename refused")
 
     monkeypatch.setattr(os, "replace", refuse)
-    with pytest.raises(OSError):
+    with pytest.raises(CacheError, match="cannot write cache") as info:
         save_table(compute_up_to(2), str(path))
+    assert isinstance(info.value.__cause__, OSError)
     assert os.listdir(tmp_path) == ["cache.json"]
     assert path.read_bytes() == before
+
+
+def test_cache_in_a_missing_directory_is_a_cache_error(tmp_path):
+    path = tmp_path / "missing" / "cache.json"
+    with pytest.raises(CacheError, match="cannot write cache"):
+        compute_up_to(3, cache_path=str(path))
+    assert os.listdir(tmp_path) == []
 
 
 def test_warm_compute_does_not_rewrite_the_cache(tmp_path):

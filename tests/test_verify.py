@@ -2,12 +2,12 @@ import json
 
 import pytest
 
+from semple2 import chow, verify
 from semple2.recursion import save_table
 from semple2.verify import (
     OracleReport,
     TABLE1_REFERENCE,
     TABLE2_REFERENCE,
-    builders_match_series,
     expand_cover_series,
     kontsevich,
     run_selftest,
@@ -38,11 +38,6 @@ def test_reference_tables_are_consistent():
 def test_expander_unknown_kind():
     with pytest.raises(ValueError):
         expand_cover_series("septuple_cover", 2)
-
-
-def test_expander_matches_builders_at_all_caps():
-    assert builders_match_series(0)
-    assert builders_match_series(3)
 
 
 def test_selftest_all_pass():
@@ -93,3 +88,17 @@ def test_failing_report_carries_both_values():
     report = OracleReport("demo", False, "1", "2", "1..1")
     data = report.to_dict()
     assert data["expected"] == "1" and data["actual"] == "2"
+
+
+@pytest.mark.parametrize("key, check", [
+    (("001", "001"), verify._check_relations),  # z*z: breaks i*z = 0
+    (("211", "000"), verify._check_pairing),    # top class times 1
+])
+def test_a_broken_ring_table_is_caught_on_import_and_in_verify(monkeypatch, key, check):
+    chow._startup_checks()
+    assert check().passed
+    monkeypatch.setitem(chow._MULT, key, (0,) * 12)
+    with pytest.raises(AssertionError, match="Chow ring tables are inconsistent"):
+        chow._startup_checks()
+    report = check()
+    assert not report.passed and report.actual != "no mismatches"
