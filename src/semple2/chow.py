@@ -211,10 +211,6 @@ def integrate(a: ChowClass) -> Fraction:
     return a.coordinate("211")
 
 
-def triple_product(a: ChowClass, b: ChowClass, c: ChowClass) -> Fraction:
-    return integrate(mul_classes(mul_classes(a, b), c))
-
-
 def i_basis_class(label: str) -> ChowClass:
     """The i-basis element with the given label, as a z-basis class."""
     if label not in _LABEL_INDEX:
@@ -243,38 +239,14 @@ def _dual_table() -> Dict[str, str]:
 DUAL: Dict[str, str] = _dual_table()
 
 
-def dual_index(k: str) -> str:
-    """The unique legal label k* with k + k* = 211 or 121."""
-    if k not in DUAL:
-        raise ValueError(f"unknown basis label {k!r}")
-    return DUAL[k]
-
-
-def _invert(cols: list) -> list:
-    """Invert a 12x12 matrix given column-wise, by exact Gaussian elimination."""
-    n = len(cols)
-    aug = [[cols[j][i] for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-_I_COLS = [list(i_basis_class(lbl).coords) for lbl in I_BASIS_ORDER]
-_I_INV = _invert(_I_COLS)
-
-
 def to_i_basis(a: ChowClass) -> Tuple[Fraction, ...]:
-    """Coordinates in the i-basis, ordered as I_BASIS_ORDER."""
-    return tuple(
-        sum(_I_INV[r][c] * a.coords[c] for c in range(12)) for r in range(12))
+    """Coordinates in the i-basis, ordered as I_BASIS_ORDER.
+
+    The z-basis and the i-basis are dual, so the coordinate of i_l is the
+    integral of z_{DUAL[l]} * a.
+    """
+    return tuple(integrate(mul_classes(ChowClass.basis(DUAL[l]), a))
+                 for l in I_BASIS_ORDER)
 
 
 def from_i_basis(coords: Tuple[Fraction, ...]) -> ChowClass:
@@ -315,11 +287,16 @@ def relation_failures() -> List[str]:
 
 
 def pairing_failures() -> List[str]:
-    """The z-basis/i-basis pairings that are not Kronecker; empty if none."""
+    """The z-basis/i-basis pairings that are not Kronecker; empty if none.
+
+    The pairing of z_k with i_l is coordinate DUAL[k] of to_i_basis(i_l),
+    so this checks that to_i_basis maps each i_l to its unit vector.
+    """
+    coords = {l: dict(zip(I_BASIS_ORDER, to_i_basis(i_basis_class(l)))) for l in LABELS}
     bad = []
     for k in LABELS:
         for l in LABELS:
-            value = integrate(mul_classes(ChowClass.basis(k), i_basis_class(l)))
+            value = coords[l][DUAL[k]]
             expect = Fraction(1 if l == DUAL[k] else 0)
             if value != expect:
                 bad.append(f"pair({k},{l})={value} expected {expect}")
@@ -380,10 +357,17 @@ def _tokenize(text: str) -> list:
     return tokens
 
 
+#: deepest nesting of parentheses and unary minus signs the parser accepts;
+#: each level costs a few Python frames, so this stays well inside the
+#: interpreter's recursion limit
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -444,16 +428,24 @@ class _Parser:
             return out
         return base
 
+    def nested(self, parse) -> ChowClass:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ChowParseError(f"expression nested deeper than {MAX_NESTING} levels")
+        out = parse()
+        self.depth -= 1
+        return out
+
     def atom(self) -> ChowClass:
         kind, value = self.take()
         if kind == "(":
-            inner = self.expr()
+            inner = self.nested(self.expr)
             k2, _ = self.take()
             if k2 != ")":
                 raise ChowParseError("unbalanced parenthesis")
             return inner
         if kind == "-":
-            return -self.atom()
+            return -self.nested(self.atom)
         if kind == "sym":
             return _SYMBOLS[value]
         if kind == "num":

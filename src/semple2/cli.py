@@ -22,6 +22,7 @@ from .contact import (
     ConditionProfile,
     CurveInvariants,
     UnsupportedProfileError,
+    contact_coefficients,
     contact_formula,
     contact_number,
     mixed_count,
@@ -117,7 +118,7 @@ def _cmd_contact(args) -> int:
     table = compute_up_to(d, cache_path=_default_cache(args.cache))
     curve = _curve_from_args(args)
     formula = contact_formula(d, table)
-    a, b, k = (table.get(d, "hd2z"), table.get(d, "h2z"), table.get(d, "h2hd"))
+    a, b, k = contact_coefficients(d, table)
     if args.format == "json":
         data = {
             "degree": d,

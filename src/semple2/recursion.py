@@ -25,9 +25,9 @@ the only live orders are o = 3d'-3+j with j in {0, 1, 2} and j1 + j2 = 2.
 The o-fold derivative of the tail is then a fixed weight-(2-j) polynomial
 in the residual variables whose coefficients are the n_L over a small
 factorial, independent of d'.  The whole identity therefore compiles to
-a bilinear stencil: rational weights on (j1, insertion kinds, L1, L2,
-Lout), derived once from the gluing matrix, applied to the integer
-columns of lower degrees with a single exact division per output.
+a bilinear stencil: weights on (j1, insertion kinds, L1, L2, Lout),
+derived once from the gluing matrix as rationals that must all be
+integers, applied to the integer columns of lower degrees.
 The Fraction-polynomial form of the same identity is kept in
 `semple2.verify` as a differential oracle.
 """
@@ -40,7 +40,7 @@ import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, prod
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
@@ -112,26 +112,20 @@ SEED: Dict[str, int] = {
 #: Lout, integer weight); a kind is a divisor index, or None for a derivative
 StencilTerm = Tuple[Optional[str], Optional[str], int, int, int, int]
 
-
-@dataclass(frozen=True)
-class Stencil:
-    """The degree recursion as integer weights over one common denominator.
-
-    For a split d1 + d2 = d and j1 in {0, 1, 2}, each term of by_j1[j1]
-    adds weight * c * k_s(d1) * k_t(d2) * n_d1[L1] * n_d2[L2] to den times
-    the degree-d invariant Lout, where k is the divisor multiplier of the
-    kind (1 for a derivative) and c = comb(3d-6, 3d1-4+j1) * d1*d2
-    - comb(3d-6, 3d1-3+j1) * d1^2 collects the two product-rule terms.
-    """
-
-    den: int
-    by_j1: Tuple[Tuple[StencilTerm, ...], ...]
+#: the degree recursion as integer weights, indexed by j1 in {0, 1, 2}: for
+#: a split d1 + d2 = d, each term of stencil[j1] adds weight * c * k_s(d1)
+#: * k_t(d2) * n_d1[L1] * n_d2[L2] to the degree-d invariant Lout, where k
+#: is the divisor multiplier of the kind (1 for a derivative) and
+#: c = comb(3d-6, 3d1-4+j1) * d1*d2 - comb(3d-6, 3d1-3+j1) * d1^2 collects
+#: the two product-rule terms
+Stencil = Tuple[Tuple[StencilTerm, ...], ...]
 
 
 def derive_stencil(matrix: GluingMatrix) -> Stencil:
     """Compile the quadratic identity through the gluing matrix (cap >= 2).
 
-    The polynomial engine is imported here, not at module level: a table
+    Raises ArithmeticError unless every weight is an integer.  The
+    polynomial engine is imported here, not at module level: a table
     served from the cache never derives a stencil.
     """
     from fractions import Fraction
@@ -188,9 +182,11 @@ def derive_stencil(matrix: GluingMatrix) -> Stencil:
                         key = (kind(s), kind(t), i1, i2, iout)
                         acc[key] = acc.get(key, 0) \
                             + 18 * c * LABEL_FACTORIAL[INVARIANT_LABELS[iout]]
-    den = lcm(*(w.denominator for acc in weights for w in acc.values()))
-    return Stencil(den, tuple(
-        tuple((*key, int(w * den)) for key, w in acc.items() if w) for acc in weights))
+    for acc in weights:
+        for key, w in acc.items():
+            if w.denominator != 1:
+                raise ArithmeticError(f"stencil weight {w} at {key} is not an integer")
+    return tuple(tuple((*key, int(w)) for key, w in acc.items() if w) for acc in weights)
 
 
 @lru_cache(maxsize=1)
@@ -215,7 +211,7 @@ def recursion_rhs(d: int, columns: Dict[int, Sequence[int]],
         n1, n2 = columns[d1], columns[d2]
         k1 = {None: 1, **{s: rule(d1) for s, rule in DIVISOR_RULE.items()}}
         k2 = {None: 1, **{t: rule(d2) for t, rule in DIVISOR_RULE.items()}}
-        for j1, terms in enumerate(stencil.by_j1):
+        for j1, terms in enumerate(stencil):
             a1 = 3 * d1 - 4 + j1
             c = comb(m, a1) * d1 * d2 if a1 >= 0 else 0
             c -= comb(m, a1 + 1) * d1 * d1
@@ -223,13 +219,7 @@ def recursion_rhs(d: int, columns: Dict[int, Sequence[int]],
                 continue
             for ks, kt, i1, i2, iout, w in terms:
                 acc[iout] += c * w * k1[ks] * k2[kt] * n1[i1] * n2[i2]
-    out = []
-    for label, total in zip(INVARIANT_LABELS, acc):
-        value, rest = divmod(total, stencil.den)
-        if rest:
-            raise ArithmeticError(f"invariant {label} at degree {d} is not an integer")
-        out.append(value)
-    return tuple(out)
+    return tuple(acc)
 
 
 @dataclass(frozen=True)

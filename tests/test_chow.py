@@ -17,14 +17,12 @@ from semple2.chow import (
     Z,
     codim,
     divisor_pairing,
-    dual_index,
     from_i_basis,
     i_basis_class,
     integrate,
     mul_classes,
     parse_class_expr,
     to_i_basis,
-    triple_product,
 )
 
 H2 = mul_classes(H, H)
@@ -73,15 +71,15 @@ def test_integrate_below_top_degree():
 
 
 def test_dual_index_examples():
-    assert dual_index("000") == "211"
-    assert dual_index("100") == "021"
-    assert dual_index("020") == "101"
+    assert DUAL["000"] == "211"
+    assert DUAL["100"] == "021"
+    assert DUAL["020"] == "101"
 
 
 def test_dual_index_unique_and_involutive():
     assert sorted(DUAL.values()) == sorted(LABELS)
     for k in LABELS:
-        assert dual_index(dual_index(k)) == k
+        assert DUAL[DUAL[k]] == k
 
 
 def test_pairing_matrix_is_kronecker():
@@ -119,9 +117,12 @@ def test_i_basis_roundtrip():
 
 
 def test_triple_products():
-    assert triple_product(H, H, i_basis_class("011")) == 1  # h.h.(hd i)
-    assert triple_product(H, H, i_basis_class("201")) == 0  # h.h.(h^2 i)
-    assert triple_product(ONE, ONE, H2) == 0
+    def triple(a, b, c):
+        return integrate(mul_classes(mul_classes(a, b), c))
+
+    assert triple(H, H, i_basis_class("011")) == 1  # h.h.(hd i)
+    assert triple(H, H, i_basis_class("201")) == 0  # h.h.(h^2 i)
+    assert triple(ONE, ONE, H2) == 0
 
 
 def test_divisor_pairing_cases():
@@ -207,3 +208,34 @@ def test_huge_power_takes_logarithmically_many_products(monkeypatch):
     monkeypatch.setattr(chow, "mul_classes", counted)
     assert parse_class_expr("h^3000000").is_zero()
     assert 0 < len(calls) <= 2 * (3000000 - 1).bit_length()  # 2*ceil(log2 n)
+
+
+def test_pairing_check_reads_the_i_basis_off_the_pairing(monkeypatch):
+    # 6 products build the i-basis, 12 per element read it back: 150, where
+    # pairing every z-basis element with every rebuilt i-basis element took 216
+    calls = []
+    real = chow.mul_classes
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(chow, "mul_classes", counted)
+    assert chow.pairing_failures() == []
+    assert len(calls) == 150 < 216
+
+
+def test_nesting_up_to_the_limit_evaluates():
+    assert parse_class_expr("(" * 50 + "h" + ")" * 50) == H
+    assert parse_class_expr("-" * 50 + "h") == H
+    deepest = "(-" * (chow.MAX_NESTING // 2) + "h" + ")" * (chow.MAX_NESTING // 2)
+    assert parse_class_expr(deepest) == H
+
+
+@pytest.mark.parametrize("text", [
+    "(" * (chow.MAX_NESTING + 1) + "h" + ")" * (chow.MAX_NESTING + 1),
+    "-" * (chow.MAX_NESTING + 2) + "h",
+])
+def test_nesting_past_the_limit_is_a_parse_error(text):
+    with pytest.raises(ChowParseError, match="nested deeper"):
+        parse_class_expr(text)

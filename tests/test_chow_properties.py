@@ -1,0 +1,57 @@
+"""Property tests for the Chow ring on random rational classes."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from semple2.chow import (
+    I_BASIS_ORDER,
+    I_BASIS_SYMBOL,
+    ChowClass,
+    format_coords,
+    from_i_basis,
+    mul_classes,
+    parse_class_expr,
+    to_i_basis,
+)
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
+
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+classes = st.tuples(*[rationals] * 12).map(ChowClass)
+
+
+@PROPERTY
+@given(classes)
+def test_i_basis_round_trip(a):
+    assert from_i_basis(to_i_basis(a)) == a
+
+
+@PROPERTY
+@given(classes, classes, rationals)
+def test_to_i_basis_is_linear(a, b, q):
+    expected = tuple(x + q * y for x, y in zip(to_i_basis(a), to_i_basis(b)))
+    assert to_i_basis(a + b.scaled(q)) == expected
+
+
+@PROPERTY
+@given(classes)
+def test_printed_class_parses_back(a):
+    assert parse_class_expr(str(a)) == a
+
+
+@PROPERTY
+@given(classes)
+def test_printed_i_basis_form_parses_back(a):
+    # the parser expands i = z + 3h - 3hd on its own: no pairing involved
+    text = format_coords(to_i_basis(a), I_BASIS_ORDER, I_BASIS_SYMBOL)
+    assert parse_class_expr(text) == a
+
+
+@PROPERTY
+@given(classes, classes, classes)
+def test_ring_laws(a, b, c):
+    assert mul_classes(a, b) == mul_classes(b, a)
+    assert mul_classes(mul_classes(a, b), c) == mul_classes(a, mul_classes(b, c))
+    assert mul_classes(a, b + c) == mul_classes(a, b) + mul_classes(a, c)

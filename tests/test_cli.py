@@ -252,6 +252,13 @@ def test_chow_eval_parse_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("expr", ["(" * 3000 + "h" + ")" * 3000, "-" * 3000 + "h"])
+def test_chow_eval_deep_nesting_is_a_parse_error(capsys, expr):
+    code, out, err = run(capsys, "chow-eval", "--", expr)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "nested deeper" in err
+
+
 def test_verify_passes(capsys):
     code, out, err = run(capsys, "verify", "--max-degree", "2")
     assert code == 0

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,6 @@ from semple2.recursion import (
     CacheError,
     INVARIANT_LABELS,
     SEED,
-    Stencil,
     compute_up_to,
     derive_stencil,
     kontsevich_row,
@@ -181,11 +181,13 @@ def test_stencil_matches_the_fraction_recursion_through_degree20():
     assert compute_up_to(20) == reference_table(20)
 
 
-def test_stencil_division_must_be_exact():
-    # one weight, 1/2 of n_1[h2hd] * n_1[h2hd] into h2hd: 1/2 is no integer
-    half = Stencil(2, ((), ((None, None, 0, 0, 0, 1),), ()))
-    with pytest.raises(ArithmeticError):
-        recursion_rhs(2, {1: tuple(SEED.values())}, half)
+def test_stencil_derivation_rejects_a_fractional_weight(matrix2):
+    # the (h, h) gluing entry feeds a unit weight; over 1009 it is no integer
+    entries = dict(matrix2.entries)
+    entries[("100", "100")] = {m: c * Fraction(1, 1009)
+                               for m, c in entries[("100", "100")].items()}
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        derive_stencil(replace(matrix2, entries=entries))
 
 
 def test_kontsevich_row_is_the_classical_sequence():
