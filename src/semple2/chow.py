@@ -114,16 +114,18 @@ def _reduce_monomial(a: int, b: int, c: int) -> Tuple[Tuple[str, int], ...]:
 
 
 def _build_mult_table() -> Dict[Tuple[str, str], Tuple[Fraction, ...]]:
+    """Products of z-basis labels, one row per unordered pair, shared by
+    both orders."""
     table = {}
-    for k1 in LABELS:
-        for k2 in LABELS:
+    for n, k1 in enumerate(LABELS):
+        for k2 in LABELS[n:]:
             coords = [Fraction(0)] * 12
             a = int(k1[0]) + int(k2[0])
             b = int(k1[1]) + int(k2[1])
             c = int(k1[2]) + int(k2[2])
             for lbl, coeff in _reduce_monomial(a, b, c):
                 coords[_LABEL_INDEX[lbl]] += coeff
-            table[(k1, k2)] = tuple(coords)
+            table[(k1, k2)] = table[(k2, k1)] = tuple(coords)
     return table
 
 
@@ -277,12 +279,23 @@ def divisor_pairing(d: int, divisor: ChowClass) -> Fraction:
 
 def relation_failures() -> List[str]:
     """The printed relations i^2 = 3(h - hd)i and i*z = 0 that fail under
-    the derived rewrite z^2 -> 3(hd - h)z; empty if none."""
+    the derived rewrite z^2 -> 3(hd - h)z, then the entries of the
+    multiplication table where 1 is no unit or the factors do not commute;
+    empty if none."""
     bad = []
     if mul_classes(I_CLASS, I_CLASS) != mul_classes((H - HD).scaled(3), I_CLASS):
         bad.append("i^2 != 3(h-hd)i")
     if not mul_classes(I_CLASS, Z).is_zero():
         bad.append("i*z != 0")
+    for k in LABELS:
+        unit = tuple(int(label == k) for label in LABELS)
+        if _MULT[("000", k)] != unit or _MULT[(k, "000")] != unit:
+            bad.append(f"1*{Z_BASIS_SYMBOL[k]} != {Z_BASIS_SYMBOL[k]}")
+    for n, a in enumerate(LABELS):
+        for b in LABELS[n + 1:]:
+            if _MULT[(a, b)] != _MULT[(b, a)]:
+                bad.append(f"{Z_BASIS_SYMBOL[a]}*{Z_BASIS_SYMBOL[b]} != "
+                           f"{Z_BASIS_SYMBOL[b]}*{Z_BASIS_SYMBOL[a]}")
     return bad
 
 

@@ -6,8 +6,9 @@ triple-contact formula, `count` evaluates mixed condition profiles,
 Data goes to stdout, diagnostics to stderr.  All integers are emitted as
 decimal strings in JSON output.  Exit codes: 0 success, 2 usage error,
 3 unsupported profile, 4 verification or cache failure.  Each subcommand
-imports only the modules it runs, so a query served from the cache loads
-neither the Chow ring nor the oracles.
+imports only the modules it runs, so `table`, `contact` and `count` load
+neither the Chow ring, the polynomials nor the oracles, also when they
+compute new degrees.
 """
 
 from __future__ import annotations

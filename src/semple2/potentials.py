@@ -269,7 +269,7 @@ def build_gluing_matrix(cap: int) -> GluingMatrix:
 
 @lru_cache(maxsize=None)
 def _shared_gluing_matrix(cap: int) -> GluingMatrix:
-    """One matrix per cap and process, for the stencil and the self-test.
+    """One matrix per cap and process, for the self-test's checks in `verify`.
 
     Callers only read it; `build_gluing_matrix` returns a fresh one.
     """

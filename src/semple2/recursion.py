@@ -25,11 +25,12 @@ the only live orders are o = 3d'-3+j with j in {0, 1, 2} and j1 + j2 = 2.
 The o-fold derivative of the tail is then a fixed weight-(2-j) polynomial
 in the residual variables whose coefficients are the n_L over a small
 factorial, independent of d'.  The whole identity therefore compiles to
-a bilinear stencil: weights on (j1, insertion kinds, L1, L2, Lout),
-derived once from the gluing matrix as rationals that must all be
-integers, applied to the integer columns of lower degrees.
-The Fraction-polynomial form of the same identity is kept in
-`semple2.verify` as a differential oracle.
+a bilinear stencil: 149 integer weights on (j1, insertion kinds, L1, L2,
+Lout), applied to the integer columns of lower degrees.  The weights ship
+here as the literal STENCIL, so computing a degree needs no polynomial
+arithmetic.  `semple2.verify` keeps the compiler (`derive_stencil`, which
+the self-test and the tests compare with the literal) and the
+Fraction-polynomial form of the same identity as a differential oracle.
 """
 
 from __future__ import annotations
@@ -39,13 +40,10 @@ import os
 import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import groupby
 from math import comb, factorial, prod
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
-
-if TYPE_CHECKING:
-    from .poly import Poly
-    from .potentials import GluingMatrix
+from operator import itemgetter, mul
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: the thirteen labels in printed-table row order
 INVARIANT_LABELS: Tuple[str, ...] = (
@@ -117,108 +115,147 @@ StencilTerm = Tuple[Optional[str], Optional[str], int, int, int, int]
 #: * k_t(d2) * n_d1[L1] * n_d2[L2] to the degree-d invariant Lout, where k
 #: is the divisor multiplier of the kind (1 for a derivative) and
 #: c = comb(3d-6, 3d1-4+j1) * d1*d2 - comb(3d-6, 3d1-3+j1) * d1^2 collects
-#: the two product-rule terms
+#: the two product-rule terms.  The gluing matrix is symmetric, so
+#: stencil[2 - j1] is stencil[j1] with the two factors swapped.
 Stencil = Tuple[Tuple[StencilTerm, ...], ...]
 
 
-def derive_stencil(matrix: GluingMatrix) -> Stencil:
-    """Compile the quadratic identity through the gluing matrix (cap >= 2).
+#: the stencil, exactly as `semple2.verify.derive_stencil` compiles it from
+#: the gluing matrix; the self-test and the tests re-derive it and compare
+STENCIL: Stencil = (
+    (  # j1 = 0
+        ("100", "100", 0, 3, 0, 1), (None, "100", 0, 3, 9, 6), (None, "100", 0, 3, 11, 18),
+        (None, "100", 0, 3, 2, 3), (None, "100", 0, 3, 12, 9), (None, "010", 0, 3, 12, 18),
+        ("100", "100", 1, 3, 1, 1), ("100", "100", 2, 3, 2, 1), ("100", "100", 3, 3, 3, 1),
+        (None, "100", 3, 3, 4, 2), (None, "100", 3, 3, 5, 6), (None, "100", 3, 3, 6, 3),
+        (None, "010", 3, 3, 6, 3), ("100", "100", 4, 3, 4, 1), (None, "100", 4, 3, 7, 4),
+        (None, "100", 4, 3, 8, 6), (None, "100", 4, 3, 9, 3), (None, "010", 4, 3, 9, 3),
+        (None, "100", 4, 3, 6, 3), ("100", "100", 5, 3, 5, 1), (None, "100", 5, 3, 8, 2),
+        (None, "100", 5, 3, 10, 12), (None, "100", 5, 3, 11, 3), (None, "010", 5, 3, 11, 3),
+        ("100", "100", 6, 3, 6, 1), (None, "100", 6, 3, 9, 2), (None, "100", 6, 3, 11, 6),
+        (None, "100", 6, 3, 12, 6), (None, "010", 6, 3, 12, 6), ("100", "100", 7, 3, 7, 1),
+        (None, "100", 7, 3, 9, 3), ("100", "100", 8, 3, 8, 1), (None, "100", 8, 3, 11, 3),
+        ("100", "100", 9, 3, 9, 1), (None, "100", 9, 3, 12, 6), ("100", "100", 10, 3, 10, 1),
+        ("100", "100", 11, 3, 11, 1), ("100", "100", 12, 3, 12, 1),
+    ),
+    (  # j1 = 1
+        ("100", "100", 3, 3, 3, 2), ("100", None, 3, 3, 4, 2), ("100", None, 3, 3, 5, 6),
+        ("100", None, 3, 3, 6, 3), (None, "100", 3, 3, 4, 2), (None, "100", 3, 3, 5, 6),
+        (None, "100", 3, 3, 6, 3), (None, None, 3, 3, 7, 4), (None, None, 3, 3, 0, 2),
+        (None, None, 3, 3, 8, 12), (None, None, 3, 3, 9, 12), (None, None, 3, 3, 1, 6),
+        (None, None, 3, 3, 10, 36), (None, None, 3, 3, 11, 36), (None, None, 3, 3, 12, 18),
+        (None, "010", 3, 3, 6, 3), ("010", None, 3, 3, 6, 3), ("100", "100", 3, 4, 4, 1),
+        ("100", None, 3, 4, 6, 3), (None, "100", 3, 4, 7, 4), (None, "100", 3, 4, 8, 6),
+        (None, "100", 3, 4, 9, 3), (None, "010", 3, 4, 9, 3), (None, None, 3, 4, 9, 6),
+        (None, None, 3, 4, 11, 18), (None, None, 3, 4, 2, 3), (None, None, 3, 4, 12, 27),
+        ("100", "100", 3, 5, 5, 1), (None, "100", 3, 5, 8, 2), (None, "100", 3, 5, 10, 12),
+        (None, "100", 3, 5, 11, 3), (None, "010", 3, 5, 11, 3), ("100", "100", 3, 6, 6, 1),
+        (None, "100", 3, 6, 9, 2), (None, "100", 3, 6, 11, 6), (None, "100", 3, 6, 12, 6),
+        (None, "010", 3, 6, 12, 6), ("100", "100", 4, 3, 4, 1), ("100", None, 4, 3, 7, 4),
+        ("100", None, 4, 3, 8, 6), ("100", None, 4, 3, 9, 3), ("010", None, 4, 3, 9, 3),
+        (None, "100", 4, 3, 6, 3), (None, None, 4, 3, 9, 6), (None, None, 4, 3, 11, 18),
+        (None, None, 4, 3, 12, 27), (None, None, 4, 3, 2, 3), ("100", "100", 4, 4, 7, 2),
+        ("100", None, 4, 4, 9, 3), (None, "100", 4, 4, 9, 3), (None, None, 4, 4, 12, 18),
+        ("100", "100", 4, 5, 8, 1), (None, "100", 4, 5, 11, 3), ("100", "100", 4, 6, 9, 1),
+        (None, "100", 4, 6, 12, 6), ("100", "100", 5, 3, 5, 1), ("100", None, 5, 3, 8, 2),
+        ("100", None, 5, 3, 10, 12), ("100", None, 5, 3, 11, 3), ("010", None, 5, 3, 11, 3),
+        ("100", "100", 5, 4, 8, 1), ("100", None, 5, 4, 11, 3), ("100", "100", 5, 5, 10, 2),
+        ("100", "100", 5, 6, 11, 1), ("100", "100", 6, 3, 6, 1), ("100", None, 6, 3, 9, 2),
+        ("100", None, 6, 3, 11, 6), ("100", None, 6, 3, 12, 6), ("010", None, 6, 3, 12, 6),
+        ("100", "100", 6, 4, 9, 1), ("100", None, 6, 4, 12, 6), ("100", "100", 6, 5, 11, 1),
+        ("100", "100", 6, 6, 12, 2),
+    ),
+    (  # j1 = 2
+        ("100", "100", 3, 0, 0, 1), ("100", None, 3, 0, 9, 6), ("100", None, 3, 0, 11, 18),
+        ("100", None, 3, 0, 2, 3), ("100", None, 3, 0, 12, 9), ("010", None, 3, 0, 12, 18),
+        ("100", "100", 3, 1, 1, 1), ("100", "100", 3, 2, 2, 1), ("100", "100", 3, 3, 3, 1),
+        ("100", None, 3, 3, 4, 2), ("100", None, 3, 3, 5, 6), ("100", None, 3, 3, 6, 3),
+        ("010", None, 3, 3, 6, 3), ("100", "100", 3, 4, 4, 1), ("100", None, 3, 4, 7, 4),
+        ("100", None, 3, 4, 8, 6), ("100", None, 3, 4, 9, 3), ("100", None, 3, 4, 6, 3),
+        ("010", None, 3, 4, 9, 3), ("100", "100", 3, 5, 5, 1), ("100", None, 3, 5, 8, 2),
+        ("100", None, 3, 5, 10, 12), ("100", None, 3, 5, 11, 3), ("010", None, 3, 5, 11, 3),
+        ("100", "100", 3, 6, 6, 1), ("100", None, 3, 6, 9, 2), ("100", None, 3, 6, 11, 6),
+        ("100", None, 3, 6, 12, 6), ("010", None, 3, 6, 12, 6), ("100", "100", 3, 7, 7, 1),
+        ("100", None, 3, 7, 9, 3), ("100", "100", 3, 8, 8, 1), ("100", None, 3, 8, 11, 3),
+        ("100", "100", 3, 9, 9, 1), ("100", None, 3, 9, 12, 6), ("100", "100", 3, 10, 10, 1),
+        ("100", "100", 3, 11, 11, 1), ("100", "100", 3, 12, 12, 1),
+    ),
+)
 
-    Raises ArithmeticError unless every weight is an integer.  The
-    polynomial engine is imported here, not at module level: a table
-    served from the cache never derives a stencil.
+
+#: insertion multipliers by kind: 1 for a derivative, else the divisor rule
+_KIND_RULE = {None: lambda d: 1, **DIVISOR_RULE}
+
+
+@lru_cache(maxsize=4)
+def _grouped(stencil: Stencil):
+    """The stencil regrouped for `recursion_rhs`, once per stencil.
+
+    Returns getters of L1 and L2 over the distinct (L1, L2) pairs; the
+    rules of the distinct (s kind, t kind) pairs; and, over all terms
+    sorted by (j1, Lout), their weights, getters of their kind pair and of
+    their (L1, L2) pair, and the (j1, Lout, start, stop) runs of terms.
     """
-    from fractions import Fraction
-
-    from .poly import homogeneous_weight, monomial, monomial_weight, mul, partial, term
-    from .potentials import GLUABLE
-
-    if matrix.cap < 2:
-        raise ValueError("gluing matrix cap too small for weight-2 extraction")
-    # indices that can meet a nonzero gluing-matrix row, identity excluded
-    active = tuple(k for k in GLUABLE if k != "000")
-
-    def derivative_part(label: str, j: int) -> Poly:
-        """The (3d-3+j)-fold y200-derivative of a tail's L-term, per unit of n_L."""
-        exps = dict(LABEL_MONOMIAL[label])
-        b = exps.get("y200", 0)
-        if b < j:
-            return {}
-        exps["y200"] = b - j
-        return term(exps, Fraction(1, prod(factorial(e) for e in exps.values())))
-
-    slices: Dict[Tuple[str, str, int], Poly] = {}
-    for (s, t), p in matrix.entries.items():
-        for m, c in p.items():
-            slices.setdefault((s, t, monomial_weight(m)), {})[m] = c
-    out_index = {monomial(LABEL_MONOMIAL[lbl]): i for i, lbl in enumerate(INVARIANT_LABELS)}
-
-    def inserted(s: str, p: Poly) -> Poly:
-        return p if s in DIVISOR_RULE else partial(p, "y" + s)
-
-    def kind(s: str) -> Optional[str]:
-        return s if s in DIVISOR_RULE else None
-
-    weights: List[Dict[tuple, Fraction]] = [{}, {}, {}]
-    for j1, acc in enumerate(weights):
-        for i1, l1 in enumerate(INVARIANT_LABELS):
-            left = derivative_part(l1, j1)
-            for i2, l2 in enumerate(INVARIANT_LABELS):
-                right = derivative_part(l2, 2 - j1)
-                if not left or not right:
-                    continue
-                for s, t in product(active, repeat=2):
-                    f, g = inserted(s, left), inserted(t, right)
-                    if not f or not g:
-                        continue
-                    needed = 2 - homogeneous_weight(f) - homogeneous_weight(g)
-                    entry = slices.get((s, t, needed))
-                    if not entry:
-                        continue
-                    for m, c in mul(mul(f, entry), g).items():
-                        if m not in out_index:
-                            raise ArithmeticError(f"stencil term {m} is outside the 13 labels")
-                        iout = out_index[m]
-                        key = (kind(s), kind(t), i1, i2, iout)
-                        acc[key] = acc.get(key, 0) \
-                            + 18 * c * LABEL_FACTORIAL[INVARIANT_LABELS[iout]]
-    for acc in weights:
-        for key, w in acc.items():
-            if w.denominator != 1:
-                raise ArithmeticError(f"stencil weight {w} at {key} is not an integer")
-    return tuple(tuple((*key, int(w)) for key, w in acc.items() if w) for acc in weights)
+    for j1, terms in enumerate(stencil):
+        swapped = {(kt, ks, i2, i1, iout, w)
+                   for ks, kt, i1, i2, iout, w in stencil[len(stencil) - 1 - j1]}
+        if swapped != set(terms):
+            raise ValueError("the stencil is not symmetric under swapping the two factors")
+    pairs = sorted({t[2:4] for terms in stencil for t in terms})
+    pair_index = {p: n for n, p in enumerate(pairs)}
+    kinds = list(dict.fromkeys(t[:2] for terms in stencil for t in terms))
+    kind_index = {k: n for n, k in enumerate(kinds)}
+    flat = sorted(((j1, t[4], t) for j1, terms in enumerate(stencil) for t in terms),
+                  key=itemgetter(0, 1))
+    runs, start = [], 0
+    for key, run in groupby(flat, key=itemgetter(0, 1)):
+        stop = start + len(list(run))
+        runs.append((*key, start, stop))
+        start = stop
+    return (itemgetter(*[i1 for i1, _ in pairs]), itemgetter(*[i2 for _, i2 in pairs]),
+            tuple((_KIND_RULE[ks], _KIND_RULE[kt]) for ks, kt in kinds),
+            tuple(t[5] for _, _, t in flat),
+            itemgetter(*[kind_index[t[:2]] for _, _, t in flat]),
+            itemgetter(*[pair_index[t[2:4]] for _, _, t in flat]),
+            tuple(runs))
 
 
-@lru_cache(maxsize=1)
-def _production_stencil() -> Stencil:
-    from .potentials import _shared_gluing_matrix
-
-    return derive_stencil(_shared_gluing_matrix(2))
+def _binomial_factor(m: int, d1: int, d2: int, j1: int) -> int:
+    """c of the stencil for the ordered split (d1, d2), with m = 3d-6."""
+    a1 = 3 * d1 - 4 + j1
+    c = comb(m, a1) * d1 * d2 if a1 >= 0 else 0
+    return c - comb(m, a1 + 1) * d1 * d1
 
 
 def recursion_rhs(d: int, columns: Dict[int, Sequence[int]],
                   stencil: Stencil) -> Tuple[int, ...]:
-    """The degree-d column, in INVARIANT_LABELS order, from all lower ones."""
+    """The degree-d column, in INVARIANT_LABELS order, from all lower ones.
+
+    Each unordered split {d1, d2} forms the products n_d1[L1] * n_d2[L2]
+    once and sums them per (j1, Lout) with small-integer weights.  By the
+    symmetry of the stencil, the split (d2, d1) yields the same sums with
+    j1 reversed, so each sum is multiplied once by the binomial factors of
+    both orientations added together.
+    """
     if d < 2:
         raise ValueError("the recursion starts at degree 2")
     for dd in range(1, d):
         if dd not in columns:
             raise ValueError(f"missing column for degree {dd}")
+    left, right, rules, weights, kind_of, pair_of, runs = _grouped(stencil)
+    last = len(stencil) - 1
     m = 3 * d - 6
     acc = [0] * len(INVARIANT_LABELS)
-    for d1 in range(1, d):
+    for d1 in range(1, d // 2 + 1):
         d2 = d - d1
-        n1, n2 = columns[d1], columns[d2]
-        k1 = {None: 1, **{s: rule(d1) for s, rule in DIVISOR_RULE.items()}}
-        k2 = {None: 1, **{t: rule(d2) for t, rule in DIVISOR_RULE.items()}}
-        for j1, terms in enumerate(stencil):
-            a1 = 3 * d1 - 4 + j1
-            c = comb(m, a1) * d1 * d2 if a1 >= 0 else 0
-            c -= comb(m, a1 + 1) * d1 * d1
-            if not c:
-                continue
-            for ks, kt, i1, i2, iout, w in terms:
-                acc[iout] += c * w * k1[ks] * k2[kt] * n1[i1] * n2[i2]
+        products = list(map(mul, left(columns[d1]), right(columns[d2])))
+        k = [rule_s(d1) * rule_t(d2) for rule_s, rule_t in rules]
+        terms = list(map(mul, map(mul, weights, kind_of(k)), pair_of(products)))
+        c = [_binomial_factor(m, d1, d2, j1)
+             + (_binomial_factor(m, d2, d1, last - j1) if d1 != d2 else 0)
+             for j1 in range(len(stencil))]
+        for j1, iout, start, stop in runs:
+            acc[iout] += c[j1] * sum(terms[start:stop])
     return tuple(acc)
 
 
@@ -377,7 +414,7 @@ def compute_up_to(dmax: int, cache_path: str | None = None) -> InvariantTable:
         if d in known:
             values[d] = dict(known[d])
         elif d > 1:
-            column = recursion_rhs(d, columns, _production_stencil())
+            column = recursion_rhs(d, columns, STENCIL)
             values[d] = dict(zip(INVARIANT_LABELS, column))
         columns[d] = tuple(values[d][lbl] for lbl in INVARIANT_LABELS)
 

@@ -1,6 +1,6 @@
 """Independent oracles and the bundled self-test.
 
-Three oracles live here, sharing no code with the production stencil
+Four oracles live here, sharing no code with the production stencil
 beyond the polynomial substrate and the label tables:
 
 * the classical count of rational plane curves of degree d through 3d-1
@@ -12,6 +12,10 @@ beyond the polynomial substrate and the label tables:
   multiplies out truncated exponential factors and then filters monomials
   by the subscript constraints, term-for-term comparable with the
   optimized constructions;
+
+* the stencil compiler (`derive_stencil`), which derives the 149 integer
+  weights from the gluing matrix; the self-test compares them with the
+  literal `recursion.STENCIL` that the production recursion runs;
 
 * the degree recursion run literally on Fraction tail polynomials
   (`reference_table`), the differential oracle for the integer stencil
@@ -28,10 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
-from typing import Dict, List, Tuple
+from itertools import product, zip_longest
+from math import comb, factorial, prod
+from typing import Dict, List, Optional, Tuple
 
-from . import chow
+from . import chow, recursion
 from .poly import (
     Poly,
     WEIGHT,
@@ -66,6 +71,7 @@ from .recursion import (
     LABEL_FACTORIAL,
     LABEL_MONOMIAL,
     InvariantTable,
+    Stencil,
     compute_up_to,
     kontsevich,
     load_table,
@@ -103,6 +109,66 @@ TABLE2_REFERENCE: Dict[int, Tuple[int, int, int]] = {
 
 #: indices that can meet a nonzero gluing-matrix row, identity excluded
 _ACTIVE = tuple(k for k in GLUABLE if k != "000")
+
+
+def derive_stencil(matrix: GluingMatrix) -> Stencil:
+    """Compile the quadratic identity through the gluing matrix (cap >= 2).
+
+    Raises ArithmeticError unless every weight is an integer.  The weights
+    come out grouped by j1, in the order `recursion.STENCIL` lists them.
+    """
+    if matrix.cap < 2:
+        raise ValueError("gluing matrix cap too small for weight-2 extraction")
+
+    def derivative_part(label: str, j: int) -> Poly:
+        """The (3d-3+j)-fold y200-derivative of a tail's L-term, per unit of n_L."""
+        exps = dict(LABEL_MONOMIAL[label])
+        b = exps.get("y200", 0)
+        if b < j:
+            return {}
+        exps["y200"] = b - j
+        return term(exps, Fraction(1, prod(factorial(e) for e in exps.values())))
+
+    slices: Dict[Tuple[str, str, int], Poly] = {}
+    for (s, t), p in matrix.entries.items():
+        for m, c in p.items():
+            slices.setdefault((s, t, monomial_weight(m)), {})[m] = c
+    out_index = {monomial(LABEL_MONOMIAL[lbl]): i for i, lbl in enumerate(INVARIANT_LABELS)}
+
+    def inserted(s: str, p: Poly) -> Poly:
+        return p if s in DIVISOR_RULE else partial(p, "y" + s)
+
+    def kind(s: str) -> Optional[str]:
+        return s if s in DIVISOR_RULE else None
+
+    weights: List[Dict[tuple, Fraction]] = [{}, {}, {}]
+    for j1, acc in enumerate(weights):
+        for i1, l1 in enumerate(INVARIANT_LABELS):
+            left = derivative_part(l1, j1)
+            for i2, l2 in enumerate(INVARIANT_LABELS):
+                right = derivative_part(l2, 2 - j1)
+                if not left or not right:
+                    continue
+                for s, t in product(_ACTIVE, repeat=2):
+                    f, g = inserted(s, left), inserted(t, right)
+                    if not f or not g:
+                        continue
+                    needed = 2 - homogeneous_weight(f) - homogeneous_weight(g)
+                    entry = slices.get((s, t, needed))
+                    if not entry:
+                        continue
+                    for m, c in mul(mul(f, entry), g).items():
+                        if m not in out_index:
+                            raise ArithmeticError(f"stencil term {m} is outside the 13 labels")
+                        iout = out_index[m]
+                        key = (kind(s), kind(t), i1, i2, iout)
+                        acc[key] = acc.get(key, 0) \
+                            + 18 * c * LABEL_FACTORIAL[INVARIANT_LABELS[iout]]
+    for acc in weights:
+        for key, w in acc.items():
+            if w.denominator != 1:
+                raise ArithmeticError(f"stencil weight {w} at {key} is not an integer")
+    return tuple(tuple((*key, int(w)) for key, w in acc.items() if w) for acc in weights)
 
 
 @dataclass(frozen=True)
@@ -367,7 +433,7 @@ def _check_pairing() -> OracleReport:
 
 def _check_relations() -> OracleReport:
     return _report("ring-relations", chow.relation_failures(), "-",
-                   "i^2 = 3(h-hd)i and i*z = 0")
+                   "i^2 = 3(h-hd)i, i*z = 0, 1 a unit, commuting basis products")
 
 
 def _check_seed() -> OracleReport:
@@ -436,6 +502,21 @@ def _check_cap_independence() -> OracleReport:
                    "caps 2 and 3 agree at weight <= 2")
 
 
+def _check_stencil() -> OracleReport:
+    """The shipped stencil must equal the one compiled from the gluing matrix."""
+    shipped = recursion.STENCIL
+    expected = f"the {sum(map(len, shipped))} shipped weights equal the derived ones"
+    try:
+        derived = derive_stencil(_shared_gluing_matrix(2))
+    except ArithmeticError as exc:
+        return _report("stencil-derivation", [str(exc)], "-", expected)
+    bad = [f"j1={j1} row {n}: {ship} derived {want}"
+           for j1, (ships, wants) in enumerate(zip_longest(shipped, derived, fillvalue=()))
+           for n, (ship, want) in enumerate(zip_longest(ships, wants))
+           if ship != want]
+    return _report("stencil-derivation", bad, "-", expected)
+
+
 def _check_cache(cache_path: str, table: InvariantTable, dmax: int) -> OracleReport:
     """The cache must load, validate, and agree with the freshly computed
     table at every cached degree up to dmax."""
@@ -467,6 +548,7 @@ def run_selftest(dmax: int, cache_path: str | None = None) -> List[OracleReport]
         _check_kontsevich(table, dmax),
         _check_table2(table, dmax),
         _check_cap_independence(),
+        _check_stencil(),
     ]
     if cache_path is not None:
         reports.append(_check_cache(cache_path, table, dmax))

@@ -263,9 +263,9 @@ def test_verify_passes(capsys):
     code, out, err = run(capsys, "verify", "--max-degree", "2")
     assert code == 0
     reports = json.loads(out)
-    assert len(reports) == 8
+    assert len(reports) == 9
     assert all(r["status"] == "pass" for r in reports)
-    assert err.count("PASS") == 8
+    assert err.count("PASS") == 9
 
 
 def test_verify_corrupt_cache(tmp_path, capsys):

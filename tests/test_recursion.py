@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,13 +10,14 @@ from pathlib import Path
 import pytest
 
 import semple2
+from semple2 import cli
 from semple2.poly import monomial_weight, term
 from semple2.recursion import (
     CacheError,
     INVARIANT_LABELS,
     SEED,
+    STENCIL,
     compute_up_to,
-    derive_stencil,
     kontsevich_row,
     load_table,
     ratio_failures,
@@ -27,6 +29,7 @@ from semple2.recursion import (
 from semple2.verify import (
     TABLE1_REFERENCE,
     TailPolynomial,
+    derive_stencil,
     extract_invariants,
     kontsevich,
     reference_rhs,
@@ -179,6 +182,27 @@ def test_cache_save_is_loadable(tmp_path, table8):
 
 def test_stencil_matches_the_fraction_recursion_through_degree20():
     assert compute_up_to(20) == reference_table(20)
+
+
+def test_shipped_stencil_equals_the_derived_one(matrix2):
+    assert STENCIL == derive_stencil(matrix2)
+
+
+def test_degree100_table_is_pinned(capsys, monkeypatch):
+    # sha256 of `table --max-degree 100 --format json` as printed before the
+    # literal stencil and the product-sharing kernel replaced the derived one
+    monkeypatch.delenv("SEMPLE2_CACHE", raising=False)
+    assert cli.main(["table", "--max-degree", "100", "--format", "json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == "6d4e05870ceceda9559f5386f404751070f4edbd8ba69a0e66cb5e324d6debda"
+
+
+def test_recursion_rejects_an_asymmetric_stencil():
+    # the kernel reads the swapped orientation off stencil[2 - j1]
+    first = STENCIL[0][0]
+    bumped = ((first[:5] + (first[5] + 1,),) + STENCIL[0][1:],) + STENCIL[1:]
+    with pytest.raises(ValueError, match="not symmetric"):
+        recursion_rhs(3, {1: tuple(SEED.values()), 2: tuple(D2_COLUMN.values())}, bumped)
 
 
 def test_stencil_derivation_rejects_a_fractional_weight(matrix2):

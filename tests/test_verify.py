@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from semple2 import chow, verify
+from semple2 import chow, recursion, verify
 from semple2.recursion import save_table
 from semple2.verify import (
     OracleReport,
@@ -42,13 +42,13 @@ def test_expander_unknown_kind():
 
 def test_selftest_all_pass():
     reports = run_selftest(3)
-    assert len(reports) == 8
+    assert len(reports) == 9
     assert all(r.passed for r in reports)
     names = [r.name for r in reports]
     assert names == [
         "dual-pairing-matrix", "ring-relations", "degree1-seed",
         "invariant-table", "ratio-identities", "kontsevich-oracle",
-        "contact-coefficients", "gluing-cap-independence",
+        "contact-coefficients", "gluing-cap-independence", "stencil-derivation",
     ]
 
 
@@ -69,7 +69,7 @@ def test_selftest_flags_corrupt_cache(tmp_path):
     path = tmp_path / "cache.json"
     path.write_text("[]", encoding="utf-8")
     reports = run_selftest(2, cache_path=str(path))
-    assert len(reports) == 9
+    assert len(reports) == 10
     cache_report = reports[-1]
     assert cache_report.name == "cache-validation"
     assert not cache_report.passed
@@ -102,3 +102,21 @@ def test_a_broken_ring_table_is_caught_on_import_and_in_verify(monkeypatch, key,
         chow._startup_checks()
     report = check()
     assert not report.passed and report.actual != "no mismatches"
+
+
+def test_a_changed_stencil_weight_fails_the_derivation_check(monkeypatch):
+    assert verify._check_stencil().passed
+    j1, n = 1, 7
+    row = recursion.STENCIL[j1][n]
+    changed = list(recursion.STENCIL)
+    changed[j1] = changed[j1][:n] + (row[:5] + (row[5] + 1,),) + changed[j1][n + 1:]
+    monkeypatch.setattr(recursion, "STENCIL", tuple(changed))
+    report = verify._check_stencil()
+    assert not report.passed
+    assert report.actual == f"j1=1 row 7: {changed[j1][n]} derived {row}"
+
+
+@pytest.mark.parametrize("key", [key for key, row in chow._MULT.items() if any(row)])
+def test_every_zeroed_product_fails_a_ring_check(monkeypatch, key):
+    monkeypatch.setitem(chow._MULT, key, (0,) * 12)
+    assert chow.relation_failures() + chow.pairing_failures()
