@@ -25,7 +25,6 @@ i = z + 3*(h - hd), so each ring element has one canonical representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Tuple
@@ -132,15 +131,39 @@ def _build_mult_table() -> Dict[Tuple[str, str], Tuple[Fraction, ...]]:
 _MULT = _build_mult_table()
 
 
-@dataclass(frozen=True)
 class ChowClass:
-    """A ring element as 12 exact rational coordinates in the z-basis."""
+    """A ring element as 12 exact rational coordinates in the z-basis.
 
-    coords: Tuple[Fraction, ...]
+    Immutable: `==` and `hash` by coordinates, only among ChowClass objects;
+    pickle and copy go through the constructor.
+    """
 
-    def __post_init__(self):
-        if len(self.coords) != 12:
+    __slots__ = __match_args__ = ("coords",)
+
+    def __init__(self, coords: Tuple[Fraction, ...]):
+        if len(coords) != 12:
             raise ValueError("a class has exactly 12 coordinates")
+        object.__setattr__(self, "coords", coords)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self):
+        return hash(self.coords)
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(coords={self.coords!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, (self.coords,)
 
     @staticmethod
     def zero() -> "ChowClass":

@@ -14,16 +14,19 @@ curves reduced, containing no line, in general position).  The library
 does not verify curve geometry: kappa counts cusps only for curves with
 no singularities worse than nodes and cusps, and a degree-1 "curve" is a
 line, which the hypotheses exclude; constructing one emits a warning.
+
+`CurveInvariants` and `ConditionProfile` are immutable plain classes with
+`__slots__`, not dataclasses: they compare and hash by their fields, and
+pickle and copy through their constructors, which validate again.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from itertools import product
 from typing import Dict, Iterable, List, Tuple
 
-from .recursion import LABEL_MONOMIAL, InvariantTable
+from .recursion import LABEL_MONOMIAL, InvariantTable, _Frozen
 
 #: expansion of a tangency insertion: (curve attribute, inserted class label)
 _TANGENCY_PARTS = (("c", "hd2"), ("cdual", "h2"))
@@ -52,31 +55,30 @@ class UnsupportedProfileError(ValueError):
         self.missing = missing
 
 
-@dataclass(frozen=True)
-class CurveInvariants:
+class CurveInvariants(_Frozen):
     """Degree, class and cusp count of a fixed plane curve."""
 
-    c: int
-    cdual: int
-    kappa: int
+    __slots__ = __match_args__ = ("c", "cdual", "kappa")
 
-    def __post_init__(self):
-        if self.c < 0 or self.cdual < 0 or self.kappa < 0:
+    def __init__(self, c: int, cdual: int, kappa: int):
+        if c < 0 or cdual < 0 or kappa < 0:
             raise ValueError("curve invariants must be nonnegative")
-        if self.c == 1:
+        if c == 1:
             warnings.warn(
                 "a degree-1 curve is a line; the contact formulas assume the "
-                "fixed curves contain no line", stacklevel=3)
+                "fixed curves contain no line", stacklevel=2)
+        self._assign(c, cdual, kappa)
 
 
-@dataclass(frozen=True)
-class ConditionProfile:
+class ConditionProfile(_Frozen):
     """Point, tangency and triple-contact conditions for one count."""
 
-    degree: int
-    points: int
-    tangents: Tuple[CurveInvariants, ...] = field(default_factory=tuple)
-    osculants: Tuple[CurveInvariants, ...] = field(default_factory=tuple)
+    __slots__ = __match_args__ = ("degree", "points", "tangents", "osculants")
+
+    def __init__(self, degree: int, points: int,
+                 tangents: Tuple[CurveInvariants, ...] = (),
+                 osculants: Tuple[CurveInvariants, ...] = ()):
+        self._assign(degree, points, tangents, osculants)
 
 
 def plucker_class(c: int, nodes: int = 0, cusps: int = 0) -> CurveInvariants:

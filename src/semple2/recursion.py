@@ -31,14 +31,16 @@ here as the literal STENCIL, so computing a degree needs no polynomial
 arithmetic.  `semple2.verify` keeps the compiler (`derive_stencil`, which
 the self-test and the tests compare with the literal) and the
 Fraction-polynomial form of the same identity as a differential oracle.
+
+A computed or cached table is an `InvariantTable`: an immutable plain class
+with `__slots__` (like the value types of `semple2.contact`, which share
+its private base), so that no query imports `dataclasses`.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
 from math import comb, factorial, prod
@@ -259,11 +261,57 @@ def recursion_rhs(d: int, columns: Dict[int, Sequence[int]],
     return tuple(acc)
 
 
-@dataclass(frozen=True)
-class InvariantTable:
-    """Per-degree store of the thirteen invariants, exact integers."""
+class _Frozen:
+    """Base of immutable value types whose fields are their `__slots__`.
 
-    values: Dict[int, Dict[str, int]]
+    As a frozen dataclass: `==` and `hash` by fields, and only between
+    objects of the same class; a field-by-field repr; assigning or deleting
+    an attribute raises AttributeError.  Pickle and copy go through the
+    constructor, which validates again.
+    """
+
+    __slots__ = ()
+
+    def _assign(self, *values) -> None:
+        """Set the fields, in `__slots__` order; for `__init__` only."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
+class InvariantTable(_Frozen):
+    """Per-degree store of the thirteen invariants, exact integers.
+
+    Immutable but unhashable, since its field is a dict.
+    """
+
+    __slots__ = __match_args__ = ("values",)
+
+    def __init__(self, values: Dict[int, Dict[str, int]]):
+        self._assign(values)
 
     def degrees(self) -> Tuple[int, ...]:
         return tuple(sorted(self.values))
@@ -378,6 +426,8 @@ def save_table(table: InvariantTable, path: str) -> None:
 
     Raises CacheError when the file cannot be created, written or renamed.
     """
+    import tempfile  # here, not at the top: only a call that adds a degree writes
+
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:

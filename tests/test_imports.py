@@ -29,18 +29,23 @@ QUERY_FREE = ("semple2.chow", "semple2.poly", "semple2.potentials", "semple2.ver
               "fractions")
 
 
-def run_child(body: str) -> str:
-    """Run `body` in a fresh interpreter and return its stdout."""
+#: standard-library modules no query loads; checked under `-S`, because a
+#: `site` hook may load them itself (certifi's, for one, imports tempfile)
+LEAN_FREE = ("dataclasses", "tempfile")
+
+
+def run_child(body: str, *flags: str) -> str:
+    """Run `body` in a fresh interpreter started with `flags`; return its stdout."""
     src = str(Path(semple2.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     env.pop("SEMPLE2_CACHE", None)
-    proc = subprocess.run([sys.executable, "-c", body], env=env, capture_output=True,
-                          text=True, timeout=120)
+    proc = subprocess.run([sys.executable, *flags, "-c", body], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
 
-def modules_after_cli(*argvs) -> set:
+def modules_after_cli(*argvs, flags=()) -> set:
     """The modules loaded once `cli.main` has run each argv in one fresh process."""
     out = run_child(
         "import contextlib, io, sys\n"
@@ -48,7 +53,7 @@ def modules_after_cli(*argvs) -> set:
         f"for argv in {[list(a) for a in argvs]!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0, argv\n"
-        "print(*sys.modules)\n")
+        "print(*sys.modules)\n", *flags)
     return set(out.split())
 
 
@@ -75,6 +80,24 @@ def test_a_cold_table_loads_neither_the_ring_nor_the_polynomials_nor_the_oracles
     loaded = modules_after_cli(("table", "--max-degree", "3"))
     assert "semple2.recursion" in loaded
     assert loaded.isdisjoint(QUERY_FREE)
+
+
+@pytest.mark.parametrize("kind", ["warm", "cold-table", "chow-eval"])
+def test_queries_load_neither_dataclasses_nor_tempfile(tmp_path, kind):
+    cache = str(tmp_path / "cache.json")
+    compute_up_to(10, cache_path=cache)
+    argvs = {
+        "warm": [("count", "--degree", "7", "--points", "19", "--tangent", "2,2,0",
+                  "--cache", cache),
+                 ("contact", "--degree", "10", "--plucker", "3,1,0", "--cache", cache),
+                 ("table", "--max-degree", "10", "--format", "json", "--cache", cache)],
+        "cold-table": [("table", "--max-degree", "3")],
+        "chow-eval": [("chow-eval", "hz - 3*hd^2", "--basis", "i"),
+                      ("chow-eval", "h^2*hd*z", "--integrate")],
+    }[kind]
+    loaded = modules_after_cli(*argvs, flags=("-S",))
+    assert "semple2.cli" in loaded
+    assert loaded.isdisjoint(LEAN_FREE)
 
 
 def test_bare_import_loads_no_submodule():
