@@ -28,9 +28,14 @@ factorial, independent of d'.  The whole identity therefore compiles to
 a bilinear stencil: 149 integer weights on (j1, insertion kinds, L1, L2,
 Lout), applied to the integer columns of lower degrees.  The weights ship
 here as the literal STENCIL, so computing a degree needs no polynomial
-arithmetic.  `semple2.verify` keeps the compiler (`derive_stencil`, which
-the self-test and the tests compare with the literal) and the
-Fraction-polynomial form of the same identity as a differential oracle.
+arithmetic.  Once per process the stencil is turned into the source text
+of one straight-line function (`_compiled`), which is compiled and then
+computes every degree: the work of walking the 149 terms is done once
+while the text is generated, and each split of each degree pays only
+for its bigint products and sums.  `semple2.verify` keeps the compiler
+(`derive_stencil`, which the self-test and the tests compare with the
+literal) and the Fraction-polynomial form of the same identity as a
+differential oracle.
 
 A computed or cached table is an `InvariantTable`: an immutable plain class
 with `__slots__` (like the value types of `semple2.contact`, which share
@@ -41,10 +46,9 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from functools import lru_cache
-from itertools import groupby
 from math import comb, factorial, prod
-from operator import itemgetter, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 #: the thirteen labels in printed-table row order
@@ -185,80 +189,108 @@ STENCIL: Stencil = (
 )
 
 
-#: insertion multipliers by kind: 1 for a derivative, else the divisor rule
-_KIND_RULE = {None: lambda d: 1, **DIVISOR_RULE}
-
-
 @lru_cache(maxsize=4)
-def _grouped(stencil: Stencil):
-    """The stencil regrouped for `recursion_rhs`, once per stencil.
+def _compiled(stencil: Stencil):
+    """The stencil turned into one straight-line function `kernel(d, columns)`.
 
-    Returns getters of L1 and L2 over the distinct (L1, L2) pairs; the
-    rules of the distinct (s kind, t kind) pairs; and, over all terms
-    sorted by (j1, Lout), their weights, getters of their kind pair and of
-    their (L1, L2) pair, and the (j1, Lout, start, stop) runs of terms.
+    The degree-d column is a fixed bilinear form in the lower columns, so
+    all that depends on the stencil alone is settled here, once per stencil
+    and process, in the source text of a function that is compiled and
+    executed.  In it each distinct product n_d1[L1] * n_d2[L2] is a local,
+    and each of the thirteen outputs is a local with one accumulating
+    statement whose weights, indices and grouping are literals.  Per split
+    the kernel then does the bigint work and little else: no Python-level
+    loop over terms, and no `comb` call, as the binomial factors read the
+    row comb(3d-6, k), built once per degree.  The text holds only integers
+    and names of this template; the divisor rules enter by name and are
+    called per split, so DIVISOR_RULE stays the one definition of the
+    multipliers.
+
+    By the symmetry of the stencil the split (d2, d1) gives the same sums
+    as (d1, d2) with j1 reversed, so the kernel visits each unordered split
+    once and multiplies each sum by the binomial factors of both
+    orientations added together.
+
+    Raises ValueError, before any code is generated, unless the stencil is
+    symmetric under swapping the two factors (as multisets of terms), every
+    kind is None or a key of DIVISOR_RULE, and every index and weight is an
+    int, the indices below the number of labels.
     """
+    last = len(stencil) - 1
     for j1, terms in enumerate(stencil):
-        swapped = {(kt, ks, i2, i1, iout, w)
-                   for ks, kt, i1, i2, iout, w in stencil[len(stencil) - 1 - j1]}
-        if swapped != set(terms):
+        swapped = Counter((kt, ks, i2, i1, iout, w)
+                          for ks, kt, i1, i2, iout, w in stencil[last - j1])
+        if swapped != Counter(terms):
             raise ValueError("the stencil is not symmetric under swapping the two factors")
-    pairs = sorted({t[2:4] for terms in stencil for t in terms})
-    pair_index = {p: n for n, p in enumerate(pairs)}
-    kinds = list(dict.fromkeys(t[:2] for terms in stencil for t in terms))
-    kind_index = {k: n for n, k in enumerate(kinds)}
-    flat = sorted(((j1, t[4], t) for j1, terms in enumerate(stencil) for t in terms),
-                  key=itemgetter(0, 1))
-    runs, start = [], 0
-    for key, run in groupby(flat, key=itemgetter(0, 1)):
-        stop = start + len(list(run))
-        runs.append((*key, start, stop))
-        start = stop
-    return (itemgetter(*[i1 for i1, _ in pairs]), itemgetter(*[i2 for _, i2 in pairs]),
-            tuple((_KIND_RULE[ks], _KIND_RULE[kt]) for ks, kt in kinds),
-            tuple(t[5] for _, _, t in flat),
-            itemgetter(*[kind_index[t[:2]] for _, _, t in flat]),
-            itemgetter(*[pair_index[t[2:4]] for _, _, t in flat]),
-            tuple(runs))
+    n = len(INVARIANT_LABELS)
+    # the name of each kind's multiplier in the first and the second factor;
+    # a derivative has none, its multiplier is 1
+    first = {None: "", **{kind: f"s{k}" for k, kind in enumerate(DIVISOR_RULE)}}
+    second = {None: "", **{kind: f"t{k}" for k, kind in enumerate(DIVISOR_RULE)}}
+    # sums[iout][j1][kind factor]: the weighted products that share all three
+    sums: Dict[int, Dict[int, Dict[str, List[str]]]] = {}
+    for j1, terms in enumerate(stencil):
+        for term in terms:
+            ks, kt, i1, i2, iout, w = term
+            if ks not in first or kt not in second:
+                raise ValueError(f"unknown insertion kind in stencil term {term!r}")
+            if {type(i1), type(i2), type(iout), type(w)} != {int} \
+                    or not (0 <= i1 < n and 0 <= i2 < n and 0 <= iout < n):
+                raise ValueError(f"bad index or weight in stencil term {term!r}")
+            factor = "*".join(filter(None, (first[ks], second[kt])))
+            sums.setdefault(iout, {}).setdefault(j1, {}).setdefault(factor, []) \
+                .append(f"p{i1}_{i2}" if w == 1 else f"{w}*p{i1}_{i2}")
+    used = {kind for terms in stencil for term in terms for kind in term[:2]}
 
+    def scaled(factor: str, products: List[str]) -> str:
+        return f"{factor}*({' + '.join(products)})" if factor else " + ".join(products)
 
-def _binomial_factor(m: int, d1: int, d2: int, j1: int) -> int:
-    """c of the stencil for the ordered split (d1, d2), with m = 3d-6."""
-    a1 = 3 * d1 - 4 + j1
-    c = comb(m, a1) * d1 * d2 if a1 >= 0 else 0
-    return c - comb(m, a1 + 1) * d1 * d1
+    lines = ["def kernel(d, columns):",
+             "    m = 3 * d - 6",
+             f"    row = [0, *[comb(m, k) for k in range(m + 1)]{', 0' * last}]",
+             f"    {' = '.join(f'o{i}' for i in range(n))} = 0",
+             "    for d1 in range(1, d // 2 + 1):",
+             "        d2 = d - d1",
+             "        a = columns[d1]",
+             "        b = columns[d2]"]
+    for k, kind in enumerate(DIVISOR_RULE):
+        if kind in used:
+            lines += [f"        s{k} = rule{k}(d1)", f"        t{k} = rule{k}(d2)"]
+    # with e = 3d' - 3, row[e + j] is comb(m, 3d' - 4 + j), 0 off the row
+    lines += ["        both = d1 * d2", "        e1 = 3 * d1 - 3"]
+    lines += [f"        c{j} = row[e1 + {j}] * both - row[e1 + {j + 1}] * d1 * d1"
+              for j in range(last + 1)]
+    lines += ["        if d1 != d2:", "            e2 = 3 * d2 - 3"]
+    lines += [f"            c{j} += row[e2 + {last - j}] * both"
+              f" - row[e2 + {last - j + 1}] * d2 * d2" for j in range(last + 1)]
+    lines += [f"        p{i1}_{i2} = a[{i1}] * b[{i2}]"
+              for i1, i2 in sorted({term[2:4] for terms in stencil for term in terms})]
+    for iout, by_j1 in sorted(sums.items()):
+        expr = " + ".join(f"c{j1}*({' + '.join(scaled(*g) for g in by_factor.items())})"
+                          for j1, by_factor in sorted(by_j1.items()))
+        lines.append(f"        o{iout} += {expr}")
+    lines.append(f"    return {', '.join(f'o{i}' for i in range(n))}")
+
+    namespace = {"comb": comb,
+                 **{f"rule{k}": rule for k, rule in enumerate(DIVISOR_RULE.values())}}
+    exec(compile("\n".join(lines), "<stencil kernel>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def recursion_rhs(d: int, columns: Dict[int, Sequence[int]],
                   stencil: Stencil) -> Tuple[int, ...]:
     """The degree-d column, in INVARIANT_LABELS order, from all lower ones.
 
-    Each unordered split {d1, d2} forms the products n_d1[L1] * n_d2[L2]
-    once and sums them per (j1, Lout) with small-integer weights.  By the
-    symmetry of the stencil, the split (d2, d1) yields the same sums with
-    j1 reversed, so each sum is multiplied once by the binomial factors of
-    both orientations added together.
+    Runs the kernel that `_compiled` generates from the stencil, once per
+    stencil and process, so that the per-term bookkeeping is paid at
+    generation and not in every split of every degree.
     """
     if d < 2:
         raise ValueError("the recursion starts at degree 2")
     for dd in range(1, d):
         if dd not in columns:
             raise ValueError(f"missing column for degree {dd}")
-    left, right, rules, weights, kind_of, pair_of, runs = _grouped(stencil)
-    last = len(stencil) - 1
-    m = 3 * d - 6
-    acc = [0] * len(INVARIANT_LABELS)
-    for d1 in range(1, d // 2 + 1):
-        d2 = d - d1
-        products = list(map(mul, left(columns[d1]), right(columns[d2])))
-        k = [rule_s(d1) * rule_t(d2) for rule_s, rule_t in rules]
-        terms = list(map(mul, map(mul, weights, kind_of(k)), pair_of(products)))
-        c = [_binomial_factor(m, d1, d2, j1)
-             + (_binomial_factor(m, d2, d1, last - j1) if d1 != d2 else 0)
-             for j1 in range(len(stencil))]
-        for j1, iout, start, stop in runs:
-            acc[iout] += c[j1] * sum(terms[start:stop])
-    return tuple(acc)
+    return _compiled(stencil)(d, columns)
 
 
 class _Frozen:
@@ -361,9 +393,12 @@ def kontsevich(d: int) -> int:
 
 def validate_table(values: Dict[int, Dict[str, int]]) -> None:
     """Raise CacheError unless every column has the 13 labels, degree 1 is
-    the seed, and each degree meets the 3:1 identities and the classical
-    point count."""
-    points = kontsevich_row(max(values, default=0))
+    the seed, each degree meets the 3:1 identities, the degrees are exactly
+    1..N, and each degree meets the classical point count.
+
+    The point count is checked last: its row costs about N^2 bigint steps,
+    which the 1..N shape bounds by the size of the table itself.
+    """
     for d, column in values.items():
         if set(column) != set(INVARIANT_LABELS):
             raise CacheError(f"degree {d} does not carry exactly the 13 labels")
@@ -372,6 +407,10 @@ def validate_table(values: Dict[int, Dict[str, int]]) -> None:
         bad = ratio_failures(column)
         if bad:
             raise CacheError(f"degree {d} fails ratio identities: {'; '.join(bad)}")
+    if sorted(values) != list(range(1, len(values) + 1)):
+        raise CacheError("cached degrees are not exactly 1..N")
+    points = kontsevich_row(len(values))
+    for d, column in values.items():
         if column["h2.h2"] != points[d]:
             raise CacheError(f"degree {d} fails the point count: h2.h2 = "
                              f"{column['h2.h2']}, the classical recursion gives {points[d]}")

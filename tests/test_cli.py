@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from semple2 import cli
+from semple2 import cli, recursion
 from semple2.recursion import INVARIANT_LABELS, load_table, save_table
 from semple2.verify import TABLE1_REFERENCE
 
@@ -106,6 +106,20 @@ def test_cache_with_wrong_point_count_fails_count(tmp_path, capsys):
     assert code == 4
     assert out == ""
     assert "point count" in err
+
+
+def test_tiny_hostile_cache_fails_count_at_once(tmp_path, capsys, monkeypatch):
+    # refused before the point row, which up to degree 3000 would take minutes
+    def refuse(dmax):
+        raise AssertionError(f"point row up to degree {dmax} computed")
+
+    monkeypatch.setattr(recursion, "kontsevich_row", refuse)
+    path = tmp_path / "bad.json"
+    path.write_text('{"3000": {}}', encoding="utf-8")
+    code, out, err = run(capsys, "count", "--degree", "2", "--points", "5",
+                         "--cache", str(path))
+    assert (code, out) == (4, "")
+    assert "13 labels" in err
 
 
 def test_missing_cache_directory_is_a_cache_error(tmp_path, capsys):

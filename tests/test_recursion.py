@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import semple2
-from semple2 import cli
+from semple2 import cli, recursion
 from semple2.poly import monomial_weight, term
 from semple2.recursion import (
     CacheError,
@@ -205,6 +205,37 @@ def test_recursion_rejects_an_asymmetric_stencil():
         recursion_rhs(3, {1: tuple(SEED.values()), 2: tuple(D2_COLUMN.values())}, bumped)
 
 
+def mirrored(row0):
+    """A symmetric three-row stencil: row0, an empty row, and row0 swapped."""
+    swapped = tuple((kt, ks, i2, i1, iout, w) for ks, kt, i1, i2, iout, w in row0)
+    return (tuple(row0), (), swapped)
+
+
+@pytest.mark.parametrize("stencil, message", [
+    # a repeated term: the two rows agree as sets, not as multisets
+    (((("100", "100", 0, 3, 0, 1),) * 2, (), (("100", "100", 3, 0, 0, 1),)), "not symmetric"),
+    (mirrored([("101", None, 0, 3, 0, 1)]), "unknown insertion kind"),
+    (mirrored([(None, None, 0, 13, 0, 1)]), "bad index or weight"),
+    (mirrored([(None, None, 0, 3, 0, "1")]), "bad index or weight"),
+    (mirrored([(None, None, 0, 3, 0, 1.5)]), "bad index or weight"),
+])
+def test_recursion_rejects_a_malformed_stencil(stencil, message, monkeypatch):
+    # the checks run before any kernel source is generated
+    monkeypatch.setattr(recursion, "compile", None, raising=False)
+    with pytest.raises(ValueError, match=message):
+        recursion_rhs(3, {1: tuple(SEED.values()), 2: tuple(D2_COLUMN.values())}, stencil)
+
+
+def test_cold_table_compiles_the_kernel_once_and_a_warm_one_never(tmp_path):
+    path = str(tmp_path / "cache.json")
+    recursion._compiled.cache_clear()
+    compute_up_to(40, cache_path=path)
+    assert recursion._compiled.cache_info().misses == 1
+    recursion._compiled.cache_clear()
+    assert compute_up_to(40, cache_path=path).degrees() == tuple(range(1, 41))
+    assert recursion._compiled.cache_info().misses == 0
+
+
 def test_stencil_derivation_rejects_a_fractional_weight(matrix2):
     # the (h, h) gluing entry feeds a unit weight; over 1009 it is no integer
     entries = dict(matrix2.entries)
@@ -229,6 +260,17 @@ def test_cache_rejects_wrong_point_count(tmp_path, table8):
         load_table(str(path))
     with pytest.raises(CacheError):
         compute_up_to(5, cache_path=str(path))
+
+
+def test_cache_with_a_gap_in_its_degrees_is_refused_before_the_point_row(monkeypatch, table8):
+    def refuse(dmax):
+        raise AssertionError(f"point row up to degree {dmax} computed")
+
+    monkeypatch.setattr(recursion, "kontsevich_row", refuse)
+    data = json.loads(table_to_json(table8))
+    del data["7"]
+    with pytest.raises(CacheError, match="not exactly 1..N"):
+        table_from_json(json.dumps(data))
 
 
 def test_save_leaves_no_temporary_file(tmp_path, table8):

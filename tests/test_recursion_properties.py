@@ -1,0 +1,68 @@
+"""Property tests of the generated recursion kernel against the stencil's definition."""
+
+from math import comb
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from semple2.recursion import DIVISOR_RULE, INVARIANT_LABELS, STENCIL, recursion_rhs
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+N = len(INVARIANT_LABELS)
+
+
+def multiplier(kind, d: int) -> int:
+    return 1 if kind is None else DIVISOR_RULE[kind](d)
+
+
+def binomial(m: int, k: int) -> int:
+    return comb(m, k) if k >= 0 else 0
+
+
+def naive_rhs(d, columns, stencil):
+    """The degree-d column straight from the contract stated above `Stencil`:
+    every term of stencil[j1] adds w * c * k_s(d1) * k_t(d2) * n_d1[L1] *
+    n_d2[L2] to Lout, for every ordered split d1 + d2 = d."""
+    m = 3 * d - 6
+    out = [0] * N
+    for d1 in range(1, d):
+        d2 = d - d1
+        for j1, terms in enumerate(stencil):
+            c = (binomial(m, 3 * d1 - 4 + j1) * d1 * d2
+                 - binomial(m, 3 * d1 - 3 + j1) * d1 * d1)
+            for ks, kt, i1, i2, iout, w in terms:
+                out[iout] += (w * c * multiplier(ks, d1) * multiplier(kt, d2)
+                              * columns[d1][i1] * columns[d2][i2])
+    return tuple(out)
+
+
+def swap(term):
+    ks, kt, i1, i2, iout, w = term
+    return (kt, ks, i2, i1, iout, w)
+
+
+kinds = st.sampled_from((None, *DIVISOR_RULE))
+indices = st.integers(0, N - 1)
+weights = st.integers(-40, 40)
+terms = st.tuples(kinds, kinds, indices, indices, indices, weights)
+
+
+@st.composite
+def symmetric_stencils(draw):
+    """Random stencils symmetric under swapping the factors, in which every
+    divisor kind occurs on both sides."""
+    row0 = draw(st.lists(terms, max_size=25))
+    for kind in DIVISOR_RULE:
+        row0.append(draw(st.tuples(st.just(kind), kinds, indices, indices, indices, weights)))
+        row0.append(draw(st.tuples(kinds, st.just(kind), indices, indices, indices, weights)))
+    half = draw(st.lists(terms, max_size=25))
+    return (tuple(row0), tuple(half + [swap(t) for t in half]), tuple(map(swap, row0)))
+
+
+@PROPERTY
+@given(st.one_of(st.just(STENCIL), symmetric_stencils()), st.integers(2, 12), st.data())
+def test_kernel_equals_the_per_term_definition(stencil, d, data):
+    column = st.tuples(*[st.integers(-10 ** 30, 10 ** 30)] * N)
+    columns = {dd: data.draw(column) for dd in range(1, d)}
+    assert recursion_rhs(d, columns, stencil) == naive_rhs(d, columns, stencil)
