@@ -94,11 +94,14 @@ def var(name: str, power: int = 1) -> Poly:
 def add(a: Poly, b: Poly) -> Poly:
     out: Poly = dict(a)
     for m, c in b.items():
-        s = out.get(m, Fraction(0)) + c
-        if s:
-            out[m] = s
+        if m in out:
+            s = out[m] + c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
         else:
-            out.pop(m, None)
+            out[m] = c
     return out
 
 
@@ -116,11 +119,14 @@ def mul(a: Poly, b: Poly) -> Poly:
     for ma, ca in a.items():
         for mb, cb in b.items():
             m = monomial_mul(ma, mb)
-            s = out.get(m, Fraction(0)) + ca * cb
-            if s:
-                out[m] = s
+            if m in out:
+                s = out[m] + ca * cb
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
             else:
-                out.pop(m, None)
+                out[m] = ca * cb
     return out
 
 
@@ -130,11 +136,14 @@ def add_scaled(acc: Poly, p: Poly, value: int | Fraction) -> None:
     if not c:
         return
     for m, k in p.items():
-        s = acc.get(m, Fraction(0)) + k * c
-        if s:
-            acc[m] = s
+        if m in acc:
+            s = acc[m] + k * c
+            if s:
+                acc[m] = s
+            else:
+                del acc[m]
         else:
-            acc.pop(m, None)
+            acc[m] = k * c
 
 
 def partial(p: Poly, name: str, order: int = 1) -> Poly:
@@ -157,12 +166,9 @@ def partial(p: Poly, name: str, order: int = 1) -> Poly:
             exps.pop(name)
         else:
             exps[name] = e - order
-        key = tuple(sorted(exps.items(), key=lambda it: _VAR_INDEX[it[0]]))
-        s = out.get(key, Fraction(0)) + c * fall
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
+        # lowering or dropping one exponent keeps the canonical order, and
+        # distinct monomials stay distinct, so no two terms meet in `out`
+        out[tuple(exps.items())] = c * fall
     return out
 
 

@@ -24,7 +24,6 @@ against the divisor exponentials of the recursion and is never expanded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -44,6 +43,7 @@ from .poly import (
     variables,
     zero,
 )
+from .recursion import _Frozen
 
 #: subscript first entries of the double-cover alphabet (y020 enters as the
 #: mixed slot with subscript 110; its second entry is 1 like every factor,
@@ -70,20 +70,22 @@ CENTRAL_INDICES = ("010", "020", "210")
 GLUABLE = tuple(k for k in LABELS if k[2] == "0")
 
 
-@dataclass(frozen=True)
-class RPotential:
+class RPotential(_Frozen):
     """A cover potential: finite body plus a symbolic divisor prefactor.
 
-    The body is exactly quadratic in the gluing alphabet.  The prefactor
-    exp(divisor_coeff * <divisor variable>) is recorded by its integer
-    coefficient and never expanded.
+    `kind` is "double_cover" or "triple_cover".  The body is exactly
+    quadratic in the gluing alphabet.  The prefactor
+    exp(divisor_coeff * divisor_var) is recorded by its integer coefficient
+    and never expanded; `divisor_var` is "y010" for the double cover and
+    "y001" for the triple.  Immutable but unhashable, since the body is a
+    dict.
     """
 
-    kind: str                 # "double_cover" | "triple_cover"
-    body: Poly
-    cap: int
-    divisor_var: str          # "y010" for the double cover, "y001" for the triple
-    divisor_coeff: int
+    __slots__ = __match_args__ = ("kind", "body", "cap", "divisor_var", "divisor_coeff")
+
+    def __init__(self, kind: str, body: Poly, cap: int, divisor_var: str,
+                 divisor_coeff: int):
+        self._assign(kind, body, cap, divisor_var, divisor_coeff)
 
 
 def _check_quadratic(body: Poly, gluing: Tuple[str, ...], kind: str) -> None:
@@ -196,8 +198,7 @@ def build_triple_cover_potential(cap: int) -> RPotential:
     return pot
 
 
-@dataclass(frozen=True)
-class GluingMatrix:
+class GluingMatrix(_Frozen):
     """Second gluing derivatives of the three-twig tail potential.
 
     entry(s, t) is the polynomial obtained by differentiating the glued
@@ -206,12 +207,20 @@ class GluingMatrix:
     y001_exponent * y001) split off symbolically.  Entries are symmetric,
     contain no gluing or divisor variables and no y200, vanish unless both
     duals carry an i-factor, and are truncated at the stored weight cap.
+    Immutable but unhashable, since the entries are a dict; the repr leaves
+    them out.
     """
 
-    cap: int
-    entries: Dict[Tuple[str, str], Poly] = field(repr=False)
-    y010_exponent: int = 2
-    y001_exponent: int = 6
+    __slots__ = __match_args__ = ("cap", "entries", "y010_exponent", "y001_exponent")
+
+    def __init__(self, cap: int, entries: Dict[Tuple[str, str], Poly],
+                 y010_exponent: int = 2, y001_exponent: int = 6):
+        self._assign(cap, entries, y010_exponent, y001_exponent)
+
+    def __repr__(self) -> str:
+        return (f"{self.__class__.__qualname__}(cap={self.cap!r}, "
+                f"y010_exponent={self.y010_exponent!r}, "
+                f"y001_exponent={self.y001_exponent!r})")
 
     def entry(self, s: str, t: str) -> Poly:
         return self.entries.get((s, t), {})

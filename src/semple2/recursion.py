@@ -38,8 +38,9 @@ literal) and the Fraction-polynomial form of the same identity as a
 differential oracle.
 
 A computed or cached table is an `InvariantTable`: an immutable plain class
-with `__slots__` (like the value types of `semple2.contact`, which share
-its private base), so that no query imports `dataclasses`.
+with `__slots__` (like the value types of `semple2.contact` and the oracle
+types of `semple2.potentials` and `semple2.verify`, which share its private
+base), so that no subcommand imports `dataclasses`.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ Four oracles live here, sharing no code with the production stencil
 beyond the polynomial substrate and the label tables:
 
 * the classical count of rational plane curves of degree d through 3d-1
-  general points (`kontsevich`, defined in `semple2.recursion` because
-  cache validation needs it too), cross-checking one full row of the
+  general points (`kontsevich` and `kontsevich_row`, defined in
+  `semple2.recursion` because cache validation needs them too), whose row
+  through dmax, computed once per check, cross-checks one full row of the
   invariant table;
 
 * a brute-force series expander for the two cover potentials, which
@@ -26,13 +27,17 @@ beyond the polynomial substrate and the label tables:
 run_selftest wires these and the golden reference tables into a single
 machine-readable report list.  The reference integers are test fixtures,
 never inputs to any computation.
+
+`TailPolynomial` and `OracleReport`, like the gluing matrix and the cover
+potentials of `semple2.potentials`, are immutable plain classes with
+`__slots__` on the base of the query types, so that the self-test loads
+neither `dataclasses` nor, through it, `inspect`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product, zip_longest
+from itertools import zip_longest
 from math import comb, factorial, prod
 from typing import Dict, List, Optional, Tuple
 
@@ -72,8 +77,10 @@ from .recursion import (
     LABEL_MONOMIAL,
     InvariantTable,
     Stencil,
+    _Frozen,
     compute_up_to,
-    kontsevich,
+    kontsevich,  # not called here: re-exported with the other oracles
+    kontsevich_row,
     load_table,
     ratio_failures,
 )
@@ -133,37 +140,42 @@ def derive_stencil(matrix: GluingMatrix) -> Stencil:
     for (s, t), p in matrix.entries.items():
         for m, c in p.items():
             slices.setdefault((s, t, monomial_weight(m)), {})[m] = c
-    out_index = {monomial(LABEL_MONOMIAL[lbl]): i for i, lbl in enumerate(INVARIANT_LABELS)}
+    out_index = {monomial(LABEL_MONOMIAL[lbl]): (i, 18 * LABEL_FACTORIAL[lbl])
+                 for i, lbl in enumerate(INVARIANT_LABELS)}
 
-    def inserted(s: str, p: Poly) -> Poly:
-        return p if s in DIVISOR_RULE else partial(p, "y" + s)
-
-    def kind(s: str) -> Optional[str]:
-        return s if s in DIVISOR_RULE else None
+    # the nonzero insertions of each index s into the j-th part of label i,
+    # in _ACTIVE order, as (s, its kind, the polynomial, its weight)
+    insertions: Dict[Tuple[int, int], List[Tuple[str, Optional[str], Poly, int]]] = {}
+    for i, label in enumerate(INVARIANT_LABELS):
+        for j in range(3):
+            part = derivative_part(label, j)
+            row = insertions[i, j] = []
+            for s in _ACTIVE:
+                if s in DIVISOR_RULE:
+                    kind, f = s, part
+                else:
+                    kind, f = None, partial(part, "y" + s)
+                if f:
+                    row.append((s, kind, f, homogeneous_weight(f)))
 
     weights: List[Dict[tuple, Fraction]] = [{}, {}, {}]
     for j1, acc in enumerate(weights):
-        for i1, l1 in enumerate(INVARIANT_LABELS):
-            left = derivative_part(l1, j1)
-            for i2, l2 in enumerate(INVARIANT_LABELS):
-                right = derivative_part(l2, 2 - j1)
-                if not left or not right:
-                    continue
-                for s, t in product(_ACTIVE, repeat=2):
-                    f, g = inserted(s, left), inserted(t, right)
-                    if not f or not g:
-                        continue
-                    needed = 2 - homogeneous_weight(f) - homogeneous_weight(g)
-                    entry = slices.get((s, t, needed))
-                    if not entry:
-                        continue
-                    for m, c in mul(mul(f, entry), g).items():
-                        if m not in out_index:
-                            raise ArithmeticError(f"stencil term {m} is outside the 13 labels")
-                        iout = out_index[m]
-                        key = (kind(s), kind(t), i1, i2, iout)
-                        acc[key] = acc.get(key, 0) \
-                            + 18 * c * LABEL_FACTORIAL[INVARIANT_LABELS[iout]]
+        for i1 in range(len(INVARIANT_LABELS)):
+            lefts = insertions[i1, j1]
+            for i2 in range(len(INVARIANT_LABELS)):
+                rights = insertions[i2, 2 - j1]
+                for s, ks, f, wf in lefts:
+                    for t, kt, g, wg in rights:
+                        entry = slices.get((s, t, 2 - wf - wg))
+                        if not entry:
+                            continue
+                        for m, c in mul(mul(f, entry), g).items():
+                            if m not in out_index:
+                                raise ArithmeticError(
+                                    f"stencil term {m} is outside the 13 labels")
+                            iout, factor = out_index[m]
+                            key = (ks, kt, i1, i2, iout)
+                            acc[key] = acc.get(key, 0) + factor * c
     for acc in weights:
         for key, w in acc.items():
             if w.denominator != 1:
@@ -171,25 +183,27 @@ def derive_stencil(matrix: GluingMatrix) -> Stencil:
     return tuple(tuple((*key, int(w)) for key, w in acc.items() if w) for acc in weights)
 
 
-@dataclass(frozen=True)
-class TailPolynomial:
-    """The stored part of the degree-d potential: thirteen coefficients."""
+class TailPolynomial(_Frozen):
+    """The stored part of the degree-d potential: thirteen coefficients.
 
-    degree: int
-    poly: Poly
+    Immutable but unhashable, since the polynomial is a dict.
+    """
 
-    def __post_init__(self):
-        d = self.degree
+    __slots__ = __match_args__ = ("degree", "poly")
+
+    def __init__(self, degree: int, poly: Poly):
+        d = degree
         if d < 1:
             raise ValueError("degree must be positive")
-        if len(self.poly) > 13:
+        if len(poly) > 13:
             raise AssertionError("a tail has at most thirteen terms")
-        for m in self.poly:
+        for m in poly:
             exps = dict(m)
             if exps.get("y200", 0) < 3 * d - 3:
                 raise AssertionError(f"tail term {m} has fewer than {3*d-3} point slots")
             if monomial_weight(m) != 3 * d - 1:
                 raise AssertionError(f"tail term {m} has weight != {3*d-1}")
+        self._assign(degree, poly)
 
 
 def seed_degree1() -> TailPolynomial:
@@ -398,15 +412,14 @@ def expand_cover_series(kind: str, cap: int) -> Poly:
     return {m: c for m, c in series.items() if keep(m)}
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(_Frozen):
     """One self-test outcome with both sides of any disagreement."""
 
-    name: str
-    passed: bool
-    expected: str
-    actual: str
-    degrees: str
+    __slots__ = __match_args__ = ("name", "passed", "expected", "actual", "degrees")
+
+    def __init__(self, name: str, passed: bool, expected: str, actual: str,
+                 degrees: str):
+        self._assign(name, passed, expected, actual, degrees)
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -466,10 +479,11 @@ def _check_ratios(table: InvariantTable, dmax: int) -> OracleReport:
 
 
 def _check_kontsevich(table: InvariantTable, dmax: int) -> OracleReport:
+    row = kontsevich_row(dmax)
     bad = []
     for d in range(1, dmax + 1):
         got = table.get(d, "h2.h2")
-        want = kontsevich(d)
+        want = row[d]
         if got != want:
             bad.append(f"d={d}: {got} expected {want}")
     return _report("kontsevich-oracle", bad, f"1..{dmax}",

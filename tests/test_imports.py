@@ -100,6 +100,14 @@ def test_queries_load_neither_dataclasses_nor_tempfile(tmp_path, kind):
     assert loaded.isdisjoint(LEAN_FREE)
 
 
+def test_verify_and_the_potentials_load_neither_dataclasses_nor_inspect():
+    loaded = modules_after_cli(("verify", "--max-degree", "2"), flags=("-S",))
+    assert {"semple2.verify", "semple2.potentials", "semple2.poly"} <= loaded
+    assert loaded.isdisjoint({*LEAN_FREE, "inspect"})
+    loaded = run_child("import sys, semple2.potentials\nprint(*sys.modules)\n", "-S").split()
+    assert set(loaded).isdisjoint({*LEAN_FREE, "inspect"})
+
+
 def test_bare_import_loads_no_submodule():
     # no submodule beyond the two that define the public names
     loaded = run_child("import sys, semple2\nprint(*sys.modules)\n").split()

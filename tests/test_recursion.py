@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +11,7 @@ import pytest
 import semple2
 from semple2 import cli, recursion
 from semple2.poly import monomial_weight, term
+from semple2.potentials import GluingMatrix
 from semple2.recursion import (
     CacheError,
     INVARIANT_LABELS,
@@ -242,7 +242,8 @@ def test_stencil_derivation_rejects_a_fractional_weight(matrix2):
     entries[("100", "100")] = {m: c * Fraction(1, 1009)
                                for m, c in entries[("100", "100")].items()}
     with pytest.raises(ArithmeticError, match="not an integer"):
-        derive_stencil(replace(matrix2, entries=entries))
+        derive_stencil(GluingMatrix(matrix2.cap, entries, matrix2.y010_exponent,
+                                    matrix2.y001_exponent))
 
 
 def test_kontsevich_row_is_the_classical_sequence():

@@ -120,3 +120,28 @@ def test_a_changed_stencil_weight_fails_the_derivation_check(monkeypatch):
 def test_every_zeroed_product_fails_a_ring_check(monkeypatch, key):
     monkeypatch.setitem(chow._MULT, key, (0,) * 12)
     assert chow.relation_failures() + chow.pairing_failures()
+
+
+def test_the_kontsevich_check_computes_the_row_once(monkeypatch, table8):
+    calls = []
+    row = verify.kontsevich_row
+
+    def counted(dmax):
+        calls.append(dmax)
+        return row(dmax)
+
+    monkeypatch.setattr(verify, "kontsevich_row", counted)
+    assert verify._check_kontsevich(table8, 8).passed
+    assert calls == [8]
+    assert all(r.passed for r in run_selftest(8))
+    assert calls == [8, 8]
+
+
+def test_a_wrong_point_count_is_reported_with_both_values(table8):
+    values = {d: table8.column(d) for d in table8.degrees()}
+    values[5]["h2.h2"] += 1
+    report = verify._check_kontsevich(recursion.InvariantTable(values), 8)
+    assert report.to_dict() == {
+        "name": "kontsevich-oracle", "status": "fail",
+        "expected": "point-condition row equals the classical recursion",
+        "actual": "d=5: 87305 expected 87304", "degrees": "1..8"}
