@@ -21,6 +21,11 @@ under the integral normalized so that the top class h^2*hd*z has integral 1
 
 The class i is never a stored coordinate: it is always expanded through
 i = z + 3*(h - hd), so each ring element has one canonical representation.
+
+The ring's consistency checks, `relation_failures` and `pairing_failures`,
+run where `semple2.verify` reports them, not on import.  `ChowClass` is on
+the value-type base of `semple2.recursion`, whose `DIVISOR_RULE` gives
+`divisor_pairing` its multipliers.
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Tuple
+
+from .recursion import DIVISOR_RULE, _Frozen
 
 #: z-basis labels in canonical order (codimension 0,1,1,1,2,2,2,2,3,3,3,4
 #: after sorting by degree; the order below mirrors the printed table).
@@ -131,11 +138,12 @@ def _build_mult_table() -> Dict[Tuple[str, str], Tuple[Fraction, ...]]:
 _MULT = _build_mult_table()
 
 
-class ChowClass:
+class ChowClass(_Frozen):
     """A ring element as 12 exact rational coordinates in the z-basis.
 
-    Immutable: `==` and `hash` by coordinates, only among ChowClass objects;
-    pickle and copy go through the constructor.
+    Immutable, on the value-type base of `semple2.recursion`: `==` and
+    `hash` by coordinates, only among ChowClass objects; pickle and copy go
+    through the constructor.
     """
 
     __slots__ = __match_args__ = ("coords",)
@@ -143,27 +151,7 @@ class ChowClass:
     def __init__(self, coords: Tuple[Fraction, ...]):
         if len(coords) != 12:
             raise ValueError("a class has exactly 12 coordinates")
-        object.__setattr__(self, "coords", coords)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}(coords={self.coords!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return self.__class__, (self.coords,)
+        self._assign(coords)
 
     @staticmethod
     def zero() -> "ChowClass":
@@ -287,17 +275,16 @@ def from_i_basis(coords: Tuple[Fraction, ...]) -> ChowClass:
 def divisor_pairing(d: int, divisor: ChowClass) -> Fraction:
     """Pairing of a codimension-1 class with the class of a lifted degree-d curve.
 
-    Linear in the divisor, with h -> d, hd -> 2d-2, z -> 3d-6 (hence i -> 0:
-    the lift of an immersion misses the divisor at infinity).
+    Linear in the divisor: each basis divisor pairs to its multiplier in
+    `recursion.DIVISOR_RULE`, so i = z + 3(h - hd) pairs to 0 (the lift of
+    an immersion misses the divisor at infinity).
     """
     if d < 1:
         raise ValueError("degree must be positive")
     for label in LABELS:
         if codim(label) != 1 and divisor.coordinate(label):
             raise ValueError("divisor_pairing needs a pure codimension-1 class")
-    return (divisor.coordinate("100") * d
-            + divisor.coordinate("010") * (2 * d - 2)
-            + divisor.coordinate("001") * (3 * d - 6))
+    return sum(divisor.coordinate(k) * rule(d) for k, rule in DIVISOR_RULE.items())
 
 
 def relation_failures() -> List[str]:
@@ -337,15 +324,6 @@ def pairing_failures() -> List[str]:
             if value != expect:
                 bad.append(f"pair({k},{l})={value} expected {expect}")
     return bad
-
-
-def _startup_checks() -> None:
-    bad = relation_failures() + pairing_failures()
-    if bad:
-        raise AssertionError("Chow ring tables are inconsistent: " + "; ".join(bad[:8]))
-
-
-_startup_checks()
 
 
 class ChowParseError(ValueError):

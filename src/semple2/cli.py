@@ -269,6 +269,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: List[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # from degree 572 on an invariant has more than the 4300 digits that
+    # Python 3.11 and 3.10.7+ convert to and from str by default; the limit
+    # is lifted for this call and put back after it
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except UnsupportedProfileError as exc:
@@ -281,6 +287,9 @@ def main(argv: List[str] | None = None) -> int:
         # ChowParseError is a ValueError
         _diag(f"error: {exc}")
         return EXIT_USAGE
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -38,18 +38,23 @@ literal) and the Fraction-polynomial form of the same identity as a
 differential oracle.
 
 A computed or cached table is an `InvariantTable`: an immutable plain class
-with `__slots__` (like the value types of `semple2.contact` and the oracle
-types of `semple2.potentials` and `semple2.verify`, which share its private
-base), so that no subcommand imports `dataclasses`.
+with `__slots__` (like the value types of `semple2.contact`, the ring
+elements of `semple2.chow` and the oracle types of `semple2.potentials` and
+`semple2.verify`, which share its private base), so that no subcommand
+imports `dataclasses`.  `DIVISOR_RULE` is the one statement of the divisor
+multipliers, read by the kernel, by `chow.divisor_pairing` and by the
+oracles.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import stat
 from collections import Counter
 from functools import lru_cache
-from math import comb, factorial, prod
+from itertools import count
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 #: the thirteen labels in printed-table row order
@@ -77,12 +82,6 @@ LABEL_MONOMIAL: Dict[str, Dict[str, int]] = {
     "hdz.hdz": {"y011": 2},
 }
 
-#: b! of each residual monomial: the invariant over its tail coefficient
-LABEL_FACTORIAL: Dict[str, int] = {
-    label: prod(factorial(e) for e in exps.values())
-    for label, exps in LABEL_MONOMIAL.items()
-}
-
 #: identities between rows: first label is exactly three times the second
 RATIO_IDENTITIES: Tuple[Tuple[str, str], ...] = (
     ("h2z", "h2hd"),
@@ -92,9 +91,9 @@ RATIO_IDENTITIES: Tuple[Tuple[str, str], ...] = (
     ("hz.hdz", "hd2.hdz"),
 )
 
-#: divisor insertion multipliers by basis index, as functions of the degree
+#: divisor insertion multipliers by basis index, as functions of the degree:
+#: the pairing of each basis divisor with the lifted degree-d curve
 DIVISOR_RULE = {
-    "000": lambda d: 0,
     "100": lambda d: d,
     "010": lambda d: 2 * d - 2,
     "001": lambda d: 3 * d - 6,
@@ -418,8 +417,12 @@ def validate_table(values: Dict[int, Dict[str, int]]) -> None:
 
 
 def table_to_json(table: InvariantTable) -> str:
-    data = {str(d): {lbl: str(table.values[d][lbl]) for lbl in INVARIANT_LABELS}
-            for d in table.degrees()}
+    try:
+        data = {str(d): {lbl: str(table.values[d][lbl]) for lbl in INVARIANT_LABELS}
+                for d in table.degrees()}
+    except ValueError as exc:  # only str() of an int past the digit limit raises
+        raise CacheError("an invariant has more digits than the interpreter's "
+                         f"int/str conversion limit: {exc}") from exc
     return json.dumps(data, indent=2)
 
 
@@ -445,6 +448,10 @@ def table_from_json(text: str) -> InvariantTable:
             try:
                 parsed[label] = int(text_value)
             except (TypeError, ValueError) as exc:
+                # int() refuses a well-formed integer only past the digit limit
+                if isinstance(text_value, str) and text_value.removeprefix("-").isdecimal():
+                    raise CacheError(f"{label} at degree {d} has more digits than the "
+                                     f"interpreter's int/str conversion limit: {exc}") from exc
                 raise CacheError(f"bad integer for {label} at degree {d}") from exc
         values[d] = parsed
     validate_table(values)
@@ -461,20 +468,33 @@ def load_table(path: str) -> InvariantTable:
 
 
 def save_table(table: InvariantTable, path: str) -> None:
-    """Write the table atomically: a unique temporary file in the same
+    """Write the table atomically: a new temporary file in the same
     directory, renamed over the target only once it is complete.
 
-    Raises CacheError when the file cannot be created, written or renamed.
+    The temporary file takes the mode of the cache it replaces; a new cache
+    gets the mode that `open(path, "w")` would give it.  Raises CacheError
+    when an invariant is too long to write, or when the file cannot be
+    created, written or renamed.
     """
-    import tempfile  # here, not at the top: only a call that adds a degree writes
-
-    directory = os.path.dirname(os.path.abspath(path))
+    text = table_to_json(table) + "\n"
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=os.path.basename(path) + ".",
-                                   suffix=".tmp")
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            mode = None
+        for n in count():
+            name = f"{path}.{os.getpid()}.{n}.tmp"
+            try:
+                fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            except FileExistsError:
+                continue
+            tmp = name
+            break
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(table_to_json(table) + "\n")
+            if mode is not None:
+                os.chmod(tmp, mode)
+            handle.write(text)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None:

@@ -73,7 +73,6 @@ from .recursion import (
     CacheError,
     DIVISOR_RULE,
     INVARIANT_LABELS,
-    LABEL_FACTORIAL,
     LABEL_MONOMIAL,
     InvariantTable,
     Stencil,
@@ -113,6 +112,12 @@ TABLE2_REFERENCE: Dict[int, Tuple[int, int, int]] = {
     6: (64150200, 39900528, 13300176),
 }
 
+
+#: b! of each residual monomial: the invariant over its tail coefficient
+LABEL_FACTORIAL: Dict[str, int] = {
+    label: prod(factorial(e) for e in exps.values())
+    for label, exps in LABEL_MONOMIAL.items()
+}
 
 #: indices that can meet a nonzero gluing-matrix row, identity excluded
 _ACTIVE = tuple(k for k in GLUABLE if k != "000")

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import semple2
 from semple2 import cli, recursion
 from semple2.recursion import INVARIANT_LABELS, load_table, save_table
 from semple2.verify import TABLE1_REFERENCE
@@ -319,3 +323,28 @@ def test_missing_required_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["table"])
     assert info.value.code == 2
+
+
+def test_an_invariant_past_the_int_str_digit_limit_is_printed():
+    # 5000 digits, past the 4300 that Python 3.11 and 3.10.7+ print by default
+    body = ("import sys\n"
+            "from semple2 import cli\n"
+            "from semple2.recursion import INVARIANT_LABELS, InvariantTable\n"
+            "table = InvariantTable({1: {lbl: 10 ** 4999 for lbl in INVARIANT_LABELS}})\n"
+            "cli.compute_up_to = lambda dmax, cache_path=None: table\n"
+            "sys.exit(cli.main(['table', '--max-degree', '1', '--format', 'json']))\n")
+    src = str(Path(semple2.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", body], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    values = json.loads(proc.stdout)["values"]
+    assert values == {label: ["1" + "0" * 4999] for label in INVARIANT_LABELS}
+
+
+def test_main_puts_the_digit_limit_back(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = limit()
+    assert run(capsys, "table", "--max-degree", "2")[0] == 0
+    assert run(capsys, "chow-eval", "h +")[0] == 2
+    assert limit() == before

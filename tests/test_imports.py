@@ -151,6 +151,27 @@ def test_selftest_builds_each_gluing_matrix_once_per_process():
     assert ast.literal_eval(out) == ([2, 3], [2, 3])
 
 
+def test_the_ring_checks_run_where_verify_reports_them_and_not_on_import():
+    out = run_child(
+        "import contextlib, io, os, sys\n"
+        "calls = []\n"
+        "def profile(frame, event, arg):\n"
+        "    code = frame.f_code\n"
+        "    if (event == 'call' and os.path.basename(code.co_filename) == 'chow.py'\n"
+        "            and code.co_name in ('relation_failures', 'pairing_failures')):\n"
+        "        calls.append(code.co_name)\n"
+        "sys.setprofile(profile)\n"
+        "import semple2.chow\n"
+        "on_import = list(calls)\n"
+        "from semple2 import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "    status = cli.main(['verify', '--max-degree', '8'])\n"
+        "sys.setprofile(None)\n"
+        "print((on_import, sorted(calls[len(on_import):]), status))\n")
+    assert ast.literal_eval(out) == ([], ["pairing_failures", "relation_failures"], 0)
+
+
 def test_public_builder_returns_a_fresh_matrix():
     first, second = build_gluing_matrix(2), build_gluing_matrix(2)
     assert first is not second and first.entries == second.entries

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,6 +16,7 @@ from semple2.potentials import GluingMatrix
 from semple2.recursion import (
     CacheError,
     INVARIANT_LABELS,
+    InvariantTable,
     SEED,
     STENCIL,
     compute_up_to,
@@ -302,6 +304,53 @@ def test_cache_in_a_missing_directory_is_a_cache_error(tmp_path):
     with pytest.raises(CacheError, match="cannot write cache"):
         compute_up_to(3, cache_path=str(path))
     assert os.listdir(tmp_path) == []
+
+
+def mode(path) -> int:
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
+def test_a_rewrite_keeps_the_mode_of_the_cache(tmp_path):
+    path = tmp_path / "cache.json"
+    compute_up_to(3, cache_path=str(path))
+    os.chmod(path, 0o640)
+    compute_up_to(5, cache_path=str(path))
+    assert mode(path) == 0o640
+    assert load_table(str(path)).degrees() == tuple(range(1, 6))
+
+
+def test_a_new_cache_gets_the_mode_of_a_plain_open(tmp_path):
+    path = tmp_path / "cache.json"
+    compute_up_to(3, cache_path=str(path))
+    with open(tmp_path / "sibling", "w", encoding="utf-8"):
+        pass
+    assert mode(path) == mode(tmp_path / "sibling")
+
+
+@pytest.fixture
+def small_digit_limit():
+    """The interpreter's int/str digit limit at its minimum, 640, for one test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int/str digit limit")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+def test_an_invariant_past_the_digit_limit_is_a_cache_error_naming_it(tmp_path,
+                                                                      small_digit_limit):
+    table = InvariantTable({1: {label: 10 ** 700 for label in INVARIANT_LABELS}})
+    with pytest.raises(CacheError, match="int/str conversion limit"):
+        table_to_json(table)
+    with pytest.raises(CacheError, match="int/str conversion limit"):
+        save_table(table, str(tmp_path / "cache.json"))
+    assert os.listdir(tmp_path) == []
+    with pytest.raises(CacheError, match="h2hd at degree 1 has more digits than the "
+                                         "interpreter's int/str conversion limit"):
+        table_from_json('{"1": {"h2hd": "-1%s"}}' % ("0" * 700))
+    with pytest.raises(CacheError, match="bad integer for h2hd at degree 1"):
+        table_from_json('{"1": {"h2hd": "1e%s"}}' % ("0" * 700))
 
 
 def test_warm_compute_does_not_rewrite_the_cache(tmp_path):

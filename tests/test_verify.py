@@ -94,12 +94,9 @@ def test_failing_report_carries_both_values():
     (("001", "001"), verify._check_relations),  # z*z: breaks i*z = 0
     (("211", "000"), verify._check_pairing),    # top class times 1
 ])
-def test_a_broken_ring_table_is_caught_on_import_and_in_verify(monkeypatch, key, check):
-    chow._startup_checks()
+def test_a_broken_ring_table_is_caught_in_verify(monkeypatch, key, check):
     assert check().passed
     monkeypatch.setitem(chow._MULT, key, (0,) * 12)
-    with pytest.raises(AssertionError, match="Chow ring tables are inconsistent"):
-        chow._startup_checks()
     report = check()
     assert not report.passed and report.actual != "no mismatches"
 
