@@ -332,6 +332,17 @@ class ChowParseError(ValueError):
 
 _SYMBOLS = {"h": H, "hd": HD, "i": I_CLASS, "z": Z}
 
+#: most decimal digits of a number the parser reads or builds: the
+#: interpreter's default int/str conversion limit, which refused longer
+#: literals before `cli.main` lifted it for the tables; with it every step
+#: of a parse costs a bounded time
+MAX_DIGITS = 4300
+_TOO_LONG = 10 ** MAX_DIGITS
+
+#: largest exponent the parser accepts, so that a power takes at most 60
+#: products; a scalar part reaches MAX_DIGITS long before it
+MAX_EXPONENT = 10 ** 9
+
 
 def _tokenize(text: str) -> list:
     tokens = []
@@ -349,6 +360,8 @@ def _tokenize(text: str) -> list:
             start = pos
             while pos < len(text) and text[pos].isdigit():
                 pos += 1
+            if pos - start > MAX_DIGITS:
+                raise ChowParseError(f"numeric literal longer than {MAX_DIGITS} digits")
             tokens.append(("num", int(text[start:pos])))
             continue
         if ch.isalpha():
@@ -377,6 +390,16 @@ def _tokenize(text: str) -> list:
 MAX_NESTING = 100
 
 
+def _bounded(a: ChowClass) -> ChowClass:
+    """`a`, unless a coordinate has a numerator or denominator of more than
+    MAX_DIGITS digits; nested powers and long products would otherwise
+    build numbers of unbounded length from a short expression."""
+    for x in a.coords:
+        if abs(x.numerator) >= _TOO_LONG or x.denominator >= _TOO_LONG:
+            raise ChowParseError(f"a coefficient has more than {MAX_DIGITS} digits")
+    return a
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
@@ -403,10 +426,10 @@ class _Parser:
             kind, _ = self.peek()
             if kind == "+":
                 self.take()
-                out = out + self.term()
+                out = _bounded(out + self.term())
             elif kind == "-":
                 self.take()
-                out = out - self.term()
+                out = _bounded(out - self.term())
             else:
                 return out
 
@@ -416,10 +439,10 @@ class _Parser:
             kind, _ = self.peek()
             if kind == "*":
                 self.take()
-                out = mul_classes(out, self.factor())
+                out = _bounded(mul_classes(out, self.factor()))
             elif kind in ("sym", "num", "("):
                 # implicit product from adjacency
-                out = mul_classes(out, self.factor())
+                out = _bounded(mul_classes(out, self.factor()))
             else:
                 return out
 
@@ -431,14 +454,16 @@ class _Parser:
             k2, v = self.take()
             if k2 != "num":
                 raise ChowParseError("exponent must be a nonnegative integer")
+            if v > MAX_EXPONENT:
+                raise ChowParseError(f"exponent above {MAX_EXPONENT}")
             # square-and-multiply: about 2*log2(v) products
             out = ONE
             while v:
                 if v & 1:
-                    out = mul_classes(out, base)
+                    out = _bounded(mul_classes(out, base))
                 v >>= 1
                 if v:
-                    base = mul_classes(base, base)
+                    base = _bounded(mul_classes(base, base))
             return out
         return base
 

@@ -24,18 +24,18 @@ and the product rule splits 3d-4 derivatives between the two factors, so
 the only live orders are o = 3d'-3+j with j in {0, 1, 2} and j1 + j2 = 2.
 The o-fold derivative of the tail is then a fixed weight-(2-j) polynomial
 in the residual variables whose coefficients are the n_L over a small
-factorial, independent of d'.  The whole identity therefore compiles to
+factorial, independent of d'.  The whole identity therefore reduces to
 a bilinear stencil: 149 integer weights on (j1, insertion kinds, L1, L2,
-Lout), applied to the integer columns of lower degrees.  The weights ship
-here as the literal STENCIL, so computing a degree needs no polynomial
-arithmetic.  Once per process the stencil is turned into the source text
-of one straight-line function (`_compiled`), which is compiled and then
-computes every degree: the work of walking the 149 terms is done once
-while the text is generated, and each split of each degree pays only
-for its bigint products and sums.  `semple2.verify` keeps the compiler
-(`derive_stencil`, which the self-test and the tests compare with the
-literal) and the Fraction-polynomial form of the same identity as a
-differential oracle.
+Lout), applied to the integer columns of lower degrees, so computing a
+degree needs no polynomial arithmetic.  The stencil ships as code: the
+module `semple2._kernel` holds one straight-line function, `kernel`, in
+which the work of walking the 149 terms is already done, so each split of
+each degree pays only for its bigint products and sums.  `recursion_rhs`
+imports it on the first computed degree.  `semple2.verify` keeps the
+derivation (`derive_stencil`), the generator that writes `_kernel.py` from
+its output (`kernel_source`, which the self-test and the tests compare
+with the shipped file), and the Fraction-polynomial form of the same
+identity as a differential oracle.
 
 A computed or cached table is an `InvariantTable`: an immutable plain class
 with `__slots__` (like the value types of `semple2.contact`, the ring
@@ -51,11 +51,9 @@ from __future__ import annotations
 import json
 import os
 import stat
-from collections import Counter
-from functools import lru_cache
 from itertools import count
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 #: the thirteen labels in printed-table row order
 INVARIANT_LABELS: Tuple[str, ...] = (
@@ -112,185 +110,19 @@ SEED: Dict[str, int] = {
     "hz.hz": 0, "hz.hdz": 0, "hdz.hdz": 9,
 }
 
-#: one stencil weight: (s kind, t kind, index of L1, index of L2, index of
-#: Lout, integer weight); a kind is a divisor index, or None for a derivative
-StencilTerm = Tuple[Optional[str], Optional[str], int, int, int, int]
-
-#: the degree recursion as integer weights, indexed by j1 in {0, 1, 2}: for
-#: a split d1 + d2 = d, each term of stencil[j1] adds weight * c * k_s(d1)
-#: * k_t(d2) * n_d1[L1] * n_d2[L2] to the degree-d invariant Lout, where k
-#: is the divisor multiplier of the kind (1 for a derivative) and
-#: c = comb(3d-6, 3d1-4+j1) * d1*d2 - comb(3d-6, 3d1-3+j1) * d1^2 collects
-#: the two product-rule terms.  The gluing matrix is symmetric, so
-#: stencil[2 - j1] is stencil[j1] with the two factors swapped.
-Stencil = Tuple[Tuple[StencilTerm, ...], ...]
-
-
-#: the stencil, exactly as `semple2.verify.derive_stencil` compiles it from
-#: the gluing matrix; the self-test and the tests re-derive it and compare
-STENCIL: Stencil = (
-    (  # j1 = 0
-        ("100", "100", 0, 3, 0, 1), (None, "100", 0, 3, 9, 6), (None, "100", 0, 3, 11, 18),
-        (None, "100", 0, 3, 2, 3), (None, "100", 0, 3, 12, 9), (None, "010", 0, 3, 12, 18),
-        ("100", "100", 1, 3, 1, 1), ("100", "100", 2, 3, 2, 1), ("100", "100", 3, 3, 3, 1),
-        (None, "100", 3, 3, 4, 2), (None, "100", 3, 3, 5, 6), (None, "100", 3, 3, 6, 3),
-        (None, "010", 3, 3, 6, 3), ("100", "100", 4, 3, 4, 1), (None, "100", 4, 3, 7, 4),
-        (None, "100", 4, 3, 8, 6), (None, "100", 4, 3, 9, 3), (None, "010", 4, 3, 9, 3),
-        (None, "100", 4, 3, 6, 3), ("100", "100", 5, 3, 5, 1), (None, "100", 5, 3, 8, 2),
-        (None, "100", 5, 3, 10, 12), (None, "100", 5, 3, 11, 3), (None, "010", 5, 3, 11, 3),
-        ("100", "100", 6, 3, 6, 1), (None, "100", 6, 3, 9, 2), (None, "100", 6, 3, 11, 6),
-        (None, "100", 6, 3, 12, 6), (None, "010", 6, 3, 12, 6), ("100", "100", 7, 3, 7, 1),
-        (None, "100", 7, 3, 9, 3), ("100", "100", 8, 3, 8, 1), (None, "100", 8, 3, 11, 3),
-        ("100", "100", 9, 3, 9, 1), (None, "100", 9, 3, 12, 6), ("100", "100", 10, 3, 10, 1),
-        ("100", "100", 11, 3, 11, 1), ("100", "100", 12, 3, 12, 1),
-    ),
-    (  # j1 = 1
-        ("100", "100", 3, 3, 3, 2), ("100", None, 3, 3, 4, 2), ("100", None, 3, 3, 5, 6),
-        ("100", None, 3, 3, 6, 3), (None, "100", 3, 3, 4, 2), (None, "100", 3, 3, 5, 6),
-        (None, "100", 3, 3, 6, 3), (None, None, 3, 3, 7, 4), (None, None, 3, 3, 0, 2),
-        (None, None, 3, 3, 8, 12), (None, None, 3, 3, 9, 12), (None, None, 3, 3, 1, 6),
-        (None, None, 3, 3, 10, 36), (None, None, 3, 3, 11, 36), (None, None, 3, 3, 12, 18),
-        (None, "010", 3, 3, 6, 3), ("010", None, 3, 3, 6, 3), ("100", "100", 3, 4, 4, 1),
-        ("100", None, 3, 4, 6, 3), (None, "100", 3, 4, 7, 4), (None, "100", 3, 4, 8, 6),
-        (None, "100", 3, 4, 9, 3), (None, "010", 3, 4, 9, 3), (None, None, 3, 4, 9, 6),
-        (None, None, 3, 4, 11, 18), (None, None, 3, 4, 2, 3), (None, None, 3, 4, 12, 27),
-        ("100", "100", 3, 5, 5, 1), (None, "100", 3, 5, 8, 2), (None, "100", 3, 5, 10, 12),
-        (None, "100", 3, 5, 11, 3), (None, "010", 3, 5, 11, 3), ("100", "100", 3, 6, 6, 1),
-        (None, "100", 3, 6, 9, 2), (None, "100", 3, 6, 11, 6), (None, "100", 3, 6, 12, 6),
-        (None, "010", 3, 6, 12, 6), ("100", "100", 4, 3, 4, 1), ("100", None, 4, 3, 7, 4),
-        ("100", None, 4, 3, 8, 6), ("100", None, 4, 3, 9, 3), ("010", None, 4, 3, 9, 3),
-        (None, "100", 4, 3, 6, 3), (None, None, 4, 3, 9, 6), (None, None, 4, 3, 11, 18),
-        (None, None, 4, 3, 12, 27), (None, None, 4, 3, 2, 3), ("100", "100", 4, 4, 7, 2),
-        ("100", None, 4, 4, 9, 3), (None, "100", 4, 4, 9, 3), (None, None, 4, 4, 12, 18),
-        ("100", "100", 4, 5, 8, 1), (None, "100", 4, 5, 11, 3), ("100", "100", 4, 6, 9, 1),
-        (None, "100", 4, 6, 12, 6), ("100", "100", 5, 3, 5, 1), ("100", None, 5, 3, 8, 2),
-        ("100", None, 5, 3, 10, 12), ("100", None, 5, 3, 11, 3), ("010", None, 5, 3, 11, 3),
-        ("100", "100", 5, 4, 8, 1), ("100", None, 5, 4, 11, 3), ("100", "100", 5, 5, 10, 2),
-        ("100", "100", 5, 6, 11, 1), ("100", "100", 6, 3, 6, 1), ("100", None, 6, 3, 9, 2),
-        ("100", None, 6, 3, 11, 6), ("100", None, 6, 3, 12, 6), ("010", None, 6, 3, 12, 6),
-        ("100", "100", 6, 4, 9, 1), ("100", None, 6, 4, 12, 6), ("100", "100", 6, 5, 11, 1),
-        ("100", "100", 6, 6, 12, 2),
-    ),
-    (  # j1 = 2
-        ("100", "100", 3, 0, 0, 1), ("100", None, 3, 0, 9, 6), ("100", None, 3, 0, 11, 18),
-        ("100", None, 3, 0, 2, 3), ("100", None, 3, 0, 12, 9), ("010", None, 3, 0, 12, 18),
-        ("100", "100", 3, 1, 1, 1), ("100", "100", 3, 2, 2, 1), ("100", "100", 3, 3, 3, 1),
-        ("100", None, 3, 3, 4, 2), ("100", None, 3, 3, 5, 6), ("100", None, 3, 3, 6, 3),
-        ("010", None, 3, 3, 6, 3), ("100", "100", 3, 4, 4, 1), ("100", None, 3, 4, 7, 4),
-        ("100", None, 3, 4, 8, 6), ("100", None, 3, 4, 9, 3), ("100", None, 3, 4, 6, 3),
-        ("010", None, 3, 4, 9, 3), ("100", "100", 3, 5, 5, 1), ("100", None, 3, 5, 8, 2),
-        ("100", None, 3, 5, 10, 12), ("100", None, 3, 5, 11, 3), ("010", None, 3, 5, 11, 3),
-        ("100", "100", 3, 6, 6, 1), ("100", None, 3, 6, 9, 2), ("100", None, 3, 6, 11, 6),
-        ("100", None, 3, 6, 12, 6), ("010", None, 3, 6, 12, 6), ("100", "100", 3, 7, 7, 1),
-        ("100", None, 3, 7, 9, 3), ("100", "100", 3, 8, 8, 1), ("100", None, 3, 8, 11, 3),
-        ("100", "100", 3, 9, 9, 1), ("100", None, 3, 9, 12, 6), ("100", "100", 3, 10, 10, 1),
-        ("100", "100", 3, 11, 11, 1), ("100", "100", 3, 12, 12, 1),
-    ),
-)
-
-
-@lru_cache(maxsize=4)
-def _compiled(stencil: Stencil):
-    """The stencil turned into one straight-line function `kernel(d, columns)`.
-
-    The degree-d column is a fixed bilinear form in the lower columns, so
-    all that depends on the stencil alone is settled here, once per stencil
-    and process, in the source text of a function that is compiled and
-    executed.  In it each distinct product n_d1[L1] * n_d2[L2] is a local,
-    and each of the thirteen outputs is a local with one accumulating
-    statement whose weights, indices and grouping are literals.  Per split
-    the kernel then does the bigint work and little else: no Python-level
-    loop over terms, and no `comb` call, as the binomial factors read the
-    row comb(3d-6, k), built once per degree.  The text holds only integers
-    and names of this template; the divisor rules enter by name and are
-    called per split, so DIVISOR_RULE stays the one definition of the
-    multipliers.
-
-    By the symmetry of the stencil the split (d2, d1) gives the same sums
-    as (d1, d2) with j1 reversed, so the kernel visits each unordered split
-    once and multiplies each sum by the binomial factors of both
-    orientations added together.
-
-    Raises ValueError, before any code is generated, unless the stencil is
-    symmetric under swapping the two factors (as multisets of terms), every
-    kind is None or a key of DIVISOR_RULE, and every index and weight is an
-    int, the indices below the number of labels.
-    """
-    last = len(stencil) - 1
-    for j1, terms in enumerate(stencil):
-        swapped = Counter((kt, ks, i2, i1, iout, w)
-                          for ks, kt, i1, i2, iout, w in stencil[last - j1])
-        if swapped != Counter(terms):
-            raise ValueError("the stencil is not symmetric under swapping the two factors")
-    n = len(INVARIANT_LABELS)
-    # the name of each kind's multiplier in the first and the second factor;
-    # a derivative has none, its multiplier is 1
-    first = {None: "", **{kind: f"s{k}" for k, kind in enumerate(DIVISOR_RULE)}}
-    second = {None: "", **{kind: f"t{k}" for k, kind in enumerate(DIVISOR_RULE)}}
-    # sums[iout][j1][kind factor]: the weighted products that share all three
-    sums: Dict[int, Dict[int, Dict[str, List[str]]]] = {}
-    for j1, terms in enumerate(stencil):
-        for term in terms:
-            ks, kt, i1, i2, iout, w = term
-            if ks not in first or kt not in second:
-                raise ValueError(f"unknown insertion kind in stencil term {term!r}")
-            if {type(i1), type(i2), type(iout), type(w)} != {int} \
-                    or not (0 <= i1 < n and 0 <= i2 < n and 0 <= iout < n):
-                raise ValueError(f"bad index or weight in stencil term {term!r}")
-            factor = "*".join(filter(None, (first[ks], second[kt])))
-            sums.setdefault(iout, {}).setdefault(j1, {}).setdefault(factor, []) \
-                .append(f"p{i1}_{i2}" if w == 1 else f"{w}*p{i1}_{i2}")
-    used = {kind for terms in stencil for term in terms for kind in term[:2]}
-
-    def scaled(factor: str, products: List[str]) -> str:
-        return f"{factor}*({' + '.join(products)})" if factor else " + ".join(products)
-
-    lines = ["def kernel(d, columns):",
-             "    m = 3 * d - 6",
-             f"    row = [0, *[comb(m, k) for k in range(m + 1)]{', 0' * last}]",
-             f"    {' = '.join(f'o{i}' for i in range(n))} = 0",
-             "    for d1 in range(1, d // 2 + 1):",
-             "        d2 = d - d1",
-             "        a = columns[d1]",
-             "        b = columns[d2]"]
-    for k, kind in enumerate(DIVISOR_RULE):
-        if kind in used:
-            lines += [f"        s{k} = rule{k}(d1)", f"        t{k} = rule{k}(d2)"]
-    # with e = 3d' - 3, row[e + j] is comb(m, 3d' - 4 + j), 0 off the row
-    lines += ["        both = d1 * d2", "        e1 = 3 * d1 - 3"]
-    lines += [f"        c{j} = row[e1 + {j}] * both - row[e1 + {j + 1}] * d1 * d1"
-              for j in range(last + 1)]
-    lines += ["        if d1 != d2:", "            e2 = 3 * d2 - 3"]
-    lines += [f"            c{j} += row[e2 + {last - j}] * both"
-              f" - row[e2 + {last - j + 1}] * d2 * d2" for j in range(last + 1)]
-    lines += [f"        p{i1}_{i2} = a[{i1}] * b[{i2}]"
-              for i1, i2 in sorted({term[2:4] for terms in stencil for term in terms})]
-    for iout, by_j1 in sorted(sums.items()):
-        expr = " + ".join(f"c{j1}*({' + '.join(scaled(*g) for g in by_factor.items())})"
-                          for j1, by_factor in sorted(by_j1.items()))
-        lines.append(f"        o{iout} += {expr}")
-    lines.append(f"    return {', '.join(f'o{i}' for i in range(n))}")
-
-    namespace = {"comb": comb,
-                 **{f"rule{k}": rule for k, rule in enumerate(DIVISOR_RULE.values())}}
-    exec(compile("\n".join(lines), "<stencil kernel>", "exec"), namespace)
-    return namespace["kernel"]
-
-
-def recursion_rhs(d: int, columns: Dict[int, Sequence[int]],
-                  stencil: Stencil) -> Tuple[int, ...]:
+def recursion_rhs(d: int, columns: Dict[int, Sequence[int]]) -> Tuple[int, ...]:
     """The degree-d column, in INVARIANT_LABELS order, from all lower ones.
 
-    Runs the kernel that `_compiled` generates from the stencil, once per
-    stencil and process, so that the per-term bookkeeping is paid at
-    generation and not in every split of every degree.
+    Runs the shipped kernel; its module is imported here, on the first
+    computed degree, since it reads DIVISOR_RULE from this one.
     """
     if d < 2:
         raise ValueError("the recursion starts at degree 2")
     for dd in range(1, d):
         if dd not in columns:
             raise ValueError(f"missing column for degree {dd}")
-    return _compiled(stencil)(d, columns)
+    from ._kernel import kernel
+    return kernel(d, columns)
 
 
 class _Frozen:
@@ -524,7 +356,7 @@ def compute_up_to(dmax: int, cache_path: str | None = None) -> InvariantTable:
         if d in known:
             values[d] = dict(known[d])
         elif d > 1:
-            column = recursion_rhs(d, columns, STENCIL)
+            column = recursion_rhs(d, columns)
             values[d] = dict(zip(INVARIANT_LABELS, column))
         columns[d] = tuple(values[d][lbl] for lbl in INVARIANT_LABELS)
 

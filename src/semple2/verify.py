@@ -15,8 +15,10 @@ beyond the polynomial substrate and the label tables:
   optimized constructions;
 
 * the stencil compiler (`derive_stencil`), which derives the 149 integer
-  weights from the gluing matrix; the self-test compares them with the
-  literal `recursion.STENCIL` that the production recursion runs;
+  weights from the gluing matrix, and the kernel generator
+  (`kernel_source`), which writes them as the straight-line function that
+  the production recursion runs; the self-test compares the generated text
+  with the shipped module `semple2._kernel`, line by line;
 
 * the degree recursion run literally on Fraction tail polynomials
   (`reference_table`), the differential oracle for the integer stencil
@@ -36,12 +38,14 @@ neither `dataclasses` nor, through it, `inspect`.
 
 from __future__ import annotations
 
+import os
+from collections import Counter
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb, factorial, prod
 from typing import Dict, List, Optional, Tuple
 
-from . import chow, recursion
+from . import chow
 from .poly import (
     Poly,
     WEIGHT,
@@ -75,7 +79,6 @@ from .recursion import (
     INVARIANT_LABELS,
     LABEL_MONOMIAL,
     InvariantTable,
-    Stencil,
     _Frozen,
     compute_up_to,
     kontsevich,  # not called here: re-exported with the other oracles
@@ -122,12 +125,34 @@ LABEL_FACTORIAL: Dict[str, int] = {
 #: indices that can meet a nonzero gluing-matrix row, identity excluded
 _ACTIVE = tuple(k for k in GLUABLE if k != "000")
 
+#: one stencil weight: (s kind, t kind, index of L1, index of L2, index of
+#: Lout, integer weight); a kind is a divisor index, or None for a derivative
+StencilTerm = Tuple[Optional[str], Optional[str], int, int, int, int]
+
+#: the degree recursion as integer weights, indexed by j1 in {0, 1, 2}: for
+#: a split d1 + d2 = d, each term of stencil[j1] adds weight * c * k_s(d1)
+#: * k_t(d2) * n_d1[L1] * n_d2[L2] to the degree-d invariant Lout, where k
+#: is the divisor multiplier of the kind (1 for a derivative) and
+#: c = comb(3d-6, 3d1-4+j1) * d1*d2 - comb(3d-6, 3d1-3+j1) * d1^2 collects
+#: the two product-rule terms.  The gluing matrix is symmetric, so
+#: stencil[2 - j1] is stencil[j1] with the two factors swapped.
+Stencil = Tuple[Tuple[StencilTerm, ...], ...]
+
+#: the shell command, run from the repository root, that writes the shipped
+#: kernel module; the README and CI quote it
+KERNEL_COMMAND = ("PYTHONPATH=src python -c 'import semple2.verify as v; "
+                  "print(v.kernel_source(v.derive_stencil(v.build_gluing_matrix(2))), "
+                  "end=\"\")' > src/semple2/_kernel.py")
+
+#: the shipped kernel module, which the stencil-derivation check reads
+_KERNEL_PATH = os.path.join(os.path.dirname(__file__), "_kernel.py")
+
 
 def derive_stencil(matrix: GluingMatrix) -> Stencil:
     """Compile the quadratic identity through the gluing matrix (cap >= 2).
 
     Raises ArithmeticError unless every weight is an integer.  The weights
-    come out grouped by j1, in the order `recursion.STENCIL` lists them.
+    come out grouped by j1, in a fixed order, which `kernel_source` keeps.
     """
     if matrix.cap < 2:
         raise ValueError("gluing matrix cap too small for weight-2 extraction")
@@ -186,6 +211,102 @@ def derive_stencil(matrix: GluingMatrix) -> Stencil:
             if w.denominator != 1:
                 raise ArithmeticError(f"stencil weight {w} at {key} is not an integer")
     return tuple(tuple((*key, int(w)) for key, w in acc.items() if w) for acc in weights)
+
+
+def kernel_source(stencil: Stencil) -> str:
+    """The text of a module whose `kernel(d, columns)` runs the stencil.
+
+    The degree-d column is a fixed bilinear form in the lower columns, so
+    all that depends on the stencil alone is settled here, in the source of
+    one straight-line function.  In it each distinct product
+    n_d1[L1] * n_d2[L2] is a local, and each of the thirteen outputs is a
+    local with one accumulating statement whose weights, indices and
+    grouping are literals.  Per split the kernel then does the bigint work
+    and little else: no Python-level loop over terms, and no `comb` call, as
+    the binomial factors read the row comb(3d-6, k), built once per degree.
+    The text holds only integers and names of this template; the divisor
+    rules enter by name from `recursion.DIVISOR_RULE` and are called per
+    split, so DIVISOR_RULE stays the one definition of the multipliers.
+    For the derived stencil the text is the shipped module
+    `semple2._kernel`, written by KERNEL_COMMAND.
+
+    By the symmetry of the stencil the split (d2, d1) gives the same sums
+    as (d1, d2) with j1 reversed, so the kernel visits each unordered split
+    once and multiplies each sum by the binomial factors of both
+    orientations added together.
+
+    Raises ValueError, before any text is produced, unless the stencil is
+    symmetric under swapping the two factors (as multisets of terms), every
+    kind is None or a key of DIVISOR_RULE, and every index and weight is an
+    int, the indices below the number of labels.
+    """
+    last = len(stencil) - 1
+    for j1, terms in enumerate(stencil):
+        swapped = Counter((kt, ks, i2, i1, iout, w)
+                          for ks, kt, i1, i2, iout, w in stencil[last - j1])
+        if swapped != Counter(terms):
+            raise ValueError("the stencil is not symmetric under swapping the two factors")
+    n = len(INVARIANT_LABELS)
+    # the name of each kind's multiplier in the first and the second factor;
+    # a derivative has none, its multiplier is 1
+    first = {None: "", **{kind: f"s{k}" for k, kind in enumerate(DIVISOR_RULE)}}
+    second = {None: "", **{kind: f"t{k}" for k, kind in enumerate(DIVISOR_RULE)}}
+    # sums[iout][j1][kind factor]: the weighted products that share all three
+    sums: Dict[int, Dict[int, Dict[str, List[str]]]] = {}
+    for j1, terms in enumerate(stencil):
+        for term in terms:
+            ks, kt, i1, i2, iout, w = term
+            if ks not in first or kt not in second:
+                raise ValueError(f"unknown insertion kind in stencil term {term!r}")
+            if {type(i1), type(i2), type(iout), type(w)} != {int} \
+                    or not (0 <= i1 < n and 0 <= i2 < n and 0 <= iout < n):
+                raise ValueError(f"bad index or weight in stencil term {term!r}")
+            factor = "*".join(filter(None, (first[ks], second[kt])))
+            sums.setdefault(iout, {}).setdefault(j1, {}).setdefault(factor, []) \
+                .append(f"p{i1}_{i2}" if w == 1 else f"{w}*p{i1}_{i2}")
+    used = {kind for terms in stencil for term in terms for kind in term[:2]}
+
+    def scaled(factor: str, products: List[str]) -> str:
+        return f"{factor}*({' + '.join(products)})" if factor else " + ".join(products)
+
+    lines = ["# Generated by semple2.verify.kernel_source from the stencil that",
+             "# semple2.verify.derive_stencil derives from the gluing matrix.",
+             "# Do not edit; from the repository root, regenerate with",
+             f"#   {KERNEL_COMMAND}",
+             "from math import comb",
+             "",
+             "from semple2.recursion import DIVISOR_RULE",
+             ""]
+    lines += [f'rule{k} = DIVISOR_RULE["{kind}"]'
+              for k, kind in enumerate(DIVISOR_RULE) if kind in used]
+    lines += ["",
+              "",
+              "def kernel(d, columns):",
+              "    m = 3 * d - 6",
+              f"    row = [0, *[comb(m, k) for k in range(m + 1)]{', 0' * last}]",
+              f"    {' = '.join(f'o{i}' for i in range(n))} = 0",
+              "    for d1 in range(1, d // 2 + 1):",
+              "        d2 = d - d1",
+              "        a = columns[d1]",
+              "        b = columns[d2]"]
+    for k, kind in enumerate(DIVISOR_RULE):
+        if kind in used:
+            lines += [f"        s{k} = rule{k}(d1)", f"        t{k} = rule{k}(d2)"]
+    # with e = 3d' - 3, row[e + j] is comb(m, 3d' - 4 + j), 0 off the row
+    lines += ["        both = d1 * d2", "        e1 = 3 * d1 - 3"]
+    lines += [f"        c{j} = row[e1 + {j}] * both - row[e1 + {j + 1}] * d1 * d1"
+              for j in range(last + 1)]
+    lines += ["        if d1 != d2:", "            e2 = 3 * d2 - 3"]
+    lines += [f"            c{j} += row[e2 + {last - j}] * both"
+              f" - row[e2 + {last - j + 1}] * d2 * d2" for j in range(last + 1)]
+    lines += [f"        p{i1}_{i2} = a[{i1}] * b[{i2}]"
+              for i1, i2 in sorted({term[2:4] for terms in stencil for term in terms})]
+    for iout, by_j1 in sorted(sums.items()):
+        expr = " + ".join(f"c{j1}*({' + '.join(scaled(*g) for g in by_factor.items())})"
+                          for j1, by_factor in sorted(by_j1.items()))
+        lines.append(f"        o{iout} += {expr}")
+    lines.append(f"    return {', '.join(f'o{i}' for i in range(n))}")
+    return "\n".join(lines) + "\n"
 
 
 class TailPolynomial(_Frozen):
@@ -522,17 +643,18 @@ def _check_cap_independence() -> OracleReport:
 
 
 def _check_stencil() -> OracleReport:
-    """The shipped stencil must equal the one compiled from the gluing matrix."""
-    shipped = recursion.STENCIL
-    expected = f"the {sum(map(len, shipped))} shipped weights equal the derived ones"
+    """The shipped kernel must equal the one generated from the stencil that
+    is derived from the gluing matrix."""
+    expected = "the shipped _kernel.py equals the text generated from the derived stencil"
     try:
-        derived = derive_stencil(_shared_gluing_matrix(2))
+        derived = kernel_source(derive_stencil(_shared_gluing_matrix(2)))
     except ArithmeticError as exc:
         return _report("stencil-derivation", [str(exc)], "-", expected)
-    bad = [f"j1={j1} row {n}: {ship} derived {want}"
-           for j1, (ships, wants) in enumerate(zip_longest(shipped, derived, fillvalue=()))
-           for n, (ship, want) in enumerate(zip_longest(ships, wants))
-           if ship != want]
+    with open(_KERNEL_PATH, encoding="utf-8") as handle:
+        shipped = handle.read()
+    pairs = zip_longest(shipped.split("\n"), derived.split("\n"), fillvalue="(end of file)")
+    bad = [f"line {n}: {ship!r} generated {want!r}"
+           for n, (ship, want) in enumerate(pairs, 1) if ship != want][:1]
     return _report("stencil-derivation", bad, "-", expected)
 
 

@@ -239,3 +239,46 @@ def test_nesting_up_to_the_limit_evaluates():
 def test_nesting_past_the_limit_is_a_parse_error(text):
     with pytest.raises(ChowParseError, match="nested deeper"):
         parse_class_expr(text)
+
+
+def test_literals_up_to_the_digit_limit_evaluate():
+    longest = "9" * chow.MAX_DIGITS
+    assert parse_class_expr(longest + "*h") == H.scaled(int(longest))
+    assert parse_class_expr(f"1/{longest}*h") == H.scaled(Fraction(1, int(longest)))
+
+
+@pytest.mark.parametrize("text", ["1" + "0" * chow.MAX_DIGITS + "*h",
+                                  "h/" + "1" * (chow.MAX_DIGITS + 1)])
+def test_a_literal_past_the_digit_limit_is_a_parse_error(text):
+    with pytest.raises(ChowParseError, match="longer than 4300 digits"):
+        parse_class_expr(text)
+
+
+def test_exponents_up_to_the_limit_evaluate():
+    assert parse_class_expr(f"h^{chow.MAX_EXPONENT}").is_zero()
+    assert parse_class_expr(f"(1+h)^{chow.MAX_EXPONENT}") == \
+        ONE + H.scaled(chow.MAX_EXPONENT) + mul_classes(H, H).scaled(
+            chow.MAX_EXPONENT * (chow.MAX_EXPONENT - 1) // 2)
+
+
+@pytest.mark.parametrize("text", [f"h^{chow.MAX_EXPONENT + 1}", "(1+h)^" + "9" * 4300])
+def test_an_exponent_past_the_limit_is_a_parse_error(text):
+    with pytest.raises(ChowParseError, match="exponent above"):
+        parse_class_expr(text)
+
+
+def test_values_up_to_the_digit_limit_evaluate():
+    # 10^4299, the largest power of ten with 4300 digits, as a power, a
+    # product and a sum
+    assert parse_class_expr("(10^1000)^4*10^299 - 1 + 1") == ONE.scaled(10 ** 4299)
+
+
+@pytest.mark.parametrize("text", [
+    "(10^1000)^4*10^300",       # a product
+    "(10^1000)^5",              # a power
+    "((2^1000)^1000)^1000",     # a tower of powers, 2^(10^9) if evaluated
+    "9" * 4300 + " + 1",        # a sum
+])
+def test_a_value_past_the_digit_limit_is_a_parse_error(text):
+    with pytest.raises(ChowParseError, match="more than 4300 digits"):
+        parse_class_expr(text)

@@ -277,6 +277,17 @@ def test_chow_eval_deep_nesting_is_a_parse_error(capsys, expr):
     assert err.count("\n") == 1 and "nested deeper" in err
 
 
+@pytest.mark.parametrize("expr, message", [
+    ("1" + "0" * 400000 + "*h", "longer than 4300 digits"),
+    ("2^999999", "more than 4300 digits"),
+    ("(1+h)^" + "9" * 4300, "exponent above"),
+])
+def test_chow_eval_refuses_numbers_past_the_bounds(capsys, expr, message):
+    code, out, err = run(capsys, "chow-eval", expr, "--integrate")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and message in err
+
+
 def test_verify_passes(capsys):
     code, out, err = run(capsys, "verify", "--max-degree", "2")
     assert code == 0

@@ -25,8 +25,8 @@ PUBLIC = {
 }
 
 #: modules a query served from the cache must not load
-QUERY_FREE = ("semple2.chow", "semple2.poly", "semple2.potentials", "semple2.verify",
-              "fractions")
+QUERY_FREE = ("semple2._kernel", "semple2.chow", "semple2.poly", "semple2.potentials",
+              "semple2.verify", "fractions")
 
 
 #: standard-library modules no query loads; checked under `-S`, because a
@@ -76,10 +76,18 @@ def test_chow_eval_loads_the_ring_only():
 
 
 def test_a_cold_table_loads_neither_the_ring_nor_the_polynomials_nor_the_oracles():
-    # the recursion runs the shipped stencil; deriving it is the self-test's job
+    # the recursion runs the shipped kernel; generating it is the self-test's job
     loaded = modules_after_cli(("table", "--max-degree", "3"))
     assert "semple2.recursion" in loaded
-    assert loaded.isdisjoint(QUERY_FREE)
+    assert loaded.isdisjoint(set(QUERY_FREE) - {"semple2._kernel"})
+
+
+def test_a_cold_table_loads_the_kernel_and_a_warm_one_does_not(tmp_path):
+    cache = str(tmp_path / "cache.json")
+    cold = modules_after_cli(("table", "--max-degree", "40", "--cache", cache))
+    assert "semple2._kernel" in cold and "semple2.verify" not in cold
+    warm = modules_after_cli(("table", "--max-degree", "40", "--cache", cache))
+    assert "semple2._kernel" not in warm
 
 
 @pytest.mark.parametrize("kind", ["warm", "cold-table", "chow-eval"])

@@ -18,7 +18,6 @@ from semple2.recursion import (
     INVARIANT_LABELS,
     InvariantTable,
     SEED,
-    STENCIL,
     compute_up_to,
     kontsevich_row,
     load_table,
@@ -29,10 +28,12 @@ from semple2.recursion import (
     table_to_json,
 )
 from semple2.verify import (
+    KERNEL_COMMAND,
     TABLE1_REFERENCE,
     TailPolynomial,
     derive_stencil,
     extract_invariants,
+    kernel_source,
     kontsevich,
     reference_rhs,
     reference_table,
@@ -121,7 +122,7 @@ def test_recursion_requires_all_lower_tails(matrix2):
     with pytest.raises(ValueError):
         reference_rhs(3, {1: seed_degree1()}, matrix2)
     with pytest.raises(ValueError):
-        recursion_rhs(3, {1: tuple(SEED.values())}, derive_stencil(matrix2))
+        recursion_rhs(3, {1: tuple(SEED.values())})
 
 
 def test_determinism():
@@ -186,8 +187,14 @@ def test_stencil_matches_the_fraction_recursion_through_degree20():
     assert compute_up_to(20) == reference_table(20)
 
 
-def test_shipped_stencil_equals_the_derived_one(matrix2):
-    assert STENCIL == derive_stencil(matrix2)
+def test_shipped_kernel_equals_the_text_generated_from_the_derived_stencil(matrix2):
+    shipped = Path(recursion.__file__).with_name("_kernel.py").read_text(encoding="utf-8")
+    assert shipped == kernel_source(derive_stencil(matrix2))
+
+
+def test_the_readme_gives_the_command_that_writes_the_kernel():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    assert KERNEL_COMMAND in readme.read_text(encoding="utf-8").splitlines()
 
 
 def test_degree100_table_is_pinned(capsys, monkeypatch):
@@ -199,12 +206,13 @@ def test_degree100_table_is_pinned(capsys, monkeypatch):
     assert digest == "6d4e05870ceceda9559f5386f404751070f4edbd8ba69a0e66cb5e324d6debda"
 
 
-def test_recursion_rejects_an_asymmetric_stencil():
+def test_recursion_rejects_an_asymmetric_stencil(matrix2):
     # the kernel reads the swapped orientation off stencil[2 - j1]
-    first = STENCIL[0][0]
-    bumped = ((first[:5] + (first[5] + 1,),) + STENCIL[0][1:],) + STENCIL[1:]
+    stencil = derive_stencil(matrix2)
+    first = stencil[0][0]
+    bumped = ((first[:5] + (first[5] + 1,),) + stencil[0][1:],) + stencil[1:]
     with pytest.raises(ValueError, match="not symmetric"):
-        recursion_rhs(3, {1: tuple(SEED.values()), 2: tuple(D2_COLUMN.values())}, bumped)
+        kernel_source(bumped)
 
 
 def mirrored(row0):
@@ -221,21 +229,10 @@ def mirrored(row0):
     (mirrored([(None, None, 0, 3, 0, "1")]), "bad index or weight"),
     (mirrored([(None, None, 0, 3, 0, 1.5)]), "bad index or weight"),
 ])
-def test_recursion_rejects_a_malformed_stencil(stencil, message, monkeypatch):
-    # the checks run before any kernel source is generated
-    monkeypatch.setattr(recursion, "compile", None, raising=False)
+def test_recursion_rejects_a_malformed_stencil(stencil, message):
+    # the checks run before any kernel text is produced: none is returned
     with pytest.raises(ValueError, match=message):
-        recursion_rhs(3, {1: tuple(SEED.values()), 2: tuple(D2_COLUMN.values())}, stencil)
-
-
-def test_cold_table_compiles_the_kernel_once_and_a_warm_one_never(tmp_path):
-    path = str(tmp_path / "cache.json")
-    recursion._compiled.cache_clear()
-    compute_up_to(40, cache_path=path)
-    assert recursion._compiled.cache_info().misses == 1
-    recursion._compiled.cache_clear()
-    assert compute_up_to(40, cache_path=path).degrees() == tuple(range(1, 41))
-    assert recursion._compiled.cache_info().misses == 0
+        kernel_source(stencil)
 
 
 def test_stencil_derivation_rejects_a_fractional_weight(matrix2):

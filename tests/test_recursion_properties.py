@@ -1,15 +1,20 @@
-"""Property tests of the generated recursion kernel against the stencil's definition."""
+"""Property tests of the recursion kernel against the stencil's definition."""
 
 from math import comb
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semple2.recursion import DIVISOR_RULE, INVARIANT_LABELS, STENCIL, recursion_rhs
+from semple2.potentials import build_gluing_matrix
+from semple2.recursion import DIVISOR_RULE, INVARIANT_LABELS, recursion_rhs
+from semple2.verify import derive_stencil, kernel_source
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
 N = len(INVARIANT_LABELS)
+
+#: the stencil the shipped kernel `semple2._kernel` is generated from
+DERIVED = derive_stencil(build_gluing_matrix(2))
 
 
 def multiplier(kind, d: int) -> int:
@@ -21,9 +26,10 @@ def binomial(m: int, k: int) -> int:
 
 
 def naive_rhs(d, columns, stencil):
-    """The degree-d column straight from the contract stated above `Stencil`:
-    every term of stencil[j1] adds w * c * k_s(d1) * k_t(d2) * n_d1[L1] *
-    n_d2[L2] to Lout, for every ordered split d1 + d2 = d."""
+    """The degree-d column straight from the contract stated above
+    `semple2.verify.Stencil`: every term of stencil[j1] adds w * c * k_s(d1)
+    * k_t(d2) * n_d1[L1] * n_d2[L2] to Lout, for every ordered split
+    d1 + d2 = d."""
     m = 3 * d - 6
     out = [0] * N
     for d1 in range(1, d):
@@ -60,9 +66,25 @@ def symmetric_stencils(draw):
     return (tuple(row0), tuple(half + [swap(t) for t in half]), tuple(map(swap, row0)))
 
 
+def generated_kernel(stencil):
+    """The `kernel` of the module text that `kernel_source` writes for the stencil."""
+    namespace = {}
+    exec(compile(kernel_source(stencil), "<generated kernel>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+column = st.tuples(*[st.integers(-10 ** 30, 10 ** 30)] * N)
+
+
 @PROPERTY
-@given(st.one_of(st.just(STENCIL), symmetric_stencils()), st.integers(2, 12), st.data())
+@given(st.one_of(st.just(DERIVED), symmetric_stencils()), st.integers(2, 12), st.data())
 def test_kernel_equals_the_per_term_definition(stencil, d, data):
-    column = st.tuples(*[st.integers(-10 ** 30, 10 ** 30)] * N)
     columns = {dd: data.draw(column) for dd in range(1, d)}
-    assert recursion_rhs(d, columns, stencil) == naive_rhs(d, columns, stencil)
+    assert generated_kernel(stencil)(d, columns) == naive_rhs(d, columns, stencil)
+
+
+@PROPERTY
+@given(st.integers(2, 12), st.data())
+def test_shipped_recursion_equals_the_per_term_definition_of_the_derived_stencil(d, data):
+    columns = {dd: data.draw(column) for dd in range(1, d)}
+    assert recursion_rhs(d, columns) == naive_rhs(d, columns, DERIVED)

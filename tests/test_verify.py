@@ -101,16 +101,31 @@ def test_a_broken_ring_table_is_caught_in_verify(monkeypatch, key, check):
     assert not report.passed and report.actual != "no mismatches"
 
 
-def test_a_changed_stencil_weight_fails_the_derivation_check(monkeypatch):
+def test_a_changed_stencil_weight_fails_the_derivation_check(monkeypatch, tmp_path):
     assert verify._check_stencil().passed
-    j1, n = 1, 7
-    row = recursion.STENCIL[j1][n]
-    changed = list(recursion.STENCIL)
-    changed[j1] = changed[j1][:n] + (row[:5] + (row[5] + 1,),) + changed[j1][n + 1:]
-    monkeypatch.setattr(recursion, "STENCIL", tuple(changed))
+    with open(verify._KERNEL_PATH, encoding="utf-8") as handle:
+        lines = handle.read().splitlines(keepends=True)
+    n = next(k for k, line in enumerate(lines, 1) if line.startswith("        o0 += "))
+    shipped = lines[n - 1]
+    changed = shipped.replace("c1*(2*p3_3)", "c1*(3*p3_3)")
+    assert changed != shipped
+    lines[n - 1] = changed
+    copy = tmp_path / "_kernel.py"
+    copy.write_text("".join(lines), encoding="utf-8")
+    monkeypatch.setattr(verify, "_KERNEL_PATH", str(copy))
     report = verify._check_stencil()
     assert not report.passed
-    assert report.actual == f"j1=1 row 7: {changed[j1][n]} derived {row}"
+    assert report.actual == f"line {n}: {changed.rstrip()!r} generated {shipped.rstrip()!r}"
+
+
+def test_a_kernel_without_its_final_newline_fails_the_derivation_check(monkeypatch, tmp_path):
+    with open(verify._KERNEL_PATH, encoding="utf-8") as handle:
+        text = handle.read()
+    copy = tmp_path / "_kernel.py"
+    copy.write_text(text.removesuffix("\n"), encoding="utf-8")
+    monkeypatch.setattr(verify, "_KERNEL_PATH", str(copy))
+    last = text.count("\n") + 1
+    assert verify._check_stencil().actual == f"line {last}: '(end of file)' generated ''"
 
 
 @pytest.mark.parametrize("key", [key for key, row in chow._MULT.items() if any(row)])
