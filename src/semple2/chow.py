@@ -22,6 +22,11 @@ under the integral normalized so that the top class h^2*hd*z has integral 1
 The class i is never a stored coordinate: it is always expanded through
 i = z + 3*(h - hd), so each ring element has one canonical representation.
 
+A class's coordinates are Fractions, but the ring's structure constants,
+the products of two basis labels in `_MULT`, are ints, so a product of
+classes multiplies Fractions by ints.  `ChowClass.basis` hands out one
+shared instance per label.
+
 The ring's consistency checks, `relation_failures` and `pairing_failures`,
 run where `semple2.verify` reports them, not on import.  `ChowClass` is on
 the value-type base of `semple2.recursion`, whose `DIVISOR_RULE` gives
@@ -119,13 +124,13 @@ def _reduce_monomial(a: int, b: int, c: int) -> Tuple[Tuple[str, int], ...]:
     return ((label, 1),)
 
 
-def _build_mult_table() -> Dict[Tuple[str, str], Tuple[Fraction, ...]]:
-    """Products of z-basis labels, one row per unordered pair, shared by
-    both orders."""
+def _build_mult_table() -> Dict[Tuple[str, str], Tuple[int, ...]]:
+    """Products of z-basis labels as integer structure constants, one row
+    per unordered pair, shared by both orders."""
     table = {}
     for n, k1 in enumerate(LABELS):
         for k2 in LABELS[n:]:
-            coords = [Fraction(0)] * 12
+            coords = [0] * 12
             a = int(k1[0]) + int(k2[0])
             b = int(k1[1]) + int(k2[1])
             c = int(k1[2]) + int(k2[2])
@@ -135,6 +140,8 @@ def _build_mult_table() -> Dict[Tuple[str, str], Tuple[Fraction, ...]]:
     return table
 
 
+#: z-basis products as rows of 12 ints, as the reduction only rewrites with
+#: integer coefficients; `mul_classes` looks the rows up at call time
 _MULT = _build_mult_table()
 
 
@@ -155,14 +162,15 @@ class ChowClass(_Frozen):
 
     @staticmethod
     def zero() -> "ChowClass":
-        return ChowClass(tuple(Fraction(0) for _ in range(12)))
+        return ChowClass((_ZERO,) * 12)
 
     @staticmethod
     def basis(label: str) -> "ChowClass":
-        if label not in _LABEL_INDEX:
+        """The z-basis element with the given label: one shared instance
+        per label, as a class is immutable."""
+        if label not in _BASIS:
             raise ValueError(f"unknown basis label {label!r}")
-        return ChowClass(tuple(
-            Fraction(1 if i == _LABEL_INDEX[label] else 0) for i in range(12)))
+        return _BASIS[label]
 
     def coordinate(self, label: str) -> Fraction:
         return self.coords[_LABEL_INDEX[label]]
@@ -195,6 +203,14 @@ class ChowClass(_Frozen):
         return format_coords(self.coords, LABELS, Z_BASIS_SYMBOL)
 
 
+_ZERO = Fraction(0)
+
+#: the instances `ChowClass.basis` returns
+_BASIS: Dict[str, ChowClass] = {
+    label: ChowClass((_ZERO,) * n + (Fraction(1),) + (_ZERO,) * (11 - n))
+    for n, label in enumerate(LABELS)
+}
+
 H = ChowClass.basis("100")
 HD = ChowClass.basis("010")
 Z = ChowClass.basis("001")
@@ -204,16 +220,14 @@ I_CLASS = Z + H.scaled(3) - HD.scaled(3)
 
 
 def mul_classes(a: ChowClass, b: ChowClass) -> ChowClass:
-    coords = [Fraction(0)] * 12
-    for i1, c1 in enumerate(a.coords):
+    coords = [_ZERO] * 12
+    right = [(k2, c2) for k2, c2 in zip(LABELS, b.coords) if c2]
+    for k1, c1 in zip(LABELS, a.coords):
         if not c1:
             continue
-        for i2, c2 in enumerate(b.coords):
-            if not c2:
-                continue
-            prod = _MULT[(LABELS[i1], LABELS[i2])]
+        for k2, c2 in right:
             f = c1 * c2
-            for j, k in enumerate(prod):
+            for j, k in enumerate(_MULT[(k1, k2)]):
                 if k:
                     coords[j] += f * k
     return ChowClass(tuple(coords))
@@ -320,7 +334,7 @@ def pairing_failures() -> List[str]:
     for k in LABELS:
         for l in LABELS:
             value = coords[l][DUAL[k]]
-            expect = Fraction(1 if l == DUAL[k] else 0)
+            expect = int(l == DUAL[k])
             if value != expect:
                 bad.append(f"pair({k},{l})={value} expected {expect}")
     return bad

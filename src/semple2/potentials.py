@@ -226,30 +226,41 @@ class GluingMatrix(_Frozen):
         return self.entries.get((s, t), {})
 
 
-def build_gluing_matrix(cap: int) -> GluingMatrix:
-    """Glue the two cover potentials through dual slots into the 12x12 matrix."""
-    if cap < 2:
-        raise ValueError("the recursion extracts weight-2 data; cap must be >= 2")
+@lru_cache(maxsize=None)
+def _gluing_inputs() -> Tuple[Dict[Tuple[str, str], Poly],
+                              Dict[Tuple[str, str], Poly], int]:
+    """What every gluing matrix is built from, whatever its cap: the second
+    derivatives of the central (double-cover) potential in its slots, keyed
+    by central index pairs; those of the peripheral (triple-cover) potential,
+    keyed by slot-variable pairs; and the triple cover's divisor coefficient.
+
+    Built once per process.  `build_gluing_matrix` only reads these dicts
+    and returns new ones, so no caller can reach them.
+    """
     double = build_double_cover_potential(DOUBLE_MAX_WEIGHT)
     triple = build_triple_cover_potential(TRIPLE_MAX_WEIGHT)
-
-    # second derivatives of the central potential in its gluing slots
-    central: Dict[Tuple[str, str], Poly] = {}
-    for s in CENTRAL_INDICES:
-        for t in CENTRAL_INDICES:
-            central[(s, t)] = partial(partial(double.body, CENTRAL_SLOT[s]),
-                                      CENTRAL_SLOT[t])
-
-    # second derivatives of the peripheral potential in its slots
+    central = {(s, t): partial(partial(double.body, CENTRAL_SLOT[s]), CENTRAL_SLOT[t])
+               for s in CENTRAL_INDICES for t in CENTRAL_INDICES}
     wnames = sorted(TRIPLE_W)
-    side: Dict[Tuple[str, str], Poly] = {}
-    for u in wnames:
-        for v in wnames:
-            side[(u, v)] = partial(partial(triple.body, u), v)
+    side = {(u, v): partial(partial(triple.body, u), v) for u in wnames for v in wnames}
+    return central, side, triple.divisor_coeff
+
+
+def build_gluing_matrix(cap: int) -> GluingMatrix:
+    """Glue the two cover potentials through dual slots into the 12x12 matrix.
+
+    Each call sums the products afresh and truncates the sum at `cap`; only
+    the potentials' slot derivatives are shared between calls.
+    """
+    if cap < 2:
+        raise ValueError("the recursion extracts weight-2 data; cap must be >= 2")
+    central, side, triple_coeff = _gluing_inputs()
 
     entries: Dict[Tuple[str, str], Poly] = {}
     for s in GLUABLE:
         ws = "w" + DUAL[s]
+        # the products left * mid do not depend on t: one per (s2, t2)
+        left_mid: Dict[Tuple[str, str], Poly] = {}
         for t in GLUABLE:
             wt = "w" + DUAL[t]
             acc: Poly = zero()
@@ -264,14 +275,16 @@ def build_gluing_matrix(cap: int) -> GluingMatrix:
                     right = side[("w" + DUAL[t2], wt)]
                     if not right:
                         continue
-                    add_scaled(acc, mul(mul(left, mid), right), 1)
+                    if (s2, t2) not in left_mid:
+                        left_mid[s2, t2] = mul(left, mid)
+                    add_scaled(acc, mul(left_mid[s2, t2], right), 1)
             acc = truncate_weight(acc, cap)
             if acc:
                 entries[(s, t)] = acc
 
     matrix = GluingMatrix(cap=cap, entries=entries,
                           y010_exponent=2 * 1,
-                          y001_exponent=2 * triple.divisor_coeff)
+                          y001_exponent=2 * triple_coeff)
     _check_matrix(matrix)
     return matrix
 
@@ -280,7 +293,9 @@ def build_gluing_matrix(cap: int) -> GluingMatrix:
 def _shared_gluing_matrix(cap: int) -> GluingMatrix:
     """One matrix per cap and process, for the self-test's checks in `verify`.
 
-    Callers only read it; `build_gluing_matrix` returns a fresh one.
+    Callers only read it; `build_gluing_matrix` returns a fresh one, whose
+    entries are new dicts summed for its own cap from the slot derivatives
+    of `_gluing_inputs`.
     """
     return build_gluing_matrix(cap)
 

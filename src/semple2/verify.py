@@ -192,6 +192,8 @@ def derive_stencil(matrix: GluingMatrix) -> Stencil:
     for j1, acc in enumerate(weights):
         for i1 in range(len(INVARIANT_LABELS)):
             lefts = insertions[i1, j1]
+            # f * entry does not depend on i2, only on (s, t, the weight of g)
+            left_entry: Dict[Tuple[str, str, int], Poly] = {}
             for i2 in range(len(INVARIANT_LABELS)):
                 rights = insertions[i2, 2 - j1]
                 for s, ks, f, wf in lefts:
@@ -199,7 +201,9 @@ def derive_stencil(matrix: GluingMatrix) -> Stencil:
                         entry = slices.get((s, t, 2 - wf - wg))
                         if not entry:
                             continue
-                        for m, c in mul(mul(f, entry), g).items():
+                        if (s, t, wg) not in left_entry:
+                            left_entry[s, t, wg] = mul(f, entry)
+                        for m, c in mul(left_entry[s, t, wg], g).items():
                             if m not in out_index:
                                 raise ArithmeticError(
                                     f"stencil term {m} is outside the 13 labels")

@@ -29,6 +29,11 @@ H2 = mul_classes(H, H)
 HD2 = mul_classes(HD, HD)
 
 
+def test_structure_constants_are_ints():
+    assert len(chow._MULT) == 144
+    assert {type(k) for row in chow._MULT.values() for k in row} == {int}
+
+
 def test_mixed_hyperplane_product():
     assert mul_classes(H, HD) == H2 + HD2
 

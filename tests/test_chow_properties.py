@@ -1,13 +1,16 @@
 """Property tests for the Chow ring on random rational classes."""
 
+import pickle
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semple2.chow import (
+    _MULT,
     I_BASIS_ORDER,
     I_BASIS_SYMBOL,
+    LABELS,
     ChowClass,
     format_coords,
     from_i_basis,
@@ -20,6 +23,8 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 classes = st.tuples(*[rationals] * 12).map(ChowClass)
+#: classes with many zero coordinates, the products' skipped terms
+sparse_classes = st.tuples(*[st.one_of(st.just(Fraction(0)), rationals)] * 12).map(ChowClass)
 
 
 @PROPERTY
@@ -55,3 +60,32 @@ def test_ring_laws(a, b, c):
     assert mul_classes(a, b) == mul_classes(b, a)
     assert mul_classes(mul_classes(a, b), c) == mul_classes(a, mul_classes(b, c))
     assert mul_classes(a, b + c) == mul_classes(a, b) + mul_classes(a, c)
+
+
+def naive_product(a, b):
+    """The product as the plain triple sum over the structure constants."""
+    out = [Fraction(0)] * 12
+    for k1, x in zip(LABELS, a.coords):
+        for k2, y in zip(LABELS, b.coords):
+            for j, k in enumerate(_MULT[(k1, k2)]):
+                out[j] += Fraction(x) * Fraction(y) * Fraction(k)
+    return ChowClass(tuple(out))
+
+
+@PROPERTY
+@given(sparse_classes, sparse_classes)
+def test_product_equals_the_naive_triple_sum(a, b):
+    product = mul_classes(a, b)
+    assert product == naive_product(a, b)
+    assert all(type(x) is Fraction for x in product.coords)
+
+
+@PROPERTY
+@given(st.sampled_from(LABELS))
+def test_a_basis_element_is_the_class_of_its_unit_vector(label):
+    built = ChowClass(tuple(Fraction(int(k == label)) for k in LABELS))
+    shared = ChowClass.basis(label)
+    assert shared == built and hash(shared) == hash(built)
+    assert repr(shared) == repr(built)
+    assert pickle.loads(pickle.dumps(shared)) == built
+    assert ChowClass.basis(label) is shared

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from semple2 import potentials
 from semple2.poly import (
     monomial,
     monomial_degree_in,
@@ -14,7 +16,7 @@ from semple2.potentials import (
     build_gluing_matrix,
     build_triple_cover_potential,
 )
-from semple2.verify import expand_cover_series
+from semple2.verify import derive_stencil, expand_cover_series, kernel_source
 
 Z_VARS = ("z010", "z110", "z210")
 W_VARS = ("w001", "w101", "w201", "w011", "w021", "w211")
@@ -136,3 +138,39 @@ def test_matrix_cap_independence(matrix2):
         for t in GLUABLE:
             assert truncate_weight(m3.entry(s, t), 2) == \
                 truncate_weight(matrix2.entry(s, t), 2)
+
+
+@pytest.mark.parametrize("caps", [(2, 3), (3, 2)])
+def test_builds_are_equal_whichever_cap_comes_first(caps):
+    # the slot derivatives are built once per process, by the first build
+    potentials._gluing_inputs.cache_clear()
+    first = {cap: build_gluing_matrix(cap) for cap in caps}
+    second = {cap: build_gluing_matrix(cap) for cap in caps}
+    potentials._gluing_inputs.cache_clear()
+    fresh = {cap: build_gluing_matrix(cap) for cap in reversed(caps)}
+    for cap in caps:
+        assert first[cap] == second[cap] == fresh[cap]
+        assert first[cap].entries is not second[cap].entries
+
+
+def test_changing_a_built_matrix_leaves_the_next_build_unchanged():
+    for cap in (2, 3):
+        built = build_gluing_matrix(cap)
+        expected = {key: dict(p) for key, p in built.entries.items()}
+        for p in built.entries.values():
+            for m in p:
+                p[m] = Fraction(99)
+            p[monomial({"y020": 7})] = Fraction(1)
+        built.entries[("000", "000")] = {(): Fraction(1)}
+        again = build_gluing_matrix(cap)
+        assert again.entries == expected
+        assert all(again.entries[key] is not built.entries[key] for key in expected)
+
+
+def test_the_stencil_source_matrix_survives_other_builds():
+    # cap 3 built and changed first must not move what cap 2 derives
+    changed = build_gluing_matrix(3)
+    for p in changed.entries.values():
+        p.clear()
+    shipped = Path(potentials.__file__).with_name("_kernel.py").read_text(encoding="utf-8")
+    assert kernel_source(derive_stencil(build_gluing_matrix(2))) == shipped

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from semple2 import chow, recursion, verify
+from semple2 import chow, potentials, recursion, verify
 from semple2.recursion import save_table
 from semple2.verify import (
     OracleReport,
@@ -147,6 +147,27 @@ def test_the_kontsevich_check_computes_the_row_once(monkeypatch, table8):
     assert calls == [8]
     assert all(r.passed for r in run_selftest(8))
     assert calls == [8, 8]
+
+
+def test_the_selftest_multiplies_polynomials_314_times(monkeypatch):
+    # 80 for each of the two gluing matrices (20 products left * mid, one
+    # per (s, s2, t2), then 60 times right) and 154 in derive_stencil (56
+    # products f * entry, one per (j1, i1, left insertion, t, weight of g),
+    # then 98 times g): 314, where forming each triple product in full took
+    # 120 + 120 + 196 = 436
+    calls = []
+    real = verify.mul
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    # both modules bind poly.mul at import; no other module multiplies
+    monkeypatch.setattr(potentials, "mul", counted)
+    monkeypatch.setattr(verify, "mul", counted)
+    potentials._shared_gluing_matrix.cache_clear()
+    assert all(r.passed for r in run_selftest(8))
+    assert len(calls) == 80 + 80 + 154 < 436
 
 
 def test_a_wrong_point_count_is_reported_with_both_values(table8):
