@@ -5,8 +5,10 @@ triple-contact formula, `count` evaluates mixed condition profiles,
 `chow-eval` normalizes ring expressions, and `verify` runs the self-test.
 Data goes to stdout, diagnostics to stderr.  All integers are emitted as
 decimal strings in JSON output.  Exit codes: 0 success, 2 usage error,
-3 unsupported profile, 4 verification or cache failure.  Each subcommand
-imports only the modules it runs, so `table`, `contact` and `count` load
+3 unsupported profile, 4 verification or cache failure.  `contact` and
+`count` check their curve and profile options before they compute or read
+a degree, so a refused request (exit 2 or 3) writes no cache.  Each
+subcommand imports only the modules it runs, so `table`, `contact` and `count` load
 neither the Chow ring, the polynomials nor the oracles, also when they
 compute new degrees.
 """
@@ -23,6 +25,7 @@ from .contact import (
     ConditionProfile,
     CurveInvariants,
     UnsupportedProfileError,
+    check_profile,
     contact_coefficients,
     contact_formula,
     contact_number,
@@ -116,8 +119,8 @@ def _curve_from_args(args) -> CurveInvariants | None:
 
 def _cmd_contact(args) -> int:
     d = args.degree
-    table = compute_up_to(d, cache_path=_default_cache(args.cache))
     curve = _curve_from_args(args)
+    table = compute_up_to(d, cache_path=_default_cache(args.cache))
     formula = contact_formula(d, table)
     a, b, k = contact_coefficients(d, table)
     if args.format == "json":
@@ -152,8 +155,9 @@ def _cmd_count(args) -> int:
     d = args.degree
     tangents = tuple(CurveInvariants(*_parse_triple(s)) for s in args.tangent or [])
     osculants = tuple(CurveInvariants(*_parse_triple(s)) for s in args.osculate or [])
-    table = compute_up_to(d, cache_path=_default_cache(args.cache))
     profile = ConditionProfile(d, args.points, tangents, osculants)
+    check_profile(profile)
+    table = compute_up_to(d, cache_path=_default_cache(args.cache))
     value = mixed_count(profile, table)
     if args.format == "json":
         data = {

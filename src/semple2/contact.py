@@ -7,7 +7,11 @@ coefficients are invariants read off the degree-d column.  Mixed profiles
 trade point conditions against tangency and triple-contact conditions;
 each tangency insertion expands as c*hd^2 + cdual*h^2 and each triple
 contact as c*hd^2*z + cdual*h^2*z + kappa*h^2*hd, after which the count
-distributes multilinearly over the stored thirteen invariants.
+distributes multilinearly over the stored thirteen invariants.  Each term
+names its invariant directly: one h2 per point beyond the 3d-3 that every
+invariant carries, plus the inserted classes, sorted and joined by ".".
+`check_profile` decides whether the thirteen answer a profile without
+reading a table, so the CLI refuses a profile before it computes anything.
 
 The counts are enumerative only under general-position hypotheses (fixed
 curves reduced, containing no line, in general position).  The library
@@ -24,24 +28,14 @@ from __future__ import annotations
 
 import warnings
 from itertools import product
-from typing import Dict, Iterable, List, Tuple
+from typing import Iterable, List, Tuple
 
-from .recursion import LABEL_MONOMIAL, InvariantTable, _Frozen
+from .recursion import INVARIANT_LABELS, InvariantTable, _Frozen
 
 #: expansion of a tangency insertion: (curve attribute, inserted class label)
 _TANGENCY_PARTS = (("c", "hd2"), ("cdual", "h2"))
 #: expansion of a triple-contact insertion
 _CONTACT_PARTS = (("c", "hd2z"), ("cdual", "h2z"), ("kappa", "h2hd"))
-
-#: residual-variable carried by each inserted class beyond the point slots
-_CLASS_VAR = {
-    "h2": "y200", "hd2": "y020", "hz": "y101", "hdz": "y011",
-    "h2hd": "y210", "h2z": "y201", "hd2z": "y021",
-}
-
-_MONOMIAL_LABEL = {
-    tuple(sorted(exps.items())): label for label, exps in LABEL_MONOMIAL.items()
-}
 
 #: (tangency count, triple-contact count) patterns covered by the 13 invariants
 SUPPORTED_PATTERNS = ((0, 0), (1, 0), (2, 0), (0, 1))
@@ -133,33 +127,30 @@ def _insertion_name(points: int, classes: Iterable[str], d: int) -> str:
 
 
 def _combo_label(points: int, classes: Tuple[str, ...], d: int) -> str | None:
-    """Map point count plus inserted classes to one of the 13 labels, if possible."""
-    exps: Dict[str, int] = {}
-    for cls in classes:
-        v = _CLASS_VAR[cls]
-        exps[v] = exps.get(v, 0) + 1
+    """The label of point count plus inserted classes, if it is one of the 13.
+
+    Each point beyond the 3d-3 that every label carries inserts one more h2.
+    """
     spare = points - (3 * d - 3)
     if spare < 0:
         return None
-    if spare:
-        exps["y200"] = exps.get("y200", 0) + spare
-    return _MONOMIAL_LABEL.get(tuple(sorted(exps.items())))
+    name = ".".join(sorted(("h2",) * spare + classes))
+    return name if name in INVARIANT_LABELS else None
 
 
-def mixed_count(profile: ConditionProfile, table: InvariantTable) -> int:
-    """Count curves meeting a mixed point/tangency/triple-contact profile.
+def check_profile(profile: ConditionProfile) -> None:
+    """Raise unless the thirteen stored invariants answer the profile.
 
     Supported profiles are exactly those whose expansion stays inside the
     thirteen stored invariants: points only, one or two tangencies, or one
-    triple contact.  Anything else is rejected with the missing invariants
-    named; a wrong number of point conditions is a plain ValueError.
+    triple contact.  Anything else is rejected with an
+    UnsupportedProfileError naming the missing invariants; a negative or
+    wrong number of point conditions is a plain ValueError.
     """
     d = profile.degree
     r = profile.points
     s = len(profile.tangents)
     t = len(profile.osculants)
-    if d not in table.values:
-        raise KeyError(f"degree {d} not computed")
     if r < 0:
         raise ValueError("point count must be nonnegative")
 
@@ -182,6 +173,17 @@ def mixed_count(profile: ConditionProfile, table: InvariantTable) -> int:
             f"a degree-{d} profile needs points + tangencies + 2*contacts "
             f"= {3 * d - 1}, got {r + s + 2 * t}")
 
+
+def mixed_count(profile: ConditionProfile, table: InvariantTable) -> int:
+    """Count curves meeting a mixed point/tangency/triple-contact profile.
+
+    Raises KeyError unless the table holds the profile's degree, then
+    refuses what `check_profile` refuses.
+    """
+    d = profile.degree
+    if d not in table.values:
+        raise KeyError(f"degree {d} not computed")
+    check_profile(profile)
     factor_lists = [
         [(getattr(curve, attr), cls) for attr, cls in _TANGENCY_PARTS]
         for curve in profile.tangents
@@ -195,7 +197,7 @@ def mixed_count(profile: ConditionProfile, table: InvariantTable) -> int:
         coeff = 1
         for value, _ in combo:
             coeff *= value
-        label = _combo_label(r, tuple(cls for _, cls in combo), d)
+        label = _combo_label(profile.points, tuple(cls for _, cls in combo), d)
         if label is None:
             raise AssertionError("supported profile fell outside the 13 labels")
         total += coeff * column[label]

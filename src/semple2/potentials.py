@@ -13,7 +13,10 @@ Each potential is exactly quadratic in its gluing alphabet, and each term
 is cut out by a linear constraint on the vector sum of the variable
 subscripts.  Both constraints bound the subscript budget, so apart from a
 divisor-variable exponential prefactor (kept symbolic as an integer
-coefficient, never expanded) the potentials are finite polynomials.
+coefficient, never expanded) the potentials are finite polynomials: the
+double cover has weight at most 2, the triple cover at most 3.  Each
+builder returns that finite body as a plain polynomial, and the
+prefactors are stated once, as DOUBLE_PREFACTOR and TRIPLE_PREFACTOR.
 
 Gluing the two potentials through their slots, with dual basis indices
 paired, produces the 12 x 12 matrix of second gluing derivatives that
@@ -33,7 +36,6 @@ from .chow import DUAL, LABELS
 from .poly import (
     Poly,
     REDUCED_VARS,
-    WEIGHT,
     add,
     add_scaled,
     mul,
@@ -57,9 +59,10 @@ TRIPLE_Y = {"y101": (1, 0), "y201": (2, 0), "y011": (0, 1),
 TRIPLE_W = {"w001": (0, 0), "w101": (1, 0), "w201": (2, 0),
             "w011": (0, 1), "w021": (0, 2), "w211": (2, 1)}
 
-#: natural weight bounds of the finite y-parts
-DOUBLE_MAX_WEIGHT = 2
-TRIPLE_MAX_WEIGHT = 3
+#: the symbolic divisor prefactor exp(coeff * var) of each cover potential,
+#: as (var, coeff); never expanded
+DOUBLE_PREFACTOR = ("y010", 2)
+TRIPLE_PREFACTOR = ("y001", 3)
 
 #: gluing-slot variable attached to each z-basis index of the central twig
 CENTRAL_SLOT = {"010": "z010", "020": "z110", "210": "z210"}
@@ -70,24 +73,6 @@ CENTRAL_INDICES = ("010", "020", "210")
 GLUABLE = tuple(k for k in LABELS if k[2] == "0")
 
 
-class RPotential(_Frozen):
-    """A cover potential: finite body plus a symbolic divisor prefactor.
-
-    `kind` is "double_cover" or "triple_cover".  The body is exactly
-    quadratic in the gluing alphabet.  The prefactor
-    exp(divisor_coeff * divisor_var) is recorded by its integer coefficient
-    and never expanded; `divisor_var` is "y010" for the double cover and
-    "y001" for the triple.  Immutable but unhashable, since the body is a
-    dict.
-    """
-
-    __slots__ = __match_args__ = ("kind", "body", "cap", "divisor_var", "divisor_coeff")
-
-    def __init__(self, kind: str, body: Poly, cap: int, divisor_var: str,
-                 divisor_coeff: int):
-        self._assign(kind, body, cap, divisor_var, divisor_coeff)
-
-
 def _check_quadratic(body: Poly, gluing: Tuple[str, ...], kind: str) -> None:
     gset = set(gluing)
     for m in body:
@@ -96,15 +81,13 @@ def _check_quadratic(body: Poly, gluing: Tuple[str, ...], kind: str) -> None:
             raise AssertionError(f"{kind} potential not quadratic in gluing slots: {m}")
 
 
-def build_double_cover_potential(cap: int) -> RPotential:
+def build_double_cover_potential() -> Poly:
     """Terms of (1/2) exp(2 y020) exp(2 y210) exp(z010) exp(z110) exp(z210)
     quadratic in the z-slots whose subscript first entries sum to 2.
 
-    The exp(2 y010) divisor factor is recorded symbolically.  The first
-    entry budget bounds the y-part at weight 2, so the body is finite.
+    The exp(2 y010) divisor factor, DOUBLE_PREFACTOR, is left out.  The
+    first entry budget bounds the y-part at weight 2, so the body is finite.
     """
-    if cap < 0:
-        raise ValueError("weight cap must be nonnegative")
     body: Poly = zero()
     zslots = ("z010", "z110", "z210")
     for alpha in range(3):
@@ -117,8 +100,6 @@ def build_double_cover_potential(cap: int) -> RPotential:
                 continue
             zcoeff = Fraction(1, factorial(alpha) * factorial(beta) * factorial(gamma))
             # y-part solutions of q*1 + r*2 = budget; the y-weight is the budget
-            if budget > cap:
-                continue
             for r in range(budget // 2 + 1):
                 q = budget - 2 * r
                 coeff = Fraction(1, 2) * zcoeff \
@@ -126,12 +107,11 @@ def build_double_cover_potential(cap: int) -> RPotential:
                 exps = {"z010": alpha, "z110": beta, "z210": gamma,
                         "y020": q, "y210": r}
                 body = add(body, term(exps, coeff))
-    pot = RPotential("double_cover", body, cap, "y010", 2)
-    _check_quadratic(body, ("z010", "z110", "z210"), pot.kind)
+    _check_quadratic(body, zslots, "double_cover")
     bad = variables(body) - {"y020", "y210", *zslots}
     if bad:
         raise AssertionError(f"double-cover potential contains foreign variables {bad}")
-    return pot
+    return body
 
 
 def _y_solutions(entries: Dict[str, Tuple[int, int]],
@@ -148,9 +128,8 @@ def _y_solutions(entries: Dict[str, Tuple[int, int]],
         e1, e2 = entries[name]
         bounds = [rem[i] // e for i, e in enumerate((e1, e2)) if e > 0]
         for e in range(min(bounds) + 1):
+            # e is within every bound, so both remainders stay nonnegative
             nrem = (rem[0] - e * e1, rem[1] - e * e2)
-            if nrem[0] < 0 or nrem[1] < 0:
-                continue
             if e:
                 acc[name] = e
             yield from rec(idx + 1, nrem, acc)
@@ -159,15 +138,13 @@ def _y_solutions(entries: Dict[str, Tuple[int, int]],
     yield from rec(0, residual, {})
 
 
-def build_triple_cover_potential(cap: int) -> RPotential:
+def build_triple_cover_potential() -> Poly:
     """Terms of (1/3) prod exp(3 y_k) prod exp(w_l) quadratic in the w-slots
     whose subscript (first, second) entries sum to (2, 1) or (1, 2).
 
-    The exp(3 y001) divisor factor is recorded symbolically; the entry
-    budgets bound the y-part at weight 3, so the body is finite.
+    The exp(3 y001) divisor factor, TRIPLE_PREFACTOR, is left out; the
+    entry budgets bound the y-part at weight 3, so the body is finite.
     """
-    if cap < 0:
-        raise ValueError("weight cap must be nonnegative")
     body: Poly = zero()
     wnames = sorted(TRIPLE_W)
     for i, wu in enumerate(wnames):
@@ -180,9 +157,6 @@ def build_triple_cover_potential(cap: int) -> RPotential:
                 if residual[0] < 0 or residual[1] < 0:
                     continue
                 for sol in _y_solutions(TRIPLE_Y, residual):
-                    w = sum(WEIGHT[v] * e for v, e in sol.items())
-                    if w > cap:
-                        continue
                     coeff = Fraction(1, 3) * pair_coeff
                     for v, e in sol.items():
                         coeff *= Fraction(3 ** e, factorial(e))
@@ -190,12 +164,11 @@ def build_triple_cover_potential(cap: int) -> RPotential:
                     exps[wu] = exps.get(wu, 0) + 1
                     exps[wv] = exps.get(wv, 0) + 1
                     body = add(body, term(exps, coeff))
-    pot = RPotential("triple_cover", body, cap, "y001", 3)
-    _check_quadratic(body, tuple(wnames), pot.kind)
+    _check_quadratic(body, tuple(wnames), "triple_cover")
     bad = variables(body) - set(TRIPLE_Y) - set(TRIPLE_W)
     if bad:
         raise AssertionError(f"triple-cover potential contains foreign variables {bad}")
-    return pot
+    return body
 
 
 class GluingMatrix(_Frozen):
@@ -227,23 +200,22 @@ class GluingMatrix(_Frozen):
 
 
 @lru_cache(maxsize=None)
-def _gluing_inputs() -> Tuple[Dict[Tuple[str, str], Poly],
-                              Dict[Tuple[str, str], Poly], int]:
+def _gluing_inputs() -> Tuple[Dict[Tuple[str, str], Poly], Dict[Tuple[str, str], Poly]]:
     """What every gluing matrix is built from, whatever its cap: the second
     derivatives of the central (double-cover) potential in its slots, keyed
-    by central index pairs; those of the peripheral (triple-cover) potential,
-    keyed by slot-variable pairs; and the triple cover's divisor coefficient.
+    by central index pairs, and those of the peripheral (triple-cover)
+    potential, keyed by slot-variable pairs.
 
     Built once per process.  `build_gluing_matrix` only reads these dicts
     and returns new ones, so no caller can reach them.
     """
-    double = build_double_cover_potential(DOUBLE_MAX_WEIGHT)
-    triple = build_triple_cover_potential(TRIPLE_MAX_WEIGHT)
-    central = {(s, t): partial(partial(double.body, CENTRAL_SLOT[s]), CENTRAL_SLOT[t])
+    double = build_double_cover_potential()
+    triple = build_triple_cover_potential()
+    central = {(s, t): partial(partial(double, CENTRAL_SLOT[s]), CENTRAL_SLOT[t])
                for s in CENTRAL_INDICES for t in CENTRAL_INDICES}
     wnames = sorted(TRIPLE_W)
-    side = {(u, v): partial(partial(triple.body, u), v) for u in wnames for v in wnames}
-    return central, side, triple.divisor_coeff
+    side = {(u, v): partial(partial(triple, u), v) for u in wnames for v in wnames}
+    return central, side
 
 
 def build_gluing_matrix(cap: int) -> GluingMatrix:
@@ -254,7 +226,7 @@ def build_gluing_matrix(cap: int) -> GluingMatrix:
     """
     if cap < 2:
         raise ValueError("the recursion extracts weight-2 data; cap must be >= 2")
-    central, side, triple_coeff = _gluing_inputs()
+    central, side = _gluing_inputs()
 
     entries: Dict[Tuple[str, str], Poly] = {}
     for s in GLUABLE:
@@ -282,22 +254,12 @@ def build_gluing_matrix(cap: int) -> GluingMatrix:
             if acc:
                 entries[(s, t)] = acc
 
+    # one double cover and two triple covers are glued
     matrix = GluingMatrix(cap=cap, entries=entries,
-                          y010_exponent=2 * 1,
-                          y001_exponent=2 * triple_coeff)
+                          y010_exponent=DOUBLE_PREFACTOR[1],
+                          y001_exponent=2 * TRIPLE_PREFACTOR[1])
     _check_matrix(matrix)
     return matrix
-
-
-@lru_cache(maxsize=None)
-def _shared_gluing_matrix(cap: int) -> GluingMatrix:
-    """One matrix per cap and process, for the self-test's checks in `verify`.
-
-    Callers only read it; `build_gluing_matrix` returns a fresh one, whose
-    entries are new dicts summed for its own cap from the slot derivatives
-    of `_gluing_inputs`.
-    """
-    return build_gluing_matrix(cap)
 
 
 def _check_matrix(matrix: GluingMatrix) -> None:

@@ -41,9 +41,10 @@ A computed or cached table is an `InvariantTable`: an immutable plain class
 with `__slots__` (like the value types of `semple2.contact`, the ring
 elements of `semple2.chow` and the oracle types of `semple2.potentials` and
 `semple2.verify`, which share its private base), so that no subcommand
-imports `dataclasses`.  `DIVISOR_RULE` is the one statement of the divisor
-multipliers, read by the kernel, by `chow.divisor_pairing` and by the
-oracles.
+imports `dataclasses`.  A cache is read back only in the exact form that
+`table_to_json` writes, and then validated.  `DIVISOR_RULE` is the one
+statement of the divisor multipliers, read by the kernel, by
+`chow.divisor_pairing` and by the oracles.
 """
 
 from __future__ import annotations
@@ -62,23 +63,6 @@ INVARIANT_LABELS: Tuple[str, ...] = (
     "hd2.hd2", "hd2.hz", "hd2.hdz",
     "hz.hz", "hz.hdz", "hdz.hdz",
 )
-
-#: residual monomial (after stripping the 3d-3 forced point conditions)
-LABEL_MONOMIAL: Dict[str, Dict[str, int]] = {
-    "h2hd": {"y210": 1},
-    "h2z": {"y201": 1},
-    "hd2z": {"y021": 1},
-    "h2.h2": {"y200": 2},
-    "h2.hd2": {"y200": 1, "y020": 1},
-    "h2.hz": {"y200": 1, "y101": 1},
-    "h2.hdz": {"y200": 1, "y011": 1},
-    "hd2.hd2": {"y020": 2},
-    "hd2.hz": {"y020": 1, "y101": 1},
-    "hd2.hdz": {"y020": 1, "y011": 1},
-    "hz.hz": {"y101": 2},
-    "hz.hdz": {"y101": 1, "y011": 1},
-    "hdz.hdz": {"y011": 2},
-}
 
 #: identities between rows: first label is exactly three times the second
 RATIO_IDENTITIES: Tuple[Tuple[str, str], ...] = (
@@ -258,9 +242,26 @@ def table_to_json(table: InvariantTable) -> str:
     return json.dumps(data, indent=2)
 
 
+def _unique_keys(pairs: List[Tuple[str, object]]) -> Dict[str, object]:
+    """A JSON object as a dict, refusing a key that appears twice."""
+    obj: Dict[str, object] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise CacheError(f"cache repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def table_from_json(text: str) -> InvariantTable:
+    """Parse and validate a cache; accept only what `table_to_json` writes.
+
+    A degree key must read `str(d)` for an int d >= 1, and a value must be
+    the string `str(n)` of its int n, so that no other spelling (spaces,
+    underscores, leading zeros, other digit scripts, JSON numbers or
+    booleans) passes for an invariant; a key given twice is refused.
+    """
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise CacheError(f"cache is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -271,20 +272,27 @@ def table_from_json(text: str) -> InvariantTable:
             d = int(key)
         except ValueError as exc:
             raise CacheError(f"bad degree key {key!r}") from exc
+        if str(d) != key:
+            raise CacheError(f"bad degree key {key!r}")
         if d < 1 or not isinstance(column, dict):
             raise CacheError(f"bad entry for degree {key!r}")
         parsed = {}
         for label, text_value in column.items():
             if label not in INVARIANT_LABELS:
                 raise CacheError(f"unknown invariant label {label!r}")
+            if not isinstance(text_value, str):
+                raise CacheError(f"bad integer for {label} at degree {d}")
             try:
-                parsed[label] = int(text_value)
-            except (TypeError, ValueError) as exc:
+                n = int(text_value)
+            except ValueError as exc:
                 # int() refuses a well-formed integer only past the digit limit
-                if isinstance(text_value, str) and text_value.removeprefix("-").isdecimal():
+                if text_value.removeprefix("-").isdecimal():
                     raise CacheError(f"{label} at degree {d} has more digits than the "
                                      f"interpreter's int/str conversion limit: {exc}") from exc
                 raise CacheError(f"bad integer for {label} at degree {d}") from exc
+            if str(n) != text_value:
+                raise CacheError(f"bad integer for {label} at degree {d}")
+            parsed[label] = n
         values[d] = parsed
     validate_table(values)
     return InvariantTable(values)

@@ -12,7 +12,7 @@ beyond the polynomial substrate and the label tables:
 * a brute-force series expander for the two cover potentials, which
   multiplies out truncated exponential factors and then filters monomials
   by the subscript constraints, term-for-term comparable with the
-  optimized constructions;
+  builders' finite bodies;
 
 * the stencil compiler (`derive_stencil`), which derives the 149 integer
   weights from the gluing matrix, and the kernel generator
@@ -27,13 +27,14 @@ beyond the polynomial substrate and the label tables:
   run it.
 
 run_selftest wires these and the golden reference tables into a single
-machine-readable report list.  The reference integers are test fixtures,
-never inputs to any computation.
+machine-readable report list; each call builds the cap-2 gluing matrix
+once for the two checks that read it.  The reference integers are test
+fixtures, never inputs to any computation.
 
-`TailPolynomial` and `OracleReport`, like the gluing matrix and the cover
-potentials of `semple2.potentials`, are immutable plain classes with
-`__slots__` on the base of the query types, so that the self-test loads
-neither `dataclasses` nor, through it, `inspect`.
+`TailPolynomial` and `OracleReport`, like the gluing matrix of
+`semple2.potentials`, are immutable plain classes with `__slots__` on the
+base of the query types, so that the self-test loads neither
+`dataclasses` nor, through it, `inspect`.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from typing import Dict, List, Optional, Tuple
 from . import chow
 from .poly import (
     Poly,
-    WEIGHT,
     add,
     add_scaled,
     coefficient,
@@ -70,14 +70,12 @@ from .potentials import (
     TRIPLE_W,
     TRIPLE_Y,
     GluingMatrix,
-    _shared_gluing_matrix,
     build_gluing_matrix,
 )
 from .recursion import (
     CacheError,
     DIVISOR_RULE,
     INVARIANT_LABELS,
-    LABEL_MONOMIAL,
     InvariantTable,
     _Frozen,
     compute_up_to,
@@ -115,6 +113,17 @@ TABLE2_REFERENCE: Dict[int, Tuple[int, int, int]] = {
     6: (64150200, 39900528, 13300176),
 }
 
+
+#: the reduced variable that each class of the labels inserts
+CLASS_VAR = {"h2": "y200", "hd2": "y020", "hz": "y101", "hdz": "y011",
+             "h2hd": "y210", "h2z": "y201", "hd2z": "y021"}
+
+#: residual monomial of each label (after stripping the 3d-3 forced point
+#: conditions): the product of the variables of its "."-separated classes
+LABEL_MONOMIAL: Dict[str, Dict[str, int]] = {
+    label: dict(Counter(CLASS_VAR[c] for c in label.split(".")))
+    for label in INVARIANT_LABELS
+}
 
 #: b! of each residual monomial: the invariant over its tail coefficient
 LABEL_FACTORIAL: Dict[str, int] = {
@@ -488,7 +497,7 @@ def _exp_factor(name: str, coeff: int, order: int) -> Poly:
     return out
 
 
-def _prune(p: Poly, gluing: Tuple[str, ...], budgets, cap: int) -> Poly:
+def _prune(p: Poly, gluing: Tuple[str, ...], budgets) -> Poly:
     """Drop monomials that already exceed a monotone constraint bound."""
     out: Poly = {}
     for m, c in p.items():
@@ -497,20 +506,16 @@ def _prune(p: Poly, gluing: Tuple[str, ...], budgets, cap: int) -> Poly:
         if any(sum(table.get(v, 0) * e for v, e in m) > limit
                for table, limit in budgets):
             continue
-        if sum(WEIGHT[v] * e for v, e in m) > cap:
-            continue
         out[m] = c
     return out
 
 
-def expand_cover_series(kind: str, cap: int) -> Poly:
+def expand_cover_series(kind: str) -> Poly:
     """Brute-force expansion of a cover potential: multiply exponential
     series, then keep exactly the constrained terms.
 
     Must agree term-for-term with the optimized builders.
     """
-    if cap < 0:
-        raise ValueError("weight cap must be nonnegative")
     if kind == "double_cover":
         gluing = ("z010", "z110", "z210")
         factors = [("y020", 2), ("y210", 2), ("z010", 1), ("z110", 1), ("z210", 1)]
@@ -538,7 +543,7 @@ def expand_cover_series(kind: str, cap: int) -> Poly:
 
     series: Poly = {(): prefactor}
     for name, coeff in factors:
-        series = _prune(mul(series, _exp_factor(name, coeff, 4)), gluing, budgets, cap)
+        series = _prune(mul(series, _exp_factor(name, coeff, 4)), gluing, budgets)
     return {m: c for m, c in series.items() if keep(m)}
 
 
@@ -632,9 +637,8 @@ def _check_table2(table: InvariantTable, dmax: int) -> OracleReport:
                    "reference coefficient rows")
 
 
-def _check_cap_independence() -> OracleReport:
-    m2 = _shared_gluing_matrix(2)
-    m3 = _shared_gluing_matrix(3)
+def _check_cap_independence(m2: GluingMatrix) -> OracleReport:
+    m3 = build_gluing_matrix(3)
     bad = []
     for s in GLUABLE:
         for t in GLUABLE:
@@ -646,12 +650,12 @@ def _check_cap_independence() -> OracleReport:
                    "caps 2 and 3 agree at weight <= 2")
 
 
-def _check_stencil() -> OracleReport:
+def _check_stencil(m2: GluingMatrix) -> OracleReport:
     """The shipped kernel must equal the one generated from the stencil that
-    is derived from the gluing matrix."""
+    is derived from the cap-2 gluing matrix."""
     expected = "the shipped _kernel.py equals the text generated from the derived stencil"
     try:
-        derived = kernel_source(derive_stencil(_shared_gluing_matrix(2)))
+        derived = kernel_source(derive_stencil(m2))
     except ArithmeticError as exc:
         return _report("stencil-derivation", [str(exc)], "-", expected)
     with open(_KERNEL_PATH, encoding="utf-8") as handle:
@@ -684,6 +688,7 @@ def run_selftest(dmax: int, cache_path: str | None = None) -> List[OracleReport]
     if dmax < 1:
         raise ValueError("dmax must be at least 1")
     table = compute_up_to(dmax)
+    m2 = build_gluing_matrix(2)
     reports = [
         _check_pairing(),
         _check_relations(),
@@ -692,8 +697,8 @@ def run_selftest(dmax: int, cache_path: str | None = None) -> List[OracleReport]
         _check_ratios(table, dmax),
         _check_kontsevich(table, dmax),
         _check_table2(table, dmax),
-        _check_cap_independence(),
-        _check_stencil(),
+        _check_cap_independence(m2),
+        _check_stencil(m2),
     ]
     if cache_path is not None:
         reports.append(_check_cache(cache_path, table, dmax))

@@ -126,6 +126,40 @@ def test_tiny_hostile_cache_fails_count_at_once(tmp_path, capsys, monkeypatch):
     assert "13 labels" in err
 
 
+def test_a_cache_value_semple2_never_writes_fails_count(tmp_path, capsys):
+    path = str(tmp_path / "cache.json")
+    assert run(capsys, "table", "--max-degree", "6", "--cache", path)[0] == 0
+    with open(path) as handle:
+        data = json.load(handle)
+    data["4"]["h2hd"] = "4_28"
+    with open(path, "w") as handle:
+        json.dump(data, handle, indent=2)
+    code, out, err = run(capsys, "count", "--degree", "4", "--points", "11",
+                         "--cache", path)
+    assert (code, out) == (4, "")
+    assert "bad integer for h2hd at degree 4" in err
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["contact", "--degree", "30", "--plucker", "3,0,0", "--c", "2"], 2),
+    (["count", "--degree", "30", "--points", "5"], 2),
+    (["count", "--degree", "30", "--points", "-1"], 2),
+    (["count", "--degree", "30", "--points", "85",
+      "--osculate", "2,2,0", "--osculate", "2,2,0"], 3),
+])
+def test_a_refused_request_computes_nothing_and_writes_no_cache(
+        tmp_path, capsys, monkeypatch, argv, status):
+    def refuse(d, columns):
+        raise AssertionError(f"degree {d} computed")
+
+    monkeypatch.setattr(recursion, "recursion_rhs", refuse)
+    path = tmp_path / "cache.json"
+    code, out, err = run(capsys, *argv, "--cache", str(path))
+    assert (code, out) == (status, "")
+    assert err.startswith("error: ")
+    assert not path.exists()
+
+
 def test_missing_cache_directory_is_a_cache_error(tmp_path, capsys):
     path = tmp_path / "no" / "such" / "dir" / "cache.json"
     code, out, err = run(capsys, "table", "--max-degree", "3", "--cache", str(path))

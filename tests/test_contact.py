@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -10,8 +12,10 @@ from semple2.contact import (
     contact_formula,
     contact_number,
     mixed_count,
+    _combo_label,
     plucker_class,
 )
+from semple2.verify import LABEL_MONOMIAL as ORACLE_LABEL_MONOMIAL
 
 SMOOTH_CONIC = CurveInvariants(2, 2, 0)
 CUSPIDAL_CUBIC = CurveInvariants(3, 3, 1)
@@ -143,3 +147,52 @@ def test_line_warning_points_at_the_caller():
     with pytest.warns(UserWarning) as caught:
         CurveInvariants(1, 0, 0)
     assert caught[0].filename == __file__
+
+
+#: the residual monomial of each label, after the 3d-3 forced point slots
+LABEL_MONOMIAL = {
+    "h2hd": {"y210": 1},
+    "h2z": {"y201": 1},
+    "hd2z": {"y021": 1},
+    "h2.h2": {"y200": 2},
+    "h2.hd2": {"y200": 1, "y020": 1},
+    "h2.hz": {"y200": 1, "y101": 1},
+    "h2.hdz": {"y200": 1, "y011": 1},
+    "hd2.hd2": {"y020": 2},
+    "hd2.hz": {"y020": 1, "y101": 1},
+    "hd2.hdz": {"y020": 1, "y011": 1},
+    "hz.hz": {"y101": 2},
+    "hz.hdz": {"y101": 1, "y011": 1},
+    "hdz.hdz": {"y011": 2},
+}
+
+#: the reduced variable of each class a tangency or triple contact inserts
+CLASS_VAR = {"h2": "y200", "hd2": "y020", "h2hd": "y210", "h2z": "y201", "hd2z": "y021"}
+
+
+def test_the_oracles_read_the_written_label_monomials():
+    assert ORACLE_LABEL_MONOMIAL == LABEL_MONOMIAL
+    assert list(ORACLE_LABEL_MONOMIAL) == list(LABEL_MONOMIAL)
+
+
+def _label_by_monomial(points, classes, d):
+    """The label whose residual monomial carries the classes and the spare points."""
+    spare = points - (3 * d - 3)
+    if spare < 0:
+        return None
+    exps = Counter(CLASS_VAR[c] for c in classes)
+    exps["y200"] += spare
+    wanted = {v: e for v, e in exps.items() if e}
+    return next((lbl for lbl, mono in LABEL_MONOMIAL.items() if mono == wanted), None)
+
+
+def test_labels_by_name_match_labels_by_monomial():
+    cases = 0
+    for d in range(1, 8):
+        for points in range(3 * d + 3):
+            for n in range(4):
+                for classes in product(CLASS_VAR, repeat=n):
+                    assert _combo_label(points, classes, d) == \
+                        _label_by_monomial(points, classes, d), (points, classes, d)
+                    cases += 1
+    assert cases == 16380

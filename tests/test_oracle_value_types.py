@@ -1,7 +1,7 @@
-"""Value semantics of the four immutable types of the self-test's oracles.
+"""Value semantics of the three immutable types of the self-test's oracles.
 
-`potentials.GluingMatrix`, `potentials.RPotential`, `verify.TailPolynomial`
-and `verify.OracleReport` are plain classes with `__slots__`, not
+`potentials.GluingMatrix`, `verify.TailPolynomial` and
+`verify.OracleReport` are plain classes with `__slots__`, not
 dataclasses; these tests pin what they keep from the frozen dataclasses
 they replaced: `==` by fields within one class, `hash` by fields (or none,
 for a type holding a dict), the same reprs, the constructors' signatures,
@@ -14,12 +14,11 @@ from fractions import Fraction
 import pytest
 
 from semple2.poly import monomial
-from semple2.potentials import GluingMatrix, RPotential, build_double_cover_potential
+from semple2.potentials import GluingMatrix
 from semple2.verify import OracleReport, TailPolynomial, seed_degree1
 
 ENTRIES = {("100", "100"): {(): Fraction(1)}}
 MATRIX = GluingMatrix(2, ENTRIES)
-POTENTIAL = build_double_cover_potential(2)
 TAIL = seed_degree1()
 REPORT = OracleReport("demo", False, "1", "2", "1..1")
 
@@ -27,8 +26,6 @@ REPORT = OracleReport("demo", False, "1", "2", "1..1")
 CASES = {
     "matrix": (MATRIX, GluingMatrix(2, dict(ENTRIES), 2, 6),
                GluingMatrix(2, ENTRIES, y001_exponent=5), "entries"),
-    "potential": (POTENTIAL, build_double_cover_potential(2),
-                  RPotential("double_cover", POTENTIAL.body, 3, "y010", 2), "body"),
     "tail": (TAIL, TailPolynomial(1, dict(TAIL.poly)), TailPolynomial(1, {}), "poly"),
     "report": (REPORT, OracleReport("demo", False, "1", "2", "1..1"),
                OracleReport("demo", True, "1", "2", "1..1"), "passed"),
@@ -48,7 +45,7 @@ def test_a_report_hashes_by_its_fields():
     assert hash(REPORT) == hash(same) and len({REPORT, same}) == 1
 
 
-@pytest.mark.parametrize("name", ["matrix", "potential", "tail"])
+@pytest.mark.parametrize("name", ["matrix", "tail"])
 def test_a_type_holding_a_dict_is_unhashable(name):
     with pytest.raises(TypeError, match="unhashable type: 'dict'"):
         hash(CASES[name][0])
@@ -60,8 +57,6 @@ def test_reprs_match_the_dataclass_reprs():
     assert repr(REPORT) == ("OracleReport(name='demo', passed=False, expected='1', "
                             "actual='2', degrees='1..1')")
     assert repr(TAIL) == f"TailPolynomial(degree=1, poly={TAIL.poly!r})"
-    assert repr(POTENTIAL) == (f"RPotential(kind='double_cover', body={POTENTIAL.body!r}, "
-                               "cap=2, divisor_var='y010', divisor_coeff=2)")
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -90,8 +85,6 @@ def test_the_constructors_keep_their_signatures_and_defaults():
     assert TailPolynomial(degree=1, poly=TAIL.poly) == TAIL
     assert OracleReport(name="demo", passed=False, expected="1", actual="2",
                         degrees="1..1") == REPORT
-    assert RPotential(kind="double_cover", body=POTENTIAL.body, cap=2,
-                      divisor_var="y010", divisor_coeff=2) == POTENTIAL
 
 
 @pytest.mark.parametrize("degree, poly, error, message", [

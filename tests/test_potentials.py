@@ -7,11 +7,14 @@ from semple2 import potentials
 from semple2.poly import (
     monomial,
     monomial_degree_in,
+    monomial_weight,
     truncate_weight,
     variables,
 )
 from semple2.potentials import (
+    DOUBLE_PREFACTOR,
     GLUABLE,
+    TRIPLE_PREFACTOR,
     build_double_cover_potential,
     build_gluing_matrix,
     build_triple_cover_potential,
@@ -24,7 +27,7 @@ W_VARS = ("w001", "w101", "w201", "w011", "w021", "w211")
 
 def test_double_cover_gluing_constant_part():
     # frozen from the brute-force expansion: (1/2) z010 z210 + (1/4) z110^2
-    body = build_double_cover_potential(0).body
+    body = truncate_weight(build_double_cover_potential(), 0)
     assert body == {
         monomial({"z010": 1, "z210": 1}): Fraction(1, 2),
         monomial({"z110": 2}): Fraction(1, 4),
@@ -32,7 +35,7 @@ def test_double_cover_gluing_constant_part():
 
 
 def test_double_cover_weight_one_terms():
-    body = build_double_cover_potential(2).body
+    body = build_double_cover_potential()
     # the single weight-1 term allowed by the subscript budget
     assert body[monomial({"y020": 1, "z010": 1, "z110": 1})] == 1
     # first-entry sums 4 are impossible
@@ -41,12 +44,13 @@ def test_double_cover_weight_one_terms():
 
 
 def test_double_cover_alphabet():
-    body = build_double_cover_potential(2).body
+    body = build_double_cover_potential()
     assert variables(body) <= {"y020", "y210", *Z_VARS}
+    assert max(monomial_weight(m) for m in body) == 2
 
 
 def test_triple_cover_gluing_constant_part():
-    body = build_triple_cover_potential(0).body
+    body = truncate_weight(build_triple_cover_potential(), 0)
     assert body == {
         monomial({"w201": 1, "w011": 1}): Fraction(1, 3),
         monomial({"w001": 1, "w211": 1}): Fraction(1, 3),
@@ -55,38 +59,34 @@ def test_triple_cover_gluing_constant_part():
 
 
 def test_triple_cover_selected_coefficients():
-    body = build_triple_cover_potential(3).body
+    body = build_triple_cover_potential()
     assert body[monomial({"y011": 1, "w101": 2})] == Fraction(1, 2)
     assert monomial({"w001": 2}) not in body
 
 
 def test_triple_cover_alphabet():
-    body = build_triple_cover_potential(3).body
+    body = build_triple_cover_potential()
     assert variables(body) <= {"y101", "y201", "y011", "y021", "y211", *W_VARS}
+    assert max(monomial_weight(m) for m in body) == 3
 
 
 def test_potentials_quadratic_in_gluing_slots():
-    for pot, gluing in (
-        (build_double_cover_potential(2), Z_VARS),
-        (build_triple_cover_potential(3), W_VARS),
+    for body, gluing in (
+        (build_double_cover_potential(), Z_VARS),
+        (build_triple_cover_potential(), W_VARS),
     ):
-        for m in pot.body:
+        for m in body:
             assert monomial_degree_in(m, gluing) == 2
 
 
 def test_builders_equal_brute_force_series():
-    for cap in range(4):
-        assert build_double_cover_potential(cap).body == \
-            expand_cover_series("double_cover", cap)
-        assert build_triple_cover_potential(cap).body == \
-            expand_cover_series("triple_cover", cap)
+    assert build_double_cover_potential() == expand_cover_series("double_cover")
+    assert build_triple_cover_potential() == expand_cover_series("triple_cover")
 
 
 def test_divisor_prefactors_recorded_symbolically():
-    assert (build_double_cover_potential(2).divisor_var,
-            build_double_cover_potential(2).divisor_coeff) == ("y010", 2)
-    assert (build_triple_cover_potential(3).divisor_var,
-            build_triple_cover_potential(3).divisor_coeff) == ("y001", 3)
+    assert DOUBLE_PREFACTOR == ("y010", 2)
+    assert TRIPLE_PREFACTOR == ("y001", 3)
 
 
 def test_matrix_rejects_small_cap():

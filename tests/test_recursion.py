@@ -183,6 +183,52 @@ def test_cache_save_is_loadable(tmp_path, table8):
     assert load_table(path).values == table8.values
 
 
+def _value(d, label, value):
+    def mutate(data):
+        data[str(d)][label] = value
+        return json.dumps(data)
+    return mutate
+
+
+def _key(key):
+    def mutate(data):
+        data[key] = data.pop("2")
+        return json.dumps(data)
+    return mutate
+
+
+def _repeated_key(data):
+    return json.dumps(data)[:-1] + ', "2": ' + json.dumps(data["2"]) + "}"
+
+
+#: spellings of a degree-6 cache that `table_to_json` never writes, each of
+#: which an integer parse alone would read as the written value
+FOREIGN_SPELLINGS = {
+    "true for 1": _value(2, "h2hd", True),
+    "float 1.9 for 1": _value(2, "h2hd", 1.9),
+    "float 428.7": _value(4, "h2hd", 428.7),
+    "padded value": _value(4, "h2hd", " 428 "),
+    "underscored value": _value(4, "h2hd", "4_28"),
+    "full-width digits": _value(4, "h2hd", "\uff14\uff12\uff18"),
+    "padded key": _key(" 2"),
+    "underscored key": _key("0_2"),
+    "zero-led key": _key("02"),
+    "repeated key": _repeated_key,
+}
+
+
+def test_a_cache_written_by_semple2_loads():
+    table = compute_up_to(6)
+    assert table_from_json(table_to_json(table)) == table
+
+
+@pytest.mark.parametrize("name", FOREIGN_SPELLINGS)
+def test_the_cache_reader_accepts_only_what_the_writer_writes(name):
+    text = FOREIGN_SPELLINGS[name](json.loads(table_to_json(compute_up_to(6))))
+    with pytest.raises(CacheError):
+        table_from_json(text)
+
+
 def test_stencil_matches_the_fraction_recursion_through_degree20():
     assert compute_up_to(20) == reference_table(20)
 

@@ -37,7 +37,7 @@ def test_reference_tables_are_consistent():
 
 def test_expander_unknown_kind():
     with pytest.raises(ValueError):
-        expand_cover_series("septuple_cover", 2)
+        expand_cover_series("septuple_cover")
 
 
 def test_selftest_all_pass():
@@ -101,8 +101,8 @@ def test_a_broken_ring_table_is_caught_in_verify(monkeypatch, key, check):
     assert not report.passed and report.actual != "no mismatches"
 
 
-def test_a_changed_stencil_weight_fails_the_derivation_check(monkeypatch, tmp_path):
-    assert verify._check_stencil().passed
+def test_a_changed_stencil_weight_fails_the_derivation_check(monkeypatch, tmp_path, matrix2):
+    assert verify._check_stencil(matrix2).passed
     with open(verify._KERNEL_PATH, encoding="utf-8") as handle:
         lines = handle.read().splitlines(keepends=True)
     n = next(k for k, line in enumerate(lines, 1) if line.startswith("        o0 += "))
@@ -113,19 +113,19 @@ def test_a_changed_stencil_weight_fails_the_derivation_check(monkeypatch, tmp_pa
     copy = tmp_path / "_kernel.py"
     copy.write_text("".join(lines), encoding="utf-8")
     monkeypatch.setattr(verify, "_KERNEL_PATH", str(copy))
-    report = verify._check_stencil()
+    report = verify._check_stencil(matrix2)
     assert not report.passed
     assert report.actual == f"line {n}: {changed.rstrip()!r} generated {shipped.rstrip()!r}"
 
 
-def test_a_kernel_without_its_final_newline_fails_the_derivation_check(monkeypatch, tmp_path):
+def test_a_kernel_without_its_final_newline_fails_the_derivation_check(monkeypatch, tmp_path, matrix2):
     with open(verify._KERNEL_PATH, encoding="utf-8") as handle:
         text = handle.read()
     copy = tmp_path / "_kernel.py"
     copy.write_text(text.removesuffix("\n"), encoding="utf-8")
     monkeypatch.setattr(verify, "_KERNEL_PATH", str(copy))
     last = text.count("\n") + 1
-    assert verify._check_stencil().actual == f"line {last}: '(end of file)' generated ''"
+    assert verify._check_stencil(matrix2).actual == f"line {last}: '(end of file)' generated ''"
 
 
 @pytest.mark.parametrize("key", [key for key, row in chow._MULT.items() if any(row)])
@@ -165,7 +165,6 @@ def test_the_selftest_multiplies_polynomials_314_times(monkeypatch):
     # both modules bind poly.mul at import; no other module multiplies
     monkeypatch.setattr(potentials, "mul", counted)
     monkeypatch.setattr(verify, "mul", counted)
-    potentials._shared_gluing_matrix.cache_clear()
     assert all(r.passed for r in run_selftest(8))
     assert len(calls) == 80 + 80 + 154 < 436
 
@@ -178,3 +177,42 @@ def test_a_wrong_point_count_is_reported_with_both_values(table8):
         "name": "kontsevich-oracle", "status": "fail",
         "expected": "point-condition row equals the classical recursion",
         "actual": "d=5: 87305 expected 87304", "degrees": "1..8"}
+
+
+#: the report of `run_selftest(8)` with a valid degree-8 cache; without a
+#: cache it is the same list less the last entry
+SELFTEST8_REPORT = [
+    {"name": "dual-pairing-matrix", "status": "pass",
+     "expected": "144 Kronecker pairings", "actual": "no mismatches", "degrees": "-"},
+    {"name": "ring-relations", "status": "pass",
+     "expected": "i^2 = 3(h-hd)i, i*z = 0, 1 a unit, commuting basis products",
+     "actual": "no mismatches", "degrees": "-"},
+    {"name": "degree1-seed", "status": "pass",
+     "expected": "the 13 printed degree-1 values", "actual": "no mismatches", "degrees": "1"},
+    {"name": "invariant-table", "status": "pass",
+     "expected": "78 reference integers", "actual": "no mismatches", "degrees": "1..6"},
+    {"name": "ratio-identities", "status": "pass",
+     "expected": "five 3:1 row identities per degree", "actual": "no mismatches",
+     "degrees": "1..8"},
+    {"name": "kontsevich-oracle", "status": "pass",
+     "expected": "point-condition row equals the classical recursion",
+     "actual": "no mismatches", "degrees": "1..8"},
+    {"name": "contact-coefficients", "status": "pass",
+     "expected": "reference coefficient rows", "actual": "no mismatches", "degrees": "1..6"},
+    {"name": "gluing-cap-independence", "status": "pass",
+     "expected": "caps 2 and 3 agree at weight <= 2", "actual": "no mismatches",
+     "degrees": "-"},
+    {"name": "stencil-derivation", "status": "pass",
+     "expected": "the shipped _kernel.py equals the text generated from the derived stencil",
+     "actual": "no mismatches", "degrees": "-"},
+    {"name": "cache-validation", "status": "pass",
+     "expected": "a valid cache file equal to the computed table",
+     "actual": "no mismatches", "degrees": "1..8"},
+]
+
+
+def test_the_selftest_report_is_pinned(tmp_path, table8):
+    path = str(tmp_path / "cache.json")
+    save_table(table8, path)
+    assert [r.to_dict() for r in run_selftest(8)] == SELFTEST8_REPORT[:-1]
+    assert [r.to_dict() for r in run_selftest(8, cache_path=path)] == SELFTEST8_REPORT
