@@ -141,7 +141,7 @@ def _build_mult_table() -> Dict[Tuple[str, str], Tuple[int, ...]]:
 
 
 #: z-basis products as rows of 12 ints, as the reduction only rewrites with
-#: integer coefficients; `mul_classes` looks the rows up at call time
+#: integer coefficients; `mul_classes` and `to_i_basis` read them at call time
 _MULT = _build_mult_table()
 
 
@@ -270,9 +270,12 @@ def to_i_basis(a: ChowClass) -> Tuple[Fraction, ...]:
     """Coordinates in the i-basis, ordered as I_BASIS_ORDER.
 
     The z-basis and the i-basis are dual, so the coordinate of i_l is the
-    integral of z_{DUAL[l]} * a.
+    integral of z_{DUAL[l]} * a: the sum, over the nonzero coordinates c_k
+    of a, of c_k times the top structure constant of z_{DUAL[l]} * z_k.
     """
-    return tuple(integrate(mul_classes(ChowClass.basis(DUAL[l]), a))
+    top = _LABEL_INDEX["211"]
+    terms = [(k, c) for k, c in zip(LABELS, a.coords) if c]
+    return tuple(sum((c * _MULT[DUAL[l], k][top] for k, c in terms), _ZERO)
                  for l in I_BASIS_ORDER)
 
 

@@ -20,32 +20,34 @@ prefactors are stated once, as DOUBLE_PREFACTOR and TRIPLE_PREFACTOR.
 
 Gluing the two potentials through their slots, with dual basis indices
 paired, produces the 12 x 12 matrix of second gluing derivatives that
-drives the degree recursion.  The matrix carries the combined divisor
-prefactor exp(2*y010 + 6*y001) as a pair of integers; it cancels exactly
-against the divisor exponentials of the recursion and is never expanded.
+drives the degree recursion, as a plain dict of its nonzero entries keyed
+by index pair.  Each build takes the slot second derivatives of freshly
+built potentials in one pass over their bodies.  The combined divisor
+prefactor exp(2*y010 + 6*y001), DOUBLE_PREFACTOR once and TRIPLE_PREFACTOR
+twice, is split off: it cancels exactly against the divisor exponentials
+of the recursion and is never expanded.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from typing import Dict, Iterator, Tuple
 
 from .chow import DUAL, LABELS
 from .poly import (
+    GLUING_W_VARS,
+    GLUING_Z_VARS,
     Poly,
     REDUCED_VARS,
     add,
     add_scaled,
     mul,
-    partial,
     term,
     truncate_weight,
     variables,
     zero,
 )
-from .recursion import _Frozen
 
 #: subscript first entries of the double-cover alphabet (y020 enters as the
 #: mixed slot with subscript 110; its second entry is 1 like every factor,
@@ -171,64 +173,43 @@ def build_triple_cover_potential() -> Poly:
     return body
 
 
-class GluingMatrix(_Frozen):
-    """Second gluing derivatives of the three-twig tail potential.
+#: the gluing matrix: its nonzero entries, keyed by index pair (s, t)
+MatrixEntries = Dict[Tuple[str, str], Poly]
 
-    entry(s, t) is the polynomial obtained by differentiating the glued
-    potential in the two remaining triple-cover slots dual to s and t,
-    with the divisor prefactor exp(y010_exponent * y010 +
-    y001_exponent * y001) split off symbolically.  Entries are symmetric,
-    contain no gluing or divisor variables and no y200, vanish unless both
-    duals carry an i-factor, and are truncated at the stored weight cap.
-    Immutable but unhashable, since the entries are a dict; the repr leaves
-    them out.
+
+def _slot_hessian(body: Poly, slots: Tuple[str, ...]) -> Dict[Tuple[str, str], Poly]:
+    """The second derivatives of a body quadratic in `slots`, keyed by
+    ordered slot pair; a pair whose derivative vanishes has no key.
+
+    A term c*r*u*v, with r free of slots, is c*r in the (u, v) and (v, u)
+    derivatives, and a term c*r*u^2 is 2c*r in the (u, u) one, so one pass
+    over the body files every term, in the body's order.
     """
-
-    __slots__ = __match_args__ = ("cap", "entries", "y010_exponent", "y001_exponent")
-
-    def __init__(self, cap: int, entries: Dict[Tuple[str, str], Poly],
-                 y010_exponent: int = 2, y001_exponent: int = 6):
-        self._assign(cap, entries, y010_exponent, y001_exponent)
-
-    def __repr__(self) -> str:
-        return (f"{self.__class__.__qualname__}(cap={self.cap!r}, "
-                f"y010_exponent={self.y010_exponent!r}, "
-                f"y001_exponent={self.y001_exponent!r})")
-
-    def entry(self, s: str, t: str) -> Poly:
-        return self.entries.get((s, t), {})
+    out: Dict[Tuple[str, str], Poly] = {}
+    for m, c in body.items():
+        rest = tuple((name, e) for name, e in m if name not in slots)
+        u, v = (name for name, e in m if name in slots for _ in range(e))
+        for key in ((u, v), (v, u)):
+            out.setdefault(key, {})[rest] = 2 * c if u == v else c
+    return out
 
 
-@lru_cache(maxsize=None)
-def _gluing_inputs() -> Tuple[Dict[Tuple[str, str], Poly], Dict[Tuple[str, str], Poly]]:
-    """What every gluing matrix is built from, whatever its cap: the second
-    derivatives of the central (double-cover) potential in its slots, keyed
-    by central index pairs, and those of the peripheral (triple-cover)
-    potential, keyed by slot-variable pairs.
-
-    Built once per process.  `build_gluing_matrix` only reads these dicts
-    and returns new ones, so no caller can reach them.
-    """
-    double = build_double_cover_potential()
-    triple = build_triple_cover_potential()
-    central = {(s, t): partial(partial(double, CENTRAL_SLOT[s]), CENTRAL_SLOT[t])
-               for s in CENTRAL_INDICES for t in CENTRAL_INDICES}
-    wnames = sorted(TRIPLE_W)
-    side = {(u, v): partial(partial(triple, u), v) for u in wnames for v in wnames}
-    return central, side
-
-
-def build_gluing_matrix(cap: int) -> GluingMatrix:
+def build_gluing_matrix(cap: int) -> MatrixEntries:
     """Glue the two cover potentials through dual slots into the 12x12 matrix.
 
-    Each call sums the products afresh and truncates the sum at `cap`; only
-    the potentials' slot derivatives are shared between calls.
+    Entry (s, t) is the polynomial obtained by differentiating the glued
+    potential in the two remaining triple-cover slots dual to s and t, with
+    the divisor prefactor split off.  Entries are symmetric, contain no
+    gluing or divisor variables and no y200, vanish unless both duals carry
+    an i-factor, and are truncated at `cap`.  Only the nonzero entries have
+    a key, and every call builds its inputs and its entries afresh.
     """
     if cap < 2:
         raise ValueError("the recursion extracts weight-2 data; cap must be >= 2")
-    central, side = _gluing_inputs()
+    central = _slot_hessian(build_double_cover_potential(), GLUING_Z_VARS)
+    side = _slot_hessian(build_triple_cover_potential(), GLUING_W_VARS)
 
-    entries: Dict[Tuple[str, str], Poly] = {}
+    entries: MatrixEntries = {}
     for s in GLUABLE:
         ws = "w" + DUAL[s]
         # the products left * mid do not depend on t: one per (s2, t2)
@@ -237,14 +218,14 @@ def build_gluing_matrix(cap: int) -> GluingMatrix:
             wt = "w" + DUAL[t]
             acc: Poly = zero()
             for s2 in CENTRAL_INDICES:
-                left = side[("w" + DUAL[s2], ws)]
+                left = side.get(("w" + DUAL[s2], ws))
                 if not left:
                     continue
                 for t2 in CENTRAL_INDICES:
-                    mid = central[(s2, t2)]
+                    mid = central.get((CENTRAL_SLOT[s2], CENTRAL_SLOT[t2]))
                     if not mid:
                         continue
-                    right = side[("w" + DUAL[t2], wt)]
+                    right = side.get(("w" + DUAL[t2], wt))
                     if not right:
                         continue
                     if (s2, t2) not in left_mid:
@@ -253,24 +234,17 @@ def build_gluing_matrix(cap: int) -> GluingMatrix:
             acc = truncate_weight(acc, cap)
             if acc:
                 entries[(s, t)] = acc
-
-    # one double cover and two triple covers are glued
-    matrix = GluingMatrix(cap=cap, entries=entries,
-                          y010_exponent=DOUBLE_PREFACTOR[1],
-                          y001_exponent=2 * TRIPLE_PREFACTOR[1])
-    _check_matrix(matrix)
-    return matrix
+    _check_matrix(entries)
+    return entries
 
 
-def _check_matrix(matrix: GluingMatrix) -> None:
+def _check_matrix(entries: MatrixEntries) -> None:
     allowed = set(REDUCED_VARS) - {"y200"}
-    for (s, t), p in matrix.entries.items():
+    for (s, t), p in entries.items():
         if s not in GLUABLE or t not in GLUABLE:
             raise AssertionError(f"nonzero entry at ungluable index pair ({s},{t})")
-        if matrix.entry(t, s) != p:
+        if entries.get((t, s)) != p:
             raise AssertionError(f"gluing matrix not symmetric at ({s},{t})")
         bad = variables(p) - allowed
         if bad:
             raise AssertionError(f"entry ({s},{t}) contains forbidden variables {bad}")
-    if matrix.y010_exponent != 2 or matrix.y001_exponent != 6:
-        raise AssertionError("divisor prefactor must be exp(2*y010 + 6*y001)")

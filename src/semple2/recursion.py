@@ -285,8 +285,9 @@ def table_from_json(text: str) -> InvariantTable:
             try:
                 n = int(text_value)
             except ValueError as exc:
-                # int() refuses a well-formed integer only past the digit limit
-                if text_value.removeprefix("-").isdecimal():
+                # int() refuses a canonical decimal only past the digit limit
+                digits = text_value.removeprefix("-")
+                if digits.isascii() and digits.isdecimal() and digits[0] != "0":
                     raise CacheError(f"{label} at degree {d} has more digits than the "
                                      f"interpreter's int/str conversion limit: {exc}") from exc
                 raise CacheError(f"bad integer for {label} at degree {d}") from exc

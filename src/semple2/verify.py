@@ -31,10 +31,11 @@ machine-readable report list; each call builds the cap-2 gluing matrix
 once for the two checks that read it.  The reference integers are test
 fixtures, never inputs to any computation.
 
-`TailPolynomial` and `OracleReport`, like the gluing matrix of
-`semple2.potentials`, are immutable plain classes with `__slots__` on the
-base of the query types, so that the self-test loads neither
-`dataclasses` nor, through it, `inspect`.
+`TailPolynomial` and `OracleReport` are immutable plain classes with
+`__slots__` on the base of the query types, so that the self-test loads
+neither `dataclasses` nor, through it, `inspect`.  The gluing matrix they
+read is the plain dict of `semple2.potentials.build_gluing_matrix`, its
+nonzero entries keyed by index pair.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from .potentials import (
     GLUABLE,
     TRIPLE_W,
     TRIPLE_Y,
-    GluingMatrix,
+    MatrixEntries,
     build_gluing_matrix,
 )
 from .recursion import (
@@ -157,15 +158,12 @@ KERNEL_COMMAND = ("PYTHONPATH=src python -c 'import semple2.verify as v; "
 _KERNEL_PATH = os.path.join(os.path.dirname(__file__), "_kernel.py")
 
 
-def derive_stencil(matrix: GluingMatrix) -> Stencil:
+def derive_stencil(matrix: MatrixEntries) -> Stencil:
     """Compile the quadratic identity through the gluing matrix (cap >= 2).
 
     Raises ArithmeticError unless every weight is an integer.  The weights
     come out grouped by j1, in a fixed order, which `kernel_source` keeps.
     """
-    if matrix.cap < 2:
-        raise ValueError("gluing matrix cap too small for weight-2 extraction")
-
     def derivative_part(label: str, j: int) -> Poly:
         """The (3d-3+j)-fold y200-derivative of a tail's L-term, per unit of n_L."""
         exps = dict(LABEL_MONOMIAL[label])
@@ -176,7 +174,7 @@ def derive_stencil(matrix: GluingMatrix) -> Stencil:
         return term(exps, Fraction(1, prod(factorial(e) for e in exps.values())))
 
     slices: Dict[Tuple[str, str, int], Poly] = {}
-    for (s, t), p in matrix.entries.items():
+    for (s, t), p in matrix.items():
         for m, c in p.items():
             slices.setdefault((s, t, monomial_weight(m)), {})[m] = c
     out_index = {monomial(LABEL_MONOMIAL[lbl]): (i, 18 * LABEL_FACTORIAL[lbl])
@@ -368,7 +366,7 @@ def _insert(label: str, degree: int, p: Poly) -> Poly:
 
 
 def reference_rhs(d: int, tails: Dict[int, TailPolynomial],
-                  matrix: GluingMatrix) -> Poly:
+                  matrix: MatrixEntries) -> Poly:
     """The weight-2 polynomial whose coefficients carry the degree-d invariants.
 
     Requires tails for every degree below d and a gluing matrix built with
@@ -377,15 +375,13 @@ def reference_rhs(d: int, tails: Dict[int, TailPolynomial],
     """
     if d < 2:
         raise ValueError("the recursion starts at degree 2")
-    if matrix.cap < 2:
-        raise ValueError("gluing matrix cap too small for weight-2 extraction")
     for dd in range(1, d):
         if dd not in tails:
             raise ValueError(f"missing tail for degree {dd}")
 
     # weight slices of the matrix entries, fetched by needed weight
     slices: Dict[Tuple[str, str, int], Poly] = {}
-    for (s, t), p in matrix.entries.items():
+    for (s, t), p in matrix.items():
         for m, c in p.items():
             w = monomial_weight(m)
             slices.setdefault((s, t, w), {})[m] = c
@@ -637,20 +633,20 @@ def _check_table2(table: InvariantTable, dmax: int) -> OracleReport:
                    "reference coefficient rows")
 
 
-def _check_cap_independence(m2: GluingMatrix) -> OracleReport:
+def _check_cap_independence(m2: MatrixEntries) -> OracleReport:
     m3 = build_gluing_matrix(3)
     bad = []
     for s in GLUABLE:
         for t in GLUABLE:
-            a = truncate_weight(m2.entry(s, t), 2)
-            b = truncate_weight(m3.entry(s, t), 2)
+            a = truncate_weight(m2.get((s, t), {}), 2)
+            b = truncate_weight(m3.get((s, t), {}), 2)
             if a != b:
                 bad.append(f"entry({s},{t}) differs at weight <= 2")
     return _report("gluing-cap-independence", bad, "-",
                    "caps 2 and 3 agree at weight <= 2")
 
 
-def _check_stencil(m2: GluingMatrix) -> OracleReport:
+def _check_stencil(m2: MatrixEntries) -> OracleReport:
     """The shipped kernel must equal the one generated from the stencil that
     is derived from the cap-2 gluing matrix."""
     expected = "the shipped _kernel.py equals the text generated from the derived stencil"

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from semple2.chow import (
     _MULT,
+    DUAL,
     I_BASIS_ORDER,
     I_BASIS_SYMBOL,
     LABELS,
     ChowClass,
     format_coords,
     from_i_basis,
+    integrate,
     mul_classes,
     parse_class_expr,
     to_i_basis,
@@ -78,6 +80,16 @@ def test_product_equals_the_naive_triple_sum(a, b):
     product = mul_classes(a, b)
     assert product == naive_product(a, b)
     assert all(type(x) is Fraction for x in product.coords)
+
+
+@PROPERTY
+@given(sparse_classes)
+def test_i_basis_coordinates_are_the_pairings_with_the_duals(a):
+    # the structure constants give what the full products' integrals give
+    coords = to_i_basis(a)
+    assert coords == tuple(integrate(mul_classes(ChowClass.basis(DUAL[l]), a))
+                           for l in I_BASIS_ORDER)
+    assert all(type(x) is Fraction for x in coords)
 
 
 @PROPERTY

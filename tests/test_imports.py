@@ -182,4 +182,4 @@ def test_the_ring_checks_run_where_verify_reports_them_and_not_on_import():
 
 def test_public_builder_returns_a_fresh_matrix():
     first, second = build_gluing_matrix(2), build_gluing_matrix(2)
-    assert first is not second and first.entries == second.entries
+    assert first is not second and first == second

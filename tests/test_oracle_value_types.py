@@ -1,11 +1,11 @@
-"""Value semantics of the three immutable types of the self-test's oracles.
+"""Value semantics of the two immutable types of the self-test's oracles.
 
-`potentials.GluingMatrix`, `verify.TailPolynomial` and
-`verify.OracleReport` are plain classes with `__slots__`, not
-dataclasses; these tests pin what they keep from the frozen dataclasses
-they replaced: `==` by fields within one class, `hash` by fields (or none,
-for a type holding a dict), the same reprs, the constructors' signatures,
-defaults and validation, immutability, and pickle round trips.
+`verify.TailPolynomial` and `verify.OracleReport` are plain classes with
+`__slots__`, not dataclasses; these tests pin what they keep from the
+frozen dataclasses they replaced: `==` by fields within one class, `hash`
+by fields (or none, for a type holding a dict), the same reprs, the
+constructors' signatures, defaults and validation, immutability, and
+pickle round trips.
 """
 
 import pickle
@@ -14,18 +14,13 @@ from fractions import Fraction
 import pytest
 
 from semple2.poly import monomial
-from semple2.potentials import GluingMatrix
 from semple2.verify import OracleReport, TailPolynomial, seed_degree1
 
-ENTRIES = {("100", "100"): {(): Fraction(1)}}
-MATRIX = GluingMatrix(2, ENTRIES)
 TAIL = seed_degree1()
 REPORT = OracleReport("demo", False, "1", "2", "1..1")
 
 #: (object, an equal one built anew, one differing in a field, a field name)
 CASES = {
-    "matrix": (MATRIX, GluingMatrix(2, dict(ENTRIES), 2, 6),
-               GluingMatrix(2, ENTRIES, y001_exponent=5), "entries"),
     "tail": (TAIL, TailPolynomial(1, dict(TAIL.poly)), TailPolynomial(1, {}), "poly"),
     "report": (REPORT, OracleReport("demo", False, "1", "2", "1..1"),
                OracleReport("demo", True, "1", "2", "1..1"), "passed"),
@@ -45,15 +40,13 @@ def test_a_report_hashes_by_its_fields():
     assert hash(REPORT) == hash(same) and len({REPORT, same}) == 1
 
 
-@pytest.mark.parametrize("name", ["matrix", "tail"])
+@pytest.mark.parametrize("name", ["tail"])
 def test_a_type_holding_a_dict_is_unhashable(name):
     with pytest.raises(TypeError, match="unhashable type: 'dict'"):
         hash(CASES[name][0])
 
 
 def test_reprs_match_the_dataclass_reprs():
-    # the matrix leaves its entries out
-    assert repr(MATRIX) == "GluingMatrix(cap=2, y010_exponent=2, y001_exponent=6)"
     assert repr(REPORT) == ("OracleReport(name='demo', passed=False, expected='1', "
                             "actual='2', degrees='1..1')")
     assert repr(TAIL) == f"TailPolynomial(degree=1, poly={TAIL.poly!r})"
@@ -80,8 +73,6 @@ def test_pickle_round_trip(name, protocol):
 
 
 def test_the_constructors_keep_their_signatures_and_defaults():
-    assert (MATRIX.y010_exponent, MATRIX.y001_exponent) == (2, 6)
-    assert GluingMatrix(cap=2, entries=ENTRIES, y010_exponent=2, y001_exponent=6) == MATRIX
     assert TailPolynomial(degree=1, poly=TAIL.poly) == TAIL
     assert OracleReport(name="demo", passed=False, expected="1", actual="2",
                         degrees="1..1") == REPORT

@@ -8,6 +8,7 @@ from semple2.poly import (
     monomial,
     monomial_degree_in,
     monomial_weight,
+    partial,
     truncate_weight,
     variables,
 )
@@ -97,80 +98,91 @@ def test_matrix_rejects_small_cap():
 def test_matrix_symmetry(matrix2):
     for s in GLUABLE:
         for t in GLUABLE:
-            assert matrix2.entry(s, t) == matrix2.entry(t, s)
+            assert matrix2.get((s, t)) == matrix2.get((t, s))
 
 
 def test_matrix_vanishing_rows(matrix2):
     # indices whose dual lacks an i-factor never glue to a triple-cover slot
     for s in ("001", "101", "201", "011", "021", "211"):
         for t in ("100", "200", "010"):
-            assert matrix2.entry(s, t) == {}
-            assert matrix2.entry(t, s) == {}
+            assert (s, t) not in matrix2 and (t, s) not in matrix2
 
 
 def test_matrix_alphabet(matrix2):
-    for p in matrix2.entries.values():
+    for p in matrix2.values():
         names = variables(p)
         assert "y200" not in names
         assert not names & (set(Z_VARS) | set(W_VARS))
 
 
-def test_matrix_prefactor_cancels_divisor_exponentials(matrix2):
-    assert matrix2.y010_exponent == 2
-    assert matrix2.y001_exponent == 6
+def test_matrix_prefactor_cancels_divisor_exponentials():
+    # one double cover and two triple covers are glued
+    y010_exponent = DOUBLE_PREFACTOR[1]
+    y001_exponent = 2 * TRIPLE_PREFACTOR[1]
+    assert (y010_exponent, y001_exponent) == (2, 6)
     for d in range(2, 9):
         for d1 in range(1, d):
             d2 = d - d1
             assert d1 + d2 == d
-            assert (2 * d1 - 2) + (2 * d2 - 2) + matrix2.y010_exponent == 2 * d - 2
-            assert (3 * d1 - 6) + (3 * d2 - 6) + matrix2.y001_exponent == 3 * d - 6
+            assert (2 * d1 - 2) + (2 * d2 - 2) + y010_exponent == 2 * d - 2
+            assert (3 * d1 - 6) + (3 * d2 - 6) + y001_exponent == 3 * d - 6
 
 
 def test_matrix_constant_entry_is_one_eighteenth(matrix2):
     # the pure point-point gluing entry; 18 times it is the unit that seeds
     # the quadratic term of the recursion
-    assert matrix2.entry("100", "100") == {(): Fraction(1, 18)}
+    assert matrix2[("100", "100")] == {(): Fraction(1, 18)}
 
 
 def test_matrix_cap_independence(matrix2):
     m3 = build_gluing_matrix(3)
     for s in GLUABLE:
         for t in GLUABLE:
-            assert truncate_weight(m3.entry(s, t), 2) == \
-                truncate_weight(matrix2.entry(s, t), 2)
+            assert truncate_weight(m3.get((s, t), {}), 2) == \
+                truncate_weight(matrix2.get((s, t), {}), 2)
 
 
-@pytest.mark.parametrize("caps", [(2, 3), (3, 2)])
-def test_builds_are_equal_whichever_cap_comes_first(caps):
-    # the slot derivatives are built once per process, by the first build
-    potentials._gluing_inputs.cache_clear()
-    first = {cap: build_gluing_matrix(cap) for cap in caps}
-    second = {cap: build_gluing_matrix(cap) for cap in caps}
-    potentials._gluing_inputs.cache_clear()
-    fresh = {cap: build_gluing_matrix(cap) for cap in reversed(caps)}
-    for cap in caps:
-        assert first[cap] == second[cap] == fresh[cap]
-        assert first[cap].entries is not second[cap].entries
+@pytest.mark.parametrize("build, slots", [
+    (build_double_cover_potential, Z_VARS),
+    (build_triple_cover_potential, W_VARS),
+], ids=["double_cover", "triple_cover"])
+def test_one_pass_second_derivatives_equal_two_partials(build, slots):
+    # term for term and in the same order, which the stencil's order follows
+    body = build()
+    hessian = potentials._slot_hessian(body, slots)
+    for u in slots:
+        for v in slots:
+            expected = partial(partial(body, u), v)
+            assert list(hessian.get((u, v), {}).items()) == list(expected.items())
+            assert all(type(c) is Fraction for c in hessian.get((u, v), {}).values())
+    assert all(hessian.values())
+    assert set(hessian) <= {(u, v) for u in slots for v in slots}
+
+
+def test_matrix_keys_only_its_nonzero_entries(matrix2):
+    # 19 nonzero entries with 42 terms in all at cap 2
+    assert all(matrix2.values())
+    assert (len(matrix2), sum(map(len, matrix2.values()))) == (19, 42)
 
 
 def test_changing_a_built_matrix_leaves_the_next_build_unchanged():
     for cap in (2, 3):
         built = build_gluing_matrix(cap)
-        expected = {key: dict(p) for key, p in built.entries.items()}
-        for p in built.entries.values():
+        expected = {key: dict(p) for key, p in built.items()}
+        for p in built.values():
             for m in p:
                 p[m] = Fraction(99)
             p[monomial({"y020": 7})] = Fraction(1)
-        built.entries[("000", "000")] = {(): Fraction(1)}
+        built[("000", "000")] = {(): Fraction(1)}
         again = build_gluing_matrix(cap)
-        assert again.entries == expected
-        assert all(again.entries[key] is not built.entries[key] for key in expected)
+        assert again == expected
+        assert all(again[key] is not built[key] for key in expected)
 
 
 def test_the_stencil_source_matrix_survives_other_builds():
     # cap 3 built and changed first must not move what cap 2 derives
     changed = build_gluing_matrix(3)
-    for p in changed.entries.values():
+    for p in changed.values():
         p.clear()
     shipped = Path(potentials.__file__).with_name("_kernel.py").read_text(encoding="utf-8")
     assert kernel_source(derive_stencil(build_gluing_matrix(2))) == shipped

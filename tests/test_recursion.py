@@ -12,7 +12,6 @@ import pytest
 import semple2
 from semple2 import cli, recursion
 from semple2.poly import monomial_weight, term
-from semple2.potentials import GluingMatrix
 from semple2.recursion import (
     CacheError,
     INVARIANT_LABELS,
@@ -283,12 +282,11 @@ def test_recursion_rejects_a_malformed_stencil(stencil, message):
 
 def test_stencil_derivation_rejects_a_fractional_weight(matrix2):
     # the (h, h) gluing entry feeds a unit weight; over 1009 it is no integer
-    entries = dict(matrix2.entries)
+    entries = dict(matrix2)
     entries[("100", "100")] = {m: c * Fraction(1, 1009)
                                for m, c in entries[("100", "100")].items()}
     with pytest.raises(ArithmeticError, match="not an integer"):
-        derive_stencil(GluingMatrix(matrix2.cap, entries, matrix2.y010_exponent,
-                                    matrix2.y001_exponent))
+        derive_stencil(entries)
 
 
 def test_kontsevich_row_is_the_classical_sequence():
@@ -392,8 +390,10 @@ def test_an_invariant_past_the_digit_limit_is_a_cache_error_naming_it(tmp_path,
     with pytest.raises(CacheError, match="h2hd at degree 1 has more digits than the "
                                          "interpreter's int/str conversion limit"):
         table_from_json('{"1": {"h2hd": "-1%s"}}' % ("0" * 700))
-    with pytest.raises(CacheError, match="bad integer for h2hd at degree 1"):
-        table_from_json('{"1": {"h2hd": "1e%s"}}' % ("0" * 700))
+    # only a canonical ASCII decimal is reported as past the limit
+    for text in ("1e" + "0" * 700, "\uff11" * 700, "0" * 700 + "1"):
+        with pytest.raises(CacheError, match="bad integer for h2hd at degree 1"):
+            table_from_json(json.dumps({"1": {"h2hd": text}}))
 
 
 def test_warm_compute_does_not_rewrite_the_cache(tmp_path):
