@@ -373,9 +373,9 @@ def _tokenize(text: str) -> list:
             tokens.append((ch, ch))
             pos += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # ASCII only: str.isdigit also takes "²" and "３"
             start = pos
-            while pos < len(text) and text[pos].isdigit():
+            while pos < len(text) and "0" <= text[pos] <= "9":
                 pos += 1
             if pos - start > MAX_DIGITS:
                 raise ChowParseError(f"numeric literal longer than {MAX_DIGITS} digits")

@@ -52,9 +52,9 @@ from __future__ import annotations
 import json
 import os
 import stat
-from itertools import count
+from itertools import count, islice
 from math import comb
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 #: the thirteen labels in printed-table row order
 INVARIANT_LABELS: Tuple[str, ...] = (
@@ -184,17 +184,24 @@ def ratio_failures(column: Dict[str, int]) -> list:
     return bad
 
 
-def kontsevich_row(dmax: int) -> List[int]:
+def _point_counts() -> Iterator[int]:
     """Rational plane curves of degree d through 3d-1 general points, for
-    d = 0..dmax (0 at d = 0), by the classical quadratic recursion."""
+    d = 1, 2, ... in turn, by the classical quadratic recursion."""
     row = [0, 1]
-    for d in range(2, dmax + 1):
+    yield 1
+    for d in count(2):
         row.append(sum(
             row[d1] * row[d - d1] * (
                 d1 * d1 * (d - d1) ** 2 * comb(3 * d - 4, 3 * d1 - 2)
                 - d1 ** 3 * (d - d1) * comb(3 * d - 4, 3 * d1 - 1))
             for d1 in range(1, d)))
-    return row[:dmax + 1]
+        yield row[d]
+
+
+def kontsevich_row(dmax: int) -> List[int]:
+    """Rational plane curves of degree d through 3d-1 general points, for
+    d = 0..dmax (0 at d = 0), by the classical quadratic recursion."""
+    return [0, *islice(_point_counts(), dmax)]
 
 
 def kontsevich(d: int) -> int:
@@ -212,8 +219,10 @@ def validate_table(values: Dict[int, Dict[str, int]]) -> None:
     the seed, each degree meets the 3:1 identities, the degrees are exactly
     1..N, and each degree meets the classical point count.
 
-    The point count is checked last: its row costs about N^2 bigint steps,
-    which the 1..N shape bounds by the size of the table itself.
+    The point count is checked last, in ascending degree, each degree as
+    soon as the row reaches it: the row up to degree d costs about d^2
+    bigint steps, so a table is refused at its first wrong degree without
+    computing the rest of the row.
     """
     for d, column in values.items():
         if set(column) != set(INVARIANT_LABELS):
@@ -225,11 +234,11 @@ def validate_table(values: Dict[int, Dict[str, int]]) -> None:
             raise CacheError(f"degree {d} fails ratio identities: {'; '.join(bad)}")
     if sorted(values) != list(range(1, len(values) + 1)):
         raise CacheError("cached degrees are not exactly 1..N")
-    points = kontsevich_row(len(values))
-    for d, column in values.items():
-        if column["h2.h2"] != points[d]:
+    for d, points in zip(range(1, len(values) + 1), _point_counts()):
+        column = values[d]
+        if column["h2.h2"] != points:
             raise CacheError(f"degree {d} fails the point count: h2.h2 = "
-                             f"{column['h2.h2']}, the classical recursion gives {points[d]}")
+                             f"{column['h2.h2']}, the classical recursion gives {points}")
 
 
 def table_to_json(table: InvariantTable) -> str:

@@ -10,9 +10,10 @@ beyond the polynomial substrate and the label tables:
   invariant table;
 
 * a brute-force series expander for the two cover potentials, which
-  multiplies out truncated exponential factors and then filters monomials
-  by the subscript constraints, term-for-term comparable with the
-  builders' finite bodies;
+  reads the statement of each in `potentials.COVERS`, multiplies out
+  truncated exponential factors and then filters monomials by the
+  subscript constraints, term-for-term comparable with the finite body
+  that `potentials.build_cover_potential` returns;
 
 * the stencil compiler (`derive_stencil`), which derives the 149 integer
   weights from the gluing matrix, and the kernel generator
@@ -65,14 +66,7 @@ from .poly import (
     var,
     zero,
 )
-from .potentials import (
-    DOUBLE_FIRST,
-    GLUABLE,
-    TRIPLE_W,
-    TRIPLE_Y,
-    MatrixEntries,
-    build_gluing_matrix,
-)
+from .potentials import COVERS, GLUABLE, MatrixEntries, build_gluing_matrix
 from .recursion import (
     CacheError,
     DIVISOR_RULE,
@@ -507,40 +501,29 @@ def _prune(p: Poly, gluing: Tuple[str, ...], budgets) -> Poly:
 
 
 def expand_cover_series(kind: str) -> Poly:
-    """Brute-force expansion of a cover potential: multiply exponential
-    series, then keep exactly the constrained terms.
+    """Brute-force expansion of the cover potential `kind`, a key of
+    `potentials.COVERS`: multiply exponential series, then keep exactly
+    the constrained terms.
 
-    Must agree term-for-term with the optimized builders.
+    Must agree term-for-term with `potentials.build_cover_potential`.
     """
-    if kind == "double_cover":
-        gluing = ("z010", "z110", "z210")
-        factors = [("y020", 2), ("y210", 2), ("z010", 1), ("z110", 1), ("z210", 1)]
-        first = dict(DOUBLE_FIRST)
-        budgets = [(first, 2)]
-        prefactor = Fraction(1, 2)
-
-        def keep(m) -> bool:
-            return (monomial_degree_in(m, gluing) == 2
-                    and sum(first.get(v, 0) * e for v, e in m) == 2)
-    elif kind == "triple_cover":
-        gluing = tuple(sorted(TRIPLE_W))
-        factors = [(y, 3) for y in sorted(TRIPLE_Y)] + [(w, 1) for w in gluing]
-        first = {v: e[0] for v, e in {**TRIPLE_Y, **TRIPLE_W}.items()}
-        second = {v: e[1] for v, e in {**TRIPLE_Y, **TRIPLE_W}.items()}
-        budgets = [(first, 2), (second, 2)]
-        prefactor = Fraction(1, 3)
-
-        def keep(m) -> bool:
-            sums = (sum(first[v] * e for v, e in m),
-                    sum(second[v] * e for v, e in m))
-            return monomial_degree_in(m, gluing) == 2 and sums in ((2, 1), (1, 2))
-    else:
+    if kind not in COVERS:
         raise ValueError(f"unknown cover kind {kind!r}")
+    cover = COVERS[kind]
+    k, slots, sums = cover["k"], cover["slots"], cover["sums"]
+    gluing = tuple(slots)
+    factors = [(y, k) for y in cover["y"]] + [(w, 1) for w in gluing]
+    entries = {**cover["y"], **slots}
+    # one table per subscript entry, bounded by its largest allowed sum
+    budgets = [({v: e[i] for v, e in entries.items()}, max(t[i] for t in sums))
+               for i in range(len(sums[0]))]
 
-    series: Poly = {(): prefactor}
+    series: Poly = {(): Fraction(1, k)}
     for name, coeff in factors:
         series = _prune(mul(series, _exp_factor(name, coeff, 4)), gluing, budgets)
-    return {m: c for m, c in series.items() if keep(m)}
+    return {m: c for m, c in series.items()
+            if monomial_degree_in(m, gluing) == 2
+            and tuple(sum(table[v] * e for v, e in m) for table, _ in budgets) in sums}
 
 
 class OracleReport(_Frozen):

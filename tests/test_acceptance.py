@@ -28,12 +28,7 @@ from semple2.contact import (
     mixed_count,
 )
 from semple2.poly import truncate_weight
-from semple2.potentials import (
-    GLUABLE,
-    build_double_cover_potential,
-    build_gluing_matrix,
-    build_triple_cover_potential,
-)
+from semple2.potentials import GLUABLE, build_cover_potential, build_gluing_matrix
 from semple2.recursion import INVARIANT_LABELS, compute_up_to, ratio_failures
 from semple2.verify import (
     TABLE1_REFERENCE,
@@ -117,14 +112,14 @@ def test_criterion_6_ring_property_suite():
 
 
 def test_criterion_7_construction_equivalence(matrix2):
-    assert build_double_cover_potential() == expand_cover_series("double_cover")
-    assert build_triple_cover_potential() == expand_cover_series("triple_cover")
+    assert build_cover_potential("double_cover") == expand_cover_series("double_cover")
+    assert build_cover_potential("triple_cover") == expand_cover_series("triple_cover")
     m3 = build_gluing_matrix(3)
     for s in GLUABLE:
         for t in GLUABLE:
             assert truncate_weight(m3.get((s, t), {}), 2) == \
                 truncate_weight(matrix2.get((s, t), {}), 2), (s, t)
-    _ok("criterion 7: builders equal the brute-force series; matrix cap-independent")
+    _ok("criterion 7: both cover builds equal the brute-force series; matrix cap-independent")
 
 
 def test_criterion_8_contact_sanity(table8):

@@ -189,7 +189,7 @@ def test_parse_adjacency_and_rationals():
 
 
 def test_parse_errors():
-    for bad in ("h +", "q", "h^x", "(h", "3/0*h", "h)", ""):
+    for bad in ("h +", "q", "h^x", "(h", "3/0*h", "h)", "", "h²", "３", "٣h", "𝟑"):
         with pytest.raises(ChowParseError):
             parse_class_expr(bad)
 

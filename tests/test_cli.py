@@ -114,10 +114,10 @@ def test_cache_with_wrong_point_count_fails_count(tmp_path, capsys):
 
 def test_tiny_hostile_cache_fails_count_at_once(tmp_path, capsys, monkeypatch):
     # refused before the point row, which up to degree 3000 would take minutes
-    def refuse(dmax):
-        raise AssertionError(f"point row up to degree {dmax} computed")
+    def refuse():
+        raise AssertionError("point row computed")
 
-    monkeypatch.setattr(recursion, "kontsevich_row", refuse)
+    monkeypatch.setattr(recursion, "_point_counts", refuse)
     path = tmp_path / "bad.json"
     path.write_text('{"3000": {}}', encoding="utf-8")
     code, out, err = run(capsys, "count", "--degree", "2", "--points", "5",

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,14 +13,7 @@ from semple2.poly import (
     truncate_weight,
     variables,
 )
-from semple2.potentials import (
-    DOUBLE_PREFACTOR,
-    GLUABLE,
-    TRIPLE_PREFACTOR,
-    build_double_cover_potential,
-    build_gluing_matrix,
-    build_triple_cover_potential,
-)
+from semple2.potentials import COVERS, GLUABLE, build_cover_potential, build_gluing_matrix
 from semple2.verify import derive_stencil, expand_cover_series, kernel_source
 
 Z_VARS = ("z010", "z110", "z210")
@@ -28,7 +22,7 @@ W_VARS = ("w001", "w101", "w201", "w011", "w021", "w211")
 
 def test_double_cover_gluing_constant_part():
     # frozen from the brute-force expansion: (1/2) z010 z210 + (1/4) z110^2
-    body = truncate_weight(build_double_cover_potential(), 0)
+    body = truncate_weight(build_cover_potential("double_cover"), 0)
     assert body == {
         monomial({"z010": 1, "z210": 1}): Fraction(1, 2),
         monomial({"z110": 2}): Fraction(1, 4),
@@ -36,7 +30,7 @@ def test_double_cover_gluing_constant_part():
 
 
 def test_double_cover_weight_one_terms():
-    body = build_double_cover_potential()
+    body = build_cover_potential("double_cover")
     # the single weight-1 term allowed by the subscript budget
     assert body[monomial({"y020": 1, "z010": 1, "z110": 1})] == 1
     # first-entry sums 4 are impossible
@@ -45,13 +39,13 @@ def test_double_cover_weight_one_terms():
 
 
 def test_double_cover_alphabet():
-    body = build_double_cover_potential()
+    body = build_cover_potential("double_cover")
     assert variables(body) <= {"y020", "y210", *Z_VARS}
     assert max(monomial_weight(m) for m in body) == 2
 
 
 def test_triple_cover_gluing_constant_part():
-    body = truncate_weight(build_triple_cover_potential(), 0)
+    body = truncate_weight(build_cover_potential("triple_cover"), 0)
     assert body == {
         monomial({"w201": 1, "w011": 1}): Fraction(1, 3),
         monomial({"w001": 1, "w211": 1}): Fraction(1, 3),
@@ -60,34 +54,34 @@ def test_triple_cover_gluing_constant_part():
 
 
 def test_triple_cover_selected_coefficients():
-    body = build_triple_cover_potential()
+    body = build_cover_potential("triple_cover")
     assert body[monomial({"y011": 1, "w101": 2})] == Fraction(1, 2)
     assert monomial({"w001": 2}) not in body
 
 
 def test_triple_cover_alphabet():
-    body = build_triple_cover_potential()
+    body = build_cover_potential("triple_cover")
     assert variables(body) <= {"y101", "y201", "y011", "y021", "y211", *W_VARS}
     assert max(monomial_weight(m) for m in body) == 3
 
 
 def test_potentials_quadratic_in_gluing_slots():
     for body, gluing in (
-        (build_double_cover_potential(), Z_VARS),
-        (build_triple_cover_potential(), W_VARS),
+        (build_cover_potential("double_cover"), Z_VARS),
+        (build_cover_potential("triple_cover"), W_VARS),
     ):
         for m in body:
             assert monomial_degree_in(m, gluing) == 2
 
 
 def test_builders_equal_brute_force_series():
-    assert build_double_cover_potential() == expand_cover_series("double_cover")
-    assert build_triple_cover_potential() == expand_cover_series("triple_cover")
+    for kind in COVERS:
+        assert build_cover_potential(kind) == expand_cover_series(kind)
 
 
 def test_divisor_prefactors_recorded_symbolically():
-    assert DOUBLE_PREFACTOR == ("y010", 2)
-    assert TRIPLE_PREFACTOR == ("y001", 3)
+    assert (COVERS["double_cover"]["divisor"], COVERS["double_cover"]["k"]) == ("y010", 2)
+    assert (COVERS["triple_cover"]["divisor"], COVERS["triple_cover"]["k"]) == ("y001", 3)
 
 
 def test_matrix_rejects_small_cap():
@@ -117,8 +111,8 @@ def test_matrix_alphabet(matrix2):
 
 def test_matrix_prefactor_cancels_divisor_exponentials():
     # one double cover and two triple covers are glued
-    y010_exponent = DOUBLE_PREFACTOR[1]
-    y001_exponent = 2 * TRIPLE_PREFACTOR[1]
+    y010_exponent = COVERS["double_cover"]["k"]
+    y001_exponent = 2 * COVERS["triple_cover"]["k"]
     assert (y010_exponent, y001_exponent) == (2, 6)
     for d in range(2, 9):
         for d1 in range(1, d):
@@ -142,13 +136,13 @@ def test_matrix_cap_independence(matrix2):
                 truncate_weight(matrix2.get((s, t), {}), 2)
 
 
-@pytest.mark.parametrize("build, slots", [
-    (build_double_cover_potential, Z_VARS),
-    (build_triple_cover_potential, W_VARS),
+@pytest.mark.parametrize("kind, slots", [
+    ("double_cover", Z_VARS),
+    ("triple_cover", W_VARS),
 ], ids=["double_cover", "triple_cover"])
-def test_one_pass_second_derivatives_equal_two_partials(build, slots):
+def test_one_pass_second_derivatives_equal_two_partials(kind, slots):
     # term for term and in the same order, which the stencil's order follows
-    body = build()
+    body = build_cover_potential(kind)
     hessian = potentials._slot_hessian(body, slots)
     for u in slots:
         for v in slots:
@@ -157,6 +151,21 @@ def test_one_pass_second_derivatives_equal_two_partials(build, slots):
             assert all(type(c) is Fraction for c in hessian.get((u, v), {}).values())
     assert all(hessian.values())
     assert set(hessian) <= {(u, v) for u in slots for v in slots}
+
+
+def test_gluing_data_digests_are_independent_of_term_order():
+    # both caps of the matrix and both bodies, each term sorted, pinned
+    def digest(value):
+        return hashlib.sha256(repr(value).encode()).hexdigest()
+
+    matrices = [sorted((key, sorted(p.items())) for key, p in build_gluing_matrix(cap).items())
+                for cap in (2, 3)]
+    assert digest(matrices) == \
+        "fc1f041237198529a01d720722bdb9df5a3747f8403514dd0dda3bf7839c7a6d"
+    bodies = [sorted(build_cover_potential(kind).items())
+              for kind in ("double_cover", "triple_cover")]
+    assert digest(bodies) == \
+        "6ca9b51d8fe3f1cf2991e963aea0abaf6dc44fe97c2fe971eb0c29d2e28584a6"
 
 
 def test_matrix_keys_only_its_nonzero_entries(matrix2):

@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -307,14 +308,25 @@ def test_cache_rejects_wrong_point_count(tmp_path, table8):
 
 
 def test_cache_with_a_gap_in_its_degrees_is_refused_before_the_point_row(monkeypatch, table8):
-    def refuse(dmax):
-        raise AssertionError(f"point row up to degree {dmax} computed")
+    def refuse():
+        raise AssertionError("point row computed")
 
-    monkeypatch.setattr(recursion, "kontsevich_row", refuse)
+    monkeypatch.setattr(recursion, "_point_counts", refuse)
     data = json.loads(table_to_json(table8))
     del data["7"]
     with pytest.raises(CacheError, match="not exactly 1..N"):
         table_from_json(json.dumps(data))
+
+
+def test_zero_filled_cache_is_refused_at_its_first_wrong_degree():
+    # the seed, then zero columns through degree 600 (118 KB): every check
+    # before the point count passes, and degree 2 is already wrong
+    data = {"1": {label: str(n) for label, n in recursion.SEED.items()}}
+    data.update({str(d): dict.fromkeys(INVARIANT_LABELS, "0") for d in range(2, 601)})
+    start = time.monotonic()
+    with pytest.raises(CacheError, match="^degree 2 fails the point count"):
+        table_from_json(json.dumps(data))
+    assert time.monotonic() - start < 2
 
 
 def test_save_leaves_no_temporary_file(tmp_path, table8):

@@ -36,8 +36,9 @@ def test_reference_tables_are_consistent():
 
 
 def test_expander_unknown_kind():
-    with pytest.raises(ValueError):
-        expand_cover_series("septuple_cover")
+    for build in (potentials.build_cover_potential, expand_cover_series):
+        with pytest.raises(ValueError, match="unknown cover kind 'septuple_cover'"):
+            build("septuple_cover")
 
 
 def test_selftest_all_pass():
