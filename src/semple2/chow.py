@@ -29,8 +29,7 @@ shared instance per label.
 
 The ring's consistency checks, `relation_failures` and `pairing_failures`,
 run where `semple2.verify` reports them, not on import.  `ChowClass` is on
-the value-type base of `semple2.recursion`, whose `DIVISOR_RULE` gives
-`divisor_pairing` its multipliers.
+the value-type base of `semple2.recursion`.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
-from .recursion import DIVISOR_RULE, _Frozen
+from .recursion import _Frozen
 
 #: z-basis labels in canonical order (codimension 0,1,1,1,2,2,2,2,3,3,3,4
 #: after sorting by degree; the order below mirrors the printed table).
@@ -50,25 +49,15 @@ LABELS: Tuple[str, ...] = (
 _LABEL_INDEX = {k: i for i, k in enumerate(LABELS)}
 
 #: i-basis order as printed: top class first, fundamental class last.
-I_BASIS_ORDER: Tuple[str, ...] = (
-    "211", "021", "011", "201", "101", "001",
-    "210", "020", "010", "200", "100", "000",
-)
+I_BASIS_ORDER: Tuple[str, ...] = LABELS[::-1]
 
 Z_BASIS_SYMBOL: Dict[str, str] = {
     "000": "1", "100": "h", "200": "h^2", "010": "hd", "020": "hd^2",
     "210": "h^2*hd", "001": "z", "101": "h*z", "201": "h^2*z",
     "011": "hd*z", "021": "hd^2*z", "211": "h^2*hd*z",
 }
-I_BASIS_SYMBOL: Dict[str, str] = {
-    "211": "h^2*hd*i", "021": "hd^2*i", "011": "hd*i", "201": "h^2*i",
-    "101": "h*i", "001": "i", "210": "h^2*hd", "020": "hd^2",
-    "010": "hd", "200": "h^2", "100": "h", "000": "1",
-}
-
-
-def codim(label: str) -> int:
-    return sum(int(c) for c in label)
+#: each i-basis element is its z-basis twin with the factor z replaced by i
+I_BASIS_SYMBOL: Dict[str, str] = {k: s.replace("z", "i") for k, s in Z_BASIS_SYMBOL.items()}
 
 
 def format_coords(coords, order, symbols) -> str:
@@ -161,10 +150,6 @@ class ChowClass(_Frozen):
         self._assign(coords)
 
     @staticmethod
-    def zero() -> "ChowClass":
-        return ChowClass((_ZERO,) * 12)
-
-    @staticmethod
     def basis(label: str) -> "ChowClass":
         """The z-basis element with the given label: one shared instance
         per label, as a class is immutable."""
@@ -187,14 +172,6 @@ class ChowClass(_Frozen):
     def scaled(self, value: int | Fraction) -> "ChowClass":
         c = Fraction(value)
         return ChowClass(tuple(x * c for x in self.coords))
-
-    def __mul__(self, other):
-        if isinstance(other, ChowClass):
-            return mul_classes(self, other)
-        return self.scaled(other)
-
-    def __rmul__(self, other):
-        return self.scaled(other)
 
     def is_zero(self) -> bool:
         return not any(self.coords)
@@ -279,31 +256,6 @@ def to_i_basis(a: ChowClass) -> Tuple[Fraction, ...]:
                  for l in I_BASIS_ORDER)
 
 
-def from_i_basis(coords: Tuple[Fraction, ...]) -> ChowClass:
-    if len(coords) != 12:
-        raise ValueError("expected 12 i-basis coordinates")
-    out = ChowClass.zero()
-    for lbl, c in zip(I_BASIS_ORDER, coords):
-        if c:
-            out = out + i_basis_class(lbl).scaled(c)
-    return out
-
-
-def divisor_pairing(d: int, divisor: ChowClass) -> Fraction:
-    """Pairing of a codimension-1 class with the class of a lifted degree-d curve.
-
-    Linear in the divisor: each basis divisor pairs to its multiplier in
-    `recursion.DIVISOR_RULE`, so i = z + 3(h - hd) pairs to 0 (the lift of
-    an immersion misses the divisor at infinity).
-    """
-    if d < 1:
-        raise ValueError("degree must be positive")
-    for label in LABELS:
-        if codim(label) != 1 and divisor.coordinate(label):
-            raise ValueError("divisor_pairing needs a pure codimension-1 class")
-    return sum(divisor.coordinate(k) * rule(d) for k, rule in DIVISOR_RULE.items())
-
-
 def relation_failures() -> List[str]:
     """The printed relations i^2 = 3(h - hd)i and i*z = 0 that fail under
     the derived rewrite z^2 -> 3(hd - h)z, then the entries of the
@@ -366,7 +318,7 @@ def _tokenize(text: str) -> list:
     pos = 0
     while pos < len(text):
         ch = text[pos]
-        if ch.isspace():
+        if ch in " \t\n\r\x0b\x0c":  # string.whitespace: str.isspace also takes "\u3000"
             pos += 1
             continue
         if ch in "+-*^()/":

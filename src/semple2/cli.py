@@ -105,7 +105,7 @@ def _curve_from_args(args) -> CurveInvariants | None:
         c, nodes, cusps = _parse_triple(args.plucker)
         return plucker_class(c, nodes, cusps)
     if args.c is None:
-        if args.class_ is not None or args.nodes is not None or args.cusps is not None:
+        if any(v is not None for v in (args.class_, args.kappa, args.nodes, args.cusps)):
             raise ValueError("curve options need --c")
         return None
     if args.class_ is not None:

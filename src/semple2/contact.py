@@ -90,7 +90,7 @@ def plucker_class(c: int, nodes: int = 0, cusps: int = 0) -> CurveInvariants:
 def contact_coefficients(d: int, table: InvariantTable) -> Tuple[int, int, int]:
     """The (c, cdual, kappa) coefficients of the triple-contact count."""
     column = table.column(d)
-    return column["hd2z"], column["h2z"], column["h2hd"]
+    return tuple(column[label] for _, label in _CONTACT_PARTS)
 
 
 def contact_number(d: int, curve: CurveInvariants, table: InvariantTable) -> int:

@@ -78,38 +78,9 @@ def monomial_degree_in(m: Monomial, names: Iterable[str]) -> int:
     return sum(e for name, e in m if name in wanted)
 
 
-def zero() -> Poly:
-    return {}
-
-
 def term(exps: Mapping[str, int], value: int | Fraction) -> Poly:
     c = Fraction(value)
     return {monomial(exps): c} if c else {}
-
-
-def var(name: str, power: int = 1) -> Poly:
-    return term({_check_var(name): power}, 1)
-
-
-def add(a: Poly, b: Poly) -> Poly:
-    out: Poly = dict(a)
-    for m, c in b.items():
-        if m in out:
-            s = out[m] + c
-            if s:
-                out[m] = s
-            else:
-                del out[m]
-        else:
-            out[m] = c
-    return out
-
-
-def scale(a: Poly, value: int | Fraction) -> Poly:
-    c = Fraction(value)
-    if not c:
-        return {}
-    return {m: k * c for m, k in a.items()}
 
 
 def mul(a: Poly, b: Poly) -> Poly:
@@ -131,7 +102,8 @@ def mul(a: Poly, b: Poly) -> Poly:
 
 
 def add_scaled(acc: Poly, p: Poly, value: int | Fraction) -> None:
-    """In-place acc += value * p (the one mutating helper, for hot loops)."""
+    """In-place acc += value * p: the one sum of polynomials, and the one
+    mutating helper."""
     c = Fraction(value)
     if not c:
         return
@@ -170,10 +142,6 @@ def partial(p: Poly, name: str, order: int = 1) -> Poly:
         # distinct monomials stay distinct, so no two terms meet in `out`
         out[tuple(exps.items())] = c * fall
     return out
-
-
-def coefficient(p: Poly, m: Monomial) -> Fraction:
-    return p.get(m, Fraction(0))
 
 
 def truncate_weight(p: Poly, cap: int) -> Poly:

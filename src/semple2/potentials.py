@@ -48,7 +48,6 @@ from .poly import (
     mul,
     truncate_weight,
     variables,
-    zero,
 )
 
 #: each cover potential: k, the divisor variable of its prefactor
@@ -118,7 +117,7 @@ def build_cover_potential(kind: str) -> Poly:
         raise ValueError(f"unknown cover kind {kind!r}")
     cover = COVERS[kind]
     k, ys, slots = cover["k"], cover["y"], cover["slots"]
-    body: Poly = zero()
+    body: Poly = {}
     names = sorted(slots)
     for i, u in enumerate(names):
         for v in names[i:]:
@@ -189,7 +188,7 @@ def build_gluing_matrix(cap: int) -> MatrixEntries:
         left_mid: Dict[Tuple[str, str], Poly] = {}
         for t in GLUABLE:
             wt = "w" + DUAL[t]
-            acc: Poly = zero()
+            acc: Poly = {}
             for s2 in CENTRAL_SLOT:
                 left = side.get(("w" + DUAL[s2], ws))
                 if not left:

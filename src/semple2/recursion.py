@@ -43,8 +43,8 @@ elements of `semple2.chow` and the oracle types of `semple2.potentials` and
 `semple2.verify`, which share its private base), so that no subcommand
 imports `dataclasses`.  A cache is read back only in the exact form that
 `table_to_json` writes, and then validated.  `DIVISOR_RULE` is the one
-statement of the divisor multipliers, read by the kernel, by
-`chow.divisor_pairing` and by the oracles.
+statement of the divisor multipliers, read by the kernel and by the
+oracles.
 """
 
 from __future__ import annotations

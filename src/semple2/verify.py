@@ -4,8 +4,8 @@ Four oracles live here, sharing no code with the production stencil
 beyond the polynomial substrate and the label tables:
 
 * the classical count of rational plane curves of degree d through 3d-1
-  general points (`kontsevich` and `kontsevich_row`, defined in
-  `semple2.recursion` because cache validation needs them too), whose row
+  general points (`kontsevich_row`, defined with `kontsevich` in
+  `semple2.recursion` because cache validation needs it too), whose row
   through dmax, computed once per check, cross-checks one full row of the
   invariant table;
 
@@ -51,20 +51,15 @@ from typing import Dict, List, Optional, Tuple
 from . import chow
 from .poly import (
     Poly,
-    add,
     add_scaled,
-    coefficient,
     homogeneous_weight,
     monomial,
     monomial_degree_in,
     monomial_weight,
     mul,
     partial,
-    scale,
     term,
     truncate_weight,
-    var,
-    zero,
 )
 from .potentials import COVERS, GLUABLE, MatrixEntries, build_gluing_matrix
 from .recursion import (
@@ -74,7 +69,6 @@ from .recursion import (
     InvariantTable,
     _Frozen,
     compute_up_to,
-    kontsevich,  # not called here: re-exported with the other oracles
     kontsevich_row,
     load_table,
     ratio_failures,
@@ -339,7 +333,7 @@ class TailPolynomial(_Frozen):
 
 def seed_degree1() -> TailPolynomial:
     """The closed-form degree-1 generating polynomial (the whole tail)."""
-    p = zero()
+    p: Poly = {}
     for exps, c in (
         ({"y210": 1}, Fraction(1)),
         ({"y201": 1}, Fraction(3)),
@@ -355,7 +349,9 @@ def seed_degree1() -> TailPolynomial:
 def _insert(label: str, degree: int, p: Poly) -> Poly:
     """Apply the index-s insertion to a divisor-free polynomial."""
     if label in DIVISOR_RULE:
-        return scale(p, DIVISOR_RULE[label](degree))
+        out: Poly = {}
+        add_scaled(out, p, DIVISOR_RULE[label](degree))
+        return out
     return partial(p, "y" + label)
 
 
@@ -396,7 +392,7 @@ def reference_rhs(d: int, tails: Dict[int, TailPolynomial],
             ins_cache[key] = _insert(label, deg, dpow(deg, order))
         return ins_cache[key]
 
-    acc: Poly = zero()
+    acc: Poly = {}
 
     def accumulate(scalar: int, d1: int, o1: int, d2: int, o2: int) -> None:
         left = dpow(d1, o1)
@@ -459,7 +455,7 @@ def extract_invariants(tail: TailPolynomial) -> Dict[str, int]:
         raise ArithmeticError(f"degree-{d} tail has terms outside the 13 labels: {stray}")
     out: Dict[str, int] = {}
     for label in INVARIANT_LABELS:
-        value = coefficient(w2, monomial(LABEL_MONOMIAL[label])) * LABEL_FACTORIAL[label]
+        value = w2.get(monomial(LABEL_MONOMIAL[label]), Fraction(0)) * LABEL_FACTORIAL[label]
         if value.denominator != 1:
             raise ArithmeticError(
                 f"invariant {label} at degree {d} is not an integer: {value}")
@@ -480,11 +476,7 @@ def reference_table(dmax: int) -> InvariantTable:
 
 def _exp_factor(name: str, coeff: int, order: int) -> Poly:
     """exp(coeff * name) expanded through the given order."""
-    out = zero()
-    for n in range(order + 1):
-        out = add(out, scale(var(name, n) if n else {(): Fraction(1)},
-                             Fraction(coeff ** n, factorial(n))))
-    return out
+    return {monomial({name: n}): Fraction(coeff ** n, factorial(n)) for n in range(order + 1)}
 
 
 def _prune(p: Poly, gluing: Tuple[str, ...], budgets) -> Poly:

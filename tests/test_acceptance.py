@@ -15,7 +15,6 @@ from semple2.chow import (
     I_CLASS,
     LABELS,
     Z,
-    divisor_pairing,
     i_basis_class,
     integrate,
     mul_classes,
@@ -29,13 +28,18 @@ from semple2.contact import (
 )
 from semple2.poly import truncate_weight
 from semple2.potentials import GLUABLE, build_cover_potential, build_gluing_matrix
-from semple2.recursion import INVARIANT_LABELS, compute_up_to, ratio_failures
+from semple2.recursion import (
+    DIVISOR_RULE,
+    INVARIANT_LABELS,
+    compute_up_to,
+    kontsevich,
+    ratio_failures,
+)
 from semple2.verify import (
     TABLE1_REFERENCE,
     TABLE2_REFERENCE,
     expand_cover_series,
     extract_invariants,
-    kontsevich,
     seed_degree1,
 )
 
@@ -107,7 +111,7 @@ def test_criterion_6_ring_property_suite():
             for c in (rng.choice(basis),):
                 assert mul_classes(mul_classes(a, b), c) == \
                     mul_classes(a, mul_classes(b, c))
-    assert divisor_pairing(1, Z) * 1 == -3  # {h^2.h^2.z}_1 via the divisor rule
+    assert DIVISOR_RULE["001"](1) * 1 == -3  # {h^2.h^2.z}_1 via the divisor rule
     _ok("criterion 6: pairing matrix, relations, associativity, divisor rule")
 
 

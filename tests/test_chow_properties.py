@@ -14,7 +14,6 @@ from semple2.chow import (
     LABELS,
     ChowClass,
     format_coords,
-    from_i_basis,
     integrate,
     mul_classes,
     parse_class_expr,
@@ -27,12 +26,6 @@ rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 classes = st.tuples(*[rationals] * 12).map(ChowClass)
 #: classes with many zero coordinates, the products' skipped terms
 sparse_classes = st.tuples(*[st.one_of(st.just(Fraction(0)), rationals)] * 12).map(ChowClass)
-
-
-@PROPERTY
-@given(classes)
-def test_i_basis_round_trip(a):
-    assert from_i_basis(to_i_basis(a)) == a
 
 
 @PROPERTY

@@ -146,6 +146,7 @@ def test_a_cache_value_semple2_never_writes_fails_count(tmp_path, capsys):
     (["count", "--degree", "30", "--points", "-1"], 2),
     (["count", "--degree", "30", "--points", "85",
       "--osculate", "2,2,0", "--osculate", "2,2,0"], 3),
+    (["contact", "--degree", "30", "--kappa", "5"], 2),
 ])
 def test_a_refused_request_computes_nothing_and_writes_no_cache(
         tmp_path, capsys, monkeypatch, argv, status):

@@ -183,3 +183,25 @@ def test_the_ring_checks_run_where_verify_reports_them_and_not_on_import():
 def test_public_builder_returns_a_fresh_matrix():
     first, second = build_gluing_matrix(2), build_gluing_matrix(2)
     assert first is not second and first == second
+
+
+#: the definitions no module calls: the README's test oracles
+TEST_ORACLES = {"reference_table", "expand_cover_series"}
+
+
+def test_every_definition_has_a_caller():
+    # a name is used where the package's code loads it or reads it as an
+    # attribute; a docstring that names it does not count
+    defined, used = {}, set()
+    for path in sorted(Path(semple2.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.setdefault(node.name, path.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    uncalled = {name: module for name, module in defined.items()
+                if name not in used | set(semple2.__all__) | TEST_ORACLES}
+    assert uncalled == {}

@@ -19,6 +19,7 @@ from semple2.recursion import (
     InvariantTable,
     SEED,
     compute_up_to,
+    kontsevich,
     kontsevich_row,
     load_table,
     ratio_failures,
@@ -34,7 +35,6 @@ from semple2.verify import (
     derive_stencil,
     extract_invariants,
     kernel_source,
-    kontsevich,
     reference_rhs,
     reference_table,
     seed_degree1,

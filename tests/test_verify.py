@@ -3,13 +3,12 @@ import json
 import pytest
 
 from semple2 import chow, potentials, recursion, verify
-from semple2.recursion import save_table
+from semple2.recursion import kontsevich, save_table
 from semple2.verify import (
     OracleReport,
     TABLE1_REFERENCE,
     TABLE2_REFERENCE,
     expand_cover_series,
-    kontsevich,
     run_selftest,
 )
 
