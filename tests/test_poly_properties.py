@@ -83,6 +83,18 @@ def cancelling_pairs(draw):
 
 
 @PROPERTY
+@given(cancelling_pairs())
+def test_add_matches_the_dense_sum(pair):
+    # the plain sum, as the cover products accumulate it: add_scaled by 1
+    a, b = pair
+    acc, pb = sparse(a), sparse(b)
+    add_scaled(acc, pb, 1)
+    assert acc == sparse(dense_lin(a, b, 1))
+    assert_canonical(acc)
+    assert pb == sparse(b)
+
+
+@PROPERTY
 @given(cancelling_pairs(), rationals)
 def test_add_scaled_matches_the_dense_sum(pair, q):
     a, b = pair
