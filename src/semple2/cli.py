@@ -98,23 +98,11 @@ def _cmd_table(args) -> int:
 
 
 def _curve_from_args(args) -> CurveInvariants | None:
+    if args.curve is not None and args.plucker is not None:
+        raise ValueError("give either --curve or --plucker")
     if args.plucker is not None:
-        if any(v is not None for v in (args.c, args.class_, args.kappa,
-                                       args.nodes, args.cusps)):
-            raise ValueError("give either --plucker or --c/--class/--kappa/--nodes/--cusps")
-        c, nodes, cusps = _parse_triple(args.plucker)
-        return plucker_class(c, nodes, cusps)
-    if args.c is None:
-        if any(v is not None for v in (args.class_, args.kappa, args.nodes, args.cusps)):
-            raise ValueError("curve options need --c")
-        return None
-    if args.class_ is not None:
-        if args.nodes is not None or args.cusps is not None:
-            raise ValueError("give either --class or --nodes/--cusps, not both")
-        return CurveInvariants(args.c, args.class_, args.kappa or 0)
-    if args.kappa is not None:
-        raise ValueError("--kappa needs --class; with the singularity form use --cusps")
-    return plucker_class(args.c, args.nodes or 0, args.cusps or 0)
+        return plucker_class(*_parse_triple(args.plucker))
+    return None if args.curve is None else CurveInvariants(*_parse_triple(args.curve))
 
 
 def _cmd_contact(args) -> int:
@@ -217,34 +205,31 @@ def _cmd_verify(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="semple2",
+        prog="semple2", allow_abbrev=False,
         description="Second-order invariants of rational plane curves and "
                     "triple-contact counts, in exact arithmetic.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("table", help="emit the invariant table")
+    p = sub.add_parser("table", allow_abbrev=False, help="emit the invariant table")
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
     p.add_argument("--cache", default=None,
                    help=f"cache file (default from ${CACHE_ENV})")
     p.set_defaults(func=_cmd_table)
 
-    p = sub.add_parser("contact", help="triple-contact formula and counts")
+    p = sub.add_parser("contact", allow_abbrev=False,
+                       help="triple-contact formula and counts")
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--c", type=int, default=None, help="degree of the fixed curve")
-    p.add_argument("--class", dest="class_", type=int, default=None,
-                   help="class (dual degree) of the fixed curve")
-    p.add_argument("--kappa", type=int, default=None, help="cusp count")
-    p.add_argument("--nodes", type=int, default=None,
-                   help="node count (class computed from singularities)")
-    p.add_argument("--cusps", type=int, default=None, help="cusp count")
+    p.add_argument("--curve", default=None, metavar="C,CLASS,KAPPA",
+                   help="fixed curve as degree,class,cusps")
     p.add_argument("--plucker", default=None, metavar="C,NODES,CUSPS",
                    help="curve as degree,nodes,cusps")
     p.add_argument("--format", choices=("json", "pretty"), default="pretty")
     p.add_argument("--cache", default=None)
     p.set_defaults(func=_cmd_contact)
 
-    p = sub.add_parser("count", help="count curves meeting a condition profile")
+    p = sub.add_parser("count", allow_abbrev=False,
+                       help="count curves meeting a condition profile")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--tangent", action="append", metavar="C,CLASS,KAPPA",
@@ -255,17 +240,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", default=None)
     p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("chow-eval", help="normalize a ring expression")
+    p = sub.add_parser("chow-eval", allow_abbrev=False,
+                       help="normalize a ring expression")
     p.add_argument("expr", help="expression in h, hd, i, z")
     p.add_argument("--basis", choices=("z", "i"), default="z")
     p.add_argument("--integrate", action="store_true")
     p.add_argument("--format", choices=("json", "pretty"), default="pretty")
     p.set_defaults(func=_cmd_chow_eval)
 
-    p = sub.add_parser("verify", help="run the self-test oracles")
+    p = sub.add_parser("verify", allow_abbrev=False,
+                       help="run the self-test oracles")
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--cache", default=None,
-                   help="also validate this cache file against the computed table")
+                   help="also read this cache file and check it against the computed "
+                        f"table; it is never written, and ${CACHE_ENV} is not read")
     p.set_defaults(func=_cmd_verify)
     return parser
 

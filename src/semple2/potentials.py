@@ -36,6 +36,7 @@ exponentials of the recursion and is never expanded.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import factorial
 from typing import Collection, Dict, Iterator, Tuple
 
@@ -86,22 +87,12 @@ def _y_solutions(entries: Dict[str, Tuple[int, ...]],
                  residual: Tuple[int, ...]) -> Iterator[Dict[str, int]]:
     """All exponent maps a over `entries` with sum a_y * entry_y == residual."""
     names = sorted(entries)
-
-    def rec(idx: int, rem: Tuple[int, ...], acc: Dict[str, int]):
-        if idx == len(names):
-            if not any(rem):
-                yield dict(acc)
-            return
-        name = names[idx]
-        entry = entries[name]
-        for e in range(min(r // x for r, x in zip(rem, entry) if x) + 1):
-            # e is within every bound, so every remainder stays nonnegative
-            if e:
-                acc[name] = e
-            yield from rec(idx + 1, tuple(r - e * x for r, x in zip(rem, entry)), acc)
-            acc.pop(name, None)
-
-    yield from rec(0, residual, {})
+    rows = [entries[name] for name in names]
+    bounds = [range(min(r // x for r, x in zip(residual, row) if x) + 1) for row in rows]
+    for exps in product(*bounds):
+        if all(sum(e * row[i] for e, row in zip(exps, rows)) == r
+               for i, r in enumerate(residual)):
+            yield {name: e for name, e in zip(names, exps) if e}
 
 
 def build_cover_potential(kind: str) -> Poly:

@@ -415,10 +415,7 @@ def reference_rhs(d: int, tails: Dict[int, TailPolynomial],
                 g = inserted(t, d2, o2)
                 if not g:
                     continue
-                needed = 2 - wf - homogeneous_weight(g)
-                if needed < 0:
-                    continue
-                entry = slices.get((s, t, needed))
+                entry = slices.get((s, t, 2 - wf - homogeneous_weight(g)))
                 if entry:
                     add_scaled(acc, mul(mul(f, entry), g), scalar)
 

@@ -174,8 +174,8 @@ def test_parse_adjacency_and_rationals():
 
 
 def test_parse_errors():
-    for bad in ("h +", "q", "h^x", "(h", "3/0*h", "h)", "", "h²", "３", "٣h", "𝟑",
-                "h\u3000+ z", "h\u00a0+ z", "h\x1c+ z"):
+    for bad in ("h +", "q", "h^x", "h^", "h^z", "(h", "3/0*h", "h)", "", "h²", "３", "٣h",
+                "𝟑", "h\u3000+ z", "h\u00a0+ z", "h\x1c+ z"):
         with pytest.raises(ChowParseError):
             parse_class_expr(bad)
 

@@ -141,12 +141,12 @@ def test_a_cache_value_semple2_never_writes_fails_count(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, status", [
-    (["contact", "--degree", "30", "--plucker", "3,0,0", "--c", "2"], 2),
+    (["contact", "--degree", "30", "--plucker", "3,0,0", "--curve", "2,2,0"], 2),
     (["count", "--degree", "30", "--points", "5"], 2),
     (["count", "--degree", "30", "--points", "-1"], 2),
     (["count", "--degree", "30", "--points", "85",
       "--osculate", "2,2,0", "--osculate", "2,2,0"], 3),
-    (["contact", "--degree", "30", "--kappa", "5"], 2),
+    (["contact", "--degree", "30", "--curve", "2,x,0"], 2),
 ])
 def test_a_refused_request_computes_nothing_and_writes_no_cache(
         tmp_path, capsys, monkeypatch, argv, status):
@@ -177,15 +177,13 @@ def test_contact_formula_only(capsys):
 
 
 def test_contact_with_curve(capsys):
-    code, out, _ = run(capsys, "contact", "--degree", "3",
-                       "--c", "2", "--class", "2", "--kappa", "0")
+    code, out, _ = run(capsys, "contact", "--degree", "3", "--curve", "2,2,0")
     assert code == 0
     assert "count = 102" in out
 
 
 def test_contact_smooth_cubic_flexes(capsys):
-    code, out, _ = run(capsys, "contact", "--degree", "1",
-                       "--c", "3", "--class", "6", "--kappa", "0")
+    code, out, _ = run(capsys, "contact", "--degree", "1", "--curve", "3,6,0")
     assert code == 0
     assert "count = 9" in out
 
@@ -197,15 +195,14 @@ def test_contact_plucker_form(capsys):
 
 
 def test_contact_nodes_cusps_form(capsys):
-    code, out, _ = run(capsys, "contact", "--degree", "1",
-                       "--c", "3", "--nodes", "0", "--cusps", "1")
+    code, out, _ = run(capsys, "contact", "--degree", "1", "--plucker", "3,0,1")
     assert code == 0
     assert "count = 1" in out
 
 
 def test_contact_json(capsys):
     code, out, _ = run(capsys, "contact", "--degree", "6", "--format", "json",
-                       "--c", "2", "--class", "2", "--kappa", "0")
+                       "--curve", "2,2,0")
     assert code == 0
     data = json.loads(out)
     assert data["coefficients"] == {
@@ -214,20 +211,36 @@ def test_contact_json(capsys):
 
 
 def test_contact_conflicting_curve_options(capsys):
-    code, _, err = run(capsys, "contact", "--degree", "2",
-                       "--c", "3", "--class", "6", "--nodes", "1")
-    assert code == 2
-    assert "error" in err
+    code, out, err = run(capsys, "contact", "--degree", "2",
+                         "--curve", "3,6,0", "--plucker", "3,0,0")
+    assert (code, out) == (2, "")
+    assert err == "error: give either --curve or --plucker\n"
 
 
 def test_contact_plucker_rejects_explicit_curve_options(capsys):
-    for extra in (("--c", "2", "--class", "2", "--kappa", "0"),
-                  ("--nodes", "1"), ("--cusps", "0"), ("--kappa", "0")):
-        code, out, err = run(capsys, "contact", "--degree", "3",
-                             "--plucker", "3,1,0", *extra)
-        assert code == 2, extra
-        assert out == ""
-        assert "--plucker" in err
+    # contact takes its curve only through --curve or --plucker
+    for extra in (("--c", "2"), ("--class", "2"), ("--kappa", "0"),
+                  ("--nodes", "1"), ("--cusps", "0")):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["contact", "--degree", "3", "--plucker", "3,1,0", *extra])
+        out, err = capsys.readouterr()
+        assert (info.value.code, out) == (2, ""), extra
+        assert f"unrecognized arguments: {' '.join(extra)}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--max", "6"],
+    ["table", "--max-degree", "2", "--form", "csv"],
+    ["count", "--deg", "1", "--points", "2"],
+    ["contact", "--degree", "2", "--pl", "3,1,0"],
+    ["contact", "--degree", "3", "--cu", "2,2,0"],
+    ["chow-eval", "h", "--int"],
+    ["verify", "--max-degree", "1", "--cach", "cache.json"],
+])
+def test_an_option_prefix_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert (info.value.code, capsys.readouterr().out) == (2, "")
 
 
 def test_count_points_only(capsys):
@@ -273,6 +286,19 @@ def test_count_malformed_curve_spec(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["count", "--degree", "2", "--points", "4", "--tangent", "2,x,0"],
+     "bad curve triple '2,x,0'"),
+    (["contact", "--degree", "2", "--curve", "2,x,0"], "bad curve triple '2,x,0'"),
+    (["contact", "--degree", "2", "--plucker", "3,-1,0"],
+     "singularity counts must be nonnegative"),
+])
+def test_a_bad_curve_triple_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_chow_eval_product_vanishes(capsys):
     code, out, _ = run(capsys, "chow-eval", "i*z")
     assert code == 0
@@ -283,6 +309,13 @@ def test_chow_eval_integrate(capsys):
     code, out, _ = run(capsys, "chow-eval", "h^2*hd*z", "--integrate")
     assert code == 0
     assert out == "1\n"
+
+
+def test_chow_eval_integrate_json(capsys):
+    code, out, _ = run(capsys, "chow-eval", "h^2*hd*z", "--integrate", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"expression": "h^2*hd*z", "basis": "z", "coords": {"211": "1"},
+                               "normal_form": "h^2*hd*z", "integral": "1"}
 
 
 def test_chow_eval_i_basis(capsys):
@@ -357,6 +390,20 @@ def test_verify_compares_the_cache_with_the_computed_table(tmp_path, capsys, tab
     assert report["actual"] == "hd2z(d=5)=216181 computed 216180"
     assert report["degrees"] == "1..6"
     assert "FAIL cache-validation" in err
+
+
+def test_verify_reads_no_cache_from_the_environment_and_writes_none(
+        tmp_path, capsys, monkeypatch):
+    # only the three computing subcommands take $SEMPLE2_CACHE and persist degrees
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / "env.json"))
+    code, out, _ = run(capsys, "verify", "--max-degree", "3")
+    assert code == 0
+    assert "cache-validation" not in [r["name"] for r in json.loads(out)]
+    missing = tmp_path / "missing.json"
+    code, out, _ = run(capsys, "verify", "--max-degree", "3", "--cache", str(missing))
+    assert code == 4
+    assert json.loads(out)[-1]["name"] == "cache-validation"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_subcommand_is_usage_error(capsys):

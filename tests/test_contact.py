@@ -30,6 +30,8 @@ def test_coefficient_rows(table8):
 def test_coefficient_rows_need_computed_degree(table8):
     with pytest.raises(KeyError):
         contact_coefficients(9, table8)
+    with pytest.raises(KeyError, match="degree 9 not computed"):
+        mixed_count(ConditionProfile(9, 26), table8)
 
 
 def test_formula_strings(table8):

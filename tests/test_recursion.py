@@ -229,6 +229,18 @@ def test_the_cache_reader_accepts_only_what_the_writer_writes(name):
         table_from_json(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"x": {}}', "bad degree key 'x'"),
+    ('{"0": {}}', "bad entry for degree '0'"),
+    ('{"1": []}', "bad entry for degree '1'"),
+    ('{"1": {"h3": "1"}}', "unknown invariant label 'h3'"),
+])
+def test_the_cache_reader_names_a_bad_degree_or_label(text, message):
+    with pytest.raises(CacheError) as info:
+        table_from_json(text)
+    assert str(info.value) == message
+
+
 def test_stencil_matches_the_fraction_recursion_through_degree20():
     assert compute_up_to(20) == reference_table(20)
 

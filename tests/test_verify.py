@@ -179,6 +179,25 @@ def test_a_wrong_point_count_is_reported_with_both_values(table8):
         "actual": "d=5: 87305 expected 87304", "degrees": "1..8"}
 
 
+def test_a_wrong_table_value_fails_the_reference_checks_with_both_values(table8):
+    # h2z is a reference integer, three times h2hd and the class coefficient
+    values = {d: table8.column(d) for d in table8.degrees()}
+    values[5]["h2z"] += 1
+    table = recursion.InvariantTable(values)
+    reports = [verify._check_table1(table, 8), verify._check_ratios(table, 8),
+               verify._check_table2(table, 8)]
+    assert [r.to_dict() for r in reports] == [
+        {"name": "invariant-table", "status": "fail", "expected": "78 reference integers",
+         "actual": "h2z(d=5)=153121 expected 153120", "degrees": "1..6"},
+        {"name": "ratio-identities", "status": "fail",
+         "expected": "five 3:1 row identities per degree",
+         "actual": "d=5: h2z != 3*h2hd (153121 vs 3*51040)", "degrees": "1..8"},
+        {"name": "contact-coefficients", "status": "fail",
+         "expected": "reference coefficient rows",
+         "actual": "d=5: (216180, 153121, 51040) expected (216180, 153120, 51040)",
+         "degrees": "1..6"}]
+
+
 #: the report of `run_selftest(8)` with a valid degree-8 cache; without a
 #: cache it is the same list less the last entry
 SELFTEST8_REPORT = [
