@@ -2,81 +2,109 @@
 # semple2.verify.derive_stencil derives from the gluing matrix.
 # Do not edit; from the repository root, regenerate with
 #   PYTHONPATH=src python -c 'import semple2.verify as v; print(v.kernel_source(v.derive_stencil(v.build_gluing_matrix(2))), end="")' > src/semple2/_kernel.py
-from math import comb
-
 from semple2.recursion import DIVISOR_RULE
 
 rule0 = DIVISOR_RULE["100"]
 rule1 = DIVISOR_RULE["010"]
 
 
-def kernel(d, columns):
-    m = 3 * d - 6
-    row = [0, *[comb(m, k) for k in range(m + 1)], 0, 0]
+def degree_forms(d, v):
+    m0 = rule0(d)
+    m1 = rule1(d)
+    return (
+        m0*v[0],  # 0
+        m0*v[3],  # 1
+        2*v[3],  # 2
+        v[3],  # 3
+        m0*v[1],  # 4
+        6*v[3],  # 5
+        3*v[0] + m0*v[2],  # 6
+        3*v[4],  # 7
+        3*v[3],  # 8
+        v[4],  # 9
+        m0*2*v[3],  # 10
+        2*v[3] + m0*v[4],  # 11
+        m0*v[4],  # 12
+        6*v[3] + m0*v[5],  # 13
+        m0*6*v[3],  # 14
+        m0*v[5],  # 15
+        3*v[3] + 3*v[4] + m0*v[6],  # 16
+        m0*3*v[3] + m1*3*v[3],  # 17
+        m0*3*v[3],  # 18
+        m0*v[6],  # 19
+        4*v[4] + m0*v[7],  # 20
+        4*v[3] + m0*4*v[4],  # 21
+        4*v[3] + m0*2*v[4],  # 22
+        6*v[4] + 2*v[5] + m0*v[8],  # 23
+        12*v[3] + m0*(6*v[4] + 2*v[5]),  # 24
+        6*v[0] + 3*v[4] + 2*v[6] + 3*v[7] + m0*v[9],  # 25
+        12*v[3] + 6*v[4] + m0*(3*v[4] + 2*v[6]) + m1*3*v[4],  # 26
+        6*v[3] + m0*3*v[4],  # 27
+        12*v[5] + m0*v[10],  # 28
+        36*v[3] + m0*12*v[5],  # 29
+        12*v[3] + m0*2*v[5],  # 30
+        18*v[0] + 3*v[5] + 6*v[6] + 3*v[8] + m0*v[11],  # 31
+        3*v[5],  # 32
+        36*v[3] + 18*v[4] + m0*(3*v[5] + 6*v[6]) + m1*3*v[5],  # 33
+        18*v[3] + m0*3*v[5],  # 34
+        v[5],  # 35
+        9*v[0] + 6*v[6] + 6*v[9] + m0*v[12],  # 36
+        18*v[0] + 6*v[6],  # 37
+        18*v[3] + 27*v[4] + m0*6*v[6] + m1*6*v[6],  # 38
+        27*v[3] + 18*v[4] + m0*6*v[6],  # 39
+        6*v[3] + 6*v[4] + m0*2*v[6],  # 40
+        v[6],  # 41
+    )
+
+
+def kernel(d, forms, row):
+    row = [0, *row, 0, 0]
     o0 = o1 = o2 = o3 = o4 = o5 = o6 = o7 = o8 = o9 = o10 = o11 = o12 = 0
     for d1 in range(1, d // 2 + 1):
         d2 = d - d1
-        a = columns[d1]
-        b = columns[d2]
+        A = forms[d1]
+        B = forms[d2]
         s0 = rule0(d1)
-        t0 = rule0(d2)
         s1 = rule1(d1)
+        t0 = rule0(d2)
         t1 = rule1(d2)
         both = d1 * d2
-        e1 = 3 * d1 - 3
-        c0 = row[e1 + 0] * both - row[e1 + 1] * d1 * d1
-        c1 = row[e1 + 1] * both - row[e1 + 2] * d1 * d1
-        c2 = row[e1 + 2] * both - row[e1 + 3] * d1 * d1
+        q = d1 * d1
+        e = 3 * d1 - 3
+        r0, r1, r2, r3 = row[e:e + 4]
+        c0 = r0 * both - r1 * q
+        c1 = r1 * both - r2 * q
+        c2 = r2 * both - r3 * q
         if d1 != d2:
-            e2 = 3 * d2 - 3
-            c0 += row[e2 + 2] * both - row[e2 + 3] * d2 * d2
-            c1 += row[e2 + 1] * both - row[e2 + 2] * d2 * d2
-            c2 += row[e2 + 0] * both - row[e2 + 1] * d2 * d2
-        p0_3 = a[0] * b[3]
-        p1_3 = a[1] * b[3]
-        p2_3 = a[2] * b[3]
-        p3_0 = a[3] * b[0]
-        p3_1 = a[3] * b[1]
-        p3_2 = a[3] * b[2]
-        p3_3 = a[3] * b[3]
-        p3_4 = a[3] * b[4]
-        p3_5 = a[3] * b[5]
-        p3_6 = a[3] * b[6]
-        p3_7 = a[3] * b[7]
-        p3_8 = a[3] * b[8]
-        p3_9 = a[3] * b[9]
-        p3_10 = a[3] * b[10]
-        p3_11 = a[3] * b[11]
-        p3_12 = a[3] * b[12]
-        p4_3 = a[4] * b[3]
-        p4_4 = a[4] * b[4]
-        p4_5 = a[4] * b[5]
-        p4_6 = a[4] * b[6]
-        p5_3 = a[5] * b[3]
-        p5_4 = a[5] * b[4]
-        p5_5 = a[5] * b[5]
-        p5_6 = a[5] * b[6]
-        p6_3 = a[6] * b[3]
-        p6_4 = a[6] * b[4]
-        p6_5 = a[6] * b[5]
-        p6_6 = a[6] * b[6]
-        p7_3 = a[7] * b[3]
-        p8_3 = a[8] * b[3]
-        p9_3 = a[9] * b[3]
-        p10_3 = a[10] * b[3]
-        p11_3 = a[11] * b[3]
-        p12_3 = a[12] * b[3]
-        o0 += c0*(s0*t0*(p0_3)) + c1*(2*p3_3) + c2*(s0*t0*(p3_0))
-        o1 += c0*(s0*t0*(p1_3)) + c1*(6*p3_3) + c2*(s0*t0*(p3_1))
-        o2 += c0*(t0*(3*p0_3) + s0*t0*(p2_3)) + c1*(3*p3_4 + 3*p4_3) + c2*(s0*(3*p3_0) + s0*t0*(p3_2))
-        o3 += c0*(s0*t0*(p3_3)) + c1*(s0*t0*(2*p3_3)) + c2*(s0*t0*(p3_3))
-        o4 += c0*(t0*(2*p3_3) + s0*t0*(p4_3)) + c1*(s0*(2*p3_3) + t0*(2*p3_3) + s0*t0*(p3_4 + p4_3)) + c2*(s0*(2*p3_3) + s0*t0*(p3_4))
-        o5 += c0*(t0*(6*p3_3) + s0*t0*(p5_3)) + c1*(s0*(6*p3_3) + t0*(6*p3_3) + s0*t0*(p3_5 + p5_3)) + c2*(s0*(6*p3_3) + s0*t0*(p3_5))
-        o6 += c0*(t0*(3*p3_3 + 3*p4_3) + t1*(3*p3_3) + s0*t0*(p6_3)) + c1*(s0*(3*p3_3 + 3*p3_4) + t0*(3*p3_3 + 3*p4_3) + t1*(3*p3_3) + s1*(3*p3_3) + s0*t0*(p3_6 + p6_3)) + c2*(s0*(3*p3_3 + 3*p3_4) + s1*(3*p3_3) + s0*t0*(p3_6))
-        o7 += c0*(t0*(4*p4_3) + s0*t0*(p7_3)) + c1*(4*p3_3 + t0*(4*p3_4) + s0*(4*p4_3) + s0*t0*(2*p4_4)) + c2*(s0*(4*p3_4) + s0*t0*(p3_7))
-        o8 += c0*(t0*(6*p4_3 + 2*p5_3) + s0*t0*(p8_3)) + c1*(12*p3_3 + t0*(6*p3_4 + 2*p3_5) + s0*(6*p4_3 + 2*p5_3) + s0*t0*(p4_5 + p5_4)) + c2*(s0*(6*p3_4 + 2*p3_5) + s0*t0*(p3_8))
-        o9 += c0*(t0*(6*p0_3 + 3*p4_3 + 2*p6_3 + 3*p7_3) + t1*(3*p4_3) + s0*t0*(p9_3)) + c1*(12*p3_3 + 6*p3_4 + 6*p4_3 + t0*(3*p3_4 + 2*p3_6 + 3*p4_4) + t1*(3*p3_4) + s0*(3*p4_3 + 3*p4_4 + 2*p6_3) + s1*(3*p4_3) + s0*t0*(p4_6 + p6_4)) + c2*(s0*(6*p3_0 + 3*p3_4 + 2*p3_6 + 3*p3_7) + s1*(3*p3_4) + s0*t0*(p3_9))
-        o10 += c0*(t0*(12*p5_3) + s0*t0*(p10_3)) + c1*(36*p3_3 + t0*(12*p3_5) + s0*(12*p5_3) + s0*t0*(2*p5_5)) + c2*(s0*(12*p3_5) + s0*t0*(p3_10))
-        o11 += c0*(t0*(18*p0_3 + 3*p5_3 + 6*p6_3 + 3*p8_3) + t1*(3*p5_3) + s0*t0*(p11_3)) + c1*(36*p3_3 + 18*p3_4 + 18*p4_3 + t0*(3*p3_5 + 6*p3_6 + 3*p4_5) + t1*(3*p3_5) + s0*(3*p5_3 + 3*p5_4 + 6*p6_3) + s1*(3*p5_3) + s0*t0*(p5_6 + p6_5)) + c2*(s0*(18*p3_0 + 3*p3_5 + 6*p3_6 + 3*p3_8) + s1*(3*p3_5) + s0*t0*(p3_11))
-        o12 += c0*(t0*(9*p0_3 + 6*p6_3 + 6*p9_3) + t1*(18*p0_3 + 6*p6_3) + s0*t0*(p12_3)) + c1*(18*p3_3 + 27*p3_4 + 27*p4_3 + 18*p4_4 + t0*(6*p3_6 + 6*p4_6) + t1*(6*p3_6) + s0*(6*p6_3 + 6*p6_4) + s1*(6*p6_3) + s0*t0*(2*p6_6)) + c2*(s0*(9*p3_0 + 6*p3_6 + 6*p3_9) + s1*(18*p3_0 + 6*p3_6) + s0*t0*(p3_12))
+            q = d2 * d2
+            e = 3 * d2 - 3
+            r0, r1, r2, r3 = row[e:e + 4]
+            c0 += r2 * both - r3 * q
+            c1 += r1 * both - r2 * q
+            c2 += r0 * both - r1 * q
+        x0_1 = c0 * B[1]
+        x0_3 = c0 * B[3]
+        x1_1 = c1 * B[1]
+        x1_3 = c1 * B[3]
+        x1_9 = c1 * B[9]
+        x1_12 = c1 * B[12]
+        x1_15 = c1 * B[15]
+        x1_19 = c1 * B[19]
+        x1_35 = c1 * B[35]
+        x1_41 = c1 * B[41]
+        x2_1 = c2 * A[1]
+        x2_3 = c2 * A[3]
+        o0 += x0_1*A[0] + x1_3*A[2] + x2_1*B[0]
+        o1 += x0_1*A[4] + x1_3*A[5] + x2_1*B[4]
+        o2 += x0_1*A[6] + x1_3*A[7] + x1_9*A[8] + x2_1*B[6]
+        o3 += x0_1*A[1] + x1_1*A[10] + x2_1*B[1]
+        o4 += x0_1*A[11] + x1_3*(A[10] + t0*A[11]) + x1_12*A[1] + x2_1*B[11]
+        o5 += x0_1*A[13] + x1_3*(A[14] + t0*A[13]) + x1_15*A[1] + x2_1*B[13]
+        o6 += x0_3*(t0*A[16] + t1*A[8]) + x1_3*(A[17] + t0*A[16] + t1*A[8]) + x1_9*A[18] + x1_19*A[1] + x2_3*(s0*B[16] + s1*B[8])
+        o7 += x0_1*A[20] + x1_3*A[21] + x1_12*A[22] + x2_1*B[20]
+        o8 += x0_1*A[23] + x1_3*A[24] + x1_12*A[13] + x1_15*A[11] + x2_1*B[23]
+        o9 += x0_3*(t0*A[25] + t1*A[7]) + x1_3*A[26] + x1_9*(A[27] + t0*A[16] + t1*A[8]) + x1_19*A[11] + x2_3*(s0*B[25] + s1*B[7])
+        o10 += x0_1*A[28] + x1_3*A[29] + x1_15*A[30] + x2_1*B[28]
+        o11 += x0_3*(t0*A[31] + t1*A[32]) + x1_3*A[33] + x1_9*A[34] + x1_35*(t0*A[16] + t1*A[8]) + x1_19*A[13] + x2_3*(s0*B[31] + s1*B[32])
+        o12 += x0_3*(t0*A[36] + t1*A[37]) + x1_3*A[38] + x1_9*A[39] + x1_41*(t0*A[40] + t1*A[5]) + x2_3*(s0*B[36] + s1*B[37])
     return o0, o1, o2, o3, o4, o5, o6, o7, o8, o9, o10, o11, o12

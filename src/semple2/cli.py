@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from typing import List
 
 from .contact import (
@@ -102,7 +103,7 @@ def _curve_from_args(args) -> CurveInvariants | None:
         raise ValueError("give either --curve or --plucker")
     if args.plucker is not None:
         return plucker_class(*_parse_triple(args.plucker))
-    return None if args.curve is None else CurveInvariants(*_parse_triple(args.curve))
+    return None if args.curve is None else _fixed_curve(args.curve)
 
 
 def _cmd_contact(args) -> int:
@@ -139,10 +140,20 @@ def _parse_triple(text: str) -> tuple:
         raise ValueError(f"bad curve triple {text!r}") from exc
 
 
+def _fixed_curve(text: str) -> CurveInvariants:
+    """The curve of a C,CLASS,KAPPA option; as with --plucker, its degree
+    must be at least 1 (the library's CurveInvariants(0, 0, 0) is the zero
+    of its additive uses, not a curve)."""
+    c, cdual, kappa = _parse_triple(text)
+    if c < 1:
+        raise ValueError("curve degree must be at least 1")
+    return CurveInvariants(c, cdual, kappa)
+
+
 def _cmd_count(args) -> int:
     d = args.degree
-    tangents = tuple(CurveInvariants(*_parse_triple(s)) for s in args.tangent or [])
-    osculants = tuple(CurveInvariants(*_parse_triple(s)) for s in args.osculate or [])
+    tangents = tuple(_fixed_curve(s) for s in args.tangent or [])
+    osculants = tuple(_fixed_curve(s) for s in args.osculate or [])
     profile = ConditionProfile(d, args.points, tangents, osculants)
     check_profile(profile)
     table = compute_up_to(d, cache_path=_default_cache(args.cache))
@@ -267,21 +278,25 @@ def main(argv: List[str] | None = None) -> int:
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if limit is not None:
         sys.set_int_max_str_digits(0)
-    try:
-        return args.func(args)
-    except UnsupportedProfileError as exc:
-        _diag(f"error: {exc}")
-        return EXIT_UNSUPPORTED
-    except CacheError as exc:
-        _diag(f"error: {exc}")
-        return EXIT_VERIFY
-    except (ValueError, KeyError) as exc:
-        # ChowParseError is a ValueError
-        _diag(f"error: {exc}")
-        return EXIT_USAGE
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+    # a library warning (a degree-1 curve is a line) prints as one
+    # diagnostic line, without the source location the default hook adds
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: _diag(f"warning: {message}")
+        try:
+            return args.func(args)
+        except UnsupportedProfileError as exc:
+            _diag(f"error: {exc}")
+            return EXIT_UNSUPPORTED
+        except CacheError as exc:
+            _diag(f"error: {exc}")
+            return EXIT_VERIFY
+        except (ValueError, KeyError) as exc:
+            # ChowParseError is a ValueError
+            _diag(f"error: {exc}")
+            return EXIT_USAGE
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

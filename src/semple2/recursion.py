@@ -28,14 +28,20 @@ factorial, independent of d'.  The whole identity therefore reduces to
 a bilinear stencil: 149 integer weights on (j1, insertion kinds, L1, L2,
 Lout), applied to the integer columns of lower degrees, so computing a
 degree needs no polynomial arithmetic.  The stencil ships as code: the
-module `semple2._kernel` holds one straight-line function, `kernel`, in
-which the work of walking the 149 terms is already done, so each split of
-each degree pays only for its bigint products and sums.  `recursion_rhs`
-imports it on the first computed degree.  `semple2.verify` keeps the
-derivation (`derive_stencil`), the generator that writes `_kernel.py` from
-its output (`kernel_source`, which the self-test and the tests compare
-with the shipped file), and the Fraction-polynomial form of the same
-identity as a differential oracle.
+module `semple2._kernel` holds two straight-line functions in which the
+work of walking the 149 terms is already done.  `degree_forms` computes,
+once per degree, the small-weight linear forms of that degree's column
+that the terms share, with the divisor multipliers of the degree applied;
+`compute_up_to` keeps one tuple of them per degree, whether the degree was
+computed or read from the cache.  `kernel` then pays, per split, only for
+a few products of these forms with entries scaled by the binomial
+factors, which it reads from the row comb(3d-6, k) that `compute_up_to`
+builds by the multiplicative update (`binomial_row`) and passes in.
+`compute_up_to` imports the module on the first computed degree.
+`semple2.verify` keeps the derivation (`derive_stencil`), the generator
+that writes `_kernel.py` from its output (`kernel_source`, which the
+self-test and the tests compare with the shipped file), and the
+Fraction-polynomial form of the same identity as a differential oracle.
 
 A computed or cached table is an `InvariantTable`: an immutable plain class
 with `__slots__` (like the value types of `semple2.contact`, the ring
@@ -53,7 +59,6 @@ import json
 import os
 import stat
 from itertools import count, islice
-from math import comb
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 #: the thirteen labels in printed-table row order
@@ -94,19 +99,33 @@ SEED: Dict[str, int] = {
     "hz.hz": 0, "hz.hdz": 0, "hdz.hdz": 9,
 }
 
-def recursion_rhs(d: int, columns: Dict[int, Sequence[int]]) -> Tuple[int, ...]:
-    """The degree-d column, in INVARIANT_LABELS order, from all lower ones.
+def binomial_row(m: int) -> List[int]:
+    """comb(m, k) for k = 0..m, each from the one before by the
+    multiplicative update comb(m, k+1) = comb(m, k) * (m-k) / (k+1)."""
+    row = [1]
+    for k in range(m):
+        row.append(row[-1] * (m - k) // (k + 1))
+    return row
 
-    Runs the shipped kernel; its module is imported here, on the first
-    computed degree, since it reads DIVISOR_RULE from this one.
+
+def recursion_rhs(d: int, forms: Dict[int, tuple], row: Sequence[int]) -> Tuple[int, ...]:
+    """The degree-d column, in INVARIANT_LABELS order, from the per-degree
+    forms of all lower ones and the row comb(3d-6, k), k = 0..3d-6.
+
+    `forms[d']` is `semple2._kernel.degree_forms(d', column)` of the
+    degree-d' column.  Runs the shipped kernel, whose module reads
+    DIVISOR_RULE from this one and so is imported here, not at the top.
     """
     if d < 2:
         raise ValueError("the recursion starts at degree 2")
     for dd in range(1, d):
-        if dd not in columns:
-            raise ValueError(f"missing column for degree {dd}")
+        if dd not in forms:
+            raise ValueError(f"missing forms for degree {dd}")
+    if len(row) != 3 * d - 5:
+        raise ValueError(f"the row for degree {d} holds comb({3 * d - 6}, k) "
+                         f"for k = 0..{3 * d - 6}, not {len(row)} entries")
     from ._kernel import kernel
-    return kernel(d, columns)
+    return kernel(d, forms, row)
 
 
 class _Frozen:
@@ -186,16 +205,21 @@ def ratio_failures(column: Dict[str, int]) -> list:
 
 def _point_counts() -> Iterator[int]:
     """Rational plane curves of degree d through 3d-1 general points, for
-    d = 1, 2, ... in turn, by the classical quadratic recursion."""
-    row = [0, 1]
+    d = 1, 2, ... in turn, by the classical quadratic recursion
+
+        N_d = sum over d1 + d2 = d of N_d1 N_d2 d1^2 d2
+              * (d2 comb(3d-4, 3d1-2) - d1 comb(3d-4, 3d1-1)),
+
+    which reads one binomial row per degree."""
+    counts = [0, 1]
     yield 1
     for d in count(2):
-        row.append(sum(
-            row[d1] * row[d - d1] * (
-                d1 * d1 * (d - d1) ** 2 * comb(3 * d - 4, 3 * d1 - 2)
-                - d1 ** 3 * (d - d1) * comb(3 * d - 4, 3 * d1 - 1))
+        row = binomial_row(3 * d - 4)
+        counts.append(sum(
+            counts[d1] * counts[d - d1] * (d1 * d1 * (d - d1) * (
+                (d - d1) * row[3 * d1 - 2] - d1 * row[3 * d1 - 1]))
             for d1 in range(1, d)))
-        yield row[d]
+        yield counts[d]
 
 
 def kontsevich_row(dmax: int) -> List[int]:
@@ -368,15 +392,17 @@ def compute_up_to(dmax: int, cache_path: str | None = None) -> InvariantTable:
     if cache_path and os.path.exists(cache_path):
         known = dict(load_table(cache_path).values)
 
+    # a cache holds exactly the degrees 1..N, so values holds 1..min(N, dmax)
     values: Dict[int, Dict[str, int]] = {1: dict(SEED)}
-    columns: Dict[int, Tuple[int, ...]] = {}
-    for d in range(1, dmax + 1):
-        if d in known:
-            values[d] = dict(known[d])
-        elif d > 1:
-            column = recursion_rhs(d, columns)
+    values.update((d, dict(column)) for d, column in known.items() if d <= dmax)
+    if dmax > len(values):
+        from ._kernel import degree_forms
+        forms = {d: degree_forms(d, tuple(column[lbl] for lbl in INVARIANT_LABELS))
+                 for d, column in values.items()}
+        for d in range(len(values) + 1, dmax + 1):
+            column = recursion_rhs(d, forms, binomial_row(3 * d - 6))
             values[d] = dict(zip(INVARIANT_LABELS, column))
-        columns[d] = tuple(values[d][lbl] for lbl in INVARIANT_LABELS)
+            forms[d] = degree_forms(d, column)
 
     if cache_path and not values.keys() <= known.keys():
         merged = dict(known)

@@ -17,9 +17,11 @@ beyond the polynomial substrate and the label tables:
 
 * the stencil compiler (`derive_stencil`), which derives the 149 integer
   weights from the gluing matrix, and the kernel generator
-  (`kernel_source`), which writes them as the straight-line function that
-  the production recursion runs; the self-test compares the generated text
-  with the shipped module `semple2._kernel`, line by line;
+  (`kernel_source`), which writes them as the two straight-line functions
+  that the production recursion runs: the per-degree linear forms that
+  the terms share, and the split loop that multiplies them; the self-test
+  compares the generated text with the shipped module `semple2._kernel`,
+  line by line;
 
 * the degree recursion run literally on Fraction tail polynomials
   (`reference_table`), the differential oracle for the integer stencil
@@ -44,7 +46,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import groupby, zip_longest
 from math import comb, factorial, prod
 from typing import Dict, List, Optional, Tuple
 
@@ -150,7 +152,8 @@ def derive_stencil(matrix: MatrixEntries) -> Stencil:
     """Compile the quadratic identity through the gluing matrix (cap >= 2).
 
     Raises ArithmeticError unless every weight is an integer.  The weights
-    come out grouped by j1, in a fixed order, which `kernel_source` keeps.
+    come out grouped by j1, in a fixed order; `kernel_source` sorts what it
+    writes, so its text does not depend on that order.
     """
     def derivative_part(label: str, j: int) -> Poly:
         """The (3d-3+j)-fold y200-derivative of a tail's L-term, per unit of n_L."""
@@ -213,26 +216,39 @@ def derive_stencil(matrix: MatrixEntries) -> Stencil:
 
 
 def kernel_source(stencil: Stencil) -> str:
-    """The text of a module whose `kernel(d, columns)` runs the stencil.
+    """The text of a module that runs the stencil: `degree_forms(d, column)`
+    and `kernel(d, forms, row)`.
 
     The degree-d column is a fixed bilinear form in the lower columns, so
-    all that depends on the stencil alone is settled here, in the source of
-    one straight-line function.  In it each distinct product
-    n_d1[L1] * n_d2[L2] is a local, and each of the thirteen outputs is a
-    local with one accumulating statement whose weights, indices and
-    grouping are literals.  Per split the kernel then does the bigint work
-    and little else: no Python-level loop over terms, and no `comb` call, as
-    the binomial factors read the row comb(3d-6, k), built once per degree.
-    The text holds only integers and names of this template; the divisor
-    rules enter by name from `recursion.DIVISOR_RULE` and are called per
-    split, so DIVISOR_RULE stays the one definition of the multipliers.
-    For the derived stencil the text is the shipped module
+    all that depends on the stencil alone is settled here, in straight-line
+    source whose weights, indices and grouping are literals.
+
+    Layout.  In slice j1 each output's terms are grouped by one factor: by
+    the second for j1 <= last/2 (last = len(stencil) - 1, 2 for the derived
+    stencil), by the first above.  The terms of a group share that factor's
+    entry; their other factors, each with its weight and its divisor
+    multiplier, sum to one linear form in the other column.  A form, like an
+    entry times its multiplier, depends on one degree only, so
+    `degree_forms` computes all of them once per degree, as one tuple, when
+    that degree's column is known, and the recursion keeps the tuple.  The
+    split loop of `kernel` scales each grouping entry by its binomial factor
+    c_j1 and multiplies it into its group's form: one bigint product per
+    group and no small-weight work.  A group whose entry carries several
+    multiplier kinds takes one product of the unscaled entry with its forms
+    weighted by that side's small multipliers, so that at large degrees it
+    costs one bigint product, not one per kind.  The binomial factors read
+    the row comb(3d-6, k), k = 0..3d-6, which the caller passes in: the
+    module imports nothing but `recursion.DIVISOR_RULE`, whose rules it
+    calls by name, so DIVISOR_RULE stays the one definition of the
+    multipliers.  For the derived stencil the text is the shipped module
     `semple2._kernel`, written by KERNEL_COMMAND.
 
-    By the symmetry of the stencil the split (d2, d1) gives the same sums
-    as (d1, d2) with j1 reversed, so the kernel visits each unordered split
-    once and multiplies each sum by the binomial factors of both
-    orientations added together.
+    Symmetry.  The split (d2, d1) gives the same sums as (d1, d2) with j1
+    reversed, so the kernel visits each unordered split once and multiplies
+    each sum by the binomial factors of both orientations added together.
+    The same symmetry makes a slice above the middle, grouped by its first
+    factor, need exactly the forms of its mirror below, grouped by its
+    second: one tuple of forms per degree serves as either factor.
 
     Raises ValueError, before any text is produced, unless the stencil is
     symmetric under swapping the two factors (as multisets of terms), every
@@ -246,64 +262,114 @@ def kernel_source(stencil: Stencil) -> str:
         if swapped != Counter(terms):
             raise ValueError("the stencil is not symmetric under swapping the two factors")
     n = len(INVARIANT_LABELS)
-    # the name of each kind's multiplier in the first and the second factor;
-    # a derivative has none, its multiplier is 1
-    first = {None: "", **{kind: f"s{k}" for k, kind in enumerate(DIVISOR_RULE)}}
-    second = {None: "", **{kind: f"t{k}" for k, kind in enumerate(DIVISOR_RULE)}}
-    # sums[iout][j1][kind factor]: the weighted products that share all three
-    sums: Dict[int, Dict[int, Dict[str, List[str]]]] = {}
+    # the number of each kind's multiplier; a derivative has none, its
+    # multiplier is 1, and it sorts first
+    number = {None: -1, **{kind: k for k, kind in enumerate(DIVISOR_RULE)}}
+    # groups[iout, j1, grouping index][its kind][(form index, form kind)]: weight
+    groups: Dict[Tuple[int, int, int], Dict[Optional[str], Dict[tuple, int]]] = {}
     for j1, terms in enumerate(stencil):
         for term in terms:
             ks, kt, i1, i2, iout, w = term
-            if ks not in first or kt not in second:
+            if ks not in number or kt not in number:
                 raise ValueError(f"unknown insertion kind in stencil term {term!r}")
             if {type(i1), type(i2), type(iout), type(w)} != {int} \
                     or not (0 <= i1 < n and 0 <= i2 < n and 0 <= iout < n):
                 raise ValueError(f"bad index or weight in stencil term {term!r}")
-            factor = "*".join(filter(None, (first[ks], second[kt])))
-            sums.setdefault(iout, {}).setdefault(j1, {}).setdefault(factor, []) \
-                .append(f"p{i1}_{i2}" if w == 1 else f"{w}*p{i1}_{i2}")
-    used = {kind for terms in stencil for term in terms for kind in term[:2]}
+            (i, kind), form = ((i2, kt), (i1, ks)) if 2 * j1 <= last else ((i1, ks), (i2, kt))
+            weights = groups.setdefault((iout, j1, i), {}).setdefault(kind, {})
+            weights[form] = weights.get(form, 0) + w
 
-    def scaled(factor: str, products: List[str]) -> str:
-        return f"{factor}*({' + '.join(products)})" if factor else " + ".join(products)
+    # the per-degree tuple: each slot a sum of weight * multiplier * entry
+    # over (entry index, kind, weight) terms, numbered in order of first use
+    slots: Dict[Tuple[Tuple[int, Optional[str], int], ...], int] = {}
 
+    def slot(weights: Dict[tuple, int]) -> int:
+        key = tuple(sorted(((i, kind, w) for (i, kind), w in weights.items()),
+                           key=lambda t: (number[t[1]], t[0])))
+        return slots.setdefault(key, len(slots))
+
+    scaled: Dict[Tuple[int, int], str] = {}
+    sums: Dict[int, List[str]] = {}
+    split_rules = set()
+    for (iout, j1, i), by_kind in sorted(groups.items()):
+        # weights that cancel leave no term, and a form without terms no product
+        forms = {}
+        for kind in sorted(by_kind, key=number.get):
+            weights = {f: w for f, w in by_kind[kind].items() if w}
+            if weights:
+                forms[kind] = weights
+        if not forms:
+            continue
+        entry_side, form_side, prefix = ("B", "A", "t") if 2 * j1 <= last else ("A", "B", "s")
+        if len(forms) == 1:
+            (kind, weights), = forms.items()
+            product = f"{form_side}[{slot(weights)}]"
+        else:
+            # the unscaled entry; each form takes its kind's multiplier here
+            kind = None
+            parts = []
+            for k, weights in forms.items():
+                part = f"{form_side}[{slot(weights)}]"
+                if k is not None:
+                    split_rules.add((prefix, number[k]))
+                    part = f"{prefix}{number[k]}*{part}"
+                parts.append(part)
+            product = f"({' + '.join(parts)})"
+        e = slot({(i, kind): 1})
+        scaled[j1, e] = f"c{j1} * {entry_side}[{e}]"
+        sums.setdefault(iout, []).append(f"x{j1}_{e}*{product}")
+
+    def slot_text(key: Tuple[Tuple[int, Optional[str], int], ...]) -> str:
+        parts = []
+        for kind, terms in groupby(key, key=lambda t: t[1]):
+            inner = [f"v[{i}]" if w == 1 else f"{w}*v[{i}]" for i, _, w in terms]
+            if kind is None:
+                parts += inner
+            elif len(inner) == 1:
+                parts.append(f"m{number[kind]}*{inner[0]}")
+            else:
+                parts.append(f"m{number[kind]}*({' + '.join(inner)})")
+        return " + ".join(parts)
+
+    form_rules = sorted({number[kind] for key in slots for _, kind, _ in key
+                         if kind is not None})
+    kinds = list(DIVISOR_RULE)
     lines = ["# Generated by semple2.verify.kernel_source from the stencil that",
              "# semple2.verify.derive_stencil derives from the gluing matrix.",
              "# Do not edit; from the repository root, regenerate with",
              f"#   {KERNEL_COMMAND}",
-             "from math import comb",
-             "",
              "from semple2.recursion import DIVISOR_RULE",
              ""]
-    lines += [f'rule{k} = DIVISOR_RULE["{kind}"]'
-              for k, kind in enumerate(DIVISOR_RULE) if kind in used]
-    lines += ["",
+    lines += [f'rule{k} = DIVISOR_RULE["{kinds[k]}"]'
+              for k in sorted({*form_rules, *(k for _, k in split_rules)})]
+    lines += ["", "", "def degree_forms(d, v):"]
+    lines += [f"    m{k} = rule{k}(d)" for k in form_rules]
+    lines.append("    return (")
+    lines += [f"        {slot_text(key)},  # {s}" for key, s in slots.items()]
+    lines += ["    )",
               "",
-              "def kernel(d, columns):",
-              "    m = 3 * d - 6",
-              f"    row = [0, *[comb(m, k) for k in range(m + 1)]{', 0' * last}]",
+              "",
+              "def kernel(d, forms, row):",
+              f"    row = [0, *row{', 0' * last}]",
               f"    {' = '.join(f'o{i}' for i in range(n))} = 0",
               "    for d1 in range(1, d // 2 + 1):",
               "        d2 = d - d1",
-              "        a = columns[d1]",
-              "        b = columns[d2]"]
-    for k, kind in enumerate(DIVISOR_RULE):
-        if kind in used:
-            lines += [f"        s{k} = rule{k}(d1)", f"        t{k} = rule{k}(d2)"]
-    # with e = 3d' - 3, row[e + j] is comb(m, 3d' - 4 + j), 0 off the row
-    lines += ["        both = d1 * d2", "        e1 = 3 * d1 - 3"]
-    lines += [f"        c{j} = row[e1 + {j}] * both - row[e1 + {j + 1}] * d1 * d1"
+              "        A = forms[d1]",
+              "        B = forms[d2]"]
+    lines += [f"        {p}{k} = rule{k}({'d1' if p == 's' else 'd2'})"
+              for p, k in sorted(split_rules)]
+    # with e = 3d' - 3, row[e + j] is comb(3d-6, 3d' - 4 + j), 0 off the row
+    r = [f"r{j}" for j in range(last + 2)]
+    lines += ["        both = d1 * d2", "        q = d1 * d1", "        e = 3 * d1 - 3",
+              f"        {', '.join(r)} = row[e:e + {last + 2}]"]
+    lines += [f"        c{j} = r{j} * both - r{j + 1} * q" for j in range(last + 1)]
+    lines += ["        if d1 != d2:", "            q = d2 * d2", "            e = 3 * d2 - 3",
+              f"            {', '.join(r)} = row[e:e + {last + 2}]"]
+    lines += [f"            c{j} += r{last - j} * both - r{last - j + 1} * q"
               for j in range(last + 1)]
-    lines += ["        if d1 != d2:", "            e2 = 3 * d2 - 3"]
-    lines += [f"            c{j} += row[e2 + {last - j}] * both"
-              f" - row[e2 + {last - j + 1}] * d2 * d2" for j in range(last + 1)]
-    lines += [f"        p{i1}_{i2} = a[{i1}] * b[{i2}]"
-              for i1, i2 in sorted({term[2:4] for terms in stencil for term in terms})]
-    for iout, by_j1 in sorted(sums.items()):
-        expr = " + ".join(f"c{j1}*({' + '.join(scaled(*g) for g in by_factor.items())})"
-                          for j1, by_factor in sorted(by_j1.items()))
-        lines.append(f"        o{iout} += {expr}")
+    lines += [f"        x{j1}_{e} = {expr}" for (j1, e), expr in sorted(scaled.items())]
+    lines += [f"        o{iout} += {' + '.join(products)}"
+              for iout, products in sorted(sums.items())]
     lines.append(f"    return {', '.join(f'o{i}' for i in range(n))}")
     return "\n".join(lines) + "\n"
 

@@ -147,10 +147,13 @@ def test_a_cache_value_semple2_never_writes_fails_count(tmp_path, capsys):
     (["count", "--degree", "30", "--points", "85",
       "--osculate", "2,2,0", "--osculate", "2,2,0"], 3),
     (["contact", "--degree", "30", "--curve", "2,x,0"], 2),
+    (["contact", "--degree", "30", "--curve", "0,0,0"], 2),
+    (["count", "--degree", "30", "--points", "88", "--tangent", "0,0,0"], 2),
+    (["count", "--degree", "30", "--points", "87", "--osculate", "0,0,0"], 2),
 ])
 def test_a_refused_request_computes_nothing_and_writes_no_cache(
         tmp_path, capsys, monkeypatch, argv, status):
-    def refuse(d, columns):
+    def refuse(d, forms, row):
         raise AssertionError(f"degree {d} computed")
 
     monkeypatch.setattr(recursion, "recursion_rhs", refuse)
@@ -297,6 +300,32 @@ def test_a_bad_curve_triple_is_a_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["contact", "--degree", "2", "--curve", "0,0,0"],
+    ["contact", "--degree", "2", "--plucker", "0,0,0"],
+    ["count", "--degree", "2", "--points", "4", "--tangent", "0,0,0"],
+    ["count", "--degree", "3", "--points", "6", "--osculate", "0,2,0"],
+    ["count", "--degree", "2", "--points", "3", "--tangent", "2,2,0", "--tangent", "0,1,0"],
+])
+def test_a_curve_of_degree_zero_is_refused_in_every_curve_option(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: curve degree must be at least 1\n"
+
+
+def test_a_degree_one_curve_warns_in_one_line_and_prints_the_same_count():
+    # the count is the one the formula gives; the line is the only stderr
+    src = str(Path(semple2.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env.pop("SEMPLE2_CACHE", None)
+    proc = subprocess.run([sys.executable, "-m", "semple2.cli", "contact", "--degree", "3",
+                           "--curve", "1,0,0"], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "N_3(C) = 21c+30č+10κ\ncount = 21\n")
+    assert proc.stderr == ("warning: a degree-1 curve is a line; the contact formulas "
+                           "assume the fixed curves contain no line\n")
 
 
 def test_chow_eval_product_vanishes(capsys):

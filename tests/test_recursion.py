@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -5,19 +6,23 @@ import stat
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
 
 import semple2
 from semple2 import cli, recursion
+from semple2._kernel import degree_forms
 from semple2.poly import monomial_weight, term
 from semple2.recursion import (
     CacheError,
     INVARIANT_LABELS,
     InvariantTable,
     SEED,
+    binomial_row,
     compute_up_to,
     kontsevich,
     kontsevich_row,
@@ -121,8 +126,12 @@ def test_non_integral_invariant_is_a_hard_failure():
 def test_recursion_requires_all_lower_tails(matrix2):
     with pytest.raises(ValueError):
         reference_rhs(3, {1: seed_degree1()}, matrix2)
-    with pytest.raises(ValueError):
-        recursion_rhs(3, {1: tuple(SEED.values())})
+    forms = {1: degree_forms(1, tuple(SEED.values()))}
+    with pytest.raises(ValueError, match="missing forms for degree 2"):
+        recursion_rhs(3, forms, binomial_row(3))
+    forms[2] = degree_forms(2, tuple(compute_up_to(2).column(2).values()))
+    with pytest.raises(ValueError, match="holds comb"):
+        recursion_rhs(3, forms, binomial_row(4))
 
 
 def test_determinism():
@@ -305,6 +314,41 @@ def test_stencil_derivation_rejects_a_fractional_weight(matrix2):
 def test_kontsevich_row_is_the_classical_sequence():
     assert kontsevich_row(6) == [0, 1, 1, 12, 620, 87304, 26312976]
     assert kontsevich_row(0) == [0]
+
+
+def comb_per_term_point_counts(dmax):
+    """N_d for d = 0..dmax by the classical recursion as first written,
+    with two `comb` calls per term: the oracle for `kontsevich_row`, which
+    reads one binomial row per degree and factors out d1^2 d2."""
+    row = [0, 1]
+    for d in range(2, dmax + 1):
+        row.append(sum(
+            row[d1] * row[d - d1] * (
+                d1 * d1 * (d - d1) ** 2 * comb(3 * d - 4, 3 * d1 - 2)
+                - d1 ** 3 * (d - d1) * comb(3 * d - 4, 3 * d1 - 1))
+            for d1 in range(1, d)))
+    return row
+
+
+def test_kontsevich_row_equals_the_comb_per_term_recursion_through_degree400():
+    assert kontsevich_row(400) == comb_per_term_point_counts(400)
+
+
+def kernel_split_loop_operations():
+    """The Mult, Add and Sub nodes in the split loop of the shipped kernel."""
+    text = Path(recursion.__file__).with_name("_kernel.py").read_text(encoding="utf-8")
+    tree = ast.parse(text)
+    kernel = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "kernel")
+    loop = next(node for node in kernel.body if isinstance(node, ast.For))
+    counts = Counter(type(node).__name__ for node in ast.walk(loop))
+    return counts["Mult"], counts["Add"], counts["Sub"]
+
+
+def test_the_kernel_split_loop_keeps_its_operation_count():
+    # the linear work of the stencil runs once per degree, in degree_forms;
+    # a generator change that moves it back into the loop fails here
+    assert kernel_split_loop_operations() == (110, 77, 9)
 
 
 def test_cache_rejects_wrong_point_count(tmp_path, table8):

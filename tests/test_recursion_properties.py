@@ -5,8 +5,9 @@ from math import comb
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semple2._kernel import degree_forms
 from semple2.potentials import build_gluing_matrix
-from semple2.recursion import DIVISOR_RULE, INVARIANT_LABELS, recursion_rhs
+from semple2.recursion import DIVISOR_RULE, INVARIANT_LABELS, binomial_row, recursion_rhs
 from semple2.verify import derive_stencil, kernel_source
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -67,10 +68,16 @@ def symmetric_stencils(draw):
 
 
 def generated_kernel(stencil):
-    """The `kernel` of the module text that `kernel_source` writes for the stencil."""
+    """The column function of the module text that `kernel_source` writes
+    for the stencil: per-degree forms of each lower column, then `kernel`."""
     namespace = {}
     exec(compile(kernel_source(stencil), "<generated kernel>", "exec"), namespace)
-    return namespace["kernel"]
+    forms, kernel = namespace["degree_forms"], namespace["kernel"]
+
+    def rhs(d, columns):
+        lower = {dd: forms(dd, column) for dd, column in columns.items()}
+        return kernel(d, lower, binomial_row(3 * d - 6))
+    return rhs
 
 
 column = st.tuples(*[st.integers(-10 ** 30, 10 ** 30)] * N)
@@ -87,4 +94,11 @@ def test_kernel_equals_the_per_term_definition(stencil, d, data):
 @given(st.integers(2, 12), st.data())
 def test_shipped_recursion_equals_the_per_term_definition_of_the_derived_stencil(d, data):
     columns = {dd: data.draw(column) for dd in range(1, d)}
-    assert recursion_rhs(d, columns) == naive_rhs(d, columns, DERIVED)
+    forms = {dd: degree_forms(dd, c) for dd, c in columns.items()}
+    assert recursion_rhs(d, forms, binomial_row(3 * d - 6)) == naive_rhs(d, columns, DERIVED)
+
+
+@PROPERTY
+@given(st.integers(0, 400))
+def test_binomial_row_is_the_row_of_comb(m):
+    assert binomial_row(m) == [comb(m, k) for k in range(m + 1)]

@@ -105,9 +105,10 @@ def test_a_changed_stencil_weight_fails_the_derivation_check(monkeypatch, tmp_pa
     assert verify._check_stencil(matrix2).passed
     with open(verify._KERNEL_PATH, encoding="utf-8") as handle:
         lines = handle.read().splitlines(keepends=True)
-    n = next(k for k, line in enumerate(lines, 1) if line.startswith("        o0 += "))
+    # the weight 2 of a per-degree form, in the kernel's degree_forms
+    n = next(k for k, line in enumerate(lines, 1) if line.startswith("        2*v[3],"))
     shipped = lines[n - 1]
-    changed = shipped.replace("c1*(2*p3_3)", "c1*(3*p3_3)")
+    changed = shipped.replace("2*v[3]", "3*v[3]")
     assert changed != shipped
     lines[n - 1] = changed
     copy = tmp_path / "_kernel.py"
