@@ -7,7 +7,10 @@ Data goes to stdout, diagnostics to stderr.  All integers are emitted as
 decimal strings in JSON output.  Exit codes: 0 success, 2 usage error,
 3 unsupported profile, 4 verification or cache failure.  `contact` and
 `count` check their curve and profile options before they compute or read
-a degree, so a refused request (exit 2 or 3) writes no cache.  Each
+a degree, so a refused request (exit 2 or 3) writes no cache.  Integer
+options are read in ASCII digits only, and a degree must be at least 1.
+A library warning prints as one `warning:` line, or, where warnings are
+errors (`python -W error`), refuses the request like any other (exit 2).  Each
 subcommand imports only the modules it runs, so `table`, `contact` and `count` load
 neither the Chow ring, the polynomials nor the oracles, also when they
 compute new degrees.
@@ -130,13 +133,34 @@ def _cmd_contact(args) -> int:
     return EXIT_OK
 
 
+def _integer(text: str) -> int:
+    """The integer of an option or a curve field: an optional sign and the
+    ASCII digits that `chow-eval` and the cache reader take, spaces around
+    them allowed; int() alone also reads "３" and "1_0"."""
+    s = text.strip()
+    digits = s[1:] if s[:1] in ("+", "-") else s
+    if digits.isascii() and digits.isdecimal():
+        try:
+            return int(s)
+        except ValueError:  # past the int-str digit limit, as int() refuses it
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
+def _degree(text: str) -> int:
+    d = _integer(text)
+    if d < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {d}")
+    return d
+
+
 def _parse_triple(text: str) -> tuple:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"expected three comma-separated integers, got {text!r}")
     try:
-        return tuple(int(p.strip()) for p in parts)
-    except ValueError as exc:
+        return tuple(_integer(p) for p in parts)
+    except argparse.ArgumentTypeError as exc:
         raise ValueError(f"bad curve triple {text!r}") from exc
 
 
@@ -209,9 +233,9 @@ def _cmd_verify(args) -> int:
 
     reports = run_selftest(args.max_degree, cache_path=args.cache)
     for r in reports:
-        _diag(("PASS" if r.passed else "FAIL") + f" {r.name} [{r.degrees}]")
-    _emit(json.dumps([r.to_dict() for r in reports], indent=2))
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY
+        _diag(f"{r['status'].upper()} {r['name']} [{r['degrees']}]")
+    _emit(json.dumps(reports, indent=2))
+    return EXIT_OK if all(r["status"] == "pass" for r in reports) else EXIT_VERIFY
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -222,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("table", allow_abbrev=False, help="emit the invariant table")
-    p.add_argument("--max-degree", type=int, required=True)
+    p.add_argument("--max-degree", type=_degree, required=True)
     p.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
     p.add_argument("--cache", default=None,
                    help=f"cache file (default from ${CACHE_ENV})")
@@ -230,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("contact", allow_abbrev=False,
                        help="triple-contact formula and counts")
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=_degree, required=True)
     p.add_argument("--curve", default=None, metavar="C,CLASS,KAPPA",
                    help="fixed curve as degree,class,cusps")
     p.add_argument("--plucker", default=None, metavar="C,NODES,CUSPS",
@@ -241,8 +265,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", allow_abbrev=False,
                        help="count curves meeting a condition profile")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--points", type=int, required=True)
+    p.add_argument("--degree", type=_degree, required=True)
+    p.add_argument("--points", type=_integer, required=True)
     p.add_argument("--tangent", action="append", metavar="C,CLASS,KAPPA",
                    help="tangency condition curve (repeatable)")
     p.add_argument("--osculate", action="append", metavar="C,CLASS,KAPPA",
@@ -261,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", allow_abbrev=False,
                        help="run the self-test oracles")
-    p.add_argument("--max-degree", type=int, required=True)
+    p.add_argument("--max-degree", type=_degree, required=True)
     p.add_argument("--cache", default=None,
                    help="also read this cache file and check it against the computed "
                         f"table; it is never written, and ${CACHE_ENV} is not read")
@@ -290,8 +314,9 @@ def main(argv: List[str] | None = None) -> int:
         except CacheError as exc:
             _diag(f"error: {exc}")
             return EXIT_VERIFY
-        except (ValueError, KeyError) as exc:
-            # ChowParseError is a ValueError
+        except (ValueError, KeyError, Warning) as exc:
+            # ChowParseError is a ValueError; a library warning is raised
+            # where warnings are errors (python -W error)
             _diag(f"error: {exc}")
             return EXIT_USAGE
         finally:

@@ -44,10 +44,9 @@ self-test and the tests compare with the shipped file), and the
 Fraction-polynomial form of the same identity as a differential oracle.
 
 A computed or cached table is an `InvariantTable`: an immutable plain class
-with `__slots__` (like the value types of `semple2.contact`, the ring
-elements of `semple2.chow` and the oracle types of `semple2.potentials` and
-`semple2.verify`, which share its private base), so that no subcommand
-imports `dataclasses`.  A cache is read back only in the exact form that
+with `__slots__` (like the value types of `semple2.contact` and the ring
+elements of `semple2.chow`, which share its private base `_Frozen`), so
+that no subcommand imports `dataclasses`.  A cache is read back only in the exact form that
 `table_to_json` writes, and then validated.  `DIVISOR_RULE` is the one
 statement of the divisor multipliers, read by the kernel and by the
 oracles.

@@ -34,11 +34,12 @@ machine-readable report list; each call builds the cap-2 gluing matrix
 once for the two checks that read it.  The reference integers are test
 fixtures, never inputs to any computation.
 
-`TailPolynomial` and `OracleReport` are immutable plain classes with
-`__slots__` on the base of the query types, so that the self-test loads
-neither `dataclasses` nor, through it, `inspect`.  The gluing matrix they
-read is the plain dict of `semple2.potentials.build_gluing_matrix`, its
-nonzero entries keyed by index pair.
+Everything here is plain data.  A report is the dict that `semple2 verify`
+prints, with the keys name, status ("pass" or "fail"), expected, actual
+and degrees, in that order.  A tail is a `Poly`, checked for its shape by
+`_tail` when it is built; the gluing matrix is the plain dict of
+`semple2.potentials.build_gluing_matrix`, its nonzero entries keyed by
+index pair.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ from .recursion import (
     DIVISOR_RULE,
     INVARIANT_LABELS,
     InvariantTable,
-    _Frozen,
     compute_up_to,
     kontsevich_row,
     load_table,
@@ -374,30 +374,23 @@ def kernel_source(stencil: Stencil) -> str:
     return "\n".join(lines) + "\n"
 
 
-class TailPolynomial(_Frozen):
-    """The stored part of the degree-d potential: thirteen coefficients.
-
-    Immutable but unhashable, since the polynomial is a dict.
-    """
-
-    __slots__ = __match_args__ = ("degree", "poly")
-
-    def __init__(self, degree: int, poly: Poly):
-        d = degree
-        if d < 1:
-            raise ValueError("degree must be positive")
-        if len(poly) > 13:
-            raise AssertionError("a tail has at most thirteen terms")
-        for m in poly:
-            exps = dict(m)
-            if exps.get("y200", 0) < 3 * d - 3:
-                raise AssertionError(f"tail term {m} has fewer than {3*d-3} point slots")
-            if monomial_weight(m) != 3 * d - 1:
-                raise AssertionError(f"tail term {m} has weight != {3*d-1}")
-        self._assign(degree, poly)
+def _tail(d: int, poly: Poly) -> Poly:
+    """The stored part of the degree-d potential, its thirteen coefficients,
+    once its shape is checked."""
+    if d < 1:
+        raise ValueError("degree must be positive")
+    if len(poly) > 13:
+        raise AssertionError("a tail has at most thirteen terms")
+    for m in poly:
+        exps = dict(m)
+        if exps.get("y200", 0) < 3 * d - 3:
+            raise AssertionError(f"tail term {m} has fewer than {3*d-3} point slots")
+        if monomial_weight(m) != 3 * d - 1:
+            raise AssertionError(f"tail term {m} has weight != {3*d-1}")
+    return poly
 
 
-def seed_degree1() -> TailPolynomial:
+def seed_degree1() -> Poly:
     """The closed-form degree-1 generating polynomial (the whole tail)."""
     p: Poly = {}
     for exps, c in (
@@ -409,7 +402,7 @@ def seed_degree1() -> TailPolynomial:
         ({"y011": 2}, Fraction(9, 2)),
     ):
         add_scaled(p, term(exps, 1), c)
-    return TailPolynomial(1, p)
+    return _tail(1, p)
 
 
 def _insert(label: str, degree: int, p: Poly) -> Poly:
@@ -421,7 +414,7 @@ def _insert(label: str, degree: int, p: Poly) -> Poly:
     return partial(p, "y" + label)
 
 
-def reference_rhs(d: int, tails: Dict[int, TailPolynomial],
+def reference_rhs(d: int, tails: Dict[int, Poly],
                   matrix: MatrixEntries) -> Poly:
     """The weight-2 polynomial whose coefficients carry the degree-d invariants.
 
@@ -447,7 +440,7 @@ def reference_rhs(d: int, tails: Dict[int, TailPolynomial],
     def dpow(dd: int, order: int) -> Poly:
         key = (dd, order)
         if key not in der_cache:
-            der_cache[key] = partial(tails[dd].poly, "y200", order)
+            der_cache[key] = partial(tails[dd], "y200", order)
         return der_cache[key]
 
     ins_cache: Dict[Tuple[str, int, int], Poly] = {}
@@ -496,7 +489,7 @@ def reference_rhs(d: int, tails: Dict[int, TailPolynomial],
     return acc
 
 
-def tail_from_weight2(d: int, w2: Poly) -> TailPolynomial:
+def tail_from_weight2(d: int, w2: Poly) -> Poly:
     """Reattach the 3d-3 forced point slots to a weight-2 derivative polynomial."""
     shift = 3 * d - 3
     p: Poly = {}
@@ -505,13 +498,13 @@ def tail_from_weight2(d: int, w2: Poly) -> TailPolynomial:
         b200 = exps.get("y200", 0)
         exps["y200"] = b200 + shift
         p[monomial(exps)] = c * Fraction(factorial(b200), factorial(b200 + shift))
-    return TailPolynomial(d, p)
+    return _tail(d, p)
 
 
-def extract_invariants(tail: TailPolynomial) -> Dict[str, int]:
-    """The thirteen labeled integers of a tail, via b! times a coefficient."""
-    d = tail.degree
-    w2 = partial(tail.poly, "y200", 3 * d - 3)
+def extract_invariants(d: int, tail: Poly) -> Dict[str, int]:
+    """The thirteen labeled integers of a degree-d tail, via b! times a
+    coefficient."""
+    w2 = partial(tail, "y200", 3 * d - 3)
     known = {monomial(LABEL_MONOMIAL[lbl]): lbl for lbl in INVARIANT_LABELS}
     stray = set(w2) - set(known)
     if stray:
@@ -531,10 +524,10 @@ def reference_table(dmax: int) -> InvariantTable:
     if dmax < 1:
         raise ValueError("dmax must be at least 1")
     matrix = build_gluing_matrix(2)
-    tails: Dict[int, TailPolynomial] = {1: seed_degree1()}
+    tails: Dict[int, Poly] = {1: seed_degree1()}
     for d in range(2, dmax + 1):
         tails[d] = tail_from_weight2(d, reference_rhs(d, tails, matrix))
-    return InvariantTable({d: extract_invariants(t) for d, t in tails.items()})
+    return InvariantTable({d: extract_invariants(d, t) for d, t in tails.items()})
 
 
 def _exp_factor(name: str, coeff: int, order: int) -> Poly:
@@ -581,51 +574,31 @@ def expand_cover_series(kind: str) -> Poly:
             and tuple(sum(table[v] * e for v, e in m) for table, _ in budgets) in sums}
 
 
-class OracleReport(_Frozen):
-    """One self-test outcome with both sides of any disagreement."""
-
-    __slots__ = __match_args__ = ("name", "passed", "expected", "actual", "degrees")
-
-    def __init__(self, name: str, passed: bool, expected: str, actual: str,
-                 degrees: str):
-        self._assign(name, passed, expected, actual, degrees)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "status": "pass" if self.passed else "fail",
-            "expected": self.expected,
-            "actual": self.actual,
-            "degrees": self.degrees,
-        }
-
-
 def _report(name: str, mismatches: List[str], degrees: str,
-            expected: str = "no mismatches") -> OracleReport:
-    if mismatches:
-        return OracleReport(name, False, expected,
-                            "; ".join(mismatches[:8]), degrees)
-    return OracleReport(name, True, expected, "no mismatches", degrees)
+            expected: str = "no mismatches") -> Dict[str, str]:
+    actual = "; ".join(mismatches[:8]) if mismatches else "no mismatches"
+    return {"name": name, "status": "fail" if mismatches else "pass",
+            "expected": expected, "actual": actual, "degrees": degrees}
 
 
-def _check_pairing() -> OracleReport:
+def _check_pairing() -> Dict[str, str]:
     return _report("dual-pairing-matrix", chow.pairing_failures(), "-",
                    "144 Kronecker pairings")
 
 
-def _check_relations() -> OracleReport:
+def _check_relations() -> Dict[str, str]:
     return _report("ring-relations", chow.relation_failures(), "-",
                    "i^2 = 3(h-hd)i, i*z = 0, 1 a unit, commuting basis products")
 
 
-def _check_seed() -> OracleReport:
-    values = extract_invariants(seed_degree1())
+def _check_seed() -> Dict[str, str]:
+    values = extract_invariants(1, seed_degree1())
     bad = [f"{lbl}: {values[lbl]} expected {TABLE1_REFERENCE[lbl][0]}"
            for lbl in INVARIANT_LABELS if values[lbl] != TABLE1_REFERENCE[lbl][0]]
     return _report("degree1-seed", bad, "1", "the 13 printed degree-1 values")
 
 
-def _check_table1(table: InvariantTable, dmax: int) -> OracleReport:
+def _check_table1(table: InvariantTable, dmax: int) -> Dict[str, str]:
     top = min(dmax, 6)
     bad = []
     for d in range(1, top + 1):
@@ -638,7 +611,7 @@ def _check_table1(table: InvariantTable, dmax: int) -> OracleReport:
                    f"{13 * top} reference integers")
 
 
-def _check_ratios(table: InvariantTable, dmax: int) -> OracleReport:
+def _check_ratios(table: InvariantTable, dmax: int) -> Dict[str, str]:
     bad = []
     for d in range(1, dmax + 1):
         for failure in ratio_failures(table.column(d)):
@@ -647,7 +620,7 @@ def _check_ratios(table: InvariantTable, dmax: int) -> OracleReport:
                    "five 3:1 row identities per degree")
 
 
-def _check_kontsevich(table: InvariantTable, dmax: int) -> OracleReport:
+def _check_kontsevich(table: InvariantTable, dmax: int) -> Dict[str, str]:
     row = kontsevich_row(dmax)
     bad = []
     for d in range(1, dmax + 1):
@@ -659,7 +632,7 @@ def _check_kontsevich(table: InvariantTable, dmax: int) -> OracleReport:
                    "point-condition row equals the classical recursion")
 
 
-def _check_table2(table: InvariantTable, dmax: int) -> OracleReport:
+def _check_table2(table: InvariantTable, dmax: int) -> Dict[str, str]:
     top = min(dmax, 6)
     bad = []
     for d in range(1, top + 1):
@@ -671,7 +644,7 @@ def _check_table2(table: InvariantTable, dmax: int) -> OracleReport:
                    "reference coefficient rows")
 
 
-def _check_cap_independence(m2: MatrixEntries) -> OracleReport:
+def _check_cap_independence(m2: MatrixEntries) -> Dict[str, str]:
     m3 = build_gluing_matrix(3)
     bad = []
     for s in GLUABLE:
@@ -684,7 +657,7 @@ def _check_cap_independence(m2: MatrixEntries) -> OracleReport:
                    "caps 2 and 3 agree at weight <= 2")
 
 
-def _check_stencil(m2: MatrixEntries) -> OracleReport:
+def _check_stencil(m2: MatrixEntries) -> Dict[str, str]:
     """The shipped kernel must equal the one generated from the stencil that
     is derived from the cap-2 gluing matrix."""
     expected = "the shipped _kernel.py equals the text generated from the derived stencil"
@@ -700,14 +673,13 @@ def _check_stencil(m2: MatrixEntries) -> OracleReport:
     return _report("stencil-derivation", bad, "-", expected)
 
 
-def _check_cache(cache_path: str, table: InvariantTable, dmax: int) -> OracleReport:
+def _check_cache(cache_path: str, table: InvariantTable, dmax: int) -> Dict[str, str]:
     """The cache must load, validate, and agree with the freshly computed
     table at every cached degree up to dmax."""
     try:
         cached = load_table(cache_path)
     except CacheError as exc:
-        return OracleReport("cache-validation", False, "a valid cache file",
-                            str(exc), "-")
+        return _report("cache-validation", [str(exc)], "-", "a valid cache file")
     degrees = [d for d in cached.degrees() if d <= dmax]
     bad = [f"{lbl}(d={d})={cached.get(d, lbl)} computed {table.get(d, lbl)}"
            for d in degrees for lbl in INVARIANT_LABELS
@@ -717,8 +689,9 @@ def _check_cache(cache_path: str, table: InvariantTable, dmax: int) -> OracleRep
                    "a valid cache file equal to the computed table")
 
 
-def run_selftest(dmax: int, cache_path: str | None = None) -> List[OracleReport]:
-    """Run every oracle and property check up to the given degree."""
+def run_selftest(dmax: int, cache_path: str | None = None) -> List[Dict[str, str]]:
+    """Run every oracle and property check up to the given degree; the
+    reports are the records that `semple2 verify` prints."""
     if dmax < 1:
         raise ValueError("dmax must be at least 1")
     table = compute_up_to(dmax)

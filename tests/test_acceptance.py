@@ -65,7 +65,7 @@ def test_criterion_1_invariant_table_through_degree_6():
 
 
 def test_criterion_2_degree1_seed():
-    values = extract_invariants(seed_degree1())
+    values = extract_invariants(1, seed_degree1())
     assert values == {
         "h2hd": 1, "h2z": 3, "hd2z": -3,
         "h2.h2": 1, "h2.hd2": 0, "h2.hz": 0, "h2.hdz": -3,

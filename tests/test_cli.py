@@ -328,6 +328,81 @@ def test_a_degree_one_curve_warns_in_one_line_and_prints_the_same_count():
                            "assume the fixed curves contain no line\n")
 
 
+@pytest.mark.parametrize("argv, stdout", [
+    (["contact", "--degree", "3", "--curve", "1,0,0"], "N_3(C) = 21c+30č+10κ\ncount = 21\n"),
+    (["contact", "--degree", "3", "--plucker", "1,0,0"], "N_3(C) = 21c+30č+10κ\ncount = 21\n"),
+    (["count", "--degree", "3", "--points", "7", "--tangent", "1,0,0"], "36\n"),
+], ids=["curve", "plucker", "tangent"])
+def test_a_degree_one_curve_is_refused_in_one_line_where_warnings_are_errors(
+        tmp_path, argv, stdout):
+    src = str(Path(semple2.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env.pop("SEMPLE2_CACHE", None)
+    line = "a degree-1 curve is a line; the contact formulas assume the fixed curves contain no line"
+    for flags, code, out, err in (([], 0, stdout, f"warning: {line}\n"),
+                                  (["-W", "error"], 2, "", f"error: {line}\n")):
+        path = tmp_path / f"cache{code}.json"
+        proc = subprocess.run([sys.executable, *flags, "-m", "semple2.cli", *argv,
+                               "--cache", str(path)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err), flags
+        assert path.exists() == (code == 0)
+
+
+@pytest.mark.parametrize("argv, option, value", [
+    (["count", "--degree", "３", "--points", "8"], "--degree", "'３'"),
+    (["count", "--degree", "1_0", "--points", "8"], "--degree", "'1_0'"),
+    (["count", "--degree", "3", "--points", "1_0"], "--points", "'1_0'"),
+    (["count", "--degree", "3", "--points", "８"], "--points", "'８'"),
+    (["contact", "--degree", "٣"], "--degree", "'٣'"),
+    (["table", "--max-degree", "３"], "--max-degree", "'３'"),
+    (["verify", "--max-degree", "1_0"], "--max-degree", "'1_0'"),
+    (["count", "--degree", "-1", "--points", "0"], "--degree", None),
+    (["contact", "--degree", "0"], "--degree", None),
+    (["table", "--max-degree", "0"], "--max-degree", None),
+    (["verify", "--max-degree", "-3"], "--max-degree", None),
+])
+def test_an_integer_option_takes_ascii_digits_and_a_degree_at_least_one(
+        capsys, argv, option, value):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (info.value.code, out) == (2, "")
+    wanted = (f"invalid int value: {value}" if value is not None
+              else f"must be at least 1, got {int(argv[argv.index(option) + 1])}")
+    assert err.endswith(f": error: argument {option}: {wanted}\n")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python converts ints of any length")
+def test_an_option_past_the_int_str_digit_limit_is_an_invalid_int(capsys):
+    # options are read before the CLI lifts the limit, so int() refuses it
+    digits = "1" * 4400
+    with pytest.raises(SystemExit) as info:
+        cli.main(["table", "--max-degree", digits])
+    out, err = capsys.readouterr()
+    assert (info.value.code, out) == (2, "")
+    assert err.endswith(f": error: argument --max-degree: invalid int value: '{digits}'\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--degree", "2", "--points", "4", "--tangent", "２, 2 ,0"],
+    ["count", "--degree", "3", "--points", "6", "--osculate", "2,2_0,0"],
+    ["contact", "--degree", "3", "--curve", "2,2,０"],
+    ["contact", "--degree", "3", "--plucker", "3,1_0,0"],
+])
+def test_a_curve_field_takes_ascii_digits_only(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad curve triple {argv[-1]!r}\n"
+
+
+def test_integers_keep_their_signs_and_surrounding_spaces(capsys):
+    code, out, _ = run(capsys, "count", "--degree", " +2 ", "--points", "4 ",
+                       "--tangent", " 2, +2 ,0 ")
+    assert (code, out) == (0, "6\n")
+
+
 def test_chow_eval_product_vanishes(capsys):
     code, out, _ = run(capsys, "chow-eval", "i*z")
     assert code == 0

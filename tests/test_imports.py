@@ -152,9 +152,9 @@ def test_selftest_builds_each_gluing_matrix_once_per_call():
         "    return build(cap)\n"
         "potentials.build_gluing_matrix = counted\n"
         "from semple2.verify import run_selftest\n"
-        "assert all(r.passed for r in run_selftest(8))\n"
+        "assert all(r['status'] == 'pass' for r in run_selftest(8))\n"
         "first = list(caps)\n"
-        "assert all(r.passed for r in run_selftest(8))\n"
+        "assert all(r['status'] == 'pass' for r in run_selftest(8))\n"
         "print((first, caps))\n")
     assert ast.literal_eval(out) == ([2, 3], [2, 3, 2, 3])
 

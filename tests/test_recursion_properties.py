@@ -1,8 +1,9 @@
 """Property tests of the recursion kernel against the stencil's definition."""
 
+from functools import lru_cache
 from math import comb
 
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from semple2._kernel import degree_forms
@@ -10,7 +11,11 @@ from semple2.potentials import build_gluing_matrix
 from semple2.recursion import DIVISOR_RULE, INVARIANT_LABELS, binomial_row, recursion_rhs
 from semple2.verify import derive_stencil, kernel_source
 
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+#: without the explain phase, which reruns a shrunk failing example about
+#: 4000 times to mark which parts of it may vary; it took two thirds of the
+#: two minutes a failure of the random-stencil test took to report
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60,
+                    phases=[phase for phase in Phase if phase is not Phase.explain])
 
 N = len(INVARIANT_LABELS)
 
@@ -67,9 +72,13 @@ def symmetric_stencils(draw):
     return (tuple(row0), tuple(half + [swap(t) for t in half]), tuple(map(swap, row0)))
 
 
+@lru_cache(maxsize=64)
 def generated_kernel(stencil):
     """The column function of the module text that `kernel_source` writes
-    for the stencil: per-degree forms of each lower column, then `kernel`."""
+    for the stencil: per-degree forms of each lower column, then `kernel`.
+    Each stencil's text is compiled once, so that shrinking a failing
+    example, which retries one stencil with many degrees and columns, does
+    not compile it again each time."""
     namespace = {}
     exec(compile(kernel_source(stencil), "<generated kernel>", "exec"), namespace)
     forms, kernel = namespace["degree_forms"], namespace["kernel"]

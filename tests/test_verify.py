@@ -5,7 +5,6 @@ import pytest
 from semple2 import chow, potentials, recursion, verify
 from semple2.recursion import kontsevich, save_table
 from semple2.verify import (
-    OracleReport,
     TABLE1_REFERENCE,
     TABLE2_REFERENCE,
     expand_cover_series,
@@ -43,8 +42,8 @@ def test_expander_unknown_kind():
 def test_selftest_all_pass():
     reports = run_selftest(3)
     assert len(reports) == 9
-    assert all(r.passed for r in reports)
-    names = [r.name for r in reports]
+    assert all(r["status"] == "pass" for r in reports)
+    names = [r["name"] for r in reports]
     assert names == [
         "dual-pairing-matrix", "ring-relations", "degree1-seed",
         "invariant-table", "ratio-identities", "kontsevich-oracle",
@@ -54,15 +53,14 @@ def test_selftest_all_pass():
 
 def test_selftest_degree_one():
     reports = run_selftest(1)
-    assert all(r.passed for r in reports)
+    assert all(r["status"] == "pass" for r in reports)
 
 
 def test_selftest_reports_are_machine_readable():
     for r in run_selftest(2):
-        d = r.to_dict()
-        assert d["status"] == "pass"
-        assert set(d) == {"name", "status", "expected", "actual", "degrees"}
-        json.dumps(d)
+        assert r["status"] == "pass"
+        assert list(r) == ["name", "status", "expected", "actual", "degrees"]
+        json.dumps(r)
 
 
 def test_selftest_flags_corrupt_cache(tmp_path):
@@ -71,23 +69,23 @@ def test_selftest_flags_corrupt_cache(tmp_path):
     reports = run_selftest(2, cache_path=str(path))
     assert len(reports) == 10
     cache_report = reports[-1]
-    assert cache_report.name == "cache-validation"
-    assert not cache_report.passed
-    assert cache_report.actual  # carries the failure detail
+    assert cache_report["name"] == "cache-validation"
+    assert cache_report["status"] == "fail"
+    assert cache_report["actual"]  # carries the failure detail
 
 
 def test_selftest_accepts_valid_cache(tmp_path, table8):
     path = str(tmp_path / "cache.json")
     save_table(table8, path)
     reports = run_selftest(2, cache_path=path)
-    assert reports[-1].name == "cache-validation"
-    assert reports[-1].passed
+    assert reports[-1]["name"] == "cache-validation"
+    assert reports[-1]["status"] == "pass"
 
 
 def test_failing_report_carries_both_values():
-    report = OracleReport("demo", False, "1", "2", "1..1")
-    data = report.to_dict()
-    assert data["expected"] == "1" and data["actual"] == "2"
+    data = verify._report("demo", ["2"], "1..1", "1")
+    assert data == {"name": "demo", "status": "fail", "expected": "1", "actual": "2",
+                    "degrees": "1..1"}
 
 
 @pytest.mark.parametrize("key, check", [
@@ -95,14 +93,14 @@ def test_failing_report_carries_both_values():
     (("211", "000"), verify._check_pairing),    # top class times 1
 ])
 def test_a_broken_ring_table_is_caught_in_verify(monkeypatch, key, check):
-    assert check().passed
+    assert check()["status"] == "pass"
     monkeypatch.setitem(chow._MULT, key, (0,) * 12)
     report = check()
-    assert not report.passed and report.actual != "no mismatches"
+    assert report["status"] == "fail" and report["actual"] != "no mismatches"
 
 
 def test_a_changed_stencil_weight_fails_the_derivation_check(monkeypatch, tmp_path, matrix2):
-    assert verify._check_stencil(matrix2).passed
+    assert verify._check_stencil(matrix2)["status"] == "pass"
     with open(verify._KERNEL_PATH, encoding="utf-8") as handle:
         lines = handle.read().splitlines(keepends=True)
     # the weight 2 of a per-degree form, in the kernel's degree_forms
@@ -115,8 +113,8 @@ def test_a_changed_stencil_weight_fails_the_derivation_check(monkeypatch, tmp_pa
     copy.write_text("".join(lines), encoding="utf-8")
     monkeypatch.setattr(verify, "_KERNEL_PATH", str(copy))
     report = verify._check_stencil(matrix2)
-    assert not report.passed
-    assert report.actual == f"line {n}: {changed.rstrip()!r} generated {shipped.rstrip()!r}"
+    assert report["status"] == "fail"
+    assert report["actual"] == f"line {n}: {changed.rstrip()!r} generated {shipped.rstrip()!r}"
 
 
 def test_a_kernel_without_its_final_newline_fails_the_derivation_check(monkeypatch, tmp_path, matrix2):
@@ -126,7 +124,7 @@ def test_a_kernel_without_its_final_newline_fails_the_derivation_check(monkeypat
     copy.write_text(text.removesuffix("\n"), encoding="utf-8")
     monkeypatch.setattr(verify, "_KERNEL_PATH", str(copy))
     last = text.count("\n") + 1
-    assert verify._check_stencil(matrix2).actual == f"line {last}: '(end of file)' generated ''"
+    assert verify._check_stencil(matrix2)["actual"] == f"line {last}: '(end of file)' generated ''"
 
 
 @pytest.mark.parametrize("key", [key for key, row in chow._MULT.items() if any(row)])
@@ -144,9 +142,9 @@ def test_the_kontsevich_check_computes_the_row_once(monkeypatch, table8):
         return row(dmax)
 
     monkeypatch.setattr(verify, "kontsevich_row", counted)
-    assert verify._check_kontsevich(table8, 8).passed
+    assert verify._check_kontsevich(table8, 8)["status"] == "pass"
     assert calls == [8]
-    assert all(r.passed for r in run_selftest(8))
+    assert all(r["status"] == "pass" for r in run_selftest(8))
     assert calls == [8, 8]
 
 
@@ -166,7 +164,7 @@ def test_the_selftest_multiplies_polynomials_314_times(monkeypatch):
     # both modules bind poly.mul at import; no other module multiplies
     monkeypatch.setattr(potentials, "mul", counted)
     monkeypatch.setattr(verify, "mul", counted)
-    assert all(r.passed for r in run_selftest(8))
+    assert all(r["status"] == "pass" for r in run_selftest(8))
     assert len(calls) == 80 + 80 + 154 < 436
 
 
@@ -174,7 +172,7 @@ def test_a_wrong_point_count_is_reported_with_both_values(table8):
     values = {d: table8.column(d) for d in table8.degrees()}
     values[5]["h2.h2"] += 1
     report = verify._check_kontsevich(recursion.InvariantTable(values), 8)
-    assert report.to_dict() == {
+    assert report == {
         "name": "kontsevich-oracle", "status": "fail",
         "expected": "point-condition row equals the classical recursion",
         "actual": "d=5: 87305 expected 87304", "degrees": "1..8"}
@@ -187,7 +185,7 @@ def test_a_wrong_table_value_fails_the_reference_checks_with_both_values(table8)
     table = recursion.InvariantTable(values)
     reports = [verify._check_table1(table, 8), verify._check_ratios(table, 8),
                verify._check_table2(table, 8)]
-    assert [r.to_dict() for r in reports] == [
+    assert reports == [
         {"name": "invariant-table", "status": "fail", "expected": "78 reference integers",
          "actual": "h2z(d=5)=153121 expected 153120", "degrees": "1..6"},
         {"name": "ratio-identities", "status": "fail",
@@ -234,5 +232,5 @@ SELFTEST8_REPORT = [
 def test_the_selftest_report_is_pinned(tmp_path, table8):
     path = str(tmp_path / "cache.json")
     save_table(table8, path)
-    assert [r.to_dict() for r in run_selftest(8)] == SELFTEST8_REPORT[:-1]
-    assert [r.to_dict() for r in run_selftest(8, cache_path=path)] == SELFTEST8_REPORT
+    assert run_selftest(8) == SELFTEST8_REPORT[:-1]
+    assert run_selftest(8, cache_path=path) == SELFTEST8_REPORT
