@@ -23,9 +23,14 @@ The class i is never a stored coordinate: it is always expanded through
 i = z + 3*(h - hd), so each ring element has one canonical representation.
 
 A class's coordinates are Fractions, but the ring's structure constants,
-the products of two basis labels in `_MULT`, are ints, so a product of
-classes multiplies Fractions by ints.  `ChowClass.basis` hands out one
-shared instance per label.
+the products of two basis labels in `_MULT`, are ints.  So `mul_classes`
+and `to_i_basis` sum integer numerators, one sum per denominator (per
+product of two denominators for `mul_classes`), and the single division
+happens at the end: one Fraction per denominator and output coordinate.
+They never bring the coordinates to the lcm of all their denominators,
+which for a class with many long distinct denominators would make every
+number many times longer.  `ChowClass.basis` hands out one shared instance
+per label.
 
 The ring's consistency checks, `relation_failures` and `pairing_failures`,
 run where `semple2.verify` reports them, not on import.  `ChowClass` is on
@@ -36,28 +41,27 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Tuple
 
 from .recursion import _Frozen
 
 #: z-basis labels in canonical order (codimension 0,1,1,1,2,2,2,2,3,3,3,4
 #: after sorting by degree; the order below mirrors the printed table).
-LABELS: Tuple[str, ...] = (
+LABELS: tuple[str, ...] = (
     "000", "100", "200", "010", "020", "210",
     "001", "101", "201", "011", "021", "211",
 )
 _LABEL_INDEX = {k: i for i, k in enumerate(LABELS)}
 
 #: i-basis order as printed: top class first, fundamental class last.
-I_BASIS_ORDER: Tuple[str, ...] = LABELS[::-1]
+I_BASIS_ORDER: tuple[str, ...] = LABELS[::-1]
 
-Z_BASIS_SYMBOL: Dict[str, str] = {
+Z_BASIS_SYMBOL: dict[str, str] = {
     "000": "1", "100": "h", "200": "h^2", "010": "hd", "020": "hd^2",
     "210": "h^2*hd", "001": "z", "101": "h*z", "201": "h^2*z",
     "011": "hd*z", "021": "hd^2*z", "211": "h^2*hd*z",
 }
 #: each i-basis element is its z-basis twin with the factor z replaced by i
-I_BASIS_SYMBOL: Dict[str, str] = {k: s.replace("z", "i") for k, s in Z_BASIS_SYMBOL.items()}
+I_BASIS_SYMBOL: dict[str, str] = {k: s.replace("z", "i") for k, s in Z_BASIS_SYMBOL.items()}
 
 
 def format_coords(coords, order, symbols) -> str:
@@ -83,14 +87,14 @@ def format_coords(coords, order, symbols) -> str:
 
 
 @lru_cache(maxsize=None)
-def _reduce_monomial(a: int, b: int, c: int) -> Tuple[Tuple[str, int], ...]:
+def _reduce_monomial(a: int, b: int, c: int) -> tuple[tuple[str, int], ...]:
     """Normal form of h^a * hd^b * z^c as integer combination of z-basis labels.
 
     Rewrites: z^2 -> 3*hd*z - 3*h*z, then h*hd -> h^2 + hd^2 on the residual
     mixed powers, with h^3 = hd^3 = 0.
     """
     if c >= 2:
-        out: Dict[str, int] = {}
+        out: dict[str, int] = {}
         for lbl, k in _reduce_monomial(a, b + 1, c - 1):
             out[lbl] = out.get(lbl, 0) + 3 * k
         for lbl, k in _reduce_monomial(a + 1, b, c - 1):
@@ -113,7 +117,7 @@ def _reduce_monomial(a: int, b: int, c: int) -> Tuple[Tuple[str, int], ...]:
     return ((label, 1),)
 
 
-def _build_mult_table() -> Dict[Tuple[str, str], Tuple[int, ...]]:
+def _build_mult_table() -> dict[tuple[str, str], tuple[int, ...]]:
     """Products of z-basis labels as integer structure constants, one row
     per unordered pair, shared by both orders."""
     table = {}
@@ -144,7 +148,7 @@ class ChowClass(_Frozen):
 
     __slots__ = __match_args__ = ("coords",)
 
-    def __init__(self, coords: Tuple[Fraction, ...]):
+    def __init__(self, coords: tuple[Fraction, ...]):
         if len(coords) != 12:
             raise ValueError("a class has exactly 12 coordinates")
         self._assign(coords)
@@ -183,7 +187,7 @@ class ChowClass(_Frozen):
 _ZERO = Fraction(0)
 
 #: the instances `ChowClass.basis` returns
-_BASIS: Dict[str, ChowClass] = {
+_BASIS: dict[str, ChowClass] = {
     label: ChowClass((_ZERO,) * n + (Fraction(1),) + (_ZERO,) * (11 - n))
     for n, label in enumerate(LABELS)
 }
@@ -196,18 +200,43 @@ ONE = ChowClass.basis("000")
 I_CLASS = Z + H.scaled(3) - HD.scaled(3)
 
 
-def mul_classes(a: ChowClass, b: ChowClass) -> ChowClass:
+def _by_denominator(coords) -> dict[int, list[tuple[str, int]]]:
+    """The nonzero coordinates as (label, numerator) pairs, grouped by
+    denominator."""
+    groups: dict[int, list[tuple[str, int]]] = {}
+    for label, x in zip(LABELS, coords):
+        if x:
+            groups.setdefault(x.denominator, []).append((label, x.numerator))
+    return groups
+
+
+def _divide(sums: dict[int, list[int]]) -> tuple[Fraction, ...]:
+    """The 12 coordinates sum over D of sums[D][j] / D: one Fraction per
+    denominator D and nonzero numerator sum."""
     coords = [_ZERO] * 12
-    right = [(k2, c2) for k2, c2 in zip(LABELS, b.coords) if c2]
-    for k1, c1 in zip(LABELS, a.coords):
-        if not c1:
-            continue
-        for k2, c2 in right:
-            f = c1 * c2
-            for j, k in enumerate(_MULT[(k1, k2)]):
-                if k:
-                    coords[j] += f * k
-    return ChowClass(tuple(coords))
+    for den, numerators in sums.items():
+        for j, n in enumerate(numerators):
+            if n:
+                coords[j] += Fraction(n, den)
+    return tuple(coords)
+
+
+def mul_classes(a: ChowClass, b: ChowClass) -> ChowClass:
+    """The ring product.  Numerators are summed as ints per product of two
+    denominators, and each sum is divided once; the lcm of all denominators
+    would lengthen every number when they differ."""
+    right = _by_denominator(b.coords)
+    sums: dict[int, list[int]] = {}
+    for den1, left in _by_denominator(a.coords).items():
+        for den2, terms in right.items():
+            acc = sums.setdefault(den1 * den2, [0] * 12)
+            for k1, x1 in left:
+                for k2, x2 in terms:
+                    f = x1 * x2
+                    for j, k in enumerate(_MULT[k1, k2]):
+                        if k:
+                            acc[j] += f * k
+    return ChowClass(_divide(sums))
 
 
 def integrate(a: ChowClass) -> Fraction:
@@ -224,7 +253,7 @@ def i_basis_class(label: str) -> ChowClass:
     return mul_classes(base, I_CLASS) if c else base
 
 
-def _dual_table() -> Dict[str, str]:
+def _dual_table() -> dict[str, str]:
     duals = {}
     for k in LABELS:
         matches = []
@@ -240,23 +269,25 @@ def _dual_table() -> Dict[str, str]:
     return duals
 
 
-DUAL: Dict[str, str] = _dual_table()
+DUAL: dict[str, str] = _dual_table()
 
 
-def to_i_basis(a: ChowClass) -> Tuple[Fraction, ...]:
+def to_i_basis(a: ChowClass) -> tuple[Fraction, ...]:
     """Coordinates in the i-basis, ordered as I_BASIS_ORDER.
 
     The z-basis and the i-basis are dual, so the coordinate of i_l is the
     integral of z_{DUAL[l]} * a: the sum, over the nonzero coordinates c_k
     of a, of c_k times the top structure constant of z_{DUAL[l]} * z_k.
+    Numerators are summed as ints per denominator of a, and each sum is
+    divided once.
     """
     top = _LABEL_INDEX["211"]
-    terms = [(k, c) for k, c in zip(LABELS, a.coords) if c]
-    return tuple(sum((c * _MULT[DUAL[l], k][top] for k, c in terms), _ZERO)
-                 for l in I_BASIS_ORDER)
+    return _divide({den: [sum(x * _MULT[DUAL[l], k][top] for k, x in terms)
+                          for l in I_BASIS_ORDER]
+                    for den, terms in _by_denominator(a.coords).items()})
 
 
-def relation_failures() -> List[str]:
+def relation_failures() -> list[str]:
     """The printed relations i^2 = 3(h - hd)i and i*z = 0 that fail under
     the derived rewrite z^2 -> 3(hd - h)z, then the entries of the
     multiplication table where 1 is no unit or the factors do not commute;
@@ -278,7 +309,7 @@ def relation_failures() -> List[str]:
     return bad
 
 
-def pairing_failures() -> List[str]:
+def pairing_failures() -> list[str]:
     """The z-basis/i-basis pairings that are not Kronecker; empty if none.
 
     The pairing of z_k with i_l is coordinate DUAL[k] of to_i_basis(i_l),

@@ -23,7 +23,6 @@ import json
 import os
 import sys
 import warnings
-from typing import List
 
 from .contact import (
     ConditionProfile,
@@ -293,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: List[str] | None = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     # from degree 572 on an invariant has more than the 4300 digits that

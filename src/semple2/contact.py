@@ -27,8 +27,8 @@ pickle and copy through their constructors, which validate again.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterable
 from itertools import product
-from typing import Iterable, List, Tuple
 
 from .recursion import INVARIANT_LABELS, InvariantTable, _Frozen
 
@@ -44,7 +44,7 @@ SUPPORTED_PATTERNS = ((0, 0), (1, 0), (2, 0), (0, 1))
 class UnsupportedProfileError(ValueError):
     """A condition profile needing invariants outside the stored thirteen."""
 
-    def __init__(self, message: str, missing: List[str]):
+    def __init__(self, message: str, missing: list[str]):
         super().__init__(message)
         self.missing = missing
 
@@ -70,8 +70,8 @@ class ConditionProfile(_Frozen):
     __slots__ = __match_args__ = ("degree", "points", "tangents", "osculants")
 
     def __init__(self, degree: int, points: int,
-                 tangents: Tuple[CurveInvariants, ...] = (),
-                 osculants: Tuple[CurveInvariants, ...] = ()):
+                 tangents: tuple[CurveInvariants, ...] = (),
+                 osculants: tuple[CurveInvariants, ...] = ()):
         self._assign(degree, points, tangents, osculants)
 
 
@@ -87,7 +87,7 @@ def plucker_class(c: int, nodes: int = 0, cusps: int = 0) -> CurveInvariants:
     return CurveInvariants(c, cdual, cusps)
 
 
-def contact_coefficients(d: int, table: InvariantTable) -> Tuple[int, int, int]:
+def contact_coefficients(d: int, table: InvariantTable) -> tuple[int, int, int]:
     """The (c, cdual, kappa) coefficients of the triple-contact count."""
     column = table.column(d)
     return tuple(column[label] for _, label in _CONTACT_PARTS)
@@ -126,7 +126,7 @@ def _insertion_name(points: int, classes: Iterable[str], d: int) -> str:
     return f"<(h2)^{points}{body}>_d={d}"
 
 
-def _combo_label(points: int, classes: Tuple[str, ...], d: int) -> str | None:
+def _combo_label(points: int, classes: tuple[str, ...], d: int) -> str | None:
     """The label of point count plus inserted classes, if it is one of the 13.
 
     Each point beyond the 3d-3 that every label carries inserts one more h2.

@@ -1,15 +1,19 @@
 """Exact sparse multivariate polynomial arithmetic with a weight grading.
 
-A polynomial is a dictionary mapping monomials to rational coefficients
-(fractions.Fraction).  A monomial is a tuple of (variable, exponent) pairs,
-sorted by a fixed variable order, with all exponents positive:
+A polynomial is a dictionary mapping monomials to exact coefficients,
+each an int or a fractions.Fraction.  A monomial is a tuple of (variable,
+exponent) pairs, sorted by a fixed variable order, with all exponents
+positive:
 
-    Poly     = Dict[Monomial, Fraction]
-    Monomial = Tuple[Tuple[str, int], ...]
+    Poly     = dict[Monomial, int | Fraction]
+    Monomial = tuple[tuple[str, int], ...]
 
 The zero polynomial is the empty dict; the empty monomial () is the
 constant term.  Zero coefficients are never stored, so equality of
 polynomials is plain dict equality.  No floating point enters anywhere.
+Coefficients are kept as given: `term` makes a Fraction, while `mul`,
+`add_scaled` and `partial` of int polynomials by int scalars stay int, so
+a caller can run a sum on integer numerators and divide once at the end.
 
 The variable alphabet is fixed.  Eight "reduced" variables carry the
 weight grading used throughout the generating-function computations
@@ -21,21 +25,21 @@ carry weight zero.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple
+from collections.abc import Iterable, Mapping
 
-Monomial = Tuple[Tuple[str, int], ...]
-Poly = Dict[Monomial, Fraction]
+Monomial = tuple[tuple[str, int], ...]
+Poly = dict[Monomial, int | Fraction]
 
 REDUCED_VARS = ("y200", "y020", "y210", "y101", "y201", "y011", "y021", "y211")
 GLUING_Z_VARS = ("z010", "z110", "z210")
 GLUING_W_VARS = ("w001", "w101", "w201", "w011", "w021", "w211")
 
-VAR_ORDER: Tuple[str, ...] = REDUCED_VARS + GLUING_Z_VARS + GLUING_W_VARS
+VAR_ORDER: tuple[str, ...] = REDUCED_VARS + GLUING_Z_VARS + GLUING_W_VARS
 _VAR_INDEX = {v: i for i, v in enumerate(VAR_ORDER)}
 
 # weight(y_k) = |k| - 1 where |k| is the digit sum of the subscript;
 # gluing variables are eliminated by differentiation and weigh nothing.
-WEIGHT: Dict[str, int] = {v: sum(int(c) for c in v[1:]) - 1 for v in REDUCED_VARS}
+WEIGHT: dict[str, int] = {v: sum(int(c) for c in v[1:]) - 1 for v in REDUCED_VARS}
 WEIGHT.update({v: 0 for v in GLUING_Z_VARS + GLUING_W_VARS})
 
 
@@ -103,19 +107,18 @@ def mul(a: Poly, b: Poly) -> Poly:
 
 def add_scaled(acc: Poly, p: Poly, value: int | Fraction) -> None:
     """In-place acc += value * p: the one sum of polynomials, and the one
-    mutating helper."""
-    c = Fraction(value)
-    if not c:
+    mutating helper.  An int value and int coefficients give int sums."""
+    if not value:
         return
     for m, k in p.items():
         if m in acc:
-            s = acc[m] + k * c
+            s = acc[m] + k * value
             if s:
                 acc[m] = s
             else:
                 del acc[m]
         else:
-            acc[m] = k * c
+            acc[m] = k * value
 
 
 def partial(p: Poly, name: str, order: int = 1) -> Poly:

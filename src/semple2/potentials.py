@@ -31,14 +31,21 @@ built potentials in one pass over their bodies.  The combined divisor
 prefactor exp(2*y010 + 6*y001), one double cover's and two triple
 covers', is split off: it cancels exactly against the divisor
 exponentials of the recursion and is never expanded.
+
+The arithmetic divides once per output coefficient.  A body coefficient
+is one Fraction, prod k^e over its denominator k * (2 for a square slot)
+* prod e!.  The gluing runs on integer numerators: each cover's slot
+second derivatives are scaled by the lcm of their denominators, D_double
+and D_triple, the products and sums stay int polynomials, and each matrix
+term is filed as one Fraction over D_double * D_triple^2.
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection, Iterator
 from fractions import Fraction
 from itertools import product
-from math import factorial
-from typing import Collection, Dict, Iterator, Tuple
+from math import factorial, lcm, prod
 
 from .chow import DUAL, LABELS
 from .poly import (
@@ -83,8 +90,8 @@ CENTRAL_SLOT = {"010": "z010", "020": "z110", "210": "z210"}
 GLUABLE = tuple(k for k in LABELS if k[2] == "0")
 
 
-def _y_solutions(entries: Dict[str, Tuple[int, ...]],
-                 residual: Tuple[int, ...]) -> Iterator[Dict[str, int]]:
+def _y_solutions(entries: dict[str, tuple[int, ...]],
+                 residual: tuple[int, ...]) -> Iterator[dict[str, int]]:
     """All exponent maps a over `entries` with sum a_y * entry_y == residual."""
     names = sorted(entries)
     rows = [entries[name] for name in names]
@@ -113,20 +120,20 @@ def build_cover_potential(kind: str) -> Poly:
     for i, u in enumerate(names):
         for v in names[i:]:
             base = [a + b for a, b in zip(slots[u], slots[v])]
-            pair_coeff = Fraction(1, 2) if u == v else Fraction(1)
+            # (1/k) * (1/2 for a square slot) * prod k^e / e!, one division
+            pair_den = k * (2 if u == v else 1)
             for target in cover["sums"]:
                 residual = tuple(t - b for t, b in zip(target, base))
                 if min(residual) < 0:
                     continue
                 for sol in _y_solutions(ys, residual):
-                    coeff = Fraction(1, k) * pair_coeff
-                    for e in sol.values():
-                        coeff *= Fraction(k ** e, factorial(e))
                     exps = dict(sol)
                     exps[u] = 1
                     exps[v] = exps.get(v, 0) + 1
                     # the slot pair, target and solution fix the monomial
-                    body[monomial(exps)] = coeff
+                    body[monomial(exps)] = Fraction(
+                        prod(k ** e for e in sol.values()),
+                        pair_den * prod(factorial(e) for e in sol.values()))
     alphabet = {*ys, *slots}
     for m in body:
         if sum(e for name, e in m if name in slots) != 2 \
@@ -137,10 +144,10 @@ def build_cover_potential(kind: str) -> Poly:
 
 
 #: the gluing matrix: its nonzero entries, keyed by index pair (s, t)
-MatrixEntries = Dict[Tuple[str, str], Poly]
+MatrixEntries = dict[tuple[str, str], Poly]
 
 
-def _slot_hessian(body: Poly, slots: Collection[str]) -> Dict[Tuple[str, str], Poly]:
+def _slot_hessian(body: Poly, slots: Collection[str]) -> dict[tuple[str, str], Poly]:
     """The second derivatives of a body quadratic in `slots`, keyed by
     ordered slot pair; a pair whose derivative vanishes has no key.
 
@@ -148,13 +155,22 @@ def _slot_hessian(body: Poly, slots: Collection[str]) -> Dict[Tuple[str, str], P
     derivatives, and a term c*r*u^2 is 2c*r in the (u, u) one, so one pass
     over the body files every term, in the body's order.
     """
-    out: Dict[Tuple[str, str], Poly] = {}
+    out: dict[tuple[str, str], Poly] = {}
     for m, c in body.items():
         rest = tuple((name, e) for name, e in m if name not in slots)
         u, v = (name for name, e in m if name in slots for _ in range(e))
         for key in ((u, v), (v, u)):
             out.setdefault(key, {})[rest] = 2 * c if u == v else c
     return out
+
+
+def _integer_hessian(body: Poly, slots: Collection[str]) -> tuple[dict[tuple[str, str], Poly], int]:
+    """The slot second derivatives of `body` times the lcm D of their
+    denominators, as int polynomials, and D."""
+    hessian = _slot_hessian(body, slots)
+    scale = lcm(*(c.denominator for p in hessian.values() for c in p.values()))
+    return ({key: {m: c.numerator * (scale // c.denominator) for m, c in p.items()}
+             for key, p in hessian.items()}, scale)
 
 
 def build_gluing_matrix(cap: int) -> MatrixEntries:
@@ -165,18 +181,23 @@ def build_gluing_matrix(cap: int) -> MatrixEntries:
     the divisor prefactor split off.  Entries are symmetric, contain no
     gluing or divisor variables and no y200, vanish unless both duals carry
     an i-factor, and are truncated at `cap`.  Only the nonzero entries have
-    a key, and every call builds its inputs and its entries afresh.
+    a key, and every call builds its inputs and its entries afresh.  The
+    entries are glued as int polynomials and divided once, term by term,
+    so every coefficient is a Fraction.
     """
     if cap < 2:
         raise ValueError("the recursion extracts weight-2 data; cap must be >= 2")
-    central, side = (_slot_hessian(build_cover_potential(kind), COVERS[kind]["slots"])
-                     for kind in ("double_cover", "triple_cover"))
+    (central, d_central), (side, d_side) = (
+        _integer_hessian(build_cover_potential(kind), COVERS[kind]["slots"])
+        for kind in ("double_cover", "triple_cover"))
+    # each entry is a sum of products side * central * side
+    scale = d_side * d_central * d_side
 
     entries: MatrixEntries = {}
     for s in GLUABLE:
         ws = "w" + DUAL[s]
         # the products left * mid do not depend on t: one per (s2, t2)
-        left_mid: Dict[Tuple[str, str], Poly] = {}
+        left_mid: dict[tuple[str, str], Poly] = {}
         for t in GLUABLE:
             wt = "w" + DUAL[t]
             acc: Poly = {}
@@ -196,7 +217,7 @@ def build_gluing_matrix(cap: int) -> MatrixEntries:
                     add_scaled(acc, mul(left_mid[s2, t2], right), 1)
             acc = truncate_weight(acc, cap)
             if acc:
-                entries[(s, t)] = acc
+                entries[(s, t)] = {m: Fraction(n, scale) for m, n in acc.items()}
     _check_matrix(entries)
     return entries
 

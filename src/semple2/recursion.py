@@ -57,11 +57,11 @@ from __future__ import annotations
 import json
 import os
 import stat
+from collections.abc import Iterator, Sequence
 from itertools import count, islice
-from typing import Dict, Iterator, List, Sequence, Tuple
 
 #: the thirteen labels in printed-table row order
-INVARIANT_LABELS: Tuple[str, ...] = (
+INVARIANT_LABELS: tuple[str, ...] = (
     "h2hd", "h2z", "hd2z",
     "h2.h2", "h2.hd2", "h2.hz", "h2.hdz",
     "hd2.hd2", "hd2.hz", "hd2.hdz",
@@ -69,7 +69,7 @@ INVARIANT_LABELS: Tuple[str, ...] = (
 )
 
 #: identities between rows: first label is exactly three times the second
-RATIO_IDENTITIES: Tuple[Tuple[str, str], ...] = (
+RATIO_IDENTITIES: tuple[tuple[str, str], ...] = (
     ("h2z", "h2hd"),
     ("h2.hz", "h2.hd2"),
     ("hd2.hz", "hd2.hd2"),
@@ -91,14 +91,14 @@ class CacheError(ValueError):
 
 
 #: the degree-1 column: the closed-form seed of the recursion
-SEED: Dict[str, int] = {
+SEED: dict[str, int] = {
     "h2hd": 1, "h2z": 3, "hd2z": -3,
     "h2.h2": 1, "h2.hd2": 0, "h2.hz": 0, "h2.hdz": -3,
     "hd2.hd2": 0, "hd2.hz": 0, "hd2.hdz": 0,
     "hz.hz": 0, "hz.hdz": 0, "hdz.hdz": 9,
 }
 
-def binomial_row(m: int) -> List[int]:
+def binomial_row(m: int) -> list[int]:
     """comb(m, k) for k = 0..m, each from the one before by the
     multiplicative update comb(m, k+1) = comb(m, k) * (m-k) / (k+1)."""
     row = [1]
@@ -107,7 +107,7 @@ def binomial_row(m: int) -> List[int]:
     return row
 
 
-def recursion_rhs(d: int, forms: Dict[int, tuple], row: Sequence[int]) -> Tuple[int, ...]:
+def recursion_rhs(d: int, forms: dict[int, tuple], row: Sequence[int]) -> tuple[int, ...]:
     """The degree-d column, in INVARIANT_LABELS order, from the per-degree
     forms of all lower ones and the row comb(3d-6, k), k = 0..3d-6.
 
@@ -176,10 +176,10 @@ class InvariantTable(_Frozen):
 
     __slots__ = __match_args__ = ("values",)
 
-    def __init__(self, values: Dict[int, Dict[str, int]]):
+    def __init__(self, values: dict[int, dict[str, int]]):
         self._assign(values)
 
-    def degrees(self) -> Tuple[int, ...]:
+    def degrees(self) -> tuple[int, ...]:
         return tuple(sorted(self.values))
 
     def get(self, d: int, label: str) -> int:
@@ -187,13 +187,13 @@ class InvariantTable(_Frozen):
             raise KeyError(f"degree {d} not computed")
         return self.values[d][label]
 
-    def column(self, d: int) -> Dict[str, int]:
+    def column(self, d: int) -> dict[str, int]:
         if d not in self.values:
             raise KeyError(f"degree {d} not computed")
         return dict(self.values[d])
 
 
-def ratio_failures(column: Dict[str, int]) -> list:
+def ratio_failures(column: dict[str, int]) -> list:
     """Violations of the five three-to-one row identities, empty if none."""
     bad = []
     for big, small in RATIO_IDENTITIES:
@@ -209,19 +209,30 @@ def _point_counts() -> Iterator[int]:
         N_d = sum over d1 + d2 = d of N_d1 N_d2 d1^2 d2
               * (d2 comb(3d-4, 3d1-2) - d1 comb(3d-4, 3d1-1)),
 
-    which reads one binomial row per degree."""
+    which reads one binomial row per degree.  The splits (d1, d2) and
+    (d2, d1) share N_d1 N_d2, and comb(3d-4, 3d2-2) = comb(3d-4, 3d1-2),
+    comb(3d-4, 3d2-1) = comb(3d-4, 3d1-3), so each unordered split adds
+
+        N_d1 N_d2 d1 d2 (2 d1 d2 comb(3d-4, 3d1-2)
+                         - d1^2 comb(3d-4, 3d1-1) - d2^2 comb(3d-4, 3d1-3)),
+
+    half of it for the middle split d1 = d2: one N_d1 N_d2 product each."""
     counts = [0, 1]
     yield 1
     for d in count(2):
         row = binomial_row(3 * d - 4)
-        counts.append(sum(
-            counts[d1] * counts[d - d1] * (d1 * d1 * (d - d1) * (
-                (d - d1) * row[3 * d1 - 2] - d1 * row[3 * d1 - 1]))
-            for d1 in range(1, d)))
-        yield counts[d]
+        total = 0
+        for d1 in range(1, d // 2 + 1):
+            d2 = d - d1
+            # comb(3d-4, 3d1-3), comb(3d-4, 3d1-2) and comb(3d-4, 3d1-1)
+            m3, m2, m1 = row[3 * d1 - 3:3 * d1]
+            w = d1 * d2 * (2 * d1 * d2 * m2 - d1 * d1 * m1 - d2 * d2 * m3)
+            total += counts[d1] * counts[d2] * (w if d1 != d2 else w // 2)
+        counts.append(total)
+        yield total
 
 
-def kontsevich_row(dmax: int) -> List[int]:
+def kontsevich_row(dmax: int) -> list[int]:
     """Rational plane curves of degree d through 3d-1 general points, for
     d = 0..dmax (0 at d = 0), by the classical quadratic recursion."""
     return [0, *islice(_point_counts(), dmax)]
@@ -237,7 +248,7 @@ def kontsevich(d: int) -> int:
     return kontsevich_row(d)[d]
 
 
-def validate_table(values: Dict[int, Dict[str, int]]) -> None:
+def validate_table(values: dict[int, dict[str, int]]) -> None:
     """Raise CacheError unless every column has the 13 labels, degree 1 is
     the seed, each degree meets the 3:1 identities, the degrees are exactly
     1..N, and each degree meets the classical point count.
@@ -274,9 +285,9 @@ def table_to_json(table: InvariantTable) -> str:
     return json.dumps(data, indent=2)
 
 
-def _unique_keys(pairs: List[Tuple[str, object]]) -> Dict[str, object]:
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
     """A JSON object as a dict, refusing a key that appears twice."""
-    obj: Dict[str, object] = {}
+    obj: dict[str, object] = {}
     for key, value in pairs:
         if key in obj:
             raise CacheError(f"cache repeats the key {key!r}")
@@ -298,7 +309,7 @@ def table_from_json(text: str) -> InvariantTable:
         raise CacheError(f"cache is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise CacheError("cache must be a JSON object keyed by degree")
-    values: Dict[int, Dict[str, int]] = {}
+    values: dict[int, dict[str, int]] = {}
     for key, column in raw.items():
         try:
             d = int(key)
@@ -387,12 +398,12 @@ def compute_up_to(dmax: int, cache_path: str | None = None) -> InvariantTable:
     """
     if dmax < 1:
         raise ValueError("dmax must be at least 1")
-    known: Dict[int, Dict[str, int]] = {}
+    known: dict[int, dict[str, int]] = {}
     if cache_path and os.path.exists(cache_path):
         known = dict(load_table(cache_path).values)
 
     # a cache holds exactly the degrees 1..N, so values holds 1..min(N, dmax)
-    values: Dict[int, Dict[str, int]] = {1: dict(SEED)}
+    values: dict[int, dict[str, int]] = {1: dict(SEED)}
     values.update((d, dict(column)) for d, column in known.items() if d <= dmax)
     if dmax > len(values):
         from ._kernel import degree_forms

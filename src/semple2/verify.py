@@ -48,8 +48,7 @@ import os
 from collections import Counter
 from fractions import Fraction
 from itertools import groupby, zip_longest
-from math import comb, factorial, prod
-from typing import Dict, List, Optional, Tuple
+from math import comb, factorial, lcm, prod
 
 from . import chow
 from .poly import (
@@ -78,7 +77,7 @@ from .recursion import (
 from .contact import contact_coefficients
 
 #: reference values of the thirteen invariants, degrees 1..6
-TABLE1_REFERENCE: Dict[str, Tuple[int, ...]] = {
+TABLE1_REFERENCE: dict[str, tuple[int, ...]] = {
     "h2hd":    (1, 1, 10, 428, 51040, 13300176),
     "h2z":     (3, 3, 30, 1284, 153120, 39900528),
     "hd2z":    (-3, 0, 21, 1452, 216180, 64150200),
@@ -95,7 +94,7 @@ TABLE1_REFERENCE: Dict[str, Tuple[int, ...]] = {
 }
 
 #: reference triple-contact coefficient rows (c, cdual, kappa), degrees 1..6
-TABLE2_REFERENCE: Dict[int, Tuple[int, int, int]] = {
+TABLE2_REFERENCE: dict[int, tuple[int, int, int]] = {
     1: (-3, 3, 1),
     2: (0, 3, 1),
     3: (21, 30, 10),
@@ -111,13 +110,13 @@ CLASS_VAR = {"h2": "y200", "hd2": "y020", "hz": "y101", "hdz": "y011",
 
 #: residual monomial of each label (after stripping the 3d-3 forced point
 #: conditions): the product of the variables of its "."-separated classes
-LABEL_MONOMIAL: Dict[str, Dict[str, int]] = {
+LABEL_MONOMIAL: dict[str, dict[str, int]] = {
     label: dict(Counter(CLASS_VAR[c] for c in label.split(".")))
     for label in INVARIANT_LABELS
 }
 
 #: b! of each residual monomial: the invariant over its tail coefficient
-LABEL_FACTORIAL: Dict[str, int] = {
+LABEL_FACTORIAL: dict[str, int] = {
     label: prod(factorial(e) for e in exps.values())
     for label, exps in LABEL_MONOMIAL.items()
 }
@@ -127,7 +126,7 @@ _ACTIVE = tuple(k for k in GLUABLE if k != "000")
 
 #: one stencil weight: (s kind, t kind, index of L1, index of L2, index of
 #: Lout, integer weight); a kind is a divisor index, or None for a derivative
-StencilTerm = Tuple[Optional[str], Optional[str], int, int, int, int]
+StencilTerm = tuple[str | None, str | None, int, int, int, int]
 
 #: the degree recursion as integer weights, indexed by j1 in {0, 1, 2}: for
 #: a split d1 + d2 = d, each term of stencil[j1] adds weight * c * k_s(d1)
@@ -136,7 +135,7 @@ StencilTerm = Tuple[Optional[str], Optional[str], int, int, int, int]
 #: c = comb(3d-6, 3d1-4+j1) * d1*d2 - comb(3d-6, 3d1-3+j1) * d1^2 collects
 #: the two product-rule terms.  The gluing matrix is symmetric, so
 #: stencil[2 - j1] is stencil[j1] with the two factors swapped.
-Stencil = Tuple[Tuple[StencilTerm, ...], ...]
+Stencil = tuple[tuple[StencilTerm, ...], ...]
 
 #: the shell command, run from the repository root, that writes the shipped
 #: kernel module; the README and CI quote it
@@ -151,29 +150,39 @@ _KERNEL_PATH = os.path.join(os.path.dirname(__file__), "_kernel.py")
 def derive_stencil(matrix: MatrixEntries) -> Stencil:
     """Compile the quadratic identity through the gluing matrix (cap >= 2).
 
-    Raises ArithmeticError unless every weight is an integer.  The weights
-    come out grouped by j1, in a fixed order; `kernel_source` sorts what it
-    writes, so its text does not depend on that order.
+    The sums run on integer numerators: the matrix slices are scaled by the
+    lcm L of the matrix's denominators, and each derivative part by the lcm
+    P of the labels' b! (P = 2), so every product f * entry * g is an int
+    polynomial P*P*L times the rational one.  Each weight is divided by
+    P*P*L once, at the end; ArithmeticError is raised unless every weight is
+    an integer.  The weights come out grouped by j1, in a fixed order;
+    `kernel_source` sorts what it writes, so its text does not depend on
+    that order.
     """
+    part_scale = lcm(*LABEL_FACTORIAL.values())
+
     def derivative_part(label: str, j: int) -> Poly:
-        """The (3d-3+j)-fold y200-derivative of a tail's L-term, per unit of n_L."""
+        """The (3d-3+j)-fold y200-derivative of a tail's L-term, per unit of
+        n_L, times part_scale: an int polynomial, as (b-j)! divides b!."""
         exps = dict(LABEL_MONOMIAL[label])
         b = exps.get("y200", 0)
         if b < j:
             return {}
         exps["y200"] = b - j
-        return term(exps, Fraction(1, prod(factorial(e) for e in exps.values())))
+        return {monomial(exps): part_scale // prod(factorial(e) for e in exps.values())}
 
-    slices: Dict[Tuple[str, str, int], Poly] = {}
+    scale = lcm(*(c.denominator for p in matrix.values() for c in p.values()))
+    slices: dict[tuple[str, str, int], Poly] = {}
     for (s, t), p in matrix.items():
         for m, c in p.items():
-            slices.setdefault((s, t, monomial_weight(m)), {})[m] = c
+            slices.setdefault((s, t, monomial_weight(m)), {})[m] = \
+                c.numerator * (scale // c.denominator)
     out_index = {monomial(LABEL_MONOMIAL[lbl]): (i, 18 * LABEL_FACTORIAL[lbl])
                  for i, lbl in enumerate(INVARIANT_LABELS)}
 
     # the nonzero insertions of each index s into the j-th part of label i,
     # in _ACTIVE order, as (s, its kind, the polynomial, its weight)
-    insertions: Dict[Tuple[int, int], List[Tuple[str, Optional[str], Poly, int]]] = {}
+    insertions: dict[tuple[int, int], list[tuple[str, str | None, Poly, int]]] = {}
     for i, label in enumerate(INVARIANT_LABELS):
         for j in range(3):
             part = derivative_part(label, j)
@@ -186,12 +195,12 @@ def derive_stencil(matrix: MatrixEntries) -> Stencil:
                 if f:
                     row.append((s, kind, f, homogeneous_weight(f)))
 
-    weights: List[Dict[tuple, Fraction]] = [{}, {}, {}]
+    weights: list[dict[tuple, int]] = [{}, {}, {}]
     for j1, acc in enumerate(weights):
         for i1 in range(len(INVARIANT_LABELS)):
             lefts = insertions[i1, j1]
             # f * entry does not depend on i2, only on (s, t, the weight of g)
-            left_entry: Dict[Tuple[str, str, int], Poly] = {}
+            left_entry: dict[tuple[str, str, int], Poly] = {}
             for i2 in range(len(INVARIANT_LABELS)):
                 rights = insertions[i2, 2 - j1]
                 for s, ks, f, wf in lefts:
@@ -208,11 +217,14 @@ def derive_stencil(matrix: MatrixEntries) -> Stencil:
                             iout, factor = out_index[m]
                             key = (ks, kt, i1, i2, iout)
                             acc[key] = acc.get(key, 0) + factor * c
+    # the one division: each weight by the scale of its three factors
+    total = part_scale * part_scale * scale
     for acc in weights:
         for key, w in acc.items():
-            if w.denominator != 1:
-                raise ArithmeticError(f"stencil weight {w} at {key} is not an integer")
-    return tuple(tuple((*key, int(w)) for key, w in acc.items() if w) for acc in weights)
+            if w % total:
+                raise ArithmeticError(
+                    f"stencil weight {Fraction(w, total)} at {key} is not an integer")
+    return tuple(tuple((*key, w // total) for key, w in acc.items() if w) for acc in weights)
 
 
 def kernel_source(stencil: Stencil) -> str:
@@ -266,7 +278,7 @@ def kernel_source(stencil: Stencil) -> str:
     # multiplier is 1, and it sorts first
     number = {None: -1, **{kind: k for k, kind in enumerate(DIVISOR_RULE)}}
     # groups[iout, j1, grouping index][its kind][(form index, form kind)]: weight
-    groups: Dict[Tuple[int, int, int], Dict[Optional[str], Dict[tuple, int]]] = {}
+    groups: dict[tuple[int, int, int], dict[str | None, dict[tuple, int]]] = {}
     for j1, terms in enumerate(stencil):
         for term in terms:
             ks, kt, i1, i2, iout, w = term
@@ -281,15 +293,15 @@ def kernel_source(stencil: Stencil) -> str:
 
     # the per-degree tuple: each slot a sum of weight * multiplier * entry
     # over (entry index, kind, weight) terms, numbered in order of first use
-    slots: Dict[Tuple[Tuple[int, Optional[str], int], ...], int] = {}
+    slots: dict[tuple[tuple[int, str | None, int], ...], int] = {}
 
-    def slot(weights: Dict[tuple, int]) -> int:
+    def slot(weights: dict[tuple, int]) -> int:
         key = tuple(sorted(((i, kind, w) for (i, kind), w in weights.items()),
                            key=lambda t: (number[t[1]], t[0])))
         return slots.setdefault(key, len(slots))
 
-    scaled: Dict[Tuple[int, int], str] = {}
-    sums: Dict[int, List[str]] = {}
+    scaled: dict[tuple[int, int], str] = {}
+    sums: dict[int, list[str]] = {}
     split_rules = set()
     for (iout, j1, i), by_kind in sorted(groups.items()):
         # weights that cancel leave no term, and a form without terms no product
@@ -319,7 +331,7 @@ def kernel_source(stencil: Stencil) -> str:
         scaled[j1, e] = f"c{j1} * {entry_side}[{e}]"
         sums.setdefault(iout, []).append(f"x{j1}_{e}*{product}")
 
-    def slot_text(key: Tuple[Tuple[int, Optional[str], int], ...]) -> str:
+    def slot_text(key: tuple[tuple[int, str | None, int], ...]) -> str:
         parts = []
         for kind, terms in groupby(key, key=lambda t: t[1]):
             inner = [f"v[{i}]" if w == 1 else f"{w}*v[{i}]" for i, _, w in terms]
@@ -414,7 +426,7 @@ def _insert(label: str, degree: int, p: Poly) -> Poly:
     return partial(p, "y" + label)
 
 
-def reference_rhs(d: int, tails: Dict[int, Poly],
+def reference_rhs(d: int, tails: dict[int, Poly],
                   matrix: MatrixEntries) -> Poly:
     """The weight-2 polynomial whose coefficients carry the degree-d invariants.
 
@@ -429,13 +441,13 @@ def reference_rhs(d: int, tails: Dict[int, Poly],
             raise ValueError(f"missing tail for degree {dd}")
 
     # weight slices of the matrix entries, fetched by needed weight
-    slices: Dict[Tuple[str, str, int], Poly] = {}
+    slices: dict[tuple[str, str, int], Poly] = {}
     for (s, t), p in matrix.items():
         for m, c in p.items():
             w = monomial_weight(m)
             slices.setdefault((s, t, w), {})[m] = c
 
-    der_cache: Dict[Tuple[int, int], Poly] = {}
+    der_cache: dict[tuple[int, int], Poly] = {}
 
     def dpow(dd: int, order: int) -> Poly:
         key = (dd, order)
@@ -443,7 +455,7 @@ def reference_rhs(d: int, tails: Dict[int, Poly],
             der_cache[key] = partial(tails[dd], "y200", order)
         return der_cache[key]
 
-    ins_cache: Dict[Tuple[str, int, int], Poly] = {}
+    ins_cache: dict[tuple[str, int, int], Poly] = {}
 
     def inserted(label: str, deg: int, order: int) -> Poly:
         key = (label, deg, order)
@@ -501,7 +513,7 @@ def tail_from_weight2(d: int, w2: Poly) -> Poly:
     return _tail(d, p)
 
 
-def extract_invariants(d: int, tail: Poly) -> Dict[str, int]:
+def extract_invariants(d: int, tail: Poly) -> dict[str, int]:
     """The thirteen labeled integers of a degree-d tail, via b! times a
     coefficient."""
     w2 = partial(tail, "y200", 3 * d - 3)
@@ -509,7 +521,7 @@ def extract_invariants(d: int, tail: Poly) -> Dict[str, int]:
     stray = set(w2) - set(known)
     if stray:
         raise ArithmeticError(f"degree-{d} tail has terms outside the 13 labels: {stray}")
-    out: Dict[str, int] = {}
+    out: dict[str, int] = {}
     for label in INVARIANT_LABELS:
         value = w2.get(monomial(LABEL_MONOMIAL[label]), Fraction(0)) * LABEL_FACTORIAL[label]
         if value.denominator != 1:
@@ -524,7 +536,7 @@ def reference_table(dmax: int) -> InvariantTable:
     if dmax < 1:
         raise ValueError("dmax must be at least 1")
     matrix = build_gluing_matrix(2)
-    tails: Dict[int, Poly] = {1: seed_degree1()}
+    tails: dict[int, Poly] = {1: seed_degree1()}
     for d in range(2, dmax + 1):
         tails[d] = tail_from_weight2(d, reference_rhs(d, tails, matrix))
     return InvariantTable({d: extract_invariants(d, t) for d, t in tails.items()})
@@ -535,7 +547,7 @@ def _exp_factor(name: str, coeff: int, order: int) -> Poly:
     return {monomial({name: n}): Fraction(coeff ** n, factorial(n)) for n in range(order + 1)}
 
 
-def _prune(p: Poly, gluing: Tuple[str, ...], budgets) -> Poly:
+def _prune(p: Poly, gluing: tuple[str, ...], budgets) -> Poly:
     """Drop monomials that already exceed a monotone constraint bound."""
     out: Poly = {}
     for m, c in p.items():
@@ -574,31 +586,31 @@ def expand_cover_series(kind: str) -> Poly:
             and tuple(sum(table[v] * e for v, e in m) for table, _ in budgets) in sums}
 
 
-def _report(name: str, mismatches: List[str], degrees: str,
-            expected: str = "no mismatches") -> Dict[str, str]:
+def _report(name: str, mismatches: list[str], degrees: str,
+            expected: str = "no mismatches") -> dict[str, str]:
     actual = "; ".join(mismatches[:8]) if mismatches else "no mismatches"
     return {"name": name, "status": "fail" if mismatches else "pass",
             "expected": expected, "actual": actual, "degrees": degrees}
 
 
-def _check_pairing() -> Dict[str, str]:
+def _check_pairing() -> dict[str, str]:
     return _report("dual-pairing-matrix", chow.pairing_failures(), "-",
                    "144 Kronecker pairings")
 
 
-def _check_relations() -> Dict[str, str]:
+def _check_relations() -> dict[str, str]:
     return _report("ring-relations", chow.relation_failures(), "-",
                    "i^2 = 3(h-hd)i, i*z = 0, 1 a unit, commuting basis products")
 
 
-def _check_seed() -> Dict[str, str]:
+def _check_seed() -> dict[str, str]:
     values = extract_invariants(1, seed_degree1())
     bad = [f"{lbl}: {values[lbl]} expected {TABLE1_REFERENCE[lbl][0]}"
            for lbl in INVARIANT_LABELS if values[lbl] != TABLE1_REFERENCE[lbl][0]]
     return _report("degree1-seed", bad, "1", "the 13 printed degree-1 values")
 
 
-def _check_table1(table: InvariantTable, dmax: int) -> Dict[str, str]:
+def _check_table1(table: InvariantTable, dmax: int) -> dict[str, str]:
     top = min(dmax, 6)
     bad = []
     for d in range(1, top + 1):
@@ -611,7 +623,7 @@ def _check_table1(table: InvariantTable, dmax: int) -> Dict[str, str]:
                    f"{13 * top} reference integers")
 
 
-def _check_ratios(table: InvariantTable, dmax: int) -> Dict[str, str]:
+def _check_ratios(table: InvariantTable, dmax: int) -> dict[str, str]:
     bad = []
     for d in range(1, dmax + 1):
         for failure in ratio_failures(table.column(d)):
@@ -620,7 +632,7 @@ def _check_ratios(table: InvariantTable, dmax: int) -> Dict[str, str]:
                    "five 3:1 row identities per degree")
 
 
-def _check_kontsevich(table: InvariantTable, dmax: int) -> Dict[str, str]:
+def _check_kontsevich(table: InvariantTable, dmax: int) -> dict[str, str]:
     row = kontsevich_row(dmax)
     bad = []
     for d in range(1, dmax + 1):
@@ -632,7 +644,7 @@ def _check_kontsevich(table: InvariantTable, dmax: int) -> Dict[str, str]:
                    "point-condition row equals the classical recursion")
 
 
-def _check_table2(table: InvariantTable, dmax: int) -> Dict[str, str]:
+def _check_table2(table: InvariantTable, dmax: int) -> dict[str, str]:
     top = min(dmax, 6)
     bad = []
     for d in range(1, top + 1):
@@ -644,7 +656,7 @@ def _check_table2(table: InvariantTable, dmax: int) -> Dict[str, str]:
                    "reference coefficient rows")
 
 
-def _check_cap_independence(m2: MatrixEntries) -> Dict[str, str]:
+def _check_cap_independence(m2: MatrixEntries) -> dict[str, str]:
     m3 = build_gluing_matrix(3)
     bad = []
     for s in GLUABLE:
@@ -657,7 +669,7 @@ def _check_cap_independence(m2: MatrixEntries) -> Dict[str, str]:
                    "caps 2 and 3 agree at weight <= 2")
 
 
-def _check_stencil(m2: MatrixEntries) -> Dict[str, str]:
+def _check_stencil(m2: MatrixEntries) -> dict[str, str]:
     """The shipped kernel must equal the one generated from the stencil that
     is derived from the cap-2 gluing matrix."""
     expected = "the shipped _kernel.py equals the text generated from the derived stencil"
@@ -673,7 +685,7 @@ def _check_stencil(m2: MatrixEntries) -> Dict[str, str]:
     return _report("stencil-derivation", bad, "-", expected)
 
 
-def _check_cache(cache_path: str, table: InvariantTable, dmax: int) -> Dict[str, str]:
+def _check_cache(cache_path: str, table: InvariantTable, dmax: int) -> dict[str, str]:
     """The cache must load, validate, and agree with the freshly computed
     table at every cached degree up to dmax."""
     try:
@@ -689,7 +701,7 @@ def _check_cache(cache_path: str, table: InvariantTable, dmax: int) -> Dict[str,
                    "a valid cache file equal to the computed table")
 
 
-def run_selftest(dmax: int, cache_path: str | None = None) -> List[Dict[str, str]]:
+def run_selftest(dmax: int, cache_path: str | None = None) -> list[dict[str, str]]:
     """Run every oracle and property check up to the given degree; the
     reports are the records that `semple2 verify` prints."""
     if dmax < 1:

@@ -29,9 +29,10 @@ QUERY_FREE = ("semple2._kernel", "semple2.chow", "semple2.poly", "semple2.potent
               "semple2.verify", "fractions")
 
 
-#: standard-library modules no query loads; checked under `-S`, because a
-#: `site` hook may load them itself (certifi's, for one, imports tempfile)
-LEAN_FREE = ("dataclasses", "tempfile")
+#: standard-library modules no query and no self-test loads; checked under
+#: `-S`, because a `site` hook may load them itself (certifi's, for one,
+#: imports tempfile)
+LEAN_FREE = ("dataclasses", "tempfile", "typing")
 
 
 def run_child(body: str, *flags: str) -> str:
@@ -90,7 +91,7 @@ def test_a_cold_table_loads_the_kernel_and_a_warm_one_does_not(tmp_path):
     assert "semple2._kernel" not in warm
 
 
-@pytest.mark.parametrize("kind", ["warm", "cold-table", "chow-eval"])
+@pytest.mark.parametrize("kind", ["warm", "cold-table", "chow-eval", "verify"])
 def test_queries_load_neither_dataclasses_nor_tempfile(tmp_path, kind):
     cache = str(tmp_path / "cache.json")
     compute_up_to(10, cache_path=cache)
@@ -102,6 +103,7 @@ def test_queries_load_neither_dataclasses_nor_tempfile(tmp_path, kind):
         "cold-table": [("table", "--max-degree", "3")],
         "chow-eval": [("chow-eval", "hz - 3*hd^2", "--basis", "i"),
                       ("chow-eval", "h^2*hd*z", "--integrate")],
+        "verify": [("verify", "--max-degree", "8", "--cache", cache)],
     }[kind]
     loaded = modules_after_cli(*argvs, flags=("-S",))
     assert "semple2.cli" in loaded
