@@ -3,26 +3,35 @@
 Subcommands: `table` emits the invariant table, `contact` evaluates the
 triple-contact formula, `count` evaluates mixed condition profiles,
 `chow-eval` normalizes ring expressions, and `verify` runs the self-test.
-Data goes to stdout, diagnostics to stderr.  All integers are emitted as
-decimal strings in JSON output.  Exit codes: 0 success, 2 usage error,
+Data goes to stdout, diagnostics to stderr.  In JSON output the degrees and
+`count`'s point count and curve fields are JSON numbers; every other integer
+(invariants, coefficients, counts, `contact`'s curve, ring coordinates and
+integrals) is a decimal string.  Exit codes: 0 success, 2 usage error,
 3 unsupported profile, 4 verification or cache failure.  `contact` and
-`count` check their curve and profile options before they compute or read
-a degree, so a refused request (exit 2 or 3) writes no cache.  Integer
-options are read in ASCII digits only, and a degree must be at least 1.
-A library warning prints as one `warning:` line, or, where warnings are
-errors (`python -W error`), refuses the request like any other (exit 2).  Each
-subcommand imports only the modules it runs, so `table`, `contact` and `count` load
-neither the Chow ring, the polynomials nor the oracles, also when they
-compute new degrees.
+`count` check their curve and profile options before they compute or read a
+degree, so a refused request (exit 2 or 3) writes no cache.  Integer options
+are read in ASCII digits only, and a degree must be at least 1.  A library
+warning prints as one `warning:` line, or, where warnings are errors
+(`python -W error`), refuses the request like any other (exit 2).  Each
+subcommand imports only the modules it runs, so `table`, `contact` and
+`count` load neither the Chow ring, the polynomials nor the oracles, also
+when they compute new degrees.
+
+Options are read by the table `_COMMANDS`, which also writes the usage and
+`--help` text: `--opt value` or `--opt=value`, the full name only; the last
+of a repeated option wins and `--tangent`/`--osculate` collect theirs in
+order; `--` ends the options; a negative number is a value, any other word
+that starts with a dash is an option.  A usage error prints the usage and
+one `semple2 CMD: error: ...` line to stderr and raises SystemExit(2).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import warnings
+from types import SimpleNamespace
 
 from .contact import (
     ConditionProfile,
@@ -43,6 +52,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_VERIFY = 4
+
+
+class _OptionError(Exception):
+    """A value an option does not take; reported as `argument OPT: MESSAGE`."""
 
 
 def _default_cache(value: str | None) -> str | None:
@@ -143,13 +156,13 @@ def _integer(text: str) -> int:
             return int(s)
         except ValueError:  # past the int-str digit limit, as int() refuses it
             pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    raise _OptionError(f"invalid int value: {text!r}")
 
 
 def _degree(text: str) -> int:
     d = _integer(text)
     if d < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {d}")
+        raise _OptionError(f"must be at least 1, got {d}")
     return d
 
 
@@ -159,7 +172,7 @@ def _parse_triple(text: str) -> tuple:
         raise ValueError(f"expected three comma-separated integers, got {text!r}")
     try:
         return tuple(_integer(p) for p in parts)
-    except argparse.ArgumentTypeError as exc:
+    except _OptionError as exc:
         raise ValueError(f"bad curve triple {text!r}") from exc
 
 
@@ -175,8 +188,8 @@ def _fixed_curve(text: str) -> CurveInvariants:
 
 def _cmd_count(args) -> int:
     d = args.degree
-    tangents = tuple(_fixed_curve(s) for s in args.tangent or [])
-    osculants = tuple(_fixed_curve(s) for s in args.osculate or [])
+    tangents = tuple(_fixed_curve(s) for s in args.tangent)
+    osculants = tuple(_fixed_curve(s) for s in args.osculate)
     profile = ConditionProfile(d, args.points, tangents, osculants)
     check_profile(profile)
     table = compute_up_to(d, cache_path=_default_cache(args.cache))
@@ -237,64 +250,237 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if all(r["status"] == "pass" for r in reports) else EXIT_VERIFY
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="semple2", allow_abbrev=False,
-        description="Second-order invariants of rational plane curves and "
-                    "triple-contact counts, in exact arithmetic.")
-    sub = parser.add_subparsers(dest="command", required=True)
+#: the marks of an argument that must be given, of an option given any
+#: number of times (its values kept in order) and of one that takes no value
+_REQUIRED, _REPEATED, _FLAG = object(), object(), object()
 
-    p = sub.add_parser("table", allow_abbrev=False, help="emit the invariant table")
-    p.add_argument("--max-degree", type=_degree, required=True)
-    p.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
-    p.add_argument("--cache", default=None,
-                   help=f"cache file (default from ${CACHE_ENV})")
-    p.set_defaults(func=_cmd_table)
+#: each subcommand's handler, help line and arguments.  An argument is
+#: (name, read, default, metavar, help), the last two optional: `read` turns
+#: the text into the value (a function, a tuple of the choices, or None for a
+#: flag), and `default` is the value when the option is absent, or one of the
+#: marks above.  A name without dashes is the positional.  The same table
+#: writes the usage and the `--help` text.
+_COMMANDS = {
+    "table": (_cmd_table, "emit the invariant table", (
+        ("--max-degree", _degree, _REQUIRED),
+        ("--format", ("json", "csv", "pretty"), "pretty"),
+        ("--cache", str, None, None, f"cache file (default from ${CACHE_ENV})"),
+    )),
+    "contact": (_cmd_contact, "triple-contact formula and counts", (
+        ("--degree", _degree, _REQUIRED),
+        ("--curve", str, None, "C,CLASS,KAPPA", "fixed curve as degree,class,cusps"),
+        ("--plucker", str, None, "C,NODES,CUSPS", "curve as degree,nodes,cusps"),
+        ("--format", ("json", "pretty"), "pretty"),
+        ("--cache", str, None),
+    )),
+    "count": (_cmd_count, "count curves meeting a condition profile", (
+        ("--degree", _degree, _REQUIRED),
+        ("--points", _integer, _REQUIRED),
+        ("--tangent", str, _REPEATED, "C,CLASS,KAPPA",
+         "tangency condition curve (repeatable)"),
+        ("--osculate", str, _REPEATED, "C,CLASS,KAPPA",
+         "triple-contact condition curve (repeatable)"),
+        ("--format", ("json", "pretty"), "pretty"),
+        ("--cache", str, None),
+    )),
+    "chow-eval": (_cmd_chow_eval, "normalize a ring expression", (
+        ("expr", str, _REQUIRED, None, "expression in h, hd, i, z"),
+        ("--basis", ("z", "i"), "z"),
+        ("--integrate", None, _FLAG),
+        ("--format", ("json", "pretty"), "pretty"),
+    )),
+    "verify": (_cmd_verify, "run the self-test oracles", (
+        ("--max-degree", _degree, _REQUIRED),
+        ("--cache", str, None, None,
+         "also read this cache file and check it against the computed table; "
+         f"it is never written, and ${CACHE_ENV} is not read"),
+    )),
+}
 
-    p = sub.add_parser("contact", allow_abbrev=False,
-                       help="triple-contact formula and counts")
-    p.add_argument("--degree", type=_degree, required=True)
-    p.add_argument("--curve", default=None, metavar="C,CLASS,KAPPA",
-                   help="fixed curve as degree,class,cusps")
-    p.add_argument("--plucker", default=None, metavar="C,NODES,CUSPS",
-                   help="curve as degree,nodes,cusps")
-    p.add_argument("--format", choices=("json", "pretty"), default="pretty")
-    p.add_argument("--cache", default=None)
-    p.set_defaults(func=_cmd_contact)
+_HELP = ("-h", "--help")
 
-    p = sub.add_parser("count", allow_abbrev=False,
-                       help="count curves meeting a condition profile")
-    p.add_argument("--degree", type=_degree, required=True)
-    p.add_argument("--points", type=_integer, required=True)
-    p.add_argument("--tangent", action="append", metavar="C,CLASS,KAPPA",
-                   help="tangency condition curve (repeatable)")
-    p.add_argument("--osculate", action="append", metavar="C,CLASS,KAPPA",
-                   help="triple-contact condition curve (repeatable)")
-    p.add_argument("--format", choices=("json", "pretty"), default="pretty")
-    p.add_argument("--cache", default=None)
-    p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("chow-eval", allow_abbrev=False,
-                       help="normalize a ring expression")
-    p.add_argument("expr", help="expression in h, hd, i, z")
-    p.add_argument("--basis", choices=("z", "i"), default="z")
-    p.add_argument("--integrate", action="store_true")
-    p.add_argument("--format", choices=("json", "pretty"), default="pretty")
-    p.set_defaults(func=_cmd_chow_eval)
+def _arguments(command: str) -> dict:
+    """The subcommand's arguments by name, each (name, read, default, metavar, help)."""
+    return {arg[0]: arg + (None,) * (5 - len(arg)) for arg in _COMMANDS[command][2]}
 
-    p = sub.add_parser("verify", allow_abbrev=False,
-                       help="run the self-test oracles")
-    p.add_argument("--max-degree", type=_degree, required=True)
-    p.add_argument("--cache", default=None,
-                   help="also read this cache file and check it against the computed "
-                        f"table; it is never written, and ${CACHE_ENV} is not read")
-    p.set_defaults(func=_cmd_verify)
-    return parser
+
+def _invocation(name: str, read, default, metavar: str | None) -> str:
+    """How an argument is written: `--degree DEGREE`, `--format {json,pretty}`,
+    `--integrate` or `expr`."""
+    if default is _FLAG or not name.startswith("-"):
+        return name
+    if metavar is None:
+        metavar = ("{" + ",".join(read) + "}" if isinstance(read, tuple)
+                   else name.lstrip("-").upper().replace("-", "_"))
+    return f"{name} {metavar}"
+
+
+def _wrap(first: str, words, indent: int) -> list:
+    """`first` and then `words`, joined by spaces into lines of at most 79
+    characters (a longer word has a line of its own), each after the first
+    indented by `indent`."""
+    lines = [first]
+    for word in words:
+        if len(lines[-1]) + 1 + len(word) <= 79:
+            lines[-1] += " " + word
+        else:
+            lines.append(" " * indent + word)
+    return lines
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: semple2 [-h] {" + ",".join(_COMMANDS) + "} ..."
+    head = f"usage: semple2 {command}"
+    options, positional = ["[-h]"], []
+    for name, read, default, metavar, _ in _arguments(command).values():
+        word = _invocation(name, read, default, metavar)
+        if not name.startswith("-"):
+            positional.append(word)
+        else:
+            options.append(word if default is _REQUIRED else f"[{word}]")
+    return "\n".join(_wrap(head, options + positional, len(head) + 1))
+
+
+def _help_entry(invocation: str, text: str | None) -> list:
+    """An argument's lines of the help: its invocation, and its help text
+    from column 24 on, on a line of its own when the invocation is too long."""
+    line = "  " + invocation
+    if not text:
+        return [line]
+    words = text.split()
+    if len(line) > 22:
+        return [line, *_wrap(" " * 24 + words[0], words[1:], 24)]
+    return _wrap(line.ljust(24) + words[0], words[1:], 24)
+
+
+def _help(command: str | None) -> str:
+    lines = [_usage(command), ""]
+    if command is None:
+        words = ("Second-order invariants of rational plane curves and triple-contact "
+                 "counts, in exact arithmetic.").split()
+        lines += [*_wrap(words[0], words[1:], 0), "", "commands:"]
+        for name, (_, text, _) in _COMMANDS.items():
+            lines += _help_entry(name, text)
+        return "\n".join(lines)
+    arguments = _arguments(command).values()
+    positional = [arg for arg in arguments if not arg[0].startswith("-")]
+    if positional:
+        lines.append("positional arguments:")
+        for name, _, _, _, text in positional:
+            lines += _help_entry(name, text)
+        lines.append("")
+    lines += ["options:", *_help_entry("-h, --help", "show this help message and exit")]
+    for name, read, default, metavar, text in arguments:
+        if name.startswith("-"):
+            lines += _help_entry(_invocation(name, read, default, metavar), text)
+    return "\n".join(lines)
+
+
+def _fail(command: str | None, message: str):
+    prog = "semple2" if command is None else f"semple2 {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(EXIT_USAGE)
+
+
+def _show_help(command: str | None):
+    _emit(_help(command))
+    raise SystemExit(EXIT_OK)
+
+
+def _is_option(word: str, options) -> bool:
+    """Whether `word` is an option rather than a value: one of `options`, alone
+    or before an `=`, or a dash and more that is neither a negative number nor
+    has a space in it."""
+    if word.partition("=")[0] in options:
+        return True
+    if word[:1] != "-" or len(word) == 1 or " " in word:
+        return False
+    whole, dot, frac = word[1:].partition(".")
+    return not ((whole.isdecimal() or dot and not whole) and (not dot or frac.isdecimal()))
+
+
+def _value(command: str, name: str, read, text: str):
+    """The value of option `name` given as `text`; a value it does not take is
+    a usage error."""
+    if isinstance(read, tuple):
+        if text not in read:
+            choices = ", ".join(map(repr, read))
+            _fail(command, f"argument {name}: invalid choice: {text!r} (choose from {choices})")
+        return text
+    try:
+        return read(text)
+    except _OptionError as exc:
+        _fail(command, f"argument {name}: {exc}")
+
+
+def _read_argv(argv: list[str]):
+    """The handler of the subcommand `argv` names and its arguments, as the
+    attributes of a namespace; -h or --help prints the help and exits 0, and a
+    usage error exits 2."""
+    # before the subcommand, -h and --help are the only options
+    unknown, at = [], 0
+    while at < len(argv) and _is_option(argv[at], _HELP):
+        if argv[at] in _HELP:
+            _show_help(None)
+        unknown.append(argv[at])
+        at += 1
+    if at == len(argv):
+        _fail(None, "the following arguments are required: command")
+    command = argv[at]
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        _fail(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    arguments = _arguments(command)
+    options = {name for name in arguments if name.startswith("-")} | set(_HELP)
+    positional = [name for name in arguments if name not in options]
+    values, words, ended = {}, argv[at + 1:], False
+    while words:
+        word = words.pop(0)
+        if ended or not _is_option(word, options):
+            if positional and positional[0] not in values:
+                values[positional[0]] = word
+            else:
+                unknown.append(word)
+        elif word == "--":
+            ended = True
+        elif word in _HELP:
+            _show_help(command)
+        elif word.partition("=")[0] not in arguments:
+            unknown.append(word)
+        else:
+            name, equals, text = word.partition("=")
+            _, read, default, _, _ = arguments[name]
+            if default is _FLAG:
+                if equals:
+                    _fail(command, f"argument {name}: ignored explicit argument {text!r}")
+                values[name] = True
+                continue
+            if not equals:
+                if not words or _is_option(words[0], options):
+                    _fail(command, f"argument {name}: expected one argument")
+                text = words.pop(0)
+            value = _value(command, name, read, text)
+            if default is _REPEATED:
+                values.setdefault(name, []).append(value)
+            else:
+                values[name] = value
+    missing = [name for name, arg in arguments.items()
+               if arg[2] is _REQUIRED and name not in values]
+    if missing:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        _fail(command, f"unrecognized arguments: {' '.join(unknown)}")
+    for name, (_, _, default, _, _) in arguments.items():
+        if name not in values:
+            values[name] = [] if default is _REPEATED else False if default is _FLAG else default
+    return _COMMANDS[command][0], SimpleNamespace(
+        **{name.lstrip("-").replace("-", "_"): value for name, value in values.items()})
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    handler, args = _read_argv(sys.argv[1:] if argv is None else list(argv))
     # from degree 572 on an invariant has more than the 4300 digits that
     # Python 3.11 and 3.10.7+ convert to and from str by default; the limit
     # is lifted for this call and put back after it
@@ -306,7 +492,7 @@ def main(argv: list[str] | None = None) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = lambda message, *_: _diag(f"warning: {message}")
         try:
-            return args.func(args)
+            return handler(args)
         except UnsupportedProfileError as exc:
             _diag(f"error: {exc}")
             return EXIT_UNSUPPORTED

@@ -545,3 +545,117 @@ def test_main_puts_the_digit_limit_back(capsys):
     assert run(capsys, "table", "--max-degree", "2")[0] == 0
     assert run(capsys, "chow-eval", "h +")[0] == 2
     assert limit() == before
+
+
+# the option grammar: `--opt value` and `--opt=value`, the last of a repeated
+# option wins and a repeatable one keeps its order, `--` ends the options,
+# `-h`/`--help` prints usage to stdout, and a usage error exits 2 with no stdout
+
+HELP_OPTIONS = {
+    "table": ("--max-degree", "--format", "--cache"),
+    "contact": ("--degree", "--curve", "--plucker", "--format", "--cache"),
+    "count": ("--degree", "--points", "--tangent", "--osculate", "--format", "--cache"),
+    "chow-eval": ("expr", "--basis", "--integrate", "--format"),
+    "verify": ("--max-degree", "--cache"),
+}
+
+
+def usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as info:
+        cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert (info.value.code, out) == (2, ""), argv
+    return err
+
+
+def test_an_option_takes_its_value_after_an_equals_sign(capsys):
+    code, out, _ = run(capsys, "table", "--max-degree=3", "--format=csv")
+    assert code == 0
+    assert out == "".join(",".join(row.split(",")[:4]) + "\n"
+                          for row in TABLE6_CSV.splitlines())
+
+
+def test_the_last_of_a_repeated_option_wins(capsys):
+    assert run(capsys, "count", "--degree", "3", "--points", "5", "--points", "8") \
+        == (0, "12\n", "")
+    assert run(capsys, "count", "--degree=1", "--degree", "3", "--points", "8")[:2] \
+        == (0, "12\n")
+
+
+def test_repeated_curve_options_keep_their_order(capsys):
+    code, out, _ = run(capsys, "count", "--degree", "2", "--points", "3",
+                       "--tangent", "2,2,0", "--format", "json", "--tangent=3,6,0")
+    assert code == 0
+    assert json.loads(out)["tangent"] == [[2, 2, 0], [3, 6, 0]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["chow-eval", "--integrate", "h^2*hd*z"],
+    ["chow-eval", "--basis", "z", "h^2*hd*z", "--integrate"],
+    ["chow-eval", "--integrate", "--", "h^2*hd*z"],
+])
+def test_options_go_before_or_after_the_expression(capsys, argv):
+    assert run(capsys, *argv) == (0, "1\n", "")
+
+
+def test_a_double_dash_ends_the_options(capsys):
+    assert run(capsys, "chow-eval", "--", "-h") == (0, "-h\n", "")
+    assert run(capsys, "chow-eval", "--basis", "i", "--", "-hd") == (0, "-hd\n", "")
+
+
+def test_a_negative_number_is_a_value_and_a_dash_word_is_not(capsys):
+    err = usage_error(capsys, "count", "--degree", "-1", "--points", "0")
+    assert err.endswith("semple2 count: error: argument --degree: must be at least 1, got -1\n")
+    err = usage_error(capsys, "table", "--max-degree", "2", "--cache", "-x")
+    assert err.endswith("semple2 table: error: argument --cache: expected one argument\n")
+    err = usage_error(capsys, "table", "--max-degree")
+    assert err.endswith("semple2 table: error: argument --max-degree: expected one argument\n")
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["bogus", "--max-degree", "2"],
+                                  ["--max-degree", "2"]])
+def test_a_missing_or_unknown_subcommand_is_a_usage_error(capsys, argv):
+    usage_error(capsys, *argv)
+
+
+def test_a_value_outside_the_choices_is_a_usage_error(capsys):
+    err = usage_error(capsys, "table", "--max-degree", "2", "--format", "xml")
+    assert err.endswith("semple2 table: error: argument --format: invalid choice: 'xml' "
+                        "(choose from 'json', 'csv', 'pretty')\n")
+    err = usage_error(capsys, "chow-eval", "h", "--basis=y")
+    assert "semple2 chow-eval: error: argument --basis: invalid choice: 'y'" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["table"], "the following arguments are required: --max-degree"),
+    (["count", "--points", "5"], "the following arguments are required: --degree"),
+    (["chow-eval", "--integrate"], "the following arguments are required: expr"),
+    (["chow-eval", "h", "z"], "unrecognized arguments: z"),
+    (["table", "--max-degree", "2", "x"], "unrecognized arguments: x"),
+    (["chow-eval", "h", "--integrate=yes"],
+     "argument --integrate: ignored explicit argument 'yes'"),
+])
+def test_a_usage_error_names_what_is_wrong(capsys, argv, message):
+    err = usage_error(capsys, *argv)
+    assert err.startswith("usage: semple2") and message in err
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", [None, *HELP_OPTIONS])
+def test_help_prints_usage_to_stdout_and_exits_zero(capsys, command, flag):
+    argv = [flag] if command is None else [command, flag]
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (info.value.code, err) == (0, "")
+    assert out.startswith("usage: semple2")
+    names = HELP_OPTIONS if command is None else HELP_OPTIONS[command]
+    assert all(name in out for name in names), out
+
+
+def test_help_wins_over_a_missing_required_option(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["count", "--points", "5", "--help"])
+    out, err = capsys.readouterr()
+    assert (info.value.code, err) == (0, "")
+    assert "--tangent" in out

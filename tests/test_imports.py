@@ -31,8 +31,9 @@ QUERY_FREE = ("semple2._kernel", "semple2.chow", "semple2.poly", "semple2.potent
 
 #: standard-library modules no query and no self-test loads; checked under
 #: `-S`, because a `site` hook may load them itself (certifi's, for one,
-#: imports tempfile)
-LEAN_FREE = ("dataclasses", "tempfile", "typing")
+#: imports tempfile).  The CLI reads its options without argparse, which
+#: would bring gettext and, on its first message lookup, locale.
+LEAN_FREE = ("argparse", "dataclasses", "gettext", "locale", "tempfile", "typing")
 
 
 def run_child(body: str, *flags: str) -> str:
