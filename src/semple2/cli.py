@@ -17,12 +17,14 @@ subcommand imports only the modules it runs, so `table`, `contact` and
 `count` load neither the Chow ring, the polynomials nor the oracles, also
 when they compute new degrees.
 
-Options are read by the table `_COMMANDS`, which also writes the usage and
-`--help` text: `--opt value` or `--opt=value`, the full name only; the last
-of a repeated option wins and `--tangent`/`--osculate` collect theirs in
-order; `--` ends the options; a negative number is a value, any other word
-that starts with a dash is an option.  A usage error prints the usage and
-one `semple2 CMD: error: ...` line to stderr and raises SystemExit(2).
+Options are read by the table `_COMMANDS`: `--opt value` or `--opt=value`,
+the full name only; the last of a repeated option wins and
+`--tangent`/`--osculate` collect theirs in order; `--` ends the options; a
+negative number is a value, any other word that starts with a dash is an
+option.  A usage error prints the usage and one `semple2 CMD: error: ...`
+line to stderr and raises SystemExit(2).  argparse formats the usage, the
+`--help` text and the error line from the same table; it is imported only
+to print one of them and never parses argv.
 """
 
 from __future__ import annotations
@@ -258,8 +260,8 @@ _REQUIRED, _REPEATED, _FLAG = object(), object(), object()
 #: (name, read, default, metavar, help), the last two optional: `read` turns
 #: the text into the value (a function, a tuple of the choices, or None for a
 #: flag), and `default` is the value when the option is absent, or one of the
-#: marks above.  A name without dashes is the positional.  The same table
-#: writes the usage and the `--help` text.
+#: marks above.  A name without dashes is the positional.  `_parser` builds
+#: from the same table the argparse parser that formats the usage and help.
 _COMMANDS = {
     "table": (_cmd_table, "emit the invariant table", (
         ("--max-degree", _degree, _REQUIRED),
@@ -305,87 +307,40 @@ def _arguments(command: str) -> dict:
     return {arg[0]: arg + (None,) * (5 - len(arg)) for arg in _COMMANDS[command][2]}
 
 
-def _invocation(name: str, read, default, metavar: str | None) -> str:
-    """How an argument is written: `--degree DEGREE`, `--format {json,pretty}`,
-    `--integrate` or `expr`."""
-    if default is _FLAG or not name.startswith("-"):
-        return name
-    if metavar is None:
-        metavar = ("{" + ",".join(read) + "}" if isinstance(read, tuple)
-                   else name.lstrip("-").upper().replace("-", "_"))
-    return f"{name} {metavar}"
+def _parser(command: str | None):
+    """The argparse parser of the top level or of one subcommand, built from
+    `_COMMANDS` to format its usage, help and error lines; it parses nothing.
+    argparse is imported here, so only a usage error or a help loads it."""
+    import argparse
 
-
-def _wrap(first: str, words, indent: int) -> list:
-    """`first` and then `words`, joined by spaces into lines of at most 79
-    characters (a longer word has a line of its own), each after the first
-    indented by `indent`."""
-    lines = [first]
-    for word in words:
-        if len(lines[-1]) + 1 + len(word) <= 79:
-            lines[-1] += " " + word
-        else:
-            lines.append(" " * indent + word)
-    return lines
-
-
-def _usage(command: str | None) -> str:
     if command is None:
-        return "usage: semple2 [-h] {" + ",".join(_COMMANDS) + "} ..."
-    head = f"usage: semple2 {command}"
-    options, positional = ["[-h]"], []
-    for name, read, default, metavar, _ in _arguments(command).values():
-        word = _invocation(name, read, default, metavar)
-        if not name.startswith("-"):
-            positional.append(word)
-        else:
-            options.append(word if default is _REQUIRED else f"[{word}]")
-    return "\n".join(_wrap(head, options + positional, len(head) + 1))
-
-
-def _help_entry(invocation: str, text: str | None) -> list:
-    """An argument's lines of the help: its invocation, and its help text
-    from column 24 on, on a line of its own when the invocation is too long."""
-    line = "  " + invocation
-    if not text:
-        return [line]
-    words = text.split()
-    if len(line) > 22:
-        return [line, *_wrap(" " * 24 + words[0], words[1:], 24)]
-    return _wrap(line.ljust(24) + words[0], words[1:], 24)
-
-
-def _help(command: str | None) -> str:
-    lines = [_usage(command), ""]
-    if command is None:
-        words = ("Second-order invariants of rational plane curves and triple-contact "
-                 "counts, in exact arithmetic.").split()
-        lines += [*_wrap(words[0], words[1:], 0), "", "commands:"]
+        parser = argparse.ArgumentParser(
+            prog="semple2", description="Second-order invariants of rational plane "
+            "curves and triple-contact counts, in exact arithmetic.")
+        sub = parser.add_subparsers(dest="command", required=True)
         for name, (_, text, _) in _COMMANDS.items():
-            lines += _help_entry(name, text)
-        return "\n".join(lines)
-    arguments = _arguments(command).values()
-    positional = [arg for arg in arguments if not arg[0].startswith("-")]
-    if positional:
-        lines.append("positional arguments:")
-        for name, _, _, _, text in positional:
-            lines += _help_entry(name, text)
-        lines.append("")
-    lines += ["options:", *_help_entry("-h, --help", "show this help message and exit")]
-    for name, read, default, metavar, text in arguments:
-        if name.startswith("-"):
-            lines += _help_entry(_invocation(name, read, default, metavar), text)
-    return "\n".join(lines)
+            sub.add_parser(name, help=text)
+        return parser
+    parser = argparse.ArgumentParser(prog=f"semple2 {command}")
+    for name, read, default, metavar, text in _arguments(command).values():
+        options = {"help": text}
+        if default is _FLAG:
+            options["action"] = "store_true"
+        elif name.startswith("-"):
+            options.update(metavar=metavar, required=default is _REQUIRED,
+                           action="append" if default is _REPEATED else "store")
+        if isinstance(read, tuple):
+            options["choices"] = read
+        parser.add_argument(name, **options)
+    return parser
 
 
 def _fail(command: str | None, message: str):
-    prog = "semple2" if command is None else f"semple2 {command}"
-    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
-    raise SystemExit(EXIT_USAGE)
+    _parser(command).error(message)
 
 
 def _show_help(command: str | None):
-    _emit(_help(command))
+    _parser(command).print_help()
     raise SystemExit(EXIT_OK)
 
 

@@ -618,6 +618,17 @@ def test_a_missing_or_unknown_subcommand_is_a_usage_error(capsys, argv):
     usage_error(capsys, *argv)
 
 
+@pytest.mark.parametrize("argv, line", [
+    ([], "semple2: error: the following arguments are required: command"),
+    (["bogus"], "semple2: error: argument command: invalid choice: 'bogus' "
+                "(choose from 'table', 'contact', 'count', 'chow-eval', 'verify')"),
+])
+def test_a_top_level_usage_error_ends_with_its_pinned_line(capsys, argv, line):
+    err = usage_error(capsys, *argv)
+    assert err.startswith("usage: semple2 [-h] ")
+    assert err.splitlines()[-1] == line
+
+
 def test_a_value_outside_the_choices_is_a_usage_error(capsys):
     err = usage_error(capsys, "table", "--max-degree", "2", "--format", "xml")
     assert err.endswith("semple2 table: error: argument --format: invalid choice: 'xml' "
@@ -651,6 +662,50 @@ def test_help_prints_usage_to_stdout_and_exits_zero(capsys, command, flag):
     assert out.startswith("usage: semple2")
     names = HELP_OPTIONS if command is None else HELP_OPTIONS[command]
     assert all(name in out for name in names), out
+
+
+def help_text(capsys, *argv) -> str:
+    """The help `argv` prints, its whitespace joined: argparse wraps it to the
+    terminal width."""
+    with pytest.raises(SystemExit) as info:
+        cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert (info.value.code, err) == (0, "")
+    return " ".join(out.split())
+
+
+def test_the_top_level_help_shows_each_subcommand_and_its_help_line(capsys):
+    out = help_text(capsys, "--help")
+    for line in ("table emit the invariant table",
+                 "contact triple-contact formula and counts",
+                 "count count curves meeting a condition profile",
+                 "chow-eval normalize a ring expression",
+                 "verify run the self-test oracles"):
+        assert line in out, line
+
+
+HELP_METAVARS = {
+    "table": ("--max-degree MAX_DEGREE", "--format {json,csv,pretty}", "--cache CACHE"),
+    "contact": ("--degree DEGREE", "--curve C,CLASS,KAPPA", "--plucker C,NODES,CUSPS",
+                "--format {json,pretty}", "--cache CACHE"),
+    "count": ("--degree DEGREE", "--points POINTS", "--tangent C,CLASS,KAPPA",
+              "--osculate C,CLASS,KAPPA", "--format {json,pretty}", "--cache CACHE"),
+    "chow-eval": ("expr", "--basis {z,i}", "--integrate", "--format {json,pretty}"),
+    "verify": ("--max-degree MAX_DEGREE", "--cache CACHE"),
+}
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", HELP_METAVARS)
+def test_a_subcommand_help_shows_each_metavar_and_help_string(capsys, command, flag):
+    out = help_text(capsys, command, flag)
+    assert out.startswith(f"usage: semple2 {command} [-h] ")
+    for invocation in HELP_METAVARS[command]:
+        assert invocation in out, invocation
+    texts = [arg[4] for arg in cli._arguments(command).values() if arg[4]]
+    assert texts
+    for text in texts:
+        assert " ".join(text.split()) in out, text
 
 
 def test_help_wins_over_a_missing_required_option(capsys):

@@ -32,7 +32,8 @@ QUERY_FREE = ("semple2._kernel", "semple2.chow", "semple2.poly", "semple2.potent
 #: standard-library modules no query and no self-test loads; checked under
 #: `-S`, because a `site` hook may load them itself (certifi's, for one,
 #: imports tempfile).  The CLI reads its options without argparse, which
-#: would bring gettext and, on its first message lookup, locale.
+#: would bring gettext and, on its first message lookup, locale; argparse
+#: is imported only to print a usage error or a help.
 LEAN_FREE = ("argparse", "dataclasses", "gettext", "locale", "tempfile", "typing")
 
 
@@ -109,6 +110,31 @@ def test_queries_load_neither_dataclasses_nor_tempfile(tmp_path, kind):
     loaded = modules_after_cli(*argvs, flags=("-S",))
     assert "semple2.cli" in loaded
     assert loaded.isdisjoint(LEAN_FREE)
+
+
+def test_a_usage_error_and_a_help_import_argparse_to_print_themselves():
+    # pytest has loaded argparse itself, so only a fresh interpreter shows
+    # that the parser's lazy import runs and prints the pinned lines
+    out = run_child(
+        "import contextlib, io, sys\n"
+        "from semple2 import cli\n"
+        "before = 'argparse' in sys.modules\n"
+        "results = []\n"
+        "for argv in (['table', '--max-degree', 'x'], ['verify', '--help']):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        try:\n"
+        "            cli.main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            results.append((exc.code, out.getvalue(), err.getvalue()))\n"
+        "print(repr((before, 'argparse' in sys.modules, results)))\n", "-S")
+    before, after, [(code, out, err), (help_code, help_out, help_err)] = ast.literal_eval(out)
+    assert (before, after) == (False, True)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == \
+        "semple2 table: error: argument --max-degree: invalid int value: 'x'"
+    assert (help_code, help_err) == (0, "")
+    assert help_out.startswith("usage: semple2 verify")
 
 
 def test_verify_and_the_potentials_load_neither_dataclasses_nor_inspect():
