@@ -15,7 +15,11 @@ warning prints as one `warning:` line, or, where warnings are errors
 (`python -W error`), refuses the request like any other (exit 2).  Each
 subcommand imports only the modules it runs, so `table`, `contact` and
 `count` load neither the Chow ring, the polynomials nor the oracles, also
-when they compute new degrees.
+when they compute new degrees.  `json` loads only to read a cache or to
+print a JSON other than the table: `--format json` of `contact`, `count`
+and `chow-eval`, which carry user expressions and non-ASCII symbols, and
+`verify`'s reports.  `table --format json` writes json's indent=2 layout
+itself, as `recursion.table_to_json` does for the cache.
 
 Options are read by the table `_COMMANDS`: `--opt value` or `--opt=value`,
 the full name only; the last of a repeated option wins and
@@ -29,7 +33,6 @@ to print one of them and never parses argv.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import warnings
@@ -73,15 +76,15 @@ def _diag(text: str) -> None:
 
 
 def _table_json(table: InvariantTable, dmax: int) -> str:
-    data = {
-        "max_degree": dmax,
-        "labels": list(INVARIANT_LABELS),
-        "values": {
-            label: [str(table.get(d, label)) for d in range(1, dmax + 1)]
-            for label in INVARIANT_LABELS
-        },
-    }
-    return json.dumps(data, indent=2)
+    """`json.dumps` with indent=2 of {"max_degree": dmax, "labels": [...],
+    "values": {label: [str(n) per degree]}}, written here in that layout,
+    since neither the labels nor the decimal strings need escaping."""
+    labels = ",\n".join(f'    "{label}"' for label in INVARIANT_LABELS)
+    rows = ",\n".join(f'    "{label}": [\n' + ",\n".join(
+        f'      "{table.get(d, label)}"' for d in range(1, dmax + 1)) + "\n    ]"
+        for label in INVARIANT_LABELS)
+    return (f'{{\n  "max_degree": {dmax},\n  "labels": [\n{labels}\n  ],\n'
+            f'  "values": {{\n{rows}\n  }}\n}}')
 
 
 def _table_csv(table: InvariantTable, dmax: int) -> str:
@@ -130,6 +133,8 @@ def _cmd_contact(args) -> int:
     formula = contact_formula(d, table)
     a, b, k = contact_coefficients(d, table)
     if args.format == "json":
+        import json
+
         data = {
             "degree": d,
             "formula": formula,
@@ -197,6 +202,8 @@ def _cmd_count(args) -> int:
     table = compute_up_to(d, cache_path=_default_cache(args.cache))
     value = mixed_count(profile, table)
     if args.format == "json":
+        import json
+
         data = {
             "degree": d,
             "points": args.points,
@@ -225,6 +232,8 @@ def _cmd_chow_eval(args) -> int:
         symbolic = format_coords(icoords, I_BASIS_ORDER, I_BASIS_SYMBOL)
         order = I_BASIS_ORDER
     if args.format == "json":
+        import json
+
         data = {
             "expression": args.expr,
             "basis": args.basis,
@@ -243,6 +252,8 @@ def _cmd_chow_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    import json
+
     from .verify import run_selftest
 
     reports = run_selftest(args.max_degree, cache_path=args.cache)

@@ -46,15 +46,16 @@ Fraction-polynomial form of the same identity as a differential oracle.
 A computed or cached table is an `InvariantTable`: an immutable plain class
 with `__slots__` (like the value types of `semple2.contact` and the ring
 elements of `semple2.chow`, which share its private base `_Frozen`), so
-that no subcommand imports `dataclasses`.  A cache is read back only in the exact form that
-`table_to_json` writes, and then validated.  `DIVISOR_RULE` is the one
-statement of the divisor multipliers, read by the kernel and by the
-oracles.
+that no subcommand imports `dataclasses`.  `table_to_json` writes the
+cache in the layout of `json.dumps(..., indent=2)` itself, byte for byte,
+so that writing a table never imports `json`; only `table_from_json` does.
+A cache is read back only in the exact form that `table_to_json` writes,
+and then validated.  `DIVISOR_RULE` is the one statement of the divisor
+multipliers, read by the kernel and by the oracles.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import stat
 from collections.abc import Iterator, Sequence
@@ -276,13 +277,17 @@ def validate_table(values: dict[int, dict[str, int]]) -> None:
 
 
 def table_to_json(table: InvariantTable) -> str:
+    """The cache text: `json.dumps({str(d): {label: str(n)}}, indent=2)`,
+    written here in that layout, since neither the degrees, the labels nor
+    the decimal strings need escaping."""
     try:
-        data = {str(d): {lbl: str(table.values[d][lbl]) for lbl in INVARIANT_LABELS}
-                for d in table.degrees()}
-    except ValueError as exc:  # only str() of an int past the digit limit raises
+        columns = [f'  "{d}": {{\n' + ",\n".join(
+            f'    "{lbl}": "{table.values[d][lbl]}"' for lbl in INVARIANT_LABELS) + "\n  }"
+            for d in table.degrees()]
+    except ValueError as exc:  # only formatting an int past the digit limit raises
         raise CacheError("an invariant has more digits than the interpreter's "
                          f"int/str conversion limit: {exc}") from exc
-    return json.dumps(data, indent=2)
+    return "{\n" + ",\n".join(columns) + "\n}" if columns else "{}"
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
@@ -303,6 +308,8 @@ def table_from_json(text: str) -> InvariantTable:
     underscores, leading zeros, other digit scripts, JSON numbers or
     booleans) passes for an invariant; a key given twice is refused.
     """
+    import json
+
     try:
         raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:

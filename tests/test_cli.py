@@ -8,7 +8,7 @@ import pytest
 
 import semple2
 from semple2 import cli, recursion
-from semple2.recursion import INVARIANT_LABELS, load_table, save_table
+from semple2.recursion import INVARIANT_LABELS, compute_up_to, load_table, save_table
 from semple2.verify import TABLE1_REFERENCE
 
 TABLE6_CSV = """\
@@ -49,6 +49,23 @@ def test_table_json_uses_decimal_strings(capsys):
     assert data["values"]["hdz.hdz"][5] == "2948122440"
     for label, row in data["values"].items():
         assert [int(v) for v in row] == list(TABLE1_REFERENCE[label])
+
+
+@pytest.mark.parametrize("dmax", [1, 2, 40])
+def test_table_json_keeps_the_bytes_of_json_dumps_with_indent_2(tmp_path, capsys, dmax):
+    # the table and its cache are written without json; both keep its layout
+    path = tmp_path / "cache.json"
+    code, out, _ = run(capsys, "table", "--max-degree", str(dmax), "--format", "json",
+                       "--cache", str(path))
+    assert code == 0
+    table = load_table(str(path))
+    assert table == compute_up_to(dmax)
+    data = {"max_degree": dmax, "labels": list(INVARIANT_LABELS),
+            "values": {label: [str(table.get(d, label)) for d in range(1, dmax + 1)]
+                       for label in INVARIANT_LABELS}}
+    assert out == json.dumps(data, indent=2) + "\n" == json.dumps(json.loads(out), indent=2) + "\n"
+    cache = path.read_text(encoding="utf-8")
+    assert cache == json.dumps(json.loads(cache), indent=2) + "\n"
 
 
 def test_table_degree_one(capsys):

@@ -48,14 +48,16 @@ def run_child(body: str, *flags: str) -> str:
     return proc.stdout
 
 
-def modules_after_cli(*argvs, flags=()) -> set:
-    """The modules loaded once `cli.main` has run each argv in one fresh process."""
+def modules_after_cli(*argvs, flags=(), codes=None) -> set:
+    """The modules loaded once `cli.main` has run each argv in one fresh
+    process, each exiting with its entry of `codes` (by default 0)."""
+    codes = [0] * len(argvs) if codes is None else list(codes)
     out = run_child(
         "import contextlib, io, sys\n"
         "from semple2 import cli\n"
-        f"for argv in {[list(a) for a in argvs]!r}:\n"
+        f"for argv, code in zip({[list(a) for a in argvs]!r}, {codes!r}):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert cli.main(argv) == 0, argv\n"
+        "        assert cli.main(argv) == code, argv\n"
         "print(*sys.modules)\n", *flags)
     return set(out.split())
 
@@ -110,6 +112,33 @@ def test_queries_load_neither_dataclasses_nor_tempfile(tmp_path, kind):
     loaded = modules_after_cli(*argvs, flags=("-S",))
     assert "semple2.cli" in loaded
     assert loaded.isdisjoint(LEAN_FREE)
+
+
+def test_the_table_and_queries_without_a_cache_load_no_json(tmp_path):
+    # the table and the cache are written without json; under -S, since a
+    # `site` hook may load json itself
+    loaded = modules_after_cli(
+        ("table", "--max-degree", "12", "--format", "json",
+         "--cache", str(tmp_path / "new.json")),
+        ("table", "--max-degree", "6", "--format", "pretty"),
+        ("contact", "--degree", "4"),
+        ("chow-eval", "h^2*hd*z", "--integrate"),
+        ("count", "--degree", "3", "--points", "7"),
+        ("count", "--degree", "3", "--points", "4", "--osculate", "2,2,0",
+         "--osculate", "2,2,0"),
+        codes=(0, 0, 0, 0, 2, 3), flags=("-S",))
+    assert {"semple2.cli", "semple2._kernel", "semple2.chow"} <= loaded
+    assert "json" not in loaded
+
+
+@pytest.mark.parametrize("kind", ["cache read", "verify"])
+def test_a_cache_read_and_verify_load_json(tmp_path, kind):
+    # the other side of the boundary: json reads a cache and prints verify's reports
+    cache = str(tmp_path / "cache.json")
+    compute_up_to(6, cache_path=cache)
+    argv = {"cache read": ("count", "--degree", "3", "--points", "8", "--cache", cache),
+            "verify": ("verify", "--max-degree", "2")}[kind]
+    assert "json" in modules_after_cli(argv, flags=("-S",))
 
 
 def test_a_usage_error_and_a_help_import_argparse_to_print_themselves():

@@ -231,6 +231,17 @@ def test_a_cache_written_by_semple2_loads():
     assert table_from_json(table_to_json(table)) == table
 
 
+@pytest.mark.parametrize("dmax", [0, 1, 2, 6, 40])
+def test_the_cache_writer_keeps_the_bytes_of_json_dumps_with_indent_2(dmax):
+    # the writer builds the text itself; dmax 0 is the empty table
+    table = compute_up_to(dmax) if dmax else InvariantTable({})
+    text = table_to_json(table)
+    data = {str(d): {label: str(table.get(d, label)) for label in INVARIANT_LABELS}
+            for d in table.degrees()}
+    assert text == json.dumps(data, indent=2) == json.dumps(json.loads(text), indent=2)
+    assert table_from_json(text) == table
+
+
 @pytest.mark.parametrize("name", FOREIGN_SPELLINGS)
 def test_the_cache_reader_accepts_only_what_the_writer_writes(name):
     text = FOREIGN_SPELLINGS[name](json.loads(table_to_json(compute_up_to(6))))
