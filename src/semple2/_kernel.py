@@ -1,7 +1,12 @@
-# Generated by semple2.verify.kernel_source from the stencil that
-# semple2.verify.derive_stencil derives from the gluing matrix.
-# Do not edit; from the repository root, regenerate with
-#   PYTHONPATH=src python -c 'import semple2.verify as v; print(v.kernel_source(v.derive_stencil(v.build_gluing_matrix(2))), end="")' > src/semple2/_kernel.py
+"""The 149-weight stencil that `semple2.verify.derive_stencil` derives from
+the gluing matrix, as straight-line code: `degree_forms(d, v)`, once per
+degree, the linear forms of the column v that the terms share; and
+`kernel(d, forms, row)`, which visits each unordered split of d once and
+multiplies the forms, scaled by the binomial factors of both orientations
+read off row = comb(3d-6, k).  The self-test's `stencil-derivation` check
+evaluates both against `semple2.verify.stencil_rhs`, the stencil read term
+by term.
+"""
 from semple2.recursion import DIVISOR_RULE
 
 rule0 = DIVISOR_RULE["100"]

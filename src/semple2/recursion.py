@@ -38,10 +38,10 @@ a few products of these forms with entries scaled by the binomial
 factors, which it reads from the row comb(3d-6, k) that `compute_up_to`
 builds by the multiplicative update (`binomial_row`) and passes in.
 `compute_up_to` imports the module on the first computed degree.
-`semple2.verify` keeps the derivation (`derive_stencil`), the generator
-that writes `_kernel.py` from its output (`kernel_source`, which the
-self-test and the tests compare with the shipped file), and the
-Fraction-polynomial form of the same identity as a differential oracle.
+`semple2.verify` keeps the derivation (`derive_stencil`), the stencil
+read term by term (`stencil_rhs`, which the self-test evaluates against
+the shipped kernel), and the Fraction-polynomial form of the same identity
+as a differential oracle.
 
 A computed or cached table is an `InvariantTable`: an immutable plain class
 with `__slots__` (like the value types of `semple2.contact` and the ring
@@ -421,8 +421,7 @@ def compute_up_to(dmax: int, cache_path: str | None = None) -> InvariantTable:
             values[d] = dict(zip(INVARIANT_LABELS, column))
             forms[d] = degree_forms(d, column)
 
+    # values gains a degree only past N, and then holds every cached one too
     if cache_path and not values.keys() <= known.keys():
-        merged = dict(known)
-        merged.update({d: dict(col) for d, col in values.items()})
-        save_table(InvariantTable(merged), cache_path)
+        save_table(InvariantTable(values), cache_path)
     return InvariantTable(values)

@@ -16,12 +16,10 @@ beyond the polynomial substrate and the label tables:
   that `potentials.build_cover_potential` returns;
 
 * the stencil compiler (`derive_stencil`), which derives the 149 integer
-  weights from the gluing matrix, and the kernel generator
-  (`kernel_source`), which writes them as the two straight-line functions
-  that the production recursion runs: the per-degree linear forms that
-  the terms share, and the split loop that multiplies them; the self-test
-  compares the generated text with the shipped module `semple2._kernel`,
-  line by line;
+  weights from the gluing matrix, and the stencil read term by term
+  (`stencil_rhs`); the self-test evaluates the shipped kernel
+  `semple2._kernel`, which runs the same weights as straight-line code,
+  and `stencil_rhs` on fixed columns and requires the same outputs;
 
 * the degree recursion run literally on Fraction tail polynomials
   (`reference_table`), the differential oracle for the integer stencil
@@ -44,13 +42,11 @@ index pair.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from fractions import Fraction
-from itertools import groupby, zip_longest
 from math import comb, factorial, lcm, prod
 
-from . import chow
+from . import _kernel, chow
 from .poly import (
     Poly,
     add_scaled,
@@ -69,6 +65,7 @@ from .recursion import (
     DIVISOR_RULE,
     INVARIANT_LABELS,
     InvariantTable,
+    binomial_row,
     compute_up_to,
     kontsevich_row,
     load_table,
@@ -137,16 +134,6 @@ StencilTerm = tuple[str | None, str | None, int, int, int, int]
 #: stencil[2 - j1] is stencil[j1] with the two factors swapped.
 Stencil = tuple[tuple[StencilTerm, ...], ...]
 
-#: the shell command, run from the repository root, that writes the shipped
-#: kernel module; the README and CI quote it
-KERNEL_COMMAND = ("PYTHONPATH=src python -c 'import semple2.verify as v; "
-                  "print(v.kernel_source(v.derive_stencil(v.build_gluing_matrix(2))), "
-                  "end=\"\")' > src/semple2/_kernel.py")
-
-#: the shipped kernel module, which the stencil-derivation check reads
-_KERNEL_PATH = os.path.join(os.path.dirname(__file__), "_kernel.py")
-
-
 def derive_stencil(matrix: MatrixEntries) -> Stencil:
     """Compile the quadratic identity through the gluing matrix (cap >= 2).
 
@@ -155,9 +142,7 @@ def derive_stencil(matrix: MatrixEntries) -> Stencil:
     P of the labels' b! (P = 2), so every product f * entry * g is an int
     polynomial P*P*L times the rational one.  Each weight is divided by
     P*P*L once, at the end; ArithmeticError is raised unless every weight is
-    an integer.  The weights come out grouped by j1, in a fixed order;
-    `kernel_source` sorts what it writes, so its text does not depend on
-    that order.
+    an integer.  The weights come out grouped by j1, in a fixed order.
     """
     part_scale = lcm(*LABEL_FACTORIAL.values())
 
@@ -227,163 +212,31 @@ def derive_stencil(matrix: MatrixEntries) -> Stencil:
     return tuple(tuple((*key, w // total) for key, w in acc.items() if w) for acc in weights)
 
 
-def kernel_source(stencil: Stencil) -> str:
-    """The text of a module that runs the stencil: `degree_forms(d, column)`
-    and `kernel(d, forms, row)`.
+def stencil_rhs(d: int, columns: dict[int, tuple[int, ...]],
+                stencil: Stencil) -> tuple[int, ...]:
+    """The degree-d column, in INVARIANT_LABELS order, read term by term off
+    the definition above `Stencil`, for every ordered split d1 + d2 = d.
 
-    The degree-d column is a fixed bilinear form in the lower columns, so
-    all that depends on the stencil alone is settled here, in straight-line
-    source whose weights, indices and grouping are literals.
-
-    Layout.  In slice j1 each output's terms are grouped by one factor: by
-    the second for j1 <= last/2 (last = len(stencil) - 1, 2 for the derived
-    stencil), by the first above.  The terms of a group share that factor's
-    entry; their other factors, each with its weight and its divisor
-    multiplier, sum to one linear form in the other column.  A form, like an
-    entry times its multiplier, depends on one degree only, so
-    `degree_forms` computes all of them once per degree, as one tuple, when
-    that degree's column is known, and the recursion keeps the tuple.  The
-    split loop of `kernel` scales each grouping entry by its binomial factor
-    c_j1 and multiplies it into its group's form: one bigint product per
-    group and no small-weight work.  A group whose entry carries several
-    multiplier kinds takes one product of the unscaled entry with its forms
-    weighted by that side's small multipliers, so that at large degrees it
-    costs one bigint product, not one per kind.  The binomial factors read
-    the row comb(3d-6, k), k = 0..3d-6, which the caller passes in: the
-    module imports nothing but `recursion.DIVISOR_RULE`, whose rules it
-    calls by name, so DIVISOR_RULE stays the one definition of the
-    multipliers.  For the derived stencil the text is the shipped module
-    `semple2._kernel`, written by KERNEL_COMMAND.
-
-    Symmetry.  The split (d2, d1) gives the same sums as (d1, d2) with j1
-    reversed, so the kernel visits each unordered split once and multiplies
-    each sum by the binomial factors of both orientations added together.
-    The same symmetry makes a slice above the middle, grouped by its first
-    factor, need exactly the forms of its mirror below, grouped by its
-    second: one tuple of forms per degree serves as either factor.
-
-    Raises ValueError, before any text is produced, unless the stencil is
-    symmetric under swapping the two factors (as multisets of terms), every
-    kind is None or a key of DIVISOR_RULE, and every index and weight is an
-    int, the indices below the number of labels.
+    `columns[d']` is the degree-d' column, for every d' < d.  This is the
+    stencil's meaning, which the shipped kernel must compute.
     """
-    last = len(stencil) - 1
-    for j1, terms in enumerate(stencil):
-        swapped = Counter((kt, ks, i2, i1, iout, w)
-                          for ks, kt, i1, i2, iout, w in stencil[last - j1])
-        if swapped != Counter(terms):
-            raise ValueError("the stencil is not symmetric under swapping the two factors")
-    n = len(INVARIANT_LABELS)
-    # the number of each kind's multiplier; a derivative has none, its
-    # multiplier is 1, and it sorts first
-    number = {None: -1, **{kind: k for k, kind in enumerate(DIVISOR_RULE)}}
-    # groups[iout, j1, grouping index][its kind][(form index, form kind)]: weight
-    groups: dict[tuple[int, int, int], dict[str | None, dict[tuple, int]]] = {}
-    for j1, terms in enumerate(stencil):
-        for term in terms:
-            ks, kt, i1, i2, iout, w = term
-            if ks not in number or kt not in number:
-                raise ValueError(f"unknown insertion kind in stencil term {term!r}")
-            if {type(i1), type(i2), type(iout), type(w)} != {int} \
-                    or not (0 <= i1 < n and 0 <= i2 < n and 0 <= iout < n):
-                raise ValueError(f"bad index or weight in stencil term {term!r}")
-            (i, kind), form = ((i2, kt), (i1, ks)) if 2 * j1 <= last else ((i1, ks), (i2, kt))
-            weights = groups.setdefault((iout, j1, i), {}).setdefault(kind, {})
-            weights[form] = weights.get(form, 0) + w
+    m = 3 * d - 6
 
-    # the per-degree tuple: each slot a sum of weight * multiplier * entry
-    # over (entry index, kind, weight) terms, numbered in order of first use
-    slots: dict[tuple[tuple[int, str | None, int], ...], int] = {}
+    def binomial(k: int) -> int:
+        return comb(m, k) if k >= 0 else 0
 
-    def slot(weights: dict[tuple, int]) -> int:
-        key = tuple(sorted(((i, kind, w) for (i, kind), w in weights.items()),
-                           key=lambda t: (number[t[1]], t[0])))
-        return slots.setdefault(key, len(slots))
+    def multipliers(dd: int) -> dict[str | None, int]:
+        return {None: 1, **{kind: rule(dd) for kind, rule in DIVISOR_RULE.items()}}
 
-    scaled: dict[tuple[int, int], str] = {}
-    sums: dict[int, list[str]] = {}
-    split_rules = set()
-    for (iout, j1, i), by_kind in sorted(groups.items()):
-        # weights that cancel leave no term, and a form without terms no product
-        forms = {}
-        for kind in sorted(by_kind, key=number.get):
-            weights = {f: w for f, w in by_kind[kind].items() if w}
-            if weights:
-                forms[kind] = weights
-        if not forms:
-            continue
-        entry_side, form_side, prefix = ("B", "A", "t") if 2 * j1 <= last else ("A", "B", "s")
-        if len(forms) == 1:
-            (kind, weights), = forms.items()
-            product = f"{form_side}[{slot(weights)}]"
-        else:
-            # the unscaled entry; each form takes its kind's multiplier here
-            kind = None
-            parts = []
-            for k, weights in forms.items():
-                part = f"{form_side}[{slot(weights)}]"
-                if k is not None:
-                    split_rules.add((prefix, number[k]))
-                    part = f"{prefix}{number[k]}*{part}"
-                parts.append(part)
-            product = f"({' + '.join(parts)})"
-        e = slot({(i, kind): 1})
-        scaled[j1, e] = f"c{j1} * {entry_side}[{e}]"
-        sums.setdefault(iout, []).append(f"x{j1}_{e}*{product}")
-
-    def slot_text(key: tuple[tuple[int, str | None, int], ...]) -> str:
-        parts = []
-        for kind, terms in groupby(key, key=lambda t: t[1]):
-            inner = [f"v[{i}]" if w == 1 else f"{w}*v[{i}]" for i, _, w in terms]
-            if kind is None:
-                parts += inner
-            elif len(inner) == 1:
-                parts.append(f"m{number[kind]}*{inner[0]}")
-            else:
-                parts.append(f"m{number[kind]}*({' + '.join(inner)})")
-        return " + ".join(parts)
-
-    form_rules = sorted({number[kind] for key in slots for _, kind, _ in key
-                         if kind is not None})
-    kinds = list(DIVISOR_RULE)
-    lines = ["# Generated by semple2.verify.kernel_source from the stencil that",
-             "# semple2.verify.derive_stencil derives from the gluing matrix.",
-             "# Do not edit; from the repository root, regenerate with",
-             f"#   {KERNEL_COMMAND}",
-             "from semple2.recursion import DIVISOR_RULE",
-             ""]
-    lines += [f'rule{k} = DIVISOR_RULE["{kinds[k]}"]'
-              for k in sorted({*form_rules, *(k for _, k in split_rules)})]
-    lines += ["", "", "def degree_forms(d, v):"]
-    lines += [f"    m{k} = rule{k}(d)" for k in form_rules]
-    lines.append("    return (")
-    lines += [f"        {slot_text(key)},  # {s}" for key, s in slots.items()]
-    lines += ["    )",
-              "",
-              "",
-              "def kernel(d, forms, row):",
-              f"    row = [0, *row{', 0' * last}]",
-              f"    {' = '.join(f'o{i}' for i in range(n))} = 0",
-              "    for d1 in range(1, d // 2 + 1):",
-              "        d2 = d - d1",
-              "        A = forms[d1]",
-              "        B = forms[d2]"]
-    lines += [f"        {p}{k} = rule{k}({'d1' if p == 's' else 'd2'})"
-              for p, k in sorted(split_rules)]
-    # with e = 3d' - 3, row[e + j] is comb(3d-6, 3d' - 4 + j), 0 off the row
-    r = [f"r{j}" for j in range(last + 2)]
-    lines += ["        both = d1 * d2", "        q = d1 * d1", "        e = 3 * d1 - 3",
-              f"        {', '.join(r)} = row[e:e + {last + 2}]"]
-    lines += [f"        c{j} = r{j} * both - r{j + 1} * q" for j in range(last + 1)]
-    lines += ["        if d1 != d2:", "            q = d2 * d2", "            e = 3 * d2 - 3",
-              f"            {', '.join(r)} = row[e:e + {last + 2}]"]
-    lines += [f"            c{j} += r{last - j} * both - r{last - j + 1} * q"
-              for j in range(last + 1)]
-    lines += [f"        x{j1}_{e} = {expr}" for (j1, e), expr in sorted(scaled.items())]
-    lines += [f"        o{iout} += {' + '.join(products)}"
-              for iout, products in sorted(sums.items())]
-    lines.append(f"    return {', '.join(f'o{i}' for i in range(n))}")
-    return "\n".join(lines) + "\n"
+    out = [0] * len(INVARIANT_LABELS)
+    for d1 in range(1, d):
+        d2 = d - d1
+        k1, k2, n1, n2 = multipliers(d1), multipliers(d2), columns[d1], columns[d2]
+        for j1, terms in enumerate(stencil):
+            c = binomial(3 * d1 - 4 + j1) * d1 * d2 - binomial(3 * d1 - 3 + j1) * d1 * d1
+            for ks, kt, i1, i2, iout, w in terms:
+                out[iout] += w * c * k1[ks] * k2[kt] * n1[i1] * n2[i2]
+    return tuple(out)
 
 
 def _tail(d: int, poly: Poly) -> Poly:
@@ -670,19 +523,39 @@ def _check_cap_independence(m2: MatrixEntries) -> dict[str, str]:
 
 
 def _check_stencil(m2: MatrixEntries) -> dict[str, str]:
-    """The shipped kernel must equal the one generated from the stencil that
-    is derived from the cap-2 gluing matrix."""
-    expected = "the shipped _kernel.py equals the text generated from the derived stencil"
+    """At degrees 2..6 the shipped kernel, fed its `degree_forms` of fixed
+    columns, must equal `stencil_rhs` of the stencil derived from the cap-2
+    gluing matrix on the same columns.
+
+    Two bilinear forms that differ anywhere differ at inputs that satisfy
+    no small linear relation (after Freivalds).  The entries of the columns
+    of degrees 1..5 are successive squares of 3 modulo the prime 2**127 - 1;
+    successive powers of one base would not do, being in a 3:1 ratio.  An
+    exception from the kernel is a failure at the degree it is raised for.
+    """
+    expected = "the shipped kernel computes the stencil derived from the gluing matrix"
     try:
-        derived = kernel_source(derive_stencil(m2))
+        stencil = derive_stencil(m2)
     except ArithmeticError as exc:
-        return _report("stencil-derivation", [str(exc)], "-", expected)
-    with open(_KERNEL_PATH, encoding="utf-8") as handle:
-        shipped = handle.read()
-    pairs = zip_longest(shipped.split("\n"), derived.split("\n"), fillvalue="(end of file)")
-    bad = [f"line {n}: {ship!r} generated {want!r}"
-           for n, (ship, want) in enumerate(pairs, 1) if ship != want][:1]
-    return _report("stencil-derivation", bad, "-", expected)
+        return _report("stencil-derivation", [str(exc)], "2..6", expected)
+    entries = [3]
+    while len(entries) < 5 * len(INVARIANT_LABELS):
+        entries.append(entries[-1] ** 2 % (2 ** 127 - 1))
+    columns = {dd: tuple(entries[13 * dd - 13:13 * dd]) for dd in range(1, 6)}
+    forms: dict[int, tuple] = {}
+    bad = []
+    for d in range(2, 7):
+        try:
+            forms[d - 1] = _kernel.degree_forms(d - 1, columns[d - 1])
+            got = tuple(_kernel.kernel(d, forms, binomial_row(3 * d - 6)))
+        except Exception as exc:
+            bad.append(f"d={d}: the kernel raised {exc!r}")
+            break
+        want = stencil_rhs(d, columns, stencil)
+        if got != want:
+            wrong = [lbl for lbl, g, w in zip(INVARIANT_LABELS, got, want) if g != w]
+            bad.append(f"d={d}: the kernel differs at {', '.join(wrong) or 'its output count'}")
+    return _report("stencil-derivation", bad, "2..6", expected)
 
 
 def _check_cache(cache_path: str, table: InvariantTable, dmax: int) -> dict[str, str]:

@@ -1,10 +1,9 @@
 import hashlib
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from semple2 import potentials
+from semple2 import potentials, verify
 from semple2.poly import (
     monomial,
     monomial_degree_in,
@@ -14,7 +13,7 @@ from semple2.poly import (
     variables,
 )
 from semple2.potentials import COVERS, GLUABLE, build_cover_potential, build_gluing_matrix
-from semple2.verify import derive_stencil, expand_cover_series, kernel_source
+from semple2.verify import expand_cover_series
 
 Z_VARS = ("z010", "z110", "z210")
 W_VARS = ("w001", "w101", "w201", "w011", "w021", "w211")
@@ -193,5 +192,4 @@ def test_the_stencil_source_matrix_survives_other_builds():
     changed = build_gluing_matrix(3)
     for p in changed.values():
         p.clear()
-    shipped = Path(potentials.__file__).with_name("_kernel.py").read_text(encoding="utf-8")
-    assert kernel_source(derive_stencil(build_gluing_matrix(2))) == shipped
+    assert verify._check_stencil(build_gluing_matrix(2))["status"] == "pass"

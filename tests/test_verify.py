@@ -1,8 +1,14 @@
+import ast
+import io
 import json
+import tokenize
+from contextlib import contextmanager
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from semple2 import chow, potentials, recursion, verify
+from semple2 import _kernel, chow, cli, potentials, recursion, verify
 from semple2.recursion import kontsevich, save_table
 from semple2.verify import (
     TABLE1_REFERENCE,
@@ -99,32 +105,109 @@ def test_a_broken_ring_table_is_caught_in_verify(monkeypatch, key, check):
     assert report["status"] == "fail" and report["actual"] != "no mismatches"
 
 
-def test_a_changed_stencil_weight_fails_the_derivation_check(monkeypatch, tmp_path, matrix2):
+#: the text of the shipped kernel module
+KERNEL_TEXT = Path(_kernel.__file__).read_text(encoding="utf-8")
+
+
+#: the weight 2 of a per-degree form, in the kernel's degree_forms, made 3
+WEIGHT_EDIT = ("        2*v[3],  # 2\n", "        3*v[3],  # 2\n")
+
+#: a form index past the end of the tuple: the kernel raises IndexError
+RAISING_EDIT = ("B[41]", "B[99]")
+
+
+@contextmanager
+def edited_kernel(text):
+    """The two functions of the module `text` in place of the shipped kernel's."""
+    namespace = {}
+    exec(compile(text, "<edited kernel>", "exec"), namespace)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernel, "degree_forms", namespace["degree_forms"])
+        patch.setattr(_kernel, "kernel", namespace["kernel"])
+        yield
+
+
+def edited_kernel_report(text, matrix):
+    with edited_kernel(text):
+        return verify._check_stencil(matrix)
+
+
+def test_a_changed_stencil_weight_fails_the_derivation_check(matrix2):
     assert verify._check_stencil(matrix2)["status"] == "pass"
-    with open(verify._KERNEL_PATH, encoding="utf-8") as handle:
-        lines = handle.read().splitlines(keepends=True)
-    # the weight 2 of a per-degree form, in the kernel's degree_forms
-    n = next(k for k, line in enumerate(lines, 1) if line.startswith("        2*v[3],"))
-    shipped = lines[n - 1]
-    changed = shipped.replace("2*v[3]", "3*v[3]")
-    assert changed != shipped
-    lines[n - 1] = changed
-    copy = tmp_path / "_kernel.py"
-    copy.write_text("".join(lines), encoding="utf-8")
-    monkeypatch.setattr(verify, "_KERNEL_PATH", str(copy))
-    report = verify._check_stencil(matrix2)
+    assert KERNEL_TEXT.count(WEIGHT_EDIT[0]) == 1
+    report = edited_kernel_report(KERNEL_TEXT.replace(*WEIGHT_EDIT), matrix2)
     assert report["status"] == "fail"
-    assert report["actual"] == f"line {n}: {changed.rstrip()!r} generated {shipped.rstrip()!r}"
+    assert report["actual"] == "; ".join(f"d={d}: the kernel differs at h2hd" for d in range(2, 7))
 
 
-def test_a_kernel_without_its_final_newline_fails_the_derivation_check(monkeypatch, tmp_path, matrix2):
-    with open(verify._KERNEL_PATH, encoding="utf-8") as handle:
-        text = handle.read()
-    copy = tmp_path / "_kernel.py"
-    copy.write_text(text.removesuffix("\n"), encoding="utf-8")
-    monkeypatch.setattr(verify, "_KERNEL_PATH", str(copy))
-    last = text.count("\n") + 1
-    assert verify._check_stencil(matrix2)["actual"] == f"line {last}: '(end of file)' generated ''"
+def edits_that_pass(matrix, edits):
+    """The (line, column) of each edit (line, column, end column, new text)
+    of the shipped kernel's text that the stencil-derivation check passes."""
+    lines = KERNEL_TEXT.splitlines(keepends=True)
+    passed = []
+    for row, col, end, new in edits:
+        edited = list(lines)
+        edited[row - 1] = edited[row - 1][:col] + new + edited[row - 1][end:]
+        if edited_kernel_report("".join(edited), matrix)["status"] == "pass":
+            passed.append((row, col))
+    return passed
+
+
+def test_every_integer_literal_of_the_kernel_is_checked(matrix2):
+    # each literal of the shipped kernel, one at a time, one larger
+    literals = [node for node in ast.walk(ast.parse(KERNEL_TEXT))
+                if isinstance(node, ast.Constant) and type(node.value) is int]
+    assert len(literals) == 250
+    assert edits_that_pass(matrix2, [(n.lineno, n.col_offset, n.end_col_offset, str(n.value + 1))
+                                     for n in literals]) == []
+
+
+def test_every_sign_of_the_kernel_is_checked(matrix2):
+    # each + or - of the shipped kernel, one at a time, flipped
+    signs = [token for token in tokenize.generate_tokens(io.StringIO(KERNEL_TEXT).readline)
+             if token.type == tokenize.OP and token.string in ("+", "-")]
+    assert len(signs) == 115
+    assert edits_that_pass(matrix2, [(*t.start, t.end[1], "-" if t.string == "+" else "+")
+                                     for t in signs]) == []
+
+
+def test_a_kernel_that_raises_fails_the_derivation_check(matrix2):
+    assert KERNEL_TEXT.count(RAISING_EDIT[0]) == 1
+    report = edited_kernel_report(KERNEL_TEXT.replace(*RAISING_EDIT), matrix2)
+    assert report["status"] == "fail"
+    assert report["actual"] == "d=2: the kernel raised IndexError('tuple index out of range')"
+
+
+def test_an_asymmetric_derived_stencil_fails_the_derivation_check(monkeypatch, matrix2):
+    # the shipped kernel reads the swapped orientation off stencil[2 - j1]
+    stencil = verify.derive_stencil(matrix2)
+    first = stencil[0][0]
+    bumped = ((first[:5] + (first[5] + 1,),) + stencil[0][1:],) + stencil[1:]
+    monkeypatch.setattr(verify, "derive_stencil", lambda matrix: bumped)
+    report = verify._check_stencil(matrix2)
+    assert report["status"] == "fail" and report["actual"].startswith("d=2: the kernel differs at")
+
+
+@pytest.mark.parametrize("edit, max_degree", [
+    (WEIGHT_EDIT, "1"),
+    (WEIGHT_EDIT, "2"),
+    # from degree 2 on the table itself runs the kernel, and the error escapes
+    (RAISING_EDIT, "1"),
+])
+def test_verify_exits_4_on_an_edited_kernel(capsys, edit, max_degree):
+    with edited_kernel(KERNEL_TEXT.replace(*edit)):
+        code = cli.main(["verify", "--max-degree", max_degree])
+    assert code == 4
+    assert "FAIL stencil-derivation [2..6]" in capsys.readouterr().err.splitlines()
+
+
+def test_a_fractional_stencil_weight_fails_the_derivation_check(matrix2):
+    # the (h, h) gluing entry feeds a unit weight; over 1009 it is no integer
+    entries = dict(matrix2)
+    entries[("100", "100")] = {m: c * Fraction(1, 1009)
+                               for m, c in entries[("100", "100")].items()}
+    report = verify._check_stencil(entries)
+    assert report["status"] == "fail" and "is not an integer" in report["actual"]
 
 
 @pytest.mark.parametrize("key", [key for key, row in chow._MULT.items() if any(row)])
@@ -221,8 +304,8 @@ SELFTEST8_REPORT = [
      "expected": "caps 2 and 3 agree at weight <= 2", "actual": "no mismatches",
      "degrees": "-"},
     {"name": "stencil-derivation", "status": "pass",
-     "expected": "the shipped _kernel.py equals the text generated from the derived stencil",
-     "actual": "no mismatches", "degrees": "-"},
+     "expected": "the shipped kernel computes the stencil derived from the gluing matrix",
+     "actual": "no mismatches", "degrees": "2..6"},
     {"name": "cache-validation", "status": "pass",
      "expected": "a valid cache file equal to the computed table",
      "actual": "no mismatches", "degrees": "1..8"},
@@ -234,3 +317,9 @@ def test_the_selftest_report_is_pinned(tmp_path, table8):
     save_table(table8, path)
     assert run_selftest(8) == SELFTEST8_REPORT[:-1]
     assert run_selftest(8, cache_path=path) == SELFTEST8_REPORT
+
+
+@pytest.mark.parametrize("dmax", range(1, 9))
+def test_the_stencil_check_is_the_same_at_every_max_degree(dmax):
+    stencil = next(r for r in SELFTEST8_REPORT if r["name"] == "stencil-derivation")
+    assert stencil in run_selftest(dmax)
