@@ -15,11 +15,13 @@ warning prints as one `warning:` line, or, where warnings are errors
 (`python -W error`), refuses the request like any other (exit 2).  Each
 subcommand imports only the modules it runs, so `table`, `contact` and
 `count` load neither the Chow ring, the polynomials nor the oracles, also
-when they compute new degrees.  `json` loads only to read a cache or to
-print a JSON other than the table: `--format json` of `contact`, `count`
-and `chow-eval`, which carry user expressions and non-ASCII symbols, and
-`verify`'s reports.  `table --format json` writes json's indent=2 layout
-itself, as `recursion.table_to_json` does for the cache.
+when they compute new degrees.  `json` loads only to print a free-form
+JSON: `--format json` of `contact`, `count` and `chow-eval`, which carry
+user expressions and non-ASCII symbols, and `verify`'s reports.  `table
+--format json` writes json's indent=2 layout itself, as
+`recursion.table_to_json` does for the cache, and a cache is read without
+json.  A query that reads degree k validates degrees 1..k of the cache;
+`verify --cache` reads and checks all of it.
 
 Options are read by the table `_COMMANDS`: `--opt value` or `--opt=value`,
 the full name only; the last of a repeated option wins and

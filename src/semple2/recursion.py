@@ -48,10 +48,13 @@ with `__slots__` (like the value types of `semple2.contact` and the ring
 elements of `semple2.chow`, which share its private base `_Frozen`), so
 that no subcommand imports `dataclasses`.  `table_to_json` writes the
 cache in the layout of `json.dumps(..., indent=2)` itself, byte for byte,
-so that writing a table never imports `json`; only `table_from_json` does.
-A cache is read back only in the exact form that `table_to_json` writes,
-and then validated.  `DIVISOR_RULE` is the one statement of the divisor
-multipliers, read by the kernel and by the oracles.
+and `table_from_json` reads it back with string operations alone, so
+neither writing nor reading a cache imports `json`.  A cache is read back
+only in the form that `table_to_json` writes, up to JSON whitespace and
+key order (a backslash escape is refused), and then validated.  A query
+that reads degree k parses and validates only degrees 1..k of a cache that
+holds them first and in order.  `DIVISOR_RULE` is the one statement of
+the divisor multipliers, read by the kernel and by the oracles.
 """
 
 from __future__ import annotations
@@ -68,6 +71,8 @@ INVARIANT_LABELS: tuple[str, ...] = (
     "hd2.hd2", "hd2.hz", "hd2.hdz",
     "hz.hz", "hz.hdz", "hdz.hdz",
 )
+#: the same labels, for membership tests
+_LABEL_SET = frozenset(INVARIANT_LABELS)
 
 #: identities between rows: first label is exactly three times the second
 RATIO_IDENTITIES: tuple[tuple[str, str], ...] = (
@@ -260,7 +265,7 @@ def validate_table(values: dict[int, dict[str, int]]) -> None:
     computing the rest of the row.
     """
     for d, column in values.items():
-        if set(column) != set(INVARIANT_LABELS):
+        if column.keys() != _LABEL_SET:
             raise CacheError(f"degree {d} does not carry exactly the 13 labels")
         if d == 1 and column != SEED:
             raise CacheError("cached degree-1 column disagrees with the seed")
@@ -290,72 +295,125 @@ def table_to_json(table: InvariantTable) -> str:
     return "{\n" + ",\n".join(columns) + "\n}" if columns else "{}"
 
 
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
-    """A JSON object as a dict, refusing a key that appears twice."""
-    obj: dict[str, object] = {}
-    for key, value in pairs:
-        if key in obj:
-            raise CacheError(f"cache repeats the key {key!r}")
-        obj[key] = value
-    return obj
+#: deletes the four characters JSON allows as whitespace between tokens
+_NO_SPACE = str.maketrans("", "", " \t\n\r")
 
 
-def table_from_json(text: str) -> InvariantTable:
-    """Parse and validate a cache; accept only what `table_to_json` writes.
+def _integer_error(text: str, label: str, d: int, exc: ValueError) -> CacheError:
+    """Why `int(text)` refused the value of `label` at degree d."""
+    # int() refuses a canonical decimal only past the digit limit
+    digits = text.removeprefix("-")
+    if digits.isascii() and digits.isdecimal() and digits[0] != "0":
+        return CacheError(f"{label} at degree {d} has more digits than the "
+                          f"interpreter's int/str conversion limit: {exc}")
+    return CacheError(f"bad integer for {label} at degree {d}")
 
-    A degree key must read `str(d)` for an int d >= 1, and a value must be
-    the string `str(n)` of its int n, so that no other spelling (spaces,
-    underscores, leading zeros, other digit scripts, JSON numbers or
-    booleans) passes for an invariant; a key given twice is refused.
+
+def _read_columns(text: str, dmax: int | None) -> dict[int, dict[str, int]]:
+    """The columns of a cache text by degree, in file order, unvalidated.
+
+    The text must be one JSON object of degree keys, each mapping to an
+    object of label -> decimal string.  A string holds no backslash escape,
+    so every '"' in the text opens or closes one: the pieces of
+    `text.split('"')` are by turns the text between two strings, which must
+    be JSON punctuation and whitespace, and a string.  When the first dmax
+    keys are 1..dmax in order, reading stops after the dmax-th column.
     """
-    import json
-
-    try:
-        raw = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
-        raise CacheError(f"cache is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
+    pieces = text.split('"')
+    # the punctuation before the first string and after each one, whitespace
+    # deleted; no piece between two strings holds a '"', so a '"' after the
+    # last string marks it as not closed
+    head, *after_each = '"'.join(pieces[::2]).translate(_NO_SPACE).split('"')
+    if len(pieces) % 2 == 0:
+        after_each.append('"')
+    if head != ("{" if after_each else "{}"):
         raise CacheError("cache must be a JSON object keyed by degree")
+    strings = zip(pieces[1::2], after_each)
+    end = (None, None)
     values: dict[int, dict[str, int]] = {}
-    for key, column in raw.items():
+    in_order, closed = True, not after_each
+    for key, after in strings:
+        if closed:
+            raise CacheError("cache is not valid JSON: text after the object")
         try:
             d = int(key)
         except ValueError as exc:
             raise CacheError(f"bad degree key {key!r}") from exc
         if str(d) != key:
             raise CacheError(f"bad degree key {key!r}")
-        if d < 1 or not isinstance(column, dict):
-            raise CacheError(f"bad entry for degree {key!r}")
-        parsed = {}
-        for label, text_value in column.items():
-            if label not in INVARIANT_LABELS:
-                raise CacheError(f"unknown invariant label {label!r}")
-            if not isinstance(text_value, str):
-                raise CacheError(f"bad integer for {label} at degree {d}")
-            try:
-                n = int(text_value)
-            except ValueError as exc:
-                # int() refuses a canonical decimal only past the digit limit
-                digits = text_value.removeprefix("-")
-                if digits.isascii() and digits.isdecimal() and digits[0] != "0":
-                    raise CacheError(f"{label} at degree {d} has more digits than the "
-                                     f"interpreter's int/str conversion limit: {exc}") from exc
-                raise CacheError(f"bad integer for {label} at degree {d}") from exc
-            if str(n) != text_value:
-                raise CacheError(f"bad integer for {label} at degree {d}")
-            parsed[label] = n
-        values[d] = parsed
+        if d < 1 or after[:2] != ":{":
+            if d < 1 or after[:1] == ":":
+                raise CacheError(f"bad entry for degree {key!r}")
+            raise CacheError(f"cache is not valid JSON: expected ':' after {key!r}")
+        if d in values:
+            raise CacheError(f"cache repeats the key {key!r}")
+        column = values[d] = {}
+        if after == ":{":  # a label and its value follow, then each after a ','
+            for label, after in strings:
+                if label not in _LABEL_SET:
+                    raise CacheError(f"unknown invariant label {label!r}")
+                if after != ":":
+                    if after[:1] == ":":
+                        raise CacheError(f"bad integer for {label} at degree {d}")
+                    raise CacheError(f"cache is not valid JSON: expected ':' after {label!r}")
+                if label in column:
+                    raise CacheError(f"cache repeats the key {label!r}")
+                value, after = next(strings, end)
+                if value is None:
+                    break
+                try:
+                    n = int(value)
+                except ValueError as exc:
+                    raise _integer_error(value, label, d, exc) from exc
+                if str(n) != value:
+                    raise CacheError(f"bad integer for {label} at degree {d}")
+                column[label] = n
+                if after != ",":
+                    break
+            else:
+                after = None
+        else:
+            after = after[2:]
+        if after == "}}":
+            closed = True
+        elif after != "},":
+            raise CacheError(f"cache is not valid JSON: degree {key!r} is not closed")
+        in_order = in_order and d == len(values)
+        if in_order and d == dmax:
+            return values
+    if not closed:
+        raise CacheError("cache is not valid JSON: the object is not closed")
+    return values
+
+
+def table_from_json(text: str, dmax: int | None = None) -> InvariantTable:
+    """Parse and validate a cache; accept only what `table_to_json` writes,
+    up to JSON whitespace (space, tab, LF, CR) and the order of the keys.
+
+    A degree key must read `str(d)` for an int d >= 1, and a value must be
+    the string `str(n)` of its int n, so that no other spelling (spaces,
+    underscores, leading zeros, other digit scripts, JSON numbers or
+    booleans, backslash escapes) passes for an invariant; a key given
+    twice is refused.  The text is read with string operations alone, so
+    reading a cache never imports `json`.
+
+    With `dmax`, when the cache holds the degrees 1..dmax first and in
+    order, only those are parsed and validated, and the table holds just
+    them; otherwise the whole cache is.  Any refusal is a CacheError.
+    """
+    values = _read_columns(text, dmax)
     validate_table(values)
     return InvariantTable(values)
 
 
-def load_table(path: str) -> InvariantTable:
+def load_table(path: str, dmax: int | None = None) -> InvariantTable:
+    """`table_from_json` of the file at `path`."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CacheError(f"cannot read cache {path}: {exc}") from exc
-    return table_from_json(text)
+    return table_from_json(text, dmax)
 
 
 def save_table(table: InvariantTable, path: str) -> None:
@@ -401,13 +459,16 @@ def save_table(table: InvariantTable, path: str) -> None:
 def compute_up_to(dmax: int, cache_path: str | None = None) -> InvariantTable:
     """Invariants for degrees 1..dmax, resuming from a cache when given.
 
-    The cache is rewritten only when this call adds a degree to it.
+    Only the cached degrees 1..dmax are read and validated when the cache
+    holds them first and in order; the whole cache is when it holds fewer,
+    so that a rewrite keeps every checked degree, or holds them in another
+    order.  The cache is rewritten only when this call adds a degree to it.
     """
     if dmax < 1:
         raise ValueError("dmax must be at least 1")
     known: dict[int, dict[str, int]] = {}
     if cache_path and os.path.exists(cache_path):
-        known = dict(load_table(cache_path).values)
+        known = dict(load_table(cache_path, dmax).values)
 
     # a cache holds exactly the degrees 1..N, so values holds 1..min(N, dmax)
     values: dict[int, dict[str, int]] = {1: dict(SEED)}

@@ -574,24 +574,31 @@ def _check_cache(cache_path: str, table: InvariantTable, dmax: int) -> dict[str,
                    "a valid cache file equal to the computed table")
 
 
+#: the reports of the checks that read the computed table, in report order
+_TABLE_CHECKS = ("invariant-table", "ratio-identities", "kontsevich-oracle",
+                 "contact-coefficients")
+
+
 def run_selftest(dmax: int, cache_path: str | None = None) -> list[dict[str, str]]:
     """Run every oracle and property check up to the given degree; the
     reports are the records that `semple2 verify` prints."""
     if dmax < 1:
         raise ValueError("dmax must be at least 1")
-    table = compute_up_to(dmax)
     m2 = build_gluing_matrix(2)
-    reports = [
-        _check_pairing(),
-        _check_relations(),
-        _check_seed(),
-        _check_table1(table, dmax),
-        _check_ratios(table, dmax),
-        _check_kontsevich(table, dmax),
-        _check_table2(table, dmax),
-        _check_cap_independence(m2),
-        _check_stencil(m2),
-    ]
+    reports = [_check_pairing(), _check_relations(), _check_seed()]
+    try:
+        table = compute_up_to(dmax)
+    except Exception as exc:
+        # a kernel that raises: stencil-derivation names the degree, and
+        # each check that reads the table fails with the exception
+        raised = [f"the recursion raised {exc!r}"]
+        reports += [_report(name, raised, f"1..{dmax}") for name in _TABLE_CHECKS]
+        table = None
+    else:
+        reports += [_check_table1(table, dmax), _check_ratios(table, dmax),
+                    _check_kontsevich(table, dmax), _check_table2(table, dmax)]
+    reports += [_check_cap_independence(m2), _check_stencil(m2)]
     if cache_path is not None:
-        reports.append(_check_cache(cache_path, table, dmax))
+        reports.append(_report("cache-validation", raised, "-") if table is None
+                       else _check_cache(cache_path, table, dmax))
     return reports

@@ -157,6 +157,26 @@ def test_a_cache_value_semple2_never_writes_fails_count(tmp_path, capsys):
     assert "bad integer for h2hd at degree 4" in err
 
 
+def test_a_query_validates_only_the_degrees_it_reads(tmp_path, capsys):
+    # degree-30 h2.h2 one too large: a degree-5 query reads degrees 1..5 and
+    # answers; a degree-30 query and verify --cache read degree 30 and refuse
+    path = str(tmp_path / "cache.json")
+    compute_up_to(40, cache_path=path)
+    with open(path) as handle:
+        data = json.load(handle)
+    data["30"]["h2.h2"] = str(int(data["30"]["h2.h2"]) + 1)
+    with open(path, "w") as handle:
+        json.dump(data, handle, indent=2)
+    assert run(capsys, "count", "--degree", "5", "--points", "14", "--cache", path) == \
+        (0, "87304\n", "")
+    code, out, err = run(capsys, "count", "--degree", "30", "--points", "89", "--cache", path)
+    assert (code, out) == (4, "")
+    assert "degree 30 fails the point count" in err
+    code, out, err = run(capsys, "verify", "--max-degree", "2", "--cache", path)
+    assert code == 4
+    assert err.splitlines()[-1] == "FAIL cache-validation [-]"
+
+
 @pytest.mark.parametrize("argv, status", [
     (["contact", "--degree", "30", "--plucker", "3,0,0", "--curve", "2,2,0"], 2),
     (["count", "--degree", "30", "--points", "5"], 2),

@@ -131,14 +131,25 @@ def test_the_table_and_queries_without_a_cache_load_no_json(tmp_path):
     assert "json" not in loaded
 
 
-@pytest.mark.parametrize("kind", ["cache read", "verify"])
-def test_a_cache_read_and_verify_load_json(tmp_path, kind):
-    # the other side of the boundary: json reads a cache and prints verify's reports
+@pytest.mark.parametrize("kind", ["cache read", "verify", "json output"])
+def test_json_loads_only_for_verify_and_the_free_form_json_outputs(tmp_path, kind):
+    # a cache is read with string operations alone; json prints verify's
+    # reports and the JSON of contact, count and chow-eval
     cache = str(tmp_path / "cache.json")
-    compute_up_to(6, cache_path=cache)
-    argv = {"cache read": ("count", "--degree", "3", "--points", "8", "--cache", cache),
-            "verify": ("verify", "--max-degree", "2")}[kind]
-    assert "json" in modules_after_cli(argv, flags=("-S",))
+    compute_up_to(8, cache_path=cache)
+    argvs = {
+        "cache read": [("count", "--degree", "3", "--points", "8", "--cache", cache),
+                       ("contact", "--degree", "8", "--plucker", "3,1,0", "--cache", cache),
+                       ("table", "--max-degree", "8", "--format", "csv", "--cache", cache)],
+        "verify": [("verify", "--max-degree", "2")],
+        "json output": [("contact", "--degree", "3", "--format", "json", "--cache", cache),
+                        ("count", "--degree", "3", "--points", "8", "--format", "json",
+                         "--cache", cache),
+                        ("chow-eval", "h^2*hd*z", "--format", "json")],
+    }[kind]
+    for argv in argvs:
+        loaded = modules_after_cli(argv, flags=("-S",))
+        assert ("json" in loaded) == (kind != "cache read"), argv
 
 
 def test_a_usage_error_and_a_help_import_argparse_to_print_themselves():

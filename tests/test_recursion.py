@@ -353,15 +353,94 @@ def test_cache_with_a_gap_in_its_degrees_is_refused_before_the_point_row(monkeyp
         table_from_json(json.dumps(data))
 
 
-def test_zero_filled_cache_is_refused_at_its_first_wrong_degree():
-    # the seed, then zero columns through degree 600 (118 KB): every check
-    # before the point count passes, and degree 2 is already wrong
+def test_zero_filled_cache_is_refused_at_its_first_wrong_degree(tmp_path):
+    # the seed, then zero columns through degree 1200 (236 KB): every check
+    # before the point count passes, and degree 2 is already wrong, both
+    # when the whole cache is read and when only degrees 1..2 are
     data = {"1": {label: str(n) for label, n in recursion.SEED.items()}}
-    data.update({str(d): dict.fromkeys(INVARIANT_LABELS, "0") for d in range(2, 601)})
+    data.update({str(d): dict.fromkeys(INVARIANT_LABELS, "0") for d in range(2, 1201)})
+    path = tmp_path / "zeros.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
     start = time.monotonic()
     with pytest.raises(CacheError, match="^degree 2 fails the point count"):
-        table_from_json(json.dumps(data))
+        table_from_json(path.read_text(encoding="utf-8"))
+    for dmax in (2, 1200):
+        with pytest.raises(CacheError, match="^degree 2 fails the point count"):
+            compute_up_to(dmax, cache_path=str(path))
     assert time.monotonic() - start < 2
+
+
+@pytest.fixture
+def point_draws(monkeypatch):
+    """The number of point counts drawn from `_point_counts`, in a list of one."""
+    draws = [0]
+    point_counts = recursion._point_counts
+
+    def counted():
+        for n in point_counts():
+            draws[0] += 1
+            yield n
+
+    monkeypatch.setattr(recursion, "_point_counts", counted)
+    return draws
+
+
+@pytest.mark.parametrize("k", [1, 5, 39, 40])
+def test_a_degree_k_read_validates_degrees_1_to_k(tmp_path, point_draws, k):
+    path = str(tmp_path / "cache.json")
+    save_table(compute_up_to(40), path)
+    assert compute_up_to(k, cache_path=path) == compute_up_to(k)
+    assert point_draws[0] == k
+    assert load_table(path, k).degrees() == tuple(range(1, k + 1))
+
+
+def test_a_read_past_the_cache_validates_all_of_it_before_the_rewrite(tmp_path, point_draws):
+    path = str(tmp_path / "cache.json")
+    save_table(compute_up_to(6), path)
+    assert compute_up_to(8, cache_path=path) == compute_up_to(8)
+    assert point_draws[0] == 6
+    assert load_table(path).degrees() == tuple(range(1, 9))
+
+
+def test_a_cache_with_its_keys_out_of_order_is_read_in_full(tmp_path, point_draws, table8):
+    data = json.loads(table_to_json(table8))
+    data["8"]["h2.h2"] = str(int(data["8"]["h2.h2"]) + 1)
+    path = tmp_path / "cache.json"
+    path.write_text(json.dumps(dict(reversed(data.items())), indent=2), encoding="utf-8")
+    with pytest.raises(CacheError, match="^degree 8 fails the point count"):
+        compute_up_to(3, cache_path=str(path))
+    assert point_draws[0] == 8
+
+
+def test_a_degree_k_read_ignores_a_wrong_degree_past_k(table8):
+    data = json.loads(table_to_json(table8))
+    data["7"]["h2.h2"] = str(int(data["7"]["h2.h2"]) + 1)
+    text = json.dumps(data, indent=2)[:-2] + "  nothing JSON reads"
+    assert table_from_json(text, 6) == InvariantTable({d: table8.column(d) for d in range(1, 7)})
+    for dmax in (7, 8, None):
+        with pytest.raises(CacheError):
+            table_from_json(text, dmax)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"1": {"h2hd": "\\u0031"}}', "bad integer for h2hd at degree 1"),
+    ('{"1": {"h2\\u0068d": "1"}}', "unknown invariant label 'h2\\\\u0068d'"),
+    ('{"\\u0031": {}}', "bad degree key '\\\\u0031'"),
+    ('{"1": {"h2hd": "1\\"2"}}', "bad integer for h2hd at degree 1"),
+])
+def test_the_cache_reader_refuses_backslash_escapes(text, message):
+    # json.loads reads each text; the cache reader refuses the escape
+    json.loads(text)
+    with pytest.raises(CacheError) as info:
+        table_from_json(text)
+    assert str(info.value) == message
+
+
+def test_a_cache_that_is_not_utf8_is_a_cache_error(tmp_path):
+    path = tmp_path / "cache.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(CacheError, match="^cannot read cache"):
+        load_table(str(path))
 
 
 def test_save_leaves_no_temporary_file(tmp_path, table8):

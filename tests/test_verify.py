@@ -191,14 +191,34 @@ def test_an_asymmetric_derived_stencil_fails_the_derivation_check(monkeypatch, m
 @pytest.mark.parametrize("edit, max_degree", [
     (WEIGHT_EDIT, "1"),
     (WEIGHT_EDIT, "2"),
-    # from degree 2 on the table itself runs the kernel, and the error escapes
     (RAISING_EDIT, "1"),
+    # from degree 2 on the table itself runs the kernel, which raises there
+    (RAISING_EDIT, "2"),
+    (RAISING_EDIT, "8"),
 ])
 def test_verify_exits_4_on_an_edited_kernel(capsys, edit, max_degree):
     with edited_kernel(KERNEL_TEXT.replace(*edit)):
         code = cli.main(["verify", "--max-degree", max_degree])
+    out, err = capsys.readouterr()
     assert code == 4
-    assert "FAIL stencil-derivation [2..6]" in capsys.readouterr().err.splitlines()
+    assert "FAIL stencil-derivation [2..6]" in err.splitlines()
+    stencil = next(r for r in json.loads(out) if r["name"] == "stencil-derivation")
+    assert stencil["actual"].startswith("d=2: the kernel ")
+
+
+def test_a_kernel_that_raises_fails_every_check_that_reads_the_table(tmp_path, table8):
+    path = str(tmp_path / "cache.json")
+    save_table(table8, path)
+    with edited_kernel(KERNEL_TEXT.replace(*RAISING_EDIT)):
+        reports = run_selftest(8, cache_path=path)
+    assert [r["name"] for r in reports] == [r["name"] for r in SELFTEST8_REPORT]
+    failed = {r["name"]: r["actual"] for r in reports if r["status"] == "fail"}
+    raised = "the recursion raised IndexError('tuple index out of range')"
+    assert failed == {
+        "invariant-table": raised, "ratio-identities": raised, "kontsevich-oracle": raised,
+        "contact-coefficients": raised, "cache-validation": raised,
+        "stencil-derivation": "d=2: the kernel raised IndexError('tuple index out of range')",
+    }
 
 
 def test_a_fractional_stencil_weight_fails_the_derivation_check(matrix2):
