@@ -37,8 +37,6 @@ run where `semple2.verify` reports them, not on import.  `ChowClass` is on
 the value-type base of `semple2.recursion`.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import lru_cache
 

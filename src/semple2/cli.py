@@ -16,12 +16,13 @@ warning prints as one `warning:` line, or, where warnings are errors
 subcommand imports only the modules it runs, so `table`, `contact` and
 `count` load neither the Chow ring, the polynomials nor the oracles, also
 when they compute new degrees.  `json` loads only to print a free-form
-JSON: `--format json` of `contact`, `count` and `chow-eval`, which carry
-user expressions and non-ASCII symbols, and `verify`'s reports.  `table
---format json` writes json's indent=2 layout itself, as
-`recursion.table_to_json` does for the cache, and a cache is read without
-json.  A query that reads degree k validates degrees 1..k of the cache;
-`verify --cache` reads and checks all of it.
+JSON, `--format json` of `contact`, `count` and `chow-eval`, which carry
+user expressions and non-ASCII symbols, and for a `verify` report string
+that needs escaping.  `table --format json` and `verify`'s reports are
+written in json's indent=2 layout here, as `recursion.table_to_json` does
+for the cache, and a cache is read without json.  A query that reads
+degree k validates degrees 1..k of the cache; `verify --cache` reads and
+checks all of it.
 
 Options are read by the table `_COMMANDS`: `--opt value` or `--opt=value`,
 the full name only; the last of a repeated option wins and
@@ -32,8 +33,6 @@ line to stderr and raises SystemExit(2).  argparse formats the usage, the
 `--help` text and the error line from the same table; it is imported only
 to print one of them and never parses argv.
 """
-
-from __future__ import annotations
 
 import os
 import sys
@@ -253,15 +252,34 @@ def _cmd_chow_eval(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
+def _json_string(text: str) -> str:
+    """`json.dumps(text)`: json writes printable ASCII other than '"' and
+    '\\' as it is, and is imported only for a string that needs escaping."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
     import json
 
+    return json.dumps(text)
+
+
+def _reports_json(reports: list[dict[str, str]]) -> str:
+    """`json.dumps(reports, indent=2)` of a list of dicts of strings, written
+    here in that layout."""
+    if not reports:
+        return "[]"
+    bodies = [",\n".join(f"    {_json_string(key)}: {_json_string(value)}"
+                         for key, value in r.items()) for r in reports]
+    return "[\n" + ",\n".join(f"  {{\n{body}\n  }}" if body else "  {}"
+                               for body in bodies) + "\n]"
+
+
+def _cmd_verify(args) -> int:
     from .verify import run_selftest
 
     reports = run_selftest(args.max_degree, cache_path=args.cache)
     for r in reports:
         _diag(f"{r['status'].upper()} {r['name']} [{r['degrees']}]")
-    _emit(json.dumps(reports, indent=2))
+    _emit(_reports_json(reports))
     return EXIT_OK if all(r["status"] == "pass" for r in reports) else EXIT_VERIFY
 
 

@@ -24,8 +24,6 @@ line, which the hypotheses exclude; constructing one emits a warning.
 pickle and copy through their constructors, which validate again.
 """
 
-from __future__ import annotations
-
 import warnings
 from collections.abc import Iterable
 from itertools import product

@@ -22,8 +22,6 @@ the z- and w-variables are bookkeeping slots for gluing insertions and
 carry weight zero.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from collections.abc import Iterable, Mapping
 
@@ -67,6 +65,8 @@ def monomial(exps: Mapping[str, int]) -> Monomial:
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
+    if not a or not b:  # the constant monomial () is the unit
+        return a or b
     merged = dict(a)
     for name, e in b:
         merged[name] = merged.get(name, 0) + e

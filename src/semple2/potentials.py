@@ -40,8 +40,6 @@ and D_triple, the products and sums stay int polynomials, and each matrix
 term is filed as one Fraction over D_double * D_triple^2.
 """
 
-from __future__ import annotations
-
 from collections.abc import Collection, Iterator
 from fractions import Fraction
 from itertools import product

@@ -57,8 +57,6 @@ holds them first and in order.  `DIVISOR_RULE` is the one statement of
 the divisor multipliers, read by the kernel and by the oracles.
 """
 
-from __future__ import annotations
-
 import os
 import stat
 from collections.abc import Iterator, Sequence
@@ -96,6 +94,21 @@ class CacheError(ValueError):
     """Raised when a persisted invariant table fails validation."""
 
 
+#: the most characters of a degree key, label or number that a CacheError
+#: message shows
+_QUOTE_MAX = 100
+
+
+def _excerpt(text: str, quote: bool = False) -> str:
+    """`text`, or its repr with `quote`, as a message shows it: whole up to
+    _QUOTE_MAX characters, and past that its first ones and its length, so
+    that a hostile cache cannot fill stderr."""
+    if len(text) <= _QUOTE_MAX:
+        return repr(text) if quote else text
+    head = text[:_QUOTE_MAX]
+    return f"{repr(head) if quote else head}... ({len(text)} characters)"
+
+
 #: the degree-1 column: the closed-form seed of the recursion
 SEED: dict[str, int] = {
     "h2hd": 1, "h2z": 3, "hd2z": -3,
@@ -104,11 +117,11 @@ SEED: dict[str, int] = {
     "hz.hz": 0, "hz.hdz": 0, "hdz.hdz": 9,
 }
 
-def binomial_row(m: int) -> list[int]:
-    """comb(m, k) for k = 0..m, each from the one before by the
-    multiplicative update comb(m, k+1) = comb(m, k) * (m-k) / (k+1)."""
+def binomial_row(m: int, length: int | None = None) -> list[int]:
+    """comb(m, k) for k = 0..m, or for k < length only, each from the one
+    before by the multiplicative update comb(m, k+1) = comb(m, k) * (m-k) / (k+1)."""
     row = [1]
-    for k in range(m):
+    for k in range(m if length is None else length - 1):
         row.append(row[-1] * (m - k) // (k + 1))
     return row
 
@@ -204,7 +217,8 @@ def ratio_failures(column: dict[str, int]) -> list:
     bad = []
     for big, small in RATIO_IDENTITIES:
         if column[big] != 3 * column[small]:
-            bad.append(f"{big} != 3*{small} ({column[big]} vs 3*{column[small]})")
+            bad.append(f"{big} != 3*{small} ({_excerpt(str(column[big]))} "
+                       f"vs 3*{_excerpt(str(column[small]))})")
     return bad
 
 
@@ -222,11 +236,13 @@ def _point_counts() -> Iterator[int]:
         N_d1 N_d2 d1 d2 (2 d1 d2 comb(3d-4, 3d1-2)
                          - d1^2 comb(3d-4, 3d1-1) - d2^2 comb(3d-4, 3d1-3)),
 
-    half of it for the middle split d1 = d2: one N_d1 N_d2 product each."""
+    half of it for the middle split d1 = d2: one N_d1 N_d2 product each.
+    The splits d1 <= d/2 read comb(3d-4, k) only for k < 3*(d//2), so the
+    row is built that far and no further."""
     counts = [0, 1]
     yield 1
     for d in count(2):
-        row = binomial_row(3 * d - 4)
+        row = binomial_row(3 * d - 4, 3 * (d // 2))
         total = 0
         for d1 in range(1, d // 2 + 1):
             d2 = d - d1
@@ -266,19 +282,21 @@ def validate_table(values: dict[int, dict[str, int]]) -> None:
     """
     for d, column in values.items():
         if column.keys() != _LABEL_SET:
-            raise CacheError(f"degree {d} does not carry exactly the 13 labels")
+            raise CacheError(f"degree {_excerpt(str(d))} does not carry exactly the 13 labels")
         if d == 1 and column != SEED:
             raise CacheError("cached degree-1 column disagrees with the seed")
         bad = ratio_failures(column)
         if bad:
-            raise CacheError(f"degree {d} fails ratio identities: {'; '.join(bad)}")
+            raise CacheError(f"degree {_excerpt(str(d))} fails ratio identities: "
+                             f"{'; '.join(bad)}")
     if sorted(values) != list(range(1, len(values) + 1)):
         raise CacheError("cached degrees are not exactly 1..N")
     for d, points in zip(range(1, len(values) + 1), _point_counts()):
         column = values[d]
         if column["h2.h2"] != points:
             raise CacheError(f"degree {d} fails the point count: h2.h2 = "
-                             f"{column['h2.h2']}, the classical recursion gives {points}")
+                             f"{_excerpt(str(column['h2.h2']))}, the classical recursion "
+                             f"gives {_excerpt(str(points))}")
 
 
 def table_to_json(table: InvariantTable) -> str:
@@ -299,14 +317,14 @@ def table_to_json(table: InvariantTable) -> str:
 _NO_SPACE = str.maketrans("", "", " \t\n\r")
 
 
-def _integer_error(text: str, label: str, d: int, exc: ValueError) -> CacheError:
-    """Why `int(text)` refused the value of `label` at degree d."""
+def _integer_error(text: str, label: str, key: str, exc: ValueError) -> CacheError:
+    """Why `int(text)` refused the value of `label` at the degree `key`."""
     # int() refuses a canonical decimal only past the digit limit
     digits = text.removeprefix("-")
     if digits.isascii() and digits.isdecimal() and digits[0] != "0":
-        return CacheError(f"{label} at degree {d} has more digits than the "
+        return CacheError(f"{label} at degree {_excerpt(key)} has more digits than the "
                           f"interpreter's int/str conversion limit: {exc}")
-    return CacheError(f"bad integer for {label} at degree {d}")
+    return CacheError(f"bad integer for {label} at degree {_excerpt(key)}")
 
 
 def _read_columns(text: str, dmax: int | None) -> dict[int, dict[str, int]]:
@@ -338,23 +356,24 @@ def _read_columns(text: str, dmax: int | None) -> dict[int, dict[str, int]]:
         try:
             d = int(key)
         except ValueError as exc:
-            raise CacheError(f"bad degree key {key!r}") from exc
+            raise CacheError(f"bad degree key {_excerpt(key, quote=True)}") from exc
         if str(d) != key:
-            raise CacheError(f"bad degree key {key!r}")
+            raise CacheError(f"bad degree key {_excerpt(key, quote=True)}")
         if d < 1 or after[:2] != ":{":
             if d < 1 or after[:1] == ":":
-                raise CacheError(f"bad entry for degree {key!r}")
-            raise CacheError(f"cache is not valid JSON: expected ':' after {key!r}")
+                raise CacheError(f"bad entry for degree {_excerpt(key, quote=True)}")
+            raise CacheError("cache is not valid JSON: expected ':' after "
+                             f"{_excerpt(key, quote=True)}")
         if d in values:
-            raise CacheError(f"cache repeats the key {key!r}")
+            raise CacheError(f"cache repeats the key {_excerpt(key, quote=True)}")
         column = values[d] = {}
         if after == ":{":  # a label and its value follow, then each after a ','
             for label, after in strings:
                 if label not in _LABEL_SET:
-                    raise CacheError(f"unknown invariant label {label!r}")
+                    raise CacheError(f"unknown invariant label {_excerpt(label, quote=True)}")
                 if after != ":":
                     if after[:1] == ":":
-                        raise CacheError(f"bad integer for {label} at degree {d}")
+                        raise CacheError(f"bad integer for {label} at degree {_excerpt(key)}")
                     raise CacheError(f"cache is not valid JSON: expected ':' after {label!r}")
                 if label in column:
                     raise CacheError(f"cache repeats the key {label!r}")
@@ -364,9 +383,9 @@ def _read_columns(text: str, dmax: int | None) -> dict[int, dict[str, int]]:
                 try:
                     n = int(value)
                 except ValueError as exc:
-                    raise _integer_error(value, label, d, exc) from exc
+                    raise _integer_error(value, label, key, exc) from exc
                 if str(n) != value:
-                    raise CacheError(f"bad integer for {label} at degree {d}")
+                    raise CacheError(f"bad integer for {label} at degree {_excerpt(key)}")
                 column[label] = n
                 if after != ",":
                     break
@@ -377,7 +396,8 @@ def _read_columns(text: str, dmax: int | None) -> dict[int, dict[str, int]]:
         if after == "}}":
             closed = True
         elif after != "},":
-            raise CacheError(f"cache is not valid JSON: degree {key!r} is not closed")
+            raise CacheError(f"cache is not valid JSON: degree {_excerpt(key, quote=True)} "
+                             "is not closed")
         in_order = in_order and d == len(values)
         if in_order and d == dmax:
             return values

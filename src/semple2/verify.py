@@ -40,8 +40,6 @@ and degrees, in that order.  A tail is a `Poly`, checked for its shape by
 index pair.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, lcm, prod

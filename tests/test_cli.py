@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semple2
 from semple2 import cli, recursion
@@ -751,3 +753,59 @@ def test_help_wins_over_a_missing_required_option(capsys):
     out, err = capsys.readouterr()
     assert (info.value.code, err) == (0, "")
     assert "--tangent" in out
+
+
+#: strings json writes as they are, printable ASCII, and strings that mix
+#: in what it escapes: quotes, backslashes, control characters, DEL,
+#: non-ASCII and astral characters, and a lone surrogate
+PRINTABLE_ASCII = st.characters(min_codepoint=0x20, max_codepoint=0x7e)
+REPORT_TEXT = st.one_of(st.text(PRINTABLE_ASCII), st.text(st.one_of(
+    PRINTABLE_ASCII,
+    st.sampled_from('"\\\x00\x08\n\x1f\x7f\x80\xe9\u2028\ufeff\ud800\U0001f600'),
+    st.characters())))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.lists(st.dictionaries(REPORT_TEXT, REPORT_TEXT, max_size=5), max_size=3))
+def test_the_report_writer_writes_the_bytes_of_json_dumps(reports):
+    assert cli._reports_json(reports) == json.dumps(reports, indent=2)
+
+
+def test_verify_prints_the_bytes_of_json_dumps_also_where_a_report_needs_escaping(
+        tmp_path, capsys):
+    path = tmp_path / "cache.json"
+    compute_up_to(8, cache_path=str(path))
+    code, out, _ = run(capsys, "verify", "--max-degree", "8", "--cache", str(path))
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    # the cache-validation report quotes the unknown label with repr: a
+    # non-ASCII letter, a quote and doubled backslashes
+    path.write_text('{"1": {"h\u00e9\'\\\\": "1"}}', encoding="utf-8")
+    code, out, _ = run(capsys, "verify", "--max-degree", "2", "--cache", str(path))
+    assert code == 4
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert json.loads(out)[-1]["actual"] == "unknown invariant label \"h\u00e9'\\\\\\\\\""
+
+
+#: a 300,000-digit number, 300 KB that a message must not echo
+HOSTILE_DIGITS = "1" + "0" * 299_999
+
+
+@pytest.mark.parametrize("where", ["degree key", "value"])
+def test_a_cache_with_a_300000_digit_number_is_refused_with_a_short_message(
+        tmp_path, capsys, where):
+    # the key comes first, so the whole cache is read and validated; the
+    # value is degree 2's h2.h2, which the point count refuses
+    path = tmp_path / "cache.json"
+    compute_up_to(8, cache_path=str(path))
+    data = json.loads(path.read_text(encoding="utf-8"))
+    if where == "degree key":
+        data = {HOSTILE_DIGITS: {}, **data}
+    else:
+        data["2"]["h2.h2"] = HOSTILE_DIGITS
+    path.write_text(json.dumps(data, indent=2), encoding="utf-8")
+    code, out, err = run(capsys, "count", "--degree", "2", "--points", "5",
+                         "--cache", str(path))
+    assert (code, out) == (4, "")
+    assert len(err.encode()) <= 300
+    assert err.startswith("error: degree ") and "(300000 characters)" in err

@@ -131,25 +131,52 @@ def test_the_table_and_queries_without_a_cache_load_no_json(tmp_path):
     assert "json" not in loaded
 
 
-@pytest.mark.parametrize("kind", ["cache read", "verify", "json output"])
-def test_json_loads_only_for_verify_and_the_free_form_json_outputs(tmp_path, kind):
-    # a cache is read with string operations alone; json prints verify's
-    # reports and the JSON of contact, count and chow-eval
+@pytest.mark.parametrize("kind", ["cache read", "verify", "escaped report", "json output"])
+def test_json_loads_only_for_the_free_form_json_outputs_and_an_escaped_report(tmp_path, kind):
+    # a cache is read, and the table, the cache and verify's reports are
+    # written, with string operations alone; json prints the JSON of
+    # contact, count and chow-eval, and a report string that needs escaping
     cache = str(tmp_path / "cache.json")
     compute_up_to(8, cache_path=cache)
+    # the cache-validation report quotes the unknown label, which is not ASCII
+    foreign = tmp_path / "foreign.json"
+    foreign.write_text('{"1": {"h\u00e9": "1"}}', encoding="utf-8")
     argvs = {
         "cache read": [("count", "--degree", "3", "--points", "8", "--cache", cache),
                        ("contact", "--degree", "8", "--plucker", "3,1,0", "--cache", cache),
                        ("table", "--max-degree", "8", "--format", "csv", "--cache", cache)],
-        "verify": [("verify", "--max-degree", "2")],
+        "verify": [("verify", "--max-degree", "2"),
+                   ("verify", "--max-degree", "8", "--cache", cache)],
+        "escaped report": [("verify", "--max-degree", "2", "--cache", str(foreign))],
         "json output": [("contact", "--degree", "3", "--format", "json", "--cache", cache),
                         ("count", "--degree", "3", "--points", "8", "--format", "json",
                          "--cache", cache),
                         ("chow-eval", "h^2*hd*z", "--format", "json")],
     }[kind]
     for argv in argvs:
-        loaded = modules_after_cli(argv, flags=("-S",))
-        assert ("json" in loaded) == (kind != "cache read"), argv
+        code = 4 if kind == "escaped report" else 0
+        loaded = modules_after_cli(argv, flags=("-S",), codes=[code])
+        assert ("json" in loaded) == (kind in ("escaped report", "json output")), argv
+
+
+def test_no_subcommand_loads_future(tmp_path):
+    # the modules hold no `from __future__ import annotations`, so no call,
+    # computed, cached, refused, failed or printing json, loads the module
+    cache = str(tmp_path / "cache.json")
+    compute_up_to(8, cache_path=cache)
+    loaded = modules_after_cli(
+        ("table", "--max-degree", "10", "--format", "json", "--cache", cache),
+        ("table", "--max-degree", "4", "--format", "pretty"),
+        ("contact", "--degree", "8", "--plucker", "3,1,0", "--format", "json", "--cache", cache),
+        ("count", "--degree", "3", "--points", "8", "--format", "json", "--cache", cache),
+        ("count", "--degree", "3", "--points", "4", "--osculate", "2,2,0",
+         "--osculate", "2,2,0"),
+        ("chow-eval", "h^2*hd*z", "--integrate", "--format", "json"),
+        ("verify", "--max-degree", "8", "--cache", cache),
+        ("verify", "--max-degree", "2", "--cache", str(tmp_path / "missing.json")),
+        codes=(0, 0, 0, 0, 3, 0, 0, 4), flags=("-S",))
+    assert {"semple2.cli", "semple2._kernel", "semple2.chow", "semple2.verify", "json"} <= loaded
+    assert "__future__" not in loaded
 
 
 def test_a_usage_error_and_a_help_import_argparse_to_print_themselves():

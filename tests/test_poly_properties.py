@@ -12,7 +12,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semple2.poly import VAR_ORDER, add_scaled, monomial, mul, partial
+from semple2.poly import VAR_ORDER, add_scaled, monomial, monomial_mul, mul, partial
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -129,3 +129,22 @@ def test_partial_matches_the_dense_derivative(terms, name, order):
     assert out == sparse(dense_partial(a, name, order))
     assert_canonical(out)
     assert pa == sparse(a)
+
+
+def sorted_items_monomial_mul(a, b):
+    """The product of two monomials as first written, the merged exponents
+    sorted by a lambda over the items: the oracle for `monomial_mul`."""
+    merged = dict(a)
+    for name, e in b:
+        merged[name] = merged.get(name, 0) + e
+    return tuple(sorted(merged.items(), key=lambda it: VAR_ORDER.index(it[0])))
+
+
+#: monomials over the whole alphabet, the constant monomial () among them
+monomials = st.dictionaries(st.sampled_from(VAR_ORDER), st.integers(0, 3)).map(monomial)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(monomials, monomials)
+def test_monomial_mul_equals_the_sorted_merge_of_the_items(a, b):
+    assert monomial_mul(a, b) == sorted_items_monomial_mul(a, b)

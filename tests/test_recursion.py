@@ -260,6 +260,42 @@ def test_the_cache_reader_names_a_bad_degree_or_label(text, message):
     assert str(info.value) == message
 
 
+def _message(text):
+    with pytest.raises(CacheError) as info:
+        table_from_json(text)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("text, message", [
+    # up to 100 characters a key, label or number shows whole
+    ('{"1": {"%s": "1"}}' % ("x" * 100), "unknown invariant label '%s'" % ("x" * 100)),
+    ('{"%s": {}}' % ("9" * 100), "degree %s does not carry exactly the 13 labels" % ("9" * 100)),
+    # past that, its first 100 characters and its length
+    ('{"1": {"%s": "1"}}' % ("x" * 101),
+     "unknown invariant label '%s'... (101 characters)" % ("x" * 100)),
+    ('{"%s": {}}' % ("9" * 101),
+     "degree %s... (101 characters) does not carry exactly the 13 labels" % ("9" * 100)),
+    ('{"%s": {}}' % ("x" * 5000), "bad degree key '%s'... (5000 characters)" % ("x" * 100)),
+])
+def test_a_cache_error_shows_at_most_100_characters_of_a_key_or_number(text, message):
+    assert _message(text) == message
+
+
+def test_a_cache_error_shows_numbers_of_normal_size_whole(table8):
+    data = json.loads(table_to_json(table8))
+    data["5"]["h2z"] = "153121"
+    assert _message(json.dumps(data)) == \
+        "degree 5 fails ratio identities: h2z != 3*h2hd (153121 vs 3*51040)"
+    data["5"]["h2z"], data["5"]["h2.h2"] = "153120", "87305"
+    assert _message(json.dumps(data)) == \
+        "degree 5 fails the point count: h2.h2 = 87305, the classical recursion gives 87304"
+    long = "1" + "0" * 150
+    data["5"]["h2.h2"] = long
+    assert _message(json.dumps(data)) == (
+        f"degree 5 fails the point count: h2.h2 = {long[:100]}... (151 characters), "
+        "the classical recursion gives 87304")
+
+
 def test_stencil_matches_the_fraction_recursion_through_degree20():
     assert compute_up_to(20) == reference_table(20)
 

@@ -30,6 +30,9 @@ def test_shipped_recursion_equals_the_per_term_definition_of_the_derived_stencil
 
 
 @PROPERTY
-@given(st.integers(0, 400))
-def test_binomial_row_is_the_row_of_comb(m):
+@given(st.integers(0, 400), st.data())
+def test_binomial_row_is_the_row_of_comb(m, data):
     assert binomial_row(m) == [comb(m, k) for k in range(m + 1)]
+    # the point counts build each row only as far as their splits read
+    length = data.draw(st.integers(1, m + 1))
+    assert binomial_row(m, length) == [comb(m, k) for k in range(length)]
