@@ -22,22 +22,30 @@ under the integral normalized so that the top class h^2*hd*z has integral 1
 The class i is never a stored coordinate: it is always expanded through
 i = z + 3*(h - hd), so each ring element has one canonical representation.
 
-A class's coordinates are Fractions, but the ring's structure constants,
-the products of two basis labels in `_MULT`, are ints.  So `mul_classes`
-and `to_i_basis` sum integer numerators, one sum per denominator (per
-product of two denominators for `mul_classes`), and the single division
-happens at the end: one Fraction per denominator and output coordinate.
-They never bring the coordinates to the lcm of all their denominators,
-which for a class with many long distinct denominators would make every
-number many times longer.  `ChowClass.basis` hands out one shared instance
-per label.
+A coordinate is exact and held in one form: an int when it is integral,
+and a fractions.Fraction, with denominator > 1, when it is not.  The
+constructor brings every coordinate to that form, and `to_i_basis` returns
+its coordinates in it too.  `str` of an int is `str` of the Fraction equal
+to it, so no printed form depends on the rule.  It lets an integral class,
+all that `semple2 verify` meets, be computed without `fractions`, which is
+imported only where the parser reads a literal a/b and where a division
+by a denominator > 1, which only a Fraction coordinate brings, is made.
+
+The ring's structure constants, the products of two basis labels in
+`_MULT`, are ints.  So `mul_classes` and `to_i_basis` sum integer
+numerators, one sum per denominator (per product of two denominators for
+`mul_classes`), and the single division happens at the end: one Fraction
+per denominator > 1 and output coordinate, while the sums over
+denominator 1 are added as ints.  They never bring the coordinates to the
+lcm of all their denominators, which for a class with many long distinct
+denominators would make every number many times longer.
+`ChowClass.basis` hands out one shared instance per label.
 
 The ring's consistency checks, `relation_failures` and `pairing_failures`,
 run where `semple2.verify` reports them, not on import.  `ChowClass` is on
 the value-type base of `semple2.recursion`.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .recursion import _Frozen
@@ -136,8 +144,21 @@ def _build_mult_table() -> dict[tuple[str, str], tuple[int, ...]]:
 _MULT = _build_mult_table()
 
 
+def _exact(x) -> "int | Fraction":
+    """A coordinate in its one form: an int when integral, else a Fraction
+    (a float becomes the exact Fraction it equals)."""
+    if type(x) is int:
+        return x
+    if isinstance(x, float):
+        from fractions import Fraction
+
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 class ChowClass(_Frozen):
-    """A ring element as 12 exact rational coordinates in the z-basis.
+    """A ring element as 12 exact rational coordinates in the z-basis, each
+    an int when it is integral and a Fraction otherwise.
 
     Immutable, on the value-type base of `semple2.recursion`: `==` and
     `hash` by coordinates, only among ChowClass objects; pickle and copy go
@@ -146,10 +167,10 @@ class ChowClass(_Frozen):
 
     __slots__ = __match_args__ = ("coords",)
 
-    def __init__(self, coords: tuple[Fraction, ...]):
+    def __init__(self, coords: "tuple[int | Fraction, ...]"):
         if len(coords) != 12:
             raise ValueError("a class has exactly 12 coordinates")
-        self._assign(coords)
+        self._assign(tuple(map(_exact, coords)))
 
     @staticmethod
     def basis(label: str) -> "ChowClass":
@@ -159,7 +180,7 @@ class ChowClass(_Frozen):
             raise ValueError(f"unknown basis label {label!r}")
         return _BASIS[label]
 
-    def coordinate(self, label: str) -> Fraction:
+    def coordinate(self, label: str) -> "int | Fraction":
         return self.coords[_LABEL_INDEX[label]]
 
     def __add__(self, other: "ChowClass") -> "ChowClass":
@@ -171,8 +192,8 @@ class ChowClass(_Frozen):
     def __neg__(self) -> "ChowClass":
         return ChowClass(tuple(-x for x in self.coords))
 
-    def scaled(self, value: int | Fraction) -> "ChowClass":
-        c = Fraction(value)
+    def scaled(self, value: "int | Fraction") -> "ChowClass":
+        c = _exact(value)
         return ChowClass(tuple(x * c for x in self.coords))
 
     def is_zero(self) -> bool:
@@ -182,12 +203,9 @@ class ChowClass(_Frozen):
         return format_coords(self.coords, LABELS, Z_BASIS_SYMBOL)
 
 
-_ZERO = Fraction(0)
-
 #: the instances `ChowClass.basis` returns
 _BASIS: dict[str, ChowClass] = {
-    label: ChowClass((_ZERO,) * n + (Fraction(1),) + (_ZERO,) * (11 - n))
-    for n, label in enumerate(LABELS)
+    label: ChowClass((0,) * n + (1,) + (0,) * (11 - n)) for n, label in enumerate(LABELS)
 }
 
 H = ChowClass.basis("100")
@@ -208,15 +226,19 @@ def _by_denominator(coords) -> dict[int, list[tuple[str, int]]]:
     return groups
 
 
-def _divide(sums: dict[int, list[int]]) -> tuple[Fraction, ...]:
-    """The 12 coordinates sum over D of sums[D][j] / D: one Fraction per
-    denominator D and nonzero numerator sum."""
-    coords = [_ZERO] * 12
+def _divide(sums: dict[int, list[int]]) -> "list[int | Fraction]":
+    """The 12 coordinates sum over D of sums[D][j] / D: the sums over D = 1
+    are added as ints, and there is one Fraction per other denominator D
+    and nonzero numerator sum."""
+    coords = list(sums.get(1, (0,) * 12))
     for den, numerators in sums.items():
-        for j, n in enumerate(numerators):
-            if n:
-                coords[j] += Fraction(n, den)
-    return tuple(coords)
+        if den != 1:
+            from fractions import Fraction
+
+            for j, n in enumerate(numerators):
+                if n:
+                    coords[j] += Fraction(n, den)
+    return coords
 
 
 def mul_classes(a: ChowClass, b: ChowClass) -> ChowClass:
@@ -237,7 +259,7 @@ def mul_classes(a: ChowClass, b: ChowClass) -> ChowClass:
     return ChowClass(_divide(sums))
 
 
-def integrate(a: ChowClass) -> Fraction:
+def integrate(a: ChowClass) -> "int | Fraction":
     """Integral over the 4-fold: the coordinate of the top class h^2*hd*z."""
     return a.coordinate("211")
 
@@ -270,8 +292,9 @@ def _dual_table() -> dict[str, str]:
 DUAL: dict[str, str] = _dual_table()
 
 
-def to_i_basis(a: ChowClass) -> tuple[Fraction, ...]:
-    """Coordinates in the i-basis, ordered as I_BASIS_ORDER.
+def to_i_basis(a: ChowClass) -> "tuple[int | Fraction, ...]":
+    """Coordinates in the i-basis, ordered as I_BASIS_ORDER, each an int
+    when it is integral and a Fraction otherwise.
 
     The z-basis and the i-basis are dual, so the coordinate of i_l is the
     integral of z_{DUAL[l]} * a: the sum, over the nonzero coordinates c_k
@@ -280,9 +303,9 @@ def to_i_basis(a: ChowClass) -> tuple[Fraction, ...]:
     divided once.
     """
     top = _LABEL_INDEX["211"]
-    return _divide({den: [sum(x * _MULT[DUAL[l], k][top] for k, x in terms)
-                          for l in I_BASIS_ORDER]
-                    for den, terms in _by_denominator(a.coords).items()})
+    sums = {den: [sum(x * _MULT[DUAL[l], k][top] for k, x in terms) for l in I_BASIS_ORDER]
+            for den, terms in _by_denominator(a.coords).items()}
+    return tuple(map(_exact, _divide(sums)))
 
 
 def relation_failures() -> list[str]:
@@ -492,6 +515,8 @@ class _Parser:
                 k3, den = self.take()
                 if k3 != "num" or den == 0:
                     raise ChowParseError("malformed rational literal")
+                from fractions import Fraction
+
                 return ONE.scaled(Fraction(value, den))
             return ONE.scaled(value)
         raise ChowParseError("unexpected end of expression")

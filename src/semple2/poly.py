@@ -5,15 +5,19 @@ each an int or a fractions.Fraction.  A monomial is a tuple of (variable,
 exponent) pairs, sorted by a fixed variable order, with all exponents
 positive:
 
-    Poly     = dict[Monomial, int | Fraction]
+    Poly     = dict[Monomial, "int | Fraction"]
     Monomial = tuple[tuple[str, int], ...]
 
 The zero polynomial is the empty dict; the empty monomial () is the
 constant term.  Zero coefficients are never stored, so equality of
 polynomials is plain dict equality.  No floating point enters anywhere.
-Coefficients are kept as given: `term` makes a Fraction, while `mul`,
-`add_scaled` and `partial` of int polynomials by int scalars stay int, so
-a caller can run a sum on integer numerators and divide once at the end.
+Coefficients are kept as given: `term` keeps an int and makes any other
+value an exact Fraction, and `mul`, `add_scaled` and `partial` of int
+polynomials by int scalars stay int, so a caller can run a sum on integer
+numerators and divide once at the end.  This module does not import
+`fractions`: `term` imports it for a value that is not an int, and a
+Fraction coefficient arrives from a caller that has imported it already.
+The annotations name Fraction as a string for that reason.
 
 The variable alphabet is fixed.  Eight "reduced" variables carry the
 weight grading used throughout the generating-function computations
@@ -22,11 +26,10 @@ the z- and w-variables are bookkeeping slots for gluing insertions and
 carry weight zero.
 """
 
-from fractions import Fraction
 from collections.abc import Iterable, Mapping
 
 Monomial = tuple[tuple[str, int], ...]
-Poly = dict[Monomial, int | Fraction]
+Poly = dict[Monomial, "int | Fraction"]
 
 REDUCED_VARS = ("y200", "y020", "y210", "y101", "y201", "y011", "y021", "y211")
 GLUING_Z_VARS = ("z010", "z110", "z210")
@@ -82,9 +85,15 @@ def monomial_degree_in(m: Monomial, names: Iterable[str]) -> int:
     return sum(e for name, e in m if name in wanted)
 
 
-def term(exps: Mapping[str, int], value: int | Fraction) -> Poly:
-    c = Fraction(value)
-    return {monomial(exps): c} if c else {}
+def term(exps: Mapping[str, int], value: "int | Fraction") -> Poly:
+    """The one-term polynomial value * monomial(exps), {} for a zero value.
+    An int stays an int; any other value, a float too, becomes the exact
+    Fraction it equals."""
+    if type(value) is not int:
+        from fractions import Fraction
+
+        value = Fraction(value)
+    return {monomial(exps): value} if value else {}
 
 
 def mul(a: Poly, b: Poly) -> Poly:
@@ -105,7 +114,7 @@ def mul(a: Poly, b: Poly) -> Poly:
     return out
 
 
-def add_scaled(acc: Poly, p: Poly, value: int | Fraction) -> None:
+def add_scaled(acc: Poly, p: Poly, value: "int | Fraction") -> None:
     """In-place acc += value * p: the one sum of polynomials, and the one
     mutating helper.  An int value and int coefficients give int sums."""
     if not value:

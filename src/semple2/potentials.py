@@ -21,29 +21,31 @@ statement.
 The allowed sums bound the subscript budget, so apart from the divisor
 exponential exp(k * divisor) (never expanded) the potentials are finite
 polynomials: the double cover has weight at most 2, the triple cover at
-most 3.  The builder returns that finite body as a plain polynomial.
+most 3.  The builder returns that finite body as a plain polynomial of
+int numerators and their one denominator.
 
 Gluing the two potentials through their slots, with dual basis indices
 paired, produces the 12 x 12 matrix of second gluing derivatives that
 drives the degree recursion, as a plain dict of its nonzero entries keyed
-by index pair.  Each build takes the slot second derivatives of freshly
-built potentials in one pass over their bodies.  The combined divisor
-prefactor exp(2*y010 + 6*y001), one double cover's and two triple
-covers', is split off: it cancels exactly against the divisor
-exponentials of the recursion and is never expanded.
+by index pair, again int numerators, and their one denominator.  Each
+build takes the slot second derivatives of freshly built potentials in
+one pass over their bodies.  The combined divisor prefactor
+exp(2*y010 + 6*y001), one double cover's and two triple covers', is split
+off: it cancels exactly against the divisor exponentials of the recursion
+and is never expanded.
 
-The arithmetic divides once per output coefficient.  A body coefficient
-is one Fraction, prod k^e over its denominator k * (2 for a square slot)
-* prod e!.  The gluing runs on integer numerators: each cover's slot
-second derivatives are scaled by the lcm of their denominators, D_double
-and D_triple, the products and sums stay int polynomials, and each matrix
-term is filed as one Fraction over D_double * D_triple^2.
+The arithmetic is on ints throughout; no Fraction is made.  A body term
+is prod k^e over k * (2 for a square slot) * prod e!, filed over the lcm
+of those denominators.  The gluing multiplies and sums the bodies'
+numerators, so a matrix term comes over the product of the three bodies'
+denominators.  Each builder returns its numerators in lowest terms: its
+denominator is the lcm of its terms' reduced denominators, and a caller
+that wants rationals divides.
 """
 
 from collections.abc import Collection, Iterator
-from fractions import Fraction
 from itertools import product
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 
 from .chow import DUAL, LABELS
 from .poly import (
@@ -100,10 +102,11 @@ def _y_solutions(entries: dict[str, tuple[int, ...]],
             yield {name: e for name, e in zip(names, exps) if e}
 
 
-def build_cover_potential(kind: str) -> Poly:
+def build_cover_potential(kind: str) -> tuple[Poly, int]:
     """The finite body of the cover potential `kind`, a key of COVERS: the
     terms of (1/k) prod exp(k y) prod exp(slot) quadratic in the slots
-    whose subscript entries sum to an allowed value.
+    whose subscript entries sum to an allowed value, as int numerators
+    and their denominator, in lowest terms.
 
     The divisor factor exp(k * divisor) is left out; the allowed sums bound
     the y-part (at weight 2 for the double cover, 3 for the triple cover),
@@ -113,12 +116,12 @@ def build_cover_potential(kind: str) -> Poly:
         raise ValueError(f"unknown cover kind {kind!r}")
     cover = COVERS[kind]
     k, ys, slots = cover["k"], cover["y"], cover["slots"]
-    body: Poly = {}
+    terms = {}  # monomial -> (numerator, denominator)
     names = sorted(slots)
     for i, u in enumerate(names):
         for v in names[i:]:
             base = [a + b for a, b in zip(slots[u], slots[v])]
-            # (1/k) * (1/2 for a square slot) * prod k^e / e!, one division
+            # (1/k) * (1/2 for a square slot) * prod k^e / e!
             pair_den = k * (2 if u == v else 1)
             for target in cover["sums"]:
                 residual = tuple(t - b for t, b in zip(target, base))
@@ -129,20 +132,26 @@ def build_cover_potential(kind: str) -> Poly:
                     exps[u] = 1
                     exps[v] = exps.get(v, 0) + 1
                     # the slot pair, target and solution fix the monomial
-                    body[monomial(exps)] = Fraction(
+                    terms[monomial(exps)] = (
                         prod(k ** e for e in sol.values()),
                         pair_den * prod(factorial(e) for e in sol.values()))
     alphabet = {*ys, *slots}
-    for m in body:
+    for m in terms:
         if sum(e for name, e in m if name in slots) != 2 \
                 or not {name for name, _ in m} <= alphabet:
             raise AssertionError(
                 f"{kind} potential term {m} is not quadratic in its slots over its alphabet")
-    return body
+    den = lcm(*(d for _, d in terms.values()))
+    body = {m: n * (den // d) for m, (n, d) in terms.items()}
+    # lowest terms: den becomes the lcm of the terms' reduced denominators
+    g = gcd(den, *body.values())
+    return {m: n // g for m, n in body.items()}, den // g
 
 
-#: the gluing matrix: its nonzero entries, keyed by index pair (s, t)
+#: the gluing matrix's nonzero entries, keyed by index pair (s, t)
 MatrixEntries = dict[tuple[str, str], Poly]
+#: the gluing matrix: its entries as int numerators, and their denominator
+GluingMatrix = tuple[MatrixEntries, int]
 
 
 def _slot_hessian(body: Poly, slots: Collection[str]) -> dict[tuple[str, str], Poly]:
@@ -162,16 +171,7 @@ def _slot_hessian(body: Poly, slots: Collection[str]) -> dict[tuple[str, str], P
     return out
 
 
-def _integer_hessian(body: Poly, slots: Collection[str]) -> tuple[dict[tuple[str, str], Poly], int]:
-    """The slot second derivatives of `body` times the lcm D of their
-    denominators, as int polynomials, and D."""
-    hessian = _slot_hessian(body, slots)
-    scale = lcm(*(c.denominator for p in hessian.values() for c in p.values()))
-    return ({key: {m: c.numerator * (scale // c.denominator) for m, c in p.items()}
-             for key, p in hessian.items()}, scale)
-
-
-def build_gluing_matrix(cap: int) -> MatrixEntries:
+def build_gluing_matrix(cap: int) -> GluingMatrix:
     """Glue the two cover potentials through dual slots into the 12x12 matrix.
 
     Entry (s, t) is the polynomial obtained by differentiating the glued
@@ -180,14 +180,15 @@ def build_gluing_matrix(cap: int) -> MatrixEntries:
     gluing or divisor variables and no y200, vanish unless both duals carry
     an i-factor, and are truncated at `cap`.  Only the nonzero entries have
     a key, and every call builds its inputs and its entries afresh.  The
-    entries are glued as int polynomials and divided once, term by term,
-    so every coefficient is a Fraction.
+    entries are int polynomials, returned with their one denominator, in
+    lowest terms: entry (s, t) is entries[s, t] divided by it.
     """
     if cap < 2:
         raise ValueError("the recursion extracts weight-2 data; cap must be >= 2")
-    (central, d_central), (side, d_side) = (
-        _integer_hessian(build_cover_potential(kind), COVERS[kind]["slots"])
-        for kind in ("double_cover", "triple_cover"))
+    central, d_central = build_cover_potential("double_cover")
+    side, d_side = build_cover_potential("triple_cover")
+    central = _slot_hessian(central, COVERS["double_cover"]["slots"])
+    side = _slot_hessian(side, COVERS["triple_cover"]["slots"])
     # each entry is a sum of products side * central * side
     scale = d_side * d_central * d_side
 
@@ -215,9 +216,11 @@ def build_gluing_matrix(cap: int) -> MatrixEntries:
                     add_scaled(acc, mul(left_mid[s2, t2], right), 1)
             acc = truncate_weight(acc, cap)
             if acc:
-                entries[(s, t)] = {m: Fraction(n, scale) for m, n in acc.items()}
+                entries[(s, t)] = acc
     _check_matrix(entries)
-    return entries
+    # lowest terms, as for a body
+    g = gcd(scale, *(n for p in entries.values() for n in p.values()))
+    return {key: {m: n // g for m, n in p.items()} for key, p in entries.items()}, scale // g
 
 
 def _check_matrix(entries: MatrixEntries) -> None:

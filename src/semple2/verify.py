@@ -27,6 +27,14 @@ beyond the polynomial substrate and the label tables:
   about 0.2 s, most of the self-test's budget, so the self-test does not
   run it.
 
+The self-test's own arithmetic is on ints: the gluing matrix comes as int
+numerators over one denominator, the stencil compiler and the degree-1
+seed divide exactly once, and the ring checks meet integral classes
+only, so `verify` does not import `fractions`.  The oracles that only
+tests call (`reference_table` and the functions it runs, and
+`expand_cover_series`) are on Fractions, and import `Fraction` where they
+make one.
+
 run_selftest wires these and the golden reference tables into a single
 machine-readable report list; each call builds the cap-2 gluing matrix
 once for the two checks that read it.  The reference integers are test
@@ -35,13 +43,13 @@ fixtures, never inputs to any computation.
 Everything here is plain data.  A report is the dict that `semple2 verify`
 prints, with the keys name, status ("pass" or "fail"), expected, actual
 and degrees, in that order.  A tail is a `Poly`, checked for its shape by
-`_tail` when it is built; the gluing matrix is the plain dict of
-`semple2.potentials.build_gluing_matrix`, its nonzero entries keyed by
-index pair.
+`_tail` when it is built; the gluing matrix is the pair that
+`semple2.potentials.build_gluing_matrix` returns, the plain dict of its
+nonzero entries keyed by index pair, as int numerators, and their one
+denominator.
 """
 
 from collections import Counter
-from fractions import Fraction
 from math import comb, factorial, lcm, prod
 
 from . import _kernel, chow
@@ -57,12 +65,13 @@ from .poly import (
     term,
     truncate_weight,
 )
-from .potentials import COVERS, GLUABLE, MatrixEntries, build_gluing_matrix
+from .potentials import COVERS, GLUABLE, GluingMatrix, build_gluing_matrix
 from .recursion import (
     CacheError,
     DIVISOR_RULE,
     INVARIANT_LABELS,
     InvariantTable,
+    _excerpt,
     binomial_row,
     compute_up_to,
     kontsevich_row,
@@ -132,12 +141,13 @@ StencilTerm = tuple[str | None, str | None, int, int, int, int]
 #: stencil[2 - j1] is stencil[j1] with the two factors swapped.
 Stencil = tuple[tuple[StencilTerm, ...], ...]
 
-def derive_stencil(matrix: MatrixEntries) -> Stencil:
-    """Compile the quadratic identity through the gluing matrix (cap >= 2).
+def derive_stencil(matrix: GluingMatrix) -> Stencil:
+    """Compile the quadratic identity through the gluing matrix (cap >= 2),
+    its int numerators and their denominator L.
 
-    The sums run on integer numerators: the matrix slices are scaled by the
-    lcm L of the matrix's denominators, and each derivative part by the lcm
-    P of the labels' b! (P = 2), so every product f * entry * g is an int
+    The sums run on integer numerators: the matrix slices are its
+    numerators, and each derivative part is scaled by the lcm P of the
+    labels' b! (P = 2), so every product f * entry * g is an int
     polynomial P*P*L times the rational one.  Each weight is divided by
     P*P*L once, at the end; ArithmeticError is raised unless every weight is
     an integer.  The weights come out grouped by j1, in a fixed order.
@@ -152,14 +162,13 @@ def derive_stencil(matrix: MatrixEntries) -> Stencil:
         if b < j:
             return {}
         exps["y200"] = b - j
-        return {monomial(exps): part_scale // prod(factorial(e) for e in exps.values())}
+        return term(exps, part_scale // prod(factorial(e) for e in exps.values()))
 
-    scale = lcm(*(c.denominator for p in matrix.values() for c in p.values()))
+    entries, scale = matrix
     slices: dict[tuple[str, str, int], Poly] = {}
-    for (s, t), p in matrix.items():
+    for (s, t), p in entries.items():
         for m, c in p.items():
-            slices.setdefault((s, t, monomial_weight(m)), {})[m] = \
-                c.numerator * (scale // c.denominator)
+            slices.setdefault((s, t, monomial_weight(m)), {})[m] = c
     out_index = {monomial(LABEL_MONOMIAL[lbl]): (i, 18 * LABEL_FACTORIAL[lbl])
                  for i, lbl in enumerate(INVARIANT_LABELS)}
 
@@ -205,6 +214,8 @@ def derive_stencil(matrix: MatrixEntries) -> Stencil:
     for acc in weights:
         for key, w in acc.items():
             if w % total:
+                from fractions import Fraction
+
                 raise ArithmeticError(
                     f"stencil weight {Fraction(w, total)} at {key} is not an integer")
     return tuple(tuple((*key, w // total) for key, w in acc.items() if w) for acc in weights)
@@ -253,19 +264,25 @@ def _tail(d: int, poly: Poly) -> Poly:
     return poly
 
 
+#: the closed-form degree-1 generating polynomial (the whole tail), as int
+#: numerators over SEED_DENOMINATOR
+SEED_NUMERATORS: Poly = {
+    monomial({"y210": 1}): 2,
+    monomial({"y201": 1}): 6,
+    monomial({"y021": 1}): -6,
+    monomial({"y200": 2}): 1,
+    monomial({"y200": 1, "y011": 1}): -6,
+    monomial({"y011": 2}): 9,
+}
+SEED_DENOMINATOR = 2
+
+
 def seed_degree1() -> Poly:
-    """The closed-form degree-1 generating polynomial (the whole tail)."""
-    p: Poly = {}
-    for exps, c in (
-        ({"y210": 1}, Fraction(1)),
-        ({"y201": 1}, Fraction(3)),
-        ({"y021": 1}, Fraction(-3)),
-        ({"y200": 2}, Fraction(1, 2)),
-        ({"y200": 1, "y011": 1}, Fraction(-3)),
-        ({"y011": 2}, Fraction(9, 2)),
-    ):
-        add_scaled(p, term(exps, 1), c)
-    return _tail(1, p)
+    """The closed-form degree-1 generating polynomial (the whole tail), on
+    Fractions."""
+    from fractions import Fraction
+
+    return _tail(1, {m: Fraction(n, SEED_DENOMINATOR) for m, n in SEED_NUMERATORS.items()})
 
 
 def _insert(label: str, degree: int, p: Poly) -> Poly:
@@ -278,13 +295,15 @@ def _insert(label: str, degree: int, p: Poly) -> Poly:
 
 
 def reference_rhs(d: int, tails: dict[int, Poly],
-                  matrix: MatrixEntries) -> Poly:
+                  matrix: GluingMatrix) -> Poly:
     """The weight-2 polynomial whose coefficients carry the degree-d invariants.
 
     Requires tails for every degree below d and a gluing matrix built with
     cap >= 2.  The result equals the (3d-3)-fold y200-derivative of the
     degree-d potential.
     """
+    from fractions import Fraction
+
     if d < 2:
         raise ValueError("the recursion starts at degree 2")
     for dd in range(1, d):
@@ -292,11 +311,12 @@ def reference_rhs(d: int, tails: dict[int, Poly],
             raise ValueError(f"missing tail for degree {dd}")
 
     # weight slices of the matrix entries, fetched by needed weight
+    entries, den = matrix
     slices: dict[tuple[str, str, int], Poly] = {}
-    for (s, t), p in matrix.items():
+    for (s, t), p in entries.items():
         for m, c in p.items():
             w = monomial_weight(m)
-            slices.setdefault((s, t, w), {})[m] = c
+            slices.setdefault((s, t, w), {})[m] = Fraction(c, den)
 
     der_cache: dict[tuple[int, int], Poly] = {}
 
@@ -354,6 +374,8 @@ def reference_rhs(d: int, tails: dict[int, Poly],
 
 def tail_from_weight2(d: int, w2: Poly) -> Poly:
     """Reattach the 3d-3 forced point slots to a weight-2 derivative polynomial."""
+    from fractions import Fraction
+
     shift = 3 * d - 3
     p: Poly = {}
     for m, c in w2.items():
@@ -364,9 +386,9 @@ def tail_from_weight2(d: int, w2: Poly) -> Poly:
     return _tail(d, p)
 
 
-def extract_invariants(d: int, tail: Poly) -> dict[str, int]:
-    """The thirteen labeled integers of a degree-d tail, via b! times a
-    coefficient."""
+def extract_invariants(d: int, tail: Poly, den: int = 1) -> dict[str, int]:
+    """The thirteen labeled integers of a degree-d tail over `den`, via b!
+    times a coefficient; ArithmeticError unless each is an integer."""
     w2 = partial(tail, "y200", 3 * d - 3)
     known = {monomial(LABEL_MONOMIAL[lbl]): lbl for lbl in INVARIANT_LABELS}
     stray = set(w2) - set(known)
@@ -374,11 +396,13 @@ def extract_invariants(d: int, tail: Poly) -> dict[str, int]:
         raise ArithmeticError(f"degree-{d} tail has terms outside the 13 labels: {stray}")
     out: dict[str, int] = {}
     for label in INVARIANT_LABELS:
-        value = w2.get(monomial(LABEL_MONOMIAL[label]), Fraction(0)) * LABEL_FACTORIAL[label]
-        if value.denominator != 1:
+        value = w2.get(monomial(LABEL_MONOMIAL[label]), 0) * LABEL_FACTORIAL[label]
+        out[label], rest = divmod(value, den)
+        if rest:
+            from fractions import Fraction
+
             raise ArithmeticError(
-                f"invariant {label} at degree {d} is not an integer: {value}")
-        out[label] = int(value)
+                f"invariant {label} at degree {d} is not an integer: {Fraction(value, den)}")
     return out
 
 
@@ -394,7 +418,9 @@ def reference_table(dmax: int) -> InvariantTable:
 
 
 def _exp_factor(name: str, coeff: int, order: int) -> Poly:
-    """exp(coeff * name) expanded through the given order."""
+    """exp(coeff * name) expanded through the given order, on Fractions."""
+    from fractions import Fraction
+
     return {monomial({name: n}): Fraction(coeff ** n, factorial(n)) for n in range(order + 1)}
 
 
@@ -416,8 +442,11 @@ def expand_cover_series(kind: str) -> Poly:
     `potentials.COVERS`: multiply exponential series, then keep exactly
     the constrained terms.
 
-    Must agree term-for-term with `potentials.build_cover_potential`.
+    Must agree term-for-term with `potentials.build_cover_potential`, its
+    numerators divided by its denominator.
     """
+    from fractions import Fraction
+
     if kind not in COVERS:
         raise ValueError(f"unknown cover kind {kind!r}")
     cover = COVERS[kind]
@@ -455,10 +484,14 @@ def _check_relations() -> dict[str, str]:
 
 
 def _check_seed() -> dict[str, str]:
-    values = extract_invariants(1, seed_degree1())
+    expected = "the 13 printed degree-1 values"
+    try:
+        values = extract_invariants(1, _tail(1, SEED_NUMERATORS), SEED_DENOMINATOR)
+    except ArithmeticError as exc:
+        return _report("degree1-seed", [str(exc)], "1", expected)
     bad = [f"{lbl}: {values[lbl]} expected {TABLE1_REFERENCE[lbl][0]}"
            for lbl in INVARIANT_LABELS if values[lbl] != TABLE1_REFERENCE[lbl][0]]
-    return _report("degree1-seed", bad, "1", "the 13 printed degree-1 values")
+    return _report("degree1-seed", bad, "1", expected)
 
 
 def _check_table1(table: InvariantTable, dmax: int) -> dict[str, str]:
@@ -507,20 +540,21 @@ def _check_table2(table: InvariantTable, dmax: int) -> dict[str, str]:
                    "reference coefficient rows")
 
 
-def _check_cap_independence(m2: MatrixEntries) -> dict[str, str]:
-    m3 = build_gluing_matrix(3)
+def _check_cap_independence(m2: GluingMatrix) -> dict[str, str]:
+    (e2, d2), (e3, d3) = m2, build_gluing_matrix(3)
     bad = []
     for s in GLUABLE:
         for t in GLUABLE:
-            a = truncate_weight(m2.get((s, t), {}), 2)
-            b = truncate_weight(m3.get((s, t), {}), 2)
-            if a != b:
+            # a/d2 == b/d3 term by term: a*d3 == b*d2
+            a = truncate_weight(e2.get((s, t), {}), 2)
+            b = truncate_weight(e3.get((s, t), {}), 2)
+            if {m: n * d3 for m, n in a.items()} != {m: n * d2 for m, n in b.items()}:
                 bad.append(f"entry({s},{t}) differs at weight <= 2")
     return _report("gluing-cap-independence", bad, "-",
                    "caps 2 and 3 agree at weight <= 2")
 
 
-def _check_stencil(m2: MatrixEntries) -> dict[str, str]:
+def _check_stencil(m2: GluingMatrix) -> dict[str, str]:
     """At degrees 2..6 the shipped kernel, fed its `degree_forms` of fixed
     columns, must equal `stencil_rhs` of the stencil derived from the cap-2
     gluing matrix on the same columns.
@@ -558,13 +592,16 @@ def _check_stencil(m2: MatrixEntries) -> dict[str, str]:
 
 def _check_cache(cache_path: str, table: InvariantTable, dmax: int) -> dict[str, str]:
     """The cache must load, validate, and agree with the freshly computed
-    table at every cached degree up to dmax."""
+    table at every cached degree up to dmax.  A mismatch quotes the two
+    values as `recursion._excerpt` cuts them, so that a hostile cache
+    cannot fill stdout."""
     try:
         cached = load_table(cache_path)
     except CacheError as exc:
         return _report("cache-validation", [str(exc)], "-", "a valid cache file")
     degrees = [d for d in cached.degrees() if d <= dmax]
-    bad = [f"{lbl}(d={d})={cached.get(d, lbl)} computed {table.get(d, lbl)}"
+    bad = [f"{lbl}(d={d})={_excerpt(str(cached.get(d, lbl)))} "
+           f"computed {_excerpt(str(table.get(d, lbl)))}"
            for d in degrees for lbl in INVARIANT_LABELS
            if cached.get(d, lbl) != table.get(d, lbl)]
     return _report("cache-validation", bad,

@@ -6,6 +6,7 @@ lines; every comparison is exact integer or exact rational equality.
 
 import random
 import time
+from fractions import Fraction
 
 from semple2.chow import (
     ChowClass,
@@ -116,13 +117,17 @@ def test_criterion_6_ring_property_suite():
 
 
 def test_criterion_7_construction_equivalence(matrix2):
-    assert build_cover_potential("double_cover") == expand_cover_series("double_cover")
-    assert build_cover_potential("triple_cover") == expand_cover_series("triple_cover")
-    m3 = build_gluing_matrix(3)
+    # the builders return int numerators over one denominator
+    for kind in ("double_cover", "triple_cover"):
+        body, den = build_cover_potential(kind)
+        assert {m: Fraction(n, den) for m, n in body.items()} == expand_cover_series(kind)
+    (e2, d2), (e3, d3) = matrix2, build_gluing_matrix(3)
     for s in GLUABLE:
         for t in GLUABLE:
-            assert truncate_weight(m3.get((s, t), {}), 2) == \
-                truncate_weight(matrix2.get((s, t), {}), 2), (s, t)
+            a = truncate_weight(e2.get((s, t), {}), 2)
+            b = truncate_weight(e3.get((s, t), {}), 2)
+            assert {m: Fraction(n, d2) for m, n in a.items()} == \
+                {m: Fraction(n, d3) for m, n in b.items()}, (s, t)
     _ok("criterion 7: both cover builds equal the brute-force series; matrix cap-independent")
 
 

@@ -13,6 +13,7 @@ from semple2.chow import (
     I_BASIS_ORDER,
     I_BASIS_SYMBOL,
     LABELS,
+    Z_BASIS_SYMBOL,
     ChowClass,
     format_coords,
     integrate,
@@ -34,6 +35,28 @@ mixed_rationals = st.one_of(st.just(Fraction(0)), rationals,
                                       st.integers(1, 10**9)))
 mixed_classes = st.one_of(st.just(ChowClass((Fraction(0),) * 12)),
                           st.tuples(*[mixed_rationals] * 12).map(ChowClass))
+
+
+def in_one_form(coords) -> bool:
+    """Each coordinate is an int when it is integral and a Fraction, with
+    denominator > 1, when it is not."""
+    return all(type(x) is (int if x.denominator == 1 else Fraction) for x in coords)
+
+
+def one_form(x):
+    """`x` in that form."""
+    return x.numerator if x.denominator == 1 else x
+
+
+@PROPERTY
+@given(st.tuples(*[mixed_rationals] * 12))
+def test_the_constructor_holds_a_coordinate_as_an_int_iff_it_is_integral(coords):
+    cls = ChowClass(coords)
+    assert in_one_form(cls.coords) and cls.coords == coords
+    assert cls == ChowClass(tuple(map(one_form, coords)))
+    assert hash(cls) == hash(ChowClass(tuple(map(one_form, coords))))
+    # an int prints as the Fraction equal to it
+    assert str(cls) == format_coords(coords, LABELS, Z_BASIS_SYMBOL)
 
 
 @PROPERTY
@@ -80,7 +103,7 @@ def naive_product(a, b):
 def test_product_equals_the_naive_triple_sum(a, b):
     product = mul_classes(a, b)
     assert product == naive_product(a, b)
-    assert all(type(x) is Fraction for x in product.coords)
+    assert in_one_form(product.coords)
 
 
 @PROPERTY
@@ -90,7 +113,7 @@ def test_i_basis_coordinates_are_the_pairings_with_the_duals(a):
     coords = to_i_basis(a)
     assert coords == tuple(integrate(mul_classes(ChowClass.basis(DUAL[l]), a))
                            for l in I_BASIS_ORDER)
-    assert all(type(x) is Fraction for x in coords)
+    assert in_one_form(coords)
 
 
 @PROPERTY
@@ -130,14 +153,15 @@ def per_term_i_basis(a):
 @PROPERTY
 @given(mixed_classes, mixed_classes)
 def test_grouped_products_equal_the_per_term_fraction_sums(a, b):
-    # the integer numerator sums divide once per denominator; the values,
-    # their types and their reprs are those of the per-term Fraction loops
+    # the integer numerator sums divide once per denominator; the values
+    # are those of the per-term Fraction loops, and so are the reprs once
+    # an integral one is an int
     product, expected = mul_classes(a, b), per_term_product(a, b)
     assert product == expected and repr(product) == repr(expected)
-    assert all(type(x) is Fraction for x in product.coords)
+    assert in_one_form(product.coords)
     coords, expected = to_i_basis(a), per_term_i_basis(a)
-    assert coords == expected and repr(coords) == repr(expected)
-    assert all(type(x) is Fraction for x in coords)
+    assert coords == expected and repr(coords) == repr(tuple(map(one_form, expected)))
+    assert in_one_form(coords)
 
 
 def test_a_square_over_twelve_long_distinct_denominators_equals_the_per_term_sum():
@@ -149,5 +173,5 @@ def test_a_square_over_twelve_long_distinct_denominators_equals_the_per_term_sum
     assert len({x.denominator for x in a.coords}) == 12
     product = mul_classes(a, a)
     assert product.coords == per_term_product(a, a).coords
-    assert all(type(x) is Fraction for x in product.coords)
+    assert in_one_form(product.coords)
     assert to_i_basis(a) == per_term_i_basis(a)

@@ -809,3 +809,21 @@ def test_a_cache_with_a_300000_digit_number_is_refused_with_a_short_message(
     assert (code, out) == (4, "")
     assert len(err.encode()) <= 300
     assert err.startswith("error: degree ") and "(300000 characters)" in err
+
+
+def test_verify_quotes_a_300000_digit_cached_value_in_a_short_report(tmp_path, capsys):
+    # degree 2's h2.hdz is in no 3:1 identity and is not the point row, so
+    # the cache loads, and cache-validation quotes it cut to its first 100
+    # characters and its length
+    path = tmp_path / "cache.json"
+    compute_up_to(8, cache_path=str(path))
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["2"]["h2.hdz"] = HOSTILE_DIGITS
+    path.write_text(json.dumps(data, indent=2), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--max-degree", "2", "--cache", str(path))
+    assert code == 4
+    assert len(out.encode()) <= 3000 and len(err.encode()) <= 3000
+    report = json.loads(out)[-1]
+    assert report["name"] == "cache-validation" and report["status"] == "fail"
+    assert report["actual"] == \
+        f"h2.hdz(d=2)={HOSTILE_DIGITS[:100]}... (300000 characters) computed 0"

@@ -159,6 +159,35 @@ def test_json_loads_only_for_the_free_form_json_outputs_and_an_escaped_report(tm
         assert ("json" in loaded) == (kind in ("escaped report", "json output")), argv
 
 
+#: what `import fractions` loads beside itself
+RATIONALS = ("fractions", "decimal", "numbers")
+
+#: the README's chow-eval examples, every value of which is an integer
+README_CHOW_EVAL = (("chow-eval", "i*z"), ("chow-eval", "h^2*hd*z", "--integrate"),
+                    ("chow-eval", "hz - 3*hd^2", "--basis", "i"))
+
+
+@pytest.mark.parametrize("kind", ["verify", "verify with a cache", "integral chow-eval"])
+def test_integral_work_loads_no_rationals(tmp_path, kind):
+    # every number verify computes is an int numerator over a known
+    # denominator, and an integral class has int coordinates
+    cache = str(tmp_path / "cache.json")
+    compute_up_to(8, cache_path=cache)
+    argvs = {
+        "verify": [("verify", "--max-degree", "8")],
+        "verify with a cache": [("verify", "--max-degree", "8", "--cache", cache)],
+        "integral chow-eval": README_CHOW_EVAL,
+    }[kind]
+    loaded = modules_after_cli(*argvs, flags=("-S",))
+    assert "semple2.chow" in loaded
+    assert loaded.isdisjoint(RATIONALS)
+
+
+def test_a_rational_chow_eval_loads_fractions():
+    loaded = modules_after_cli(("chow-eval", "(1/2*i)^2", "--basis", "i"), flags=("-S",))
+    assert "fractions" in loaded
+
+
 def test_no_subcommand_loads_future(tmp_path):
     # the modules hold no `from __future__ import annotations`, so no call,
     # computed, cached, refused, failed or printing json, loads the module

@@ -32,6 +32,14 @@ def random_poly(rng, nterms=4):
     return p
 
 
+def test_term_keeps_an_int_and_makes_any_other_value_an_exact_fraction():
+    m = monomial({"y200": 1})
+    assert [(c, type(c)) for c in term({"y200": 1}, 3).values()] == [(3, int)]
+    assert [(c, type(c)) for c in term({"y200": 1}, 0.5).values()] == [(Fraction(1, 2), Fraction)]
+    assert type(term({"y200": 1}, Fraction(4, 2))[m]) is Fraction
+    assert term({"y200": 1}, 0) == term({"y200": 1}, Fraction(0)) == {}
+
+
 def test_add_additive_inverse():
     p = term({"y200": 1}, 1)
     add_scaled(p, term({"y200": 1}, 1), -1)

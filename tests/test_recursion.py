@@ -318,12 +318,13 @@ def test_degree100_table_is_pinned(capsys, monkeypatch):
 
 
 def test_stencil_derivation_rejects_a_fractional_weight(matrix2):
-    # the (h, h) gluing entry feeds a unit weight; over 1009 it is no integer
-    entries = dict(matrix2)
-    entries[("100", "100")] = {m: c * Fraction(1, 1009)
-                               for m, c in entries[("100", "100")].items()}
+    # the (h, h) gluing entry feeds a unit weight; over 1009 it is no
+    # integer: every other entry is scaled up as the denominator is
+    entries, den = matrix2
+    entries = {key: p if key == ("100", "100") else {m: 1009 * c for m, c in p.items()}
+               for key, p in entries.items()}
     with pytest.raises(ArithmeticError, match="not an integer"):
-        derive_stencil(entries)
+        derive_stencil((entries, 1009 * den))
 
 
 def test_kontsevich_row_is_the_classical_sequence():

@@ -38,8 +38,9 @@ REPRS = [
               "osculants=(CurveInvariants(c=2, cdual=2, kappa=0),))"),
     (ConditionProfile(3, 8), "ConditionProfile(degree=3, points=8, tangents=(), osculants=())"),
     (TABLE, "InvariantTable(values={1: {'h2hd': 1}})"),
-    (H, "ChowClass(coords=(Fraction(0, 1), Fraction(1, 1)"
-        + ", Fraction(0, 1)" * 10 + "))"),
+    # a coordinate is an int when it is integral, and a Fraction otherwise
+    (H, "ChowClass(coords=(0, 1" + ", 0" * 10 + "))"),
+    (H.scaled(Fraction(1, 2)), "ChowClass(coords=(0, Fraction(1, 2)" + ", 0" * 10 + "))"),
 ]
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from semple2 import _kernel, chow, cli, potentials, recursion, verify
+from semple2.poly import monomial
 from semple2.recursion import kontsevich, save_table
 from semple2.verify import (
     TABLE1_REFERENCE,
@@ -222,11 +223,12 @@ def test_a_kernel_that_raises_fails_every_check_that_reads_the_table(tmp_path, t
 
 
 def test_a_fractional_stencil_weight_fails_the_derivation_check(matrix2):
-    # the (h, h) gluing entry feeds a unit weight; over 1009 it is no integer
-    entries = dict(matrix2)
-    entries[("100", "100")] = {m: c * Fraction(1, 1009)
-                               for m, c in entries[("100", "100")].items()}
-    report = verify._check_stencil(entries)
+    # the (h, h) gluing entry feeds a unit weight; over 1009 it is no
+    # integer: every other entry is scaled up as the denominator is
+    entries, den = matrix2
+    entries = {key: p if key == ("100", "100") else {m: 1009 * c for m, c in p.items()}
+               for key, p in entries.items()}
+    report = verify._check_stencil((entries, 1009 * den))
     assert report["status"] == "fail" and "is not an integer" in report["actual"]
 
 
@@ -343,3 +345,37 @@ def test_the_selftest_report_is_pinned(tmp_path, table8):
 def test_the_stencil_check_is_the_same_at_every_max_degree(dmax):
     stencil = next(r for r in SELFTEST8_REPORT if r["name"] == "stencil-derivation")
     assert stencil in run_selftest(dmax)
+
+
+@pytest.mark.parametrize("term", list(verify.SEED_NUMERATORS))
+def test_changing_any_one_seed_numerator_fails_the_seed_check(monkeypatch, term):
+    # one more over 2 either moves an invariant or leaves it a half
+    numerators = dict(verify.SEED_NUMERATORS)
+    numerators[term] += 1
+    monkeypatch.setattr(verify, "SEED_NUMERATORS", numerators)
+    report = verify._check_seed()
+    assert (report["name"], report["status"]) == ("degree1-seed", "fail")
+
+
+def test_a_half_integral_seed_value_is_reported_not_raised(monkeypatch):
+    numerators = dict(verify.SEED_NUMERATORS)
+    numerators[monomial({"y210": 1})] = 3
+    monkeypatch.setattr(verify, "SEED_NUMERATORS", numerators)
+    assert verify._check_seed()["actual"] == \
+        "invariant h2hd at degree 1 is not an integer: 3/2"
+
+
+def test_the_seed_numerators_over_their_denominator_are_the_fraction_seed():
+    assert {m: Fraction(n, verify.SEED_DENOMINATOR)
+            for m, n in verify.SEED_NUMERATORS.items()} == verify.seed_degree1()
+    assert all(type(n) is int for n in verify.SEED_NUMERATORS.values())
+
+
+def test_cap_independence_compares_values_not_numerators(matrix2):
+    # the same entries over a doubled denominator are the same matrix, and
+    # a changed denominator is a different one
+    entries, den = matrix2
+    doubled = {key: {m: 2 * n for m, n in p.items()} for key, p in entries.items()}
+    assert verify._check_cap_independence((doubled, 2 * den))["status"] == "pass"
+    report = verify._check_cap_independence((entries, 2 * den))
+    assert report["status"] == "fail" and "entry(100,100) differs" in report["actual"]
