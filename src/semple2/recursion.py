@@ -27,11 +27,13 @@ in the residual variables whose coefficients are the n_L over a small
 factorial, independent of d'.  The whole identity therefore reduces to
 a bilinear stencil: 149 integer weights on (j1, insertion kinds, L1, L2,
 Lout), applied to the integer columns of lower degrees, so computing a
-degree needs no polynomial arithmetic.  The stencil ships as code: the
-module `semple2._kernel` holds two straight-line functions in which the
-work of walking the 149 terms is already done.  `degree_forms` computes,
-once per degree, the small-weight linear forms of that degree's column
-that the terms share, with the divisor multipliers of the degree applied;
+degree needs no polynomial arithmetic.  The stencil ships as code for
+the eight rows that `RATIO_IDENTITIES` does not fill, whose 92 terms read
+only each other: the module `semple2._kernel` holds two straight-line
+functions in which the work of walking them is already done, and
+`recursion_rhs` fills the other five rows.  `degree_forms` computes, once
+per degree, the small-weight linear forms of that degree's column that
+the terms share, with the divisor multipliers of the degree applied;
 `compute_up_to` keeps one tuple of them per degree, whether the degree was
 computed or read from the cache.  `kernel` then pays, per split, only for
 a few products of these forms with entries scaled by the binomial
@@ -80,6 +82,8 @@ RATIO_IDENTITIES: tuple[tuple[str, str], ...] = (
     ("hz.hz", "hd2.hz"),
     ("hz.hdz", "hd2.hdz"),
 )
+#: the rows no identity fills, which the kernel computes, in label order
+_FREE_LABELS = tuple(lbl for lbl in INVARIANT_LABELS if lbl not in dict(RATIO_IDENTITIES))
 
 #: divisor insertion multipliers by basis index, as functions of the degree:
 #: the pairing of each basis divisor with the lifted degree-d curve
@@ -109,6 +113,21 @@ def _excerpt(text: str, quote: bool = False) -> str:
     return f"{repr(head) if quote else head}... ({len(text)} characters)"
 
 
+def _excerpt_int(n: int) -> str:
+    """`_excerpt(str(n))` without the `str()` of all of a long n, which is
+    quadratic: its length from the bit length, and its head by division."""
+    a = abs(n)
+    digits = int(a.bit_length() * 0.30102999566398120) + 2  # log10(2); 0-2 over
+    power = 10 ** (digits - 1)
+    while a < power:
+        digits, power = digits - 1, power // 10
+    length = digits + (n < 0)
+    if length <= _QUOTE_MAX:
+        return str(n)
+    head = a // (power // 10 ** (_QUOTE_MAX - 1 - (n < 0)))
+    return f"{'-' if n < 0 else ''}{head}... ({length} characters)"
+
+
 #: the degree-1 column: the closed-form seed of the recursion
 SEED: dict[str, int] = {
     "h2hd": 1, "h2z": 3, "hd2z": -3,
@@ -131,8 +150,8 @@ def recursion_rhs(d: int, forms: dict[int, tuple], row: Sequence[int]) -> tuple[
     forms of all lower ones and the row comb(3d-6, k), k = 0..3d-6.
 
     `forms[d']` is `semple2._kernel.degree_forms(d', column)` of the
-    degree-d' column.  Runs the shipped kernel, whose module reads
-    DIVISOR_RULE from this one and so is imported here, not at the top.
+    degree-d' column.  Runs the shipped kernel (imported here, as it reads
+    DIVISOR_RULE), then fills RATIO_IDENTITIES in order: big = 3 * small.
     """
     if d < 2:
         raise ValueError("the recursion starts at degree 2")
@@ -143,7 +162,10 @@ def recursion_rhs(d: int, forms: dict[int, tuple], row: Sequence[int]) -> tuple[
         raise ValueError(f"the row for degree {d} holds comb({3 * d - 6}, k) "
                          f"for k = 0..{3 * d - 6}, not {len(row)} entries")
     from ._kernel import kernel
-    return kernel(d, forms, row)
+    column = dict(zip(_FREE_LABELS, kernel(d, forms, row), strict=True))
+    for big, small in RATIO_IDENTITIES:
+        column[big] = 3 * column[small]
+    return tuple(column[lbl] for lbl in INVARIANT_LABELS)
 
 
 class _Frozen:
@@ -217,8 +239,8 @@ def ratio_failures(column: dict[str, int]) -> list:
     bad = []
     for big, small in RATIO_IDENTITIES:
         if column[big] != 3 * column[small]:
-            bad.append(f"{big} != 3*{small} ({_excerpt(str(column[big]))} "
-                       f"vs 3*{_excerpt(str(column[small]))})")
+            bad.append(f"{big} != 3*{small} ({_excerpt_int(column[big])} "
+                       f"vs 3*{_excerpt_int(column[small])})")
     return bad
 
 
@@ -282,12 +304,12 @@ def validate_table(values: dict[int, dict[str, int]]) -> None:
     """
     for d, column in values.items():
         if column.keys() != _LABEL_SET:
-            raise CacheError(f"degree {_excerpt(str(d))} does not carry exactly the 13 labels")
+            raise CacheError(f"degree {_excerpt_int(d)} does not carry exactly the 13 labels")
         if d == 1 and column != SEED:
             raise CacheError("cached degree-1 column disagrees with the seed")
         bad = ratio_failures(column)
         if bad:
-            raise CacheError(f"degree {_excerpt(str(d))} fails ratio identities: "
+            raise CacheError(f"degree {_excerpt_int(d)} fails ratio identities: "
                              f"{'; '.join(bad)}")
     if sorted(values) != list(range(1, len(values) + 1)):
         raise CacheError("cached degrees are not exactly 1..N")
@@ -295,8 +317,8 @@ def validate_table(values: dict[int, dict[str, int]]) -> None:
         column = values[d]
         if column["h2.h2"] != points:
             raise CacheError(f"degree {d} fails the point count: h2.h2 = "
-                             f"{_excerpt(str(column['h2.h2']))}, the classical recursion "
-                             f"gives {_excerpt(str(points))}")
+                             f"{_excerpt_int(column['h2.h2'])}, the classical recursion "
+                             f"gives {_excerpt_int(points)}")
 
 
 def table_to_json(table: InvariantTable) -> str:
@@ -350,15 +372,15 @@ def _read_columns(text: str, dmax: int | None) -> dict[int, dict[str, int]]:
     end = (None, None)
     values: dict[int, dict[str, int]] = {}
     in_order, closed = True, not after_each
+    key_max = len(str(len(text)))
     for key, after in strings:
         if closed:
             raise CacheError("cache is not valid JSON: text after the object")
-        try:
-            d = int(key)
-        except ValueError as exc:
-            raise CacheError(f"bad degree key {_excerpt(key, quote=True)}") from exc
-        if str(d) != key:
+        # str(d) of an int d, with d <= N <= len(text): no int() of a long key
+        if not (len(key) <= key_max and key.isascii() and key.removeprefix("-").isdigit()
+                and str(int(key)) == key):
             raise CacheError(f"bad degree key {_excerpt(key, quote=True)}")
+        d = int(key)
         if d < 1 or after[:2] != ":{":
             if d < 1 or after[:1] == ":":
                 raise CacheError(f"bad entry for degree {_excerpt(key, quote=True)}")

@@ -17,9 +17,9 @@ beyond the polynomial substrate and the label tables:
 
 * the stencil compiler (`derive_stencil`), which derives the 149 integer
   weights from the gluing matrix, and the stencil read term by term
-  (`stencil_rhs`); the self-test evaluates the shipped kernel
-  `semple2._kernel`, which runs the same weights as straight-line code,
-  and `stencil_rhs` on fixed columns and requires the same outputs;
+  (`stencil_rhs`); the self-test evaluates `recursion_rhs`, which runs
+  the shipped kernel `semple2._kernel` and fills the five 3:1 rows, and
+  `stencil_rhs` on fixed 3:1 columns and requires the same outputs;
 
 * the degree recursion run literally on Fraction tail polynomials
   (`reference_table`), the differential oracle for the integer stencil
@@ -71,12 +71,14 @@ from .recursion import (
     DIVISOR_RULE,
     INVARIANT_LABELS,
     InvariantTable,
-    _excerpt,
+    RATIO_IDENTITIES,
+    _excerpt_int,
     binomial_row,
     compute_up_to,
     kontsevich_row,
     load_table,
     ratio_failures,
+    recursion_rhs,
 )
 from .contact import contact_coefficients
 
@@ -555,38 +557,44 @@ def _check_cap_independence(m2: GluingMatrix) -> dict[str, str]:
 
 
 def _check_stencil(m2: GluingMatrix) -> dict[str, str]:
-    """At degrees 2..6 the shipped kernel, fed its `degree_forms` of fixed
-    columns, must equal `stencil_rhs` of the stencil derived from the cap-2
-    gluing matrix on the same columns.
+    """At degrees 2..6 `recursion_rhs`, which runs the shipped kernel on its
+    `degree_forms` of fixed columns and fills the five 3:1 rows, must equal
+    `stencil_rhs` of the stencil derived from the cap-2 gluing matrix on
+    the same columns.
 
     Two bilinear forms that differ anywhere differ at inputs that satisfy
-    no small linear relation (after Freivalds).  The entries of the columns
-    of degrees 1..5 are successive squares of 3 modulo the prime 2**127 - 1;
-    successive powers of one base would not do, being in a 3:1 ratio.  An
-    exception from the kernel is a failure at the degree it is raised for.
+    no small linear relation (after Freivalds).  The columns of degrees 1..5
+    meet the 3:1 identities, which the stencil must then keep; their other
+    entries, the kernel's, are successive squares of 3 modulo 2**127 - 1
+    (powers of one base would be in a 3:1 ratio).  An exception from the
+    kernel is a failure at the degree it is raised for.
     """
     expected = "the shipped kernel computes the stencil derived from the gluing matrix"
     try:
         stencil = derive_stencil(m2)
     except ArithmeticError as exc:
         return _report("stencil-derivation", [str(exc)], "2..6", expected)
-    entries = [3]
-    while len(entries) < 5 * len(INVARIANT_LABELS):
-        entries.append(entries[-1] ** 2 % (2 ** 127 - 1))
-    columns = {dd: tuple(entries[13 * dd - 13:13 * dd]) for dd in range(1, 6)}
+    entry, columns = 3, {}
+    for dd in range(1, 6):
+        column = {}
+        for lbl in INVARIANT_LABELS:
+            column[lbl], entry = entry, entry ** 2 % (2 ** 127 - 1)
+        for big, small in RATIO_IDENTITIES:
+            column[big] = 3 * column[small]
+        columns[dd] = tuple(column.values())
     forms: dict[int, tuple] = {}
     bad = []
     for d in range(2, 7):
         try:
             forms[d - 1] = _kernel.degree_forms(d - 1, columns[d - 1])
-            got = tuple(_kernel.kernel(d, forms, binomial_row(3 * d - 6)))
+            got = recursion_rhs(d, forms, binomial_row(3 * d - 6))
         except Exception as exc:
             bad.append(f"d={d}: the kernel raised {exc!r}")
             break
         want = stencil_rhs(d, columns, stencil)
         if got != want:
             wrong = [lbl for lbl, g, w in zip(INVARIANT_LABELS, got, want) if g != w]
-            bad.append(f"d={d}: the kernel differs at {', '.join(wrong) or 'its output count'}")
+            bad.append(f"d={d}: the kernel differs at {', '.join(wrong)}")
     return _report("stencil-derivation", bad, "2..6", expected)
 
 
@@ -600,8 +608,8 @@ def _check_cache(cache_path: str, table: InvariantTable, dmax: int) -> dict[str,
     except CacheError as exc:
         return _report("cache-validation", [str(exc)], "-", "a valid cache file")
     degrees = [d for d in cached.degrees() if d <= dmax]
-    bad = [f"{lbl}(d={d})={_excerpt(str(cached.get(d, lbl)))} "
-           f"computed {_excerpt(str(table.get(d, lbl)))}"
+    bad = [f"{lbl}(d={d})={_excerpt_int(cached.get(d, lbl))} "
+           f"computed {_excerpt_int(table.get(d, lbl))}"
            for d in degrees for lbl in INVARIANT_LABELS
            if cached.get(d, lbl) != table.get(d, lbl)]
     return _report("cache-validation", bad,

@@ -131,16 +131,29 @@ def test_cache_with_wrong_point_count_fails_count(tmp_path, capsys):
     assert "point count" in err
 
 
-def test_tiny_hostile_cache_fails_count_at_once(tmp_path, capsys, monkeypatch):
-    # refused before the point row, which up to degree 3000 would take minutes
+def refused_at_once(tmp_path, capsys, monkeypatch, text):
+    """The exit code, stdout and stderr of `count` on a cache `text`, with
+    the point row made to raise."""
     def refuse():
         raise AssertionError("point row computed")
 
     monkeypatch.setattr(recursion, "_point_counts", refuse)
     path = tmp_path / "bad.json"
-    path.write_text('{"3000": {}}', encoding="utf-8")
-    code, out, err = run(capsys, "count", "--degree", "2", "--points", "5",
-                         "--cache", str(path))
+    path.write_text(text, encoding="utf-8")
+    return run(capsys, "count", "--degree", "2", "--points", "5", "--cache", str(path))
+
+
+def test_tiny_hostile_cache_fails_count_at_once(tmp_path, capsys, monkeypatch):
+    # 12 characters hold no 3000 degrees: the key is refused unread
+    code, out, err = refused_at_once(tmp_path, capsys, monkeypatch, '{"3000": {}}')
+    assert (code, out) == (4, "")
+    assert "bad degree key '3000'" in err
+
+
+def test_a_hostile_degree_the_text_could_hold_fails_count_before_the_point_row(
+        tmp_path, capsys, monkeypatch):
+    # the point row up to degree 3000 would take minutes
+    code, out, err = refused_at_once(tmp_path, capsys, monkeypatch, '{"3000": {}}' + " " * 1000)
     assert (code, out) == (4, "")
     assert "13 labels" in err
 
@@ -791,11 +804,17 @@ def test_verify_prints_the_bytes_of_json_dumps_also_where_a_report_needs_escapin
 HOSTILE_DIGITS = "1" + "0" * 299_999
 
 
-@pytest.mark.parametrize("where", ["degree key", "value"])
+#: how the message that refuses each hostile number starts
+HOSTILE_REFUSAL = {"degree key": "error: bad degree key '1",
+                   "value": "error: degree 2 fails the point count"}
+
+
+@pytest.mark.parametrize("where", HOSTILE_REFUSAL)
 def test_a_cache_with_a_300000_digit_number_is_refused_with_a_short_message(
         tmp_path, capsys, where):
-    # the key comes first, so the whole cache is read and validated; the
-    # value is degree 2's h2.h2, which the point count refuses
+    # the key, longer than the number of degrees the text could hold allows,
+    # is refused unread; the value is degree 2's h2.h2, which the point
+    # count refuses
     path = tmp_path / "cache.json"
     compute_up_to(8, cache_path=str(path))
     data = json.loads(path.read_text(encoding="utf-8"))
@@ -808,7 +827,7 @@ def test_a_cache_with_a_300000_digit_number_is_refused_with_a_short_message(
                          "--cache", str(path))
     assert (code, out) == (4, "")
     assert len(err.encode()) <= 300
-    assert err.startswith("error: degree ") and "(300000 characters)" in err
+    assert err.startswith(HOSTILE_REFUSAL[where]) and "(300000 characters)" in err
 
 
 def test_verify_quotes_a_300000_digit_cached_value_in_a_short_report(tmp_path, capsys):

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import json
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import semple2
-from semple2 import cli, recursion
+from semple2 import cli, recursion, verify
 from semple2._kernel import degree_forms
 from semple2.poly import monomial_weight, term
 from semple2.recursion import (
@@ -32,6 +33,7 @@ from semple2.recursion import (
     save_table,
     table_from_json,
     table_to_json,
+    validate_table,
 )
 from semple2.verify import (
     TABLE1_REFERENCE,
@@ -269,12 +271,11 @@ def _message(text):
 @pytest.mark.parametrize("text, message", [
     # up to 100 characters a key, label or number shows whole
     ('{"1": {"%s": "1"}}' % ("x" * 100), "unknown invariant label '%s'" % ("x" * 100)),
-    ('{"%s": {}}' % ("9" * 100), "degree %s does not carry exactly the 13 labels" % ("9" * 100)),
+    ('{"%s": {}}' % ("9" * 100), "bad degree key '%s'" % ("9" * 100)),
     # past that, its first 100 characters and its length
     ('{"1": {"%s": "1"}}' % ("x" * 101),
      "unknown invariant label '%s'... (101 characters)" % ("x" * 100)),
-    ('{"%s": {}}' % ("9" * 101),
-     "degree %s... (101 characters) does not carry exactly the 13 labels" % ("9" * 100)),
+    ('{"%s": {}}' % ("9" * 101), "bad degree key '%s'... (101 characters)" % ("9" * 100)),
     ('{"%s": {}}' % ("x" * 5000), "bad degree key '%s'... (5000 characters)" % ("x" * 100)),
 ])
 def test_a_cache_error_shows_at_most_100_characters_of_a_key_or_number(text, message):
@@ -294,6 +295,87 @@ def test_a_cache_error_shows_numbers_of_normal_size_whole(table8):
     assert _message(json.dumps(data)) == (
         f"degree 5 fails the point count: h2.h2 = {long[:100]}... (151 characters), "
         "the classical recursion gives 87304")
+
+
+@pytest.mark.parametrize("degree, message", [
+    (int("9" * 100), "degree %s does not carry exactly the 13 labels" % ("9" * 100)),
+    (int("9" * 101), "degree %s... (101 characters) does not carry exactly the 13 labels"
+     % ("9" * 100)),
+])
+def test_validation_shows_at_most_100_characters_of_a_degree(degree, message):
+    # a key this long is refused by the reader before it is a degree
+    with pytest.raises(CacheError) as info:
+        validate_table({degree: {}})
+    assert str(info.value) == message
+
+
+def _excerpt_cases():
+    """Ints whose decimal text is at and around every length from 1 to 1001
+    characters, of both signs, and 0."""
+    rng = random.Random(28)
+    for k in range(1, 1001):
+        for n in (10 ** k, 10 ** k - 1, rng.randrange(10 ** (k - 1), 10 ** k)):
+            yield n
+            yield -n
+    yield 0
+
+
+def test_an_int_is_excerpted_as_its_text_is():
+    for n in _excerpt_cases():
+        assert recursion._excerpt_int(n) == recursion._excerpt(str(n)), n
+
+
+@pytest.fixture
+def digit_limit_4300():
+    """The interpreter's int/str digit limit at its default, 4300, for one
+    test: past it a whole `str()` or `int()` raises."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int/str digit limit")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+#: a 300,000-digit number and the excerpt of it that a message shows
+HOSTILE = 10 ** 299_999
+HOSTILE_EXCERPT = "1" + "0" * 99 + "... (300000 characters)"
+
+
+def test_a_300000_digit_ratio_failure_is_reported_without_its_text(digit_limit_4300):
+    column = dict(SEED, h2z=HOSTILE, **{"hz.hdz": -HOSTILE})
+    assert ratio_failures(column) == [
+        f"h2z != 3*h2hd ({HOSTILE_EXCERPT} vs 3*1)",
+        f"hz.hdz != 3*hd2.hdz (-1{'0' * 98}... (300001 characters) vs 3*0)",
+    ]
+
+
+def test_a_300000_digit_cached_value_is_quoted_without_its_text(monkeypatch, digit_limit_4300):
+    table = compute_up_to(2)
+    cached = InvariantTable({1: dict(SEED), 2: dict(table.column(2), **{"h2.hdz": HOSTILE})})
+    monkeypatch.setattr(verify, "load_table", lambda path: cached)
+    report = verify._check_cache("cache.json", table, 2)
+    assert report["status"] == "fail"
+    assert report["actual"] == f"h2.hdz(d=2)={HOSTILE_EXCERPT} computed 0"
+
+
+def test_a_300000_digit_degree_key_is_refused_before_it_is_read(digit_limit_4300):
+    key = "1" + "0" * 299_999
+    with pytest.raises(CacheError) as info:
+        table_from_json('{"%s": {}}' % key)
+    assert str(info.value) == f"bad degree key '{key[:100]}'... (300000 characters)"
+
+
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_a_degree_key_of_normal_length_is_read_as_before(length):
+    # these texts have 9 to 11 characters, so a key of one or two digits is
+    # read as before, and a key of three is refused unread
+    text = '{"%s": {}}' % ("9" * length)
+    message = ("bad degree key '999'" if length == 3 else
+               f"degree {'9' * length} does not carry exactly the 13 labels")
+    with pytest.raises(CacheError) as info:
+        table_from_json(text)
+    assert str(info.value) == message
 
 
 def test_stencil_matches_the_fraction_recursion_through_degree20():
@@ -364,7 +446,51 @@ def kernel_split_loop_operations():
 def test_the_kernel_split_loop_keeps_its_operation_count():
     # the linear work of the stencil runs once per degree, in degree_forms;
     # an edit that moves it back into the loop fails here
-    assert kernel_split_loop_operations() == (110, 77, 9)
+    assert kernel_split_loop_operations() == (79, 51, 9)
+
+
+#: the rows of lower degrees that each row the kernel computes reads, as
+#: the README states them: a triangular system
+KERNEL_READS = {
+    "h2.h2": {"h2.h2"},
+    "h2hd": {"h2.h2", "h2hd"},
+    "h2.hd2": {"h2.h2", "h2.hd2"},
+    "hd2.hd2": {"h2.h2", "h2.hd2", "hd2.hd2"},
+    "hd2z": {"h2.h2", "h2.hd2", "h2hd", "hd2z"},
+    "h2.hdz": {"h2.h2", "h2.hd2", "h2.hdz"},
+    "hd2.hdz": {"h2.h2", "h2.hd2", "h2hd", "hd2.hd2", "h2.hdz", "hd2.hdz"},
+    "hdz.hdz": {"h2.h2", "h2.hd2", "h2hd", "h2.hdz", "hd2.hdz", "hdz.hdz"},
+}
+
+
+def test_every_weight_of_a_computed_row_reads_two_computed_rows(matrix2):
+    # the recursion closes on the eight rows that no 3:1 identity fills
+    filled = {INVARIANT_LABELS.index(big) for big, _ in recursion.RATIO_IDENTITIES}
+    terms = [t for terms in derive_stencil(matrix2) for t in terms if t[4] not in filled]
+    assert len(terms) == 92
+    assert [t for t in terms if {t[2], t[3]} & filled] == []
+
+
+def _kernel_row(label, columns, d):
+    forms = {dd: degree_forms(dd, c) for dd, c in columns.items()}
+    return recursion_rhs(d, forms, binomial_row(3 * d - 6))[INVARIANT_LABELS.index(label)]
+
+
+@pytest.mark.parametrize("label", KERNEL_READS)
+def test_each_computed_row_reads_exactly_the_rows_the_readme_names(label):
+    rng = random.Random(label)
+    columns = {dd: [rng.randrange(-10 ** 20, 10 ** 20) for _ in INVARIANT_LABELS]
+               for dd in range(1, 12)}
+    want = _kernel_row(label, columns, 12)
+    # junk in every row it does not read leaves it unchanged...
+    junk = {dd: [rng.randrange(10 ** 20) if lbl not in KERNEL_READS[label] else n
+                 for lbl, n in zip(INVARIANT_LABELS, c)] for dd, c in columns.items()}
+    assert _kernel_row(label, junk, 12) == want
+    # ...and a change in any row it reads changes it
+    for read in KERNEL_READS[label]:
+        i = INVARIANT_LABELS.index(read)
+        changed = {dd: c[:i] + [c[i] + 1] + c[i + 1:] for dd, c in columns.items()}
+        assert _kernel_row(label, changed, 12) != want, read
 
 
 def test_cache_rejects_wrong_point_count(tmp_path, table8):

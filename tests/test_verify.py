@@ -114,7 +114,7 @@ KERNEL_TEXT = Path(_kernel.__file__).read_text(encoding="utf-8")
 WEIGHT_EDIT = ("        2*v[3],  # 2\n", "        3*v[3],  # 2\n")
 
 #: a form index past the end of the tuple: the kernel raises IndexError
-RAISING_EDIT = ("B[41]", "B[99]")
+RAISING_EDIT = ("B[27]", "B[99]")
 
 
 @contextmanager
@@ -138,7 +138,9 @@ def test_a_changed_stencil_weight_fails_the_derivation_check(matrix2):
     assert KERNEL_TEXT.count(WEIGHT_EDIT[0]) == 1
     report = edited_kernel_report(KERNEL_TEXT.replace(*WEIGHT_EDIT), matrix2)
     assert report["status"] == "fail"
-    assert report["actual"] == "; ".join(f"d={d}: the kernel differs at h2hd" for d in range(2, 7))
+    # h2hd and h2z, which recursion_rhs fills as three times h2hd
+    assert report["actual"] == "; ".join(f"d={d}: the kernel differs at h2hd, h2z"
+                                         for d in range(2, 7))
 
 
 def edits_that_pass(matrix, edits):
@@ -158,7 +160,7 @@ def test_every_integer_literal_of_the_kernel_is_checked(matrix2):
     # each literal of the shipped kernel, one at a time, one larger
     literals = [node for node in ast.walk(ast.parse(KERNEL_TEXT))
                 if isinstance(node, ast.Constant) and type(node.value) is int]
-    assert len(literals) == 250
+    assert len(literals) == 167
     assert edits_that_pass(matrix2, [(n.lineno, n.col_offset, n.end_col_offset, str(n.value + 1))
                                      for n in literals]) == []
 
@@ -167,7 +169,7 @@ def test_every_sign_of_the_kernel_is_checked(matrix2):
     # each + or - of the shipped kernel, one at a time, flipped
     signs = [token for token in tokenize.generate_tokens(io.StringIO(KERNEL_TEXT).readline)
              if token.type == tokenize.OP and token.string in ("+", "-")]
-    assert len(signs) == 115
+    assert len(signs) == 77
     assert edits_that_pass(matrix2, [(*t.start, t.end[1], "-" if t.string == "+" else "+")
                                      for t in signs]) == []
 
