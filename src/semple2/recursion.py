@@ -52,11 +52,12 @@ that no subcommand imports `dataclasses`.  `table_to_json` writes the
 cache in the layout of `json.dumps(..., indent=2)` itself, byte for byte,
 and `table_from_json` reads it back with string operations alone, so
 neither writing nor reading a cache imports `json`.  A cache is read back
-only in the form that `table_to_json` writes, up to JSON whitespace and
-key order (a backslash escape is refused), and then validated.  A query
-that reads degree k parses and validates only degrees 1..k of a cache that
-holds them first and in order.  `DIVISOR_RULE` is the one statement of
-the divisor multipliers, read by the kernel and by the oracles.
+only in the exact text that `save_table` writes (the final newline
+optional), by comparing its pieces with the fixed keys, labels and
+separators of that layout, and then validated.  A query that reads degree
+k splits, parses and validates only degrees 1..k.  `DIVISOR_RULE` is the
+one statement of the divisor multipliers, read by the kernel and by the
+oracles.
 """
 
 import os
@@ -335,113 +336,89 @@ def table_to_json(table: InvariantTable) -> str:
     return "{\n" + ",\n".join(columns) + "\n}" if columns else "{}"
 
 
-#: deletes the four characters JSON allows as whitespace between tokens
-_NO_SPACE = str.maketrans("", "", " \t\n\r")
+#: what `table_to_json` writes between the quotes of one degree, from its
+#: key to its last value: a None where the value of a label goes
+_DEGREE_LAYOUT = (": {\n    ", *[piece for lbl in INVARIANT_LABELS
+                                 for piece in (lbl, ": ", None, ",\n    ")][:-1])
+#: its fixed pieces: the separators, and the labels in order
+_SEPARATORS, _LABELS = list(_DEGREE_LAYOUT[::2]), list(_DEGREE_LAYOUT[1::4])
+#: the pieces of one degree: its key, the layout, and the text after its last value
+_PIECES = 2 + len(_DEGREE_LAYOUT)
+#: the text after the last value of a degree: when another degree follows,
+#: and when none does
+_NEXT, _ENDS = "\n  },\n  ", ("\n  }\n}", "\n  }\n}\n")
 
 
-def _integer_error(text: str, label: str, key: str, exc: ValueError) -> CacheError:
-    """Why `int(text)` refused the value of `label` at the degree `key`."""
-    # int() refuses a canonical decimal only past the digit limit
-    digits = text.removeprefix("-")
-    if digits.isascii() and digits.isdecimal() and digits[0] != "0":
-        return CacheError(f"{label} at degree {_excerpt(key)} has more digits than the "
-                          f"interpreter's int/str conversion limit: {exc}")
-    return CacheError(f"bad integer for {label} at degree {_excerpt(key)}")
+def _layout_error(d: int, block: list[str]) -> CacheError:
+    """The refusal of degree d, whose pieces from its key on are `block`:
+    it quotes the first piece that is not the one `table_to_json` writes."""
+    for want, got in zip((str(d), *_DEGREE_LAYOUT), block):
+        if want is not None and got != want:
+            return CacheError(f"degree {d} of the cache reads {_excerpt(got, quote=True)} "
+                              f"where semple2 writes {want!r}")
+    return CacheError(f"the cache ends inside degree {d}: {_excerpt(block[-1], quote=True)}")
 
 
 def _read_columns(text: str, dmax: int | None) -> dict[int, dict[str, int]]:
-    """The columns of a cache text by degree, in file order, unvalidated.
+    """The columns of a cache text by degree, unvalidated.
 
-    The text must be one JSON object of degree keys, each mapping to an
-    object of label -> decimal string.  A string holds no backslash escape,
-    so every '"' in the text opens or closes one: the pieces of
-    `text.split('"')` are by turns the text between two strings, which must
-    be JSON punctuation and whitespace, and a string.  When the first dmax
-    keys are 1..dmax in order, reading stops after the dmax-th column.
+    The text must be what `save_table` writes, the final newline optional:
+    `table_to_json` of degrees 1..N, which is `{}` for N = 0.  No piece of
+    it between two '"' holds another, so `text.split('"')` gives by turns
+    the text between two strings and a string, and each degree is a fixed
+    run of pieces: its key str(d), the 13 labels in order, their values
+    and fixed separators.  The text is split only up to degree dmax, and
+    reading stops there.  A value must be str(n) of an int n before int()
+    reads it.
     """
-    pieces = text.split('"')
-    # the punctuation before the first string and after each one, whitespace
-    # deleted; no piece between two strings holds a '"', so a '"' after the
-    # last string marks it as not closed
-    head, *after_each = '"'.join(pieces[::2]).translate(_NO_SPACE).split('"')
-    if len(pieces) % 2 == 0:
-        after_each.append('"')
-    if head != ("{" if after_each else "{}"):
-        raise CacheError("cache must be a JSON object keyed by degree")
-    strings = zip(pieces[1::2], after_each)
-    end = (None, None)
+    if text in ("{}", "{}\n"):
+        return {}
+    pieces = text.split('"', -1 if dmax is None else _PIECES * dmax)
+    if len(pieces) == 1 or pieces[0] != "{\n  ":
+        raise CacheError(f"the cache opens with {_excerpt(pieces[0], quote=True)} "
+                         "where semple2 writes '{\\n  ' or '{}'")
     values: dict[int, dict[str, int]] = {}
-    in_order, closed = True, not after_each
-    key_max = len(str(len(text)))
-    for key, after in strings:
-        if closed:
-            raise CacheError("cache is not valid JSON: text after the object")
-        # str(d) of an int d, with d <= N <= len(text): no int() of a long key
-        if not (len(key) <= key_max and key.isascii() and key.removeprefix("-").isdigit()
-                and str(int(key)) == key):
-            raise CacheError(f"bad degree key {_excerpt(key, quote=True)}")
-        d = int(key)
-        if d < 1 or after[:2] != ":{":
-            if d < 1 or after[:1] == ":":
-                raise CacheError(f"bad entry for degree {_excerpt(key, quote=True)}")
-            raise CacheError("cache is not valid JSON: expected ':' after "
-                             f"{_excerpt(key, quote=True)}")
-        if d in values:
-            raise CacheError(f"cache repeats the key {_excerpt(key, quote=True)}")
+    last = (len(pieces) + _PIECES - 2) // _PIECES
+    for d in range(1, last + 1):
+        block = pieces[_PIECES * d - _PIECES + 1:_PIECES * d + 1]
+        if (len(block) < _PIECES or block[0] != str(d) or block[1:-1:2] != _SEPARATORS
+                or block[2::4] != _LABELS):
+            raise _layout_error(d, block)
         column = values[d] = {}
-        if after == ":{":  # a label and its value follow, then each after a ','
-            for label, after in strings:
-                if label not in _LABEL_SET:
-                    raise CacheError(f"unknown invariant label {_excerpt(label, quote=True)}")
-                if after != ":":
-                    if after[:1] == ":":
-                        raise CacheError(f"bad integer for {label} at degree {_excerpt(key)}")
-                    raise CacheError(f"cache is not valid JSON: expected ':' after {label!r}")
-                if label in column:
-                    raise CacheError(f"cache repeats the key {label!r}")
-                value, after = next(strings, end)
-                if value is None:
-                    break
-                try:
-                    n = int(value)
-                except ValueError as exc:
-                    raise _integer_error(value, label, key, exc) from exc
-                if str(n) != value:
-                    raise CacheError(f"bad integer for {label} at degree {_excerpt(key)}")
-                column[label] = n
-                if after != ",":
-                    break
-            else:
-                after = None
-        else:
-            after = after[2:]
-        if after == "}}":
-            closed = True
-        elif after != "},":
-            raise CacheError(f"cache is not valid JSON: degree {_excerpt(key, quote=True)} "
-                             "is not closed")
-        in_order = in_order and d == len(values)
-        if in_order and d == dmax:
-            return values
-    if not closed:
-        raise CacheError("cache is not valid JSON: the object is not closed")
+        for label, number in zip(INVARIANT_LABELS, block[4::4]):
+            digits = number.removeprefix("-")
+            if not (digits.isascii() and digits.isdigit() and (digits[0] != "0" or number == "0")):
+                raise CacheError(f"bad integer for {label} at degree {d}: "
+                                 f"{_excerpt(number, quote=True)}")
+            try:
+                column[label] = int(number)
+            except ValueError as exc:  # only a decimal past the digit limit
+                raise CacheError(f"{label} at degree {d} has more digits than the "
+                                 f"interpreter's int/str conversion limit: {exc}") from exc
+        # the last piece holds the rest of the text, unread past degree dmax
+        after = block[-1]
+        if not (after == _NEXT if d < last else
+                after in _ENDS or d == dmax and after.startswith(_NEXT)):
+            raise CacheError(f"degree {d} of the cache is followed by "
+                             f"{_excerpt(after, quote=True)}")
     return values
 
 
 def table_from_json(text: str, dmax: int | None = None) -> InvariantTable:
-    """Parse and validate a cache; accept only what `table_to_json` writes,
-    up to JSON whitespace (space, tab, LF, CR) and the order of the keys.
+    """Parse and validate a cache; accept only the text `save_table`
+    writes (`table_to_json`, the final newline optional).
 
-    A degree key must read `str(d)` for an int d >= 1, and a value must be
-    the string `str(n)` of its int n, so that no other spelling (spaces,
-    underscores, leading zeros, other digit scripts, JSON numbers or
-    booleans, backslash escapes) passes for an invariant; a key given
-    twice is refused.  The text is read with string operations alone, so
+    Each degree key must read str(d) for d = 1, 2, ... in turn, the labels
+    must come in INVARIANT_LABELS order, each value must be str(n) of an
+    int n, and the text between the strings must be the separators of
+    `json.dumps(..., indent=2)`: no other spelling (whitespace, key order,
+    leading zeros, other digit scripts, JSON numbers or booleans, backslash
+    escapes) passes.  The text is read with string operations alone, so
     reading a cache never imports `json`.
 
-    With `dmax`, when the cache holds the degrees 1..dmax first and in
-    order, only those are parsed and validated, and the table holds just
-    them; otherwise the whole cache is.  Any refusal is a CacheError.
+    With `dmax`, only degrees 1..dmax are split, parsed and validated, and
+    the table holds just them (all of them when the cache holds fewer).
+    Any refusal is a CacheError.
     """
     values = _read_columns(text, dmax)
     validate_table(values)
@@ -501,10 +478,9 @@ def save_table(table: InvariantTable, path: str) -> None:
 def compute_up_to(dmax: int, cache_path: str | None = None) -> InvariantTable:
     """Invariants for degrees 1..dmax, resuming from a cache when given.
 
-    Only the cached degrees 1..dmax are read and validated when the cache
-    holds them first and in order; the whole cache is when it holds fewer,
-    so that a rewrite keeps every checked degree, or holds them in another
-    order.  The cache is rewritten only when this call adds a degree to it.
+    Only the cached degrees 1..dmax are read and validated; the whole
+    cache is when it holds fewer, so that a rewrite keeps every checked
+    degree.  The cache is rewritten only when this call adds a degree to it.
     """
     if dmax < 1:
         raise ValueError("dmax must be at least 1")

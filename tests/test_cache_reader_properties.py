@@ -1,4 +1,5 @@
-"""The cache reader against a json-based reader of the same caches."""
+"""The cache reader: every text semple2 writes is read back, any other is
+refused, and a json-based reader is the reference for what a cache holds."""
 
 import json
 
@@ -10,8 +11,10 @@ from semple2.recursion import (
     CacheError,
     INVARIANT_LABELS,
     InvariantTable,
+    _read_columns,
     compute_up_to,
     table_from_json,
+    table_to_json,
     validate_table,
 )
 
@@ -76,17 +79,19 @@ def _data(dmax):
             for d in table.degrees()}
 
 
-#: valid caches of degrees 0, 1, 2, 6 and 40: as semple2 writes them, as
-#: compact `json.dumps` writes them, and in tab-indented CRLF lines with
-#: every key order reversed
-TEXTS = {}
+#: valid caches of degrees 0, 1, 2, 6 and 40 as semple2 writes them, which
+#: the reader reads; and those past degree 0 as compact `json.dumps` writes
+#: them and in tab-indented CRLF lines with every key order reversed, which
+#: hold the same table for the json reader and which the reader refuses
+TEXTS, FOREIGN = {}, {}
 for _dmax in (0, 1, 2, 6, 40):
     _d = _data(_dmax)
     TEXTS[f"indent {_dmax}"] = json.dumps(_d, indent=2) + "\n"
-    TEXTS[f"compact {_dmax}"] = json.dumps(_d)
-    TEXTS[f"reversed {_dmax}"] = json.dumps(
-        {key: dict(reversed(column.items())) for key, column in reversed(_d.items())},
-        indent="\t").replace("\n", "\r\n")
+    if _dmax:  # both write the empty cache as semple2 does
+        FOREIGN[f"compact {_dmax}"] = json.dumps(_d)
+        FOREIGN[f"reversed {_dmax}"] = json.dumps(
+            {key: dict(reversed(column.items())) for key, column in reversed(_d.items())},
+            indent="\t").replace("\n", "\r\n")
 
 #: what an edit inserts or substitutes: JSON punctuation and whitespace,
 #: whitespace JSON does not allow, escapes, and the characters of a spelling
@@ -127,18 +132,10 @@ def read(reader, text):
         return None
 
 
-def assert_agrees_with_the_json_reader(text):
-    got, want = read(table_from_json, text), read(json_reader, text)
-    if got is not None:
-        # json.loads accepted the text, and both read the same table
-        assert got == want
-    if want is not None and "\\" not in text:
-        assert got == want
-
-
 _D2 = TEXTS["indent 2"]
 
-#: texts next to a valid degree-2 cache that the json reader refuses
+#: texts next to a valid degree-2 cache that the json reader refuses: not
+#: JSON, or a key or value that is not the str() of its int
 REFUSED = {
     "truncated": _D2.rstrip()[:-1],
     "cut in a value": _D2[:_D2.index('"1"') + 2],
@@ -154,6 +151,11 @@ REFUSED = {
     "repeated degree": _D2.rstrip()[:-1] + ', "2": {}}',
     "array of degrees": "[" + _D2 + "]",
     "form feed": _D2.replace(": ", ":\f", 1),
+    "cut before the next degree": _D2[:_D2.index('"2"')],
+    "zero-led key": _D2.replace('"2": {', '"02": {'),
+    "zero-led value": _D2.replace('"h2hd": "1"', '"h2hd": "01"', 1),
+    "negative zero": _D2.replace('"hd2z": "0"', '"hd2z": "-0"'),
+    "full-width digit": _D2.replace('"h2hd": "1"', '"h2hd": "\uff11"', 1),
 }
 
 
@@ -165,13 +167,52 @@ def test_the_reader_refuses_what_the_json_reader_refuses(name):
 
 
 @pytest.mark.parametrize("name", TEXTS)
-def test_the_reader_reads_every_valid_layout_as_the_json_reader_does(name):
-    table = table_from_json(TEXTS[name])
-    assert table == json_reader(TEXTS[name])
-    assert len(table.degrees()) == int(name.split()[1])
+def test_the_reader_reads_every_cache_semple2_writes_as_the_json_reader_does(name):
+    for text in (TEXTS[name], TEXTS[name][:-1]):
+        table = table_from_json(text)
+        assert table == json_reader(text)
+        assert len(table.degrees()) == int(name.split()[1])
+
+
+@pytest.mark.parametrize("name", FOREIGN)
+def test_the_reader_refuses_a_valid_cache_in_another_layout(name):
+    # the json reader reads the same table as from the layout semple2 writes
+    text = FOREIGN[name]
+    assert json_reader(text) == json_reader(TEXTS["indent " + name.split()[1]])
+    with pytest.raises(CacheError):
+        table_from_json(text)
+
+
+#: an invariant as a table may hold one: of either sign, or 0, with up to
+#: 1000 digits
+INTEGERS = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                     st.integers(-(10 ** 1000 - 1), 10 ** 1000 - 1))
+
+
+@st.composite
+def tables(draw):
+    """A table over degrees 1..N, N <= 8, of any values: the reader does
+    not validate them."""
+    return InvariantTable({d: {label: draw(INTEGERS) for label in INVARIANT_LABELS}
+                           for d in range(1, draw(st.integers(0, 8)) + 1)})
+
+
+@PROPERTY
+@given(tables())
+def test_every_text_the_writer_writes_is_read_back_also_in_part(table):
+    n = len(table.values)
+    for end in ("", "\n"):
+        text = table_to_json(table) + end
+        for dmax in (None, *range(1, n + 2)):
+            top = n if dmax is None else min(n, dmax)
+            assert _read_columns(text, dmax) == {d: table.values[d] for d in range(1, top + 1)}
 
 
 @PROPERTY
 @given(edited_texts())
-def test_an_edited_cache_is_read_as_the_json_reader_reads_it_or_refused(text):
-    assert_agrees_with_the_json_reader(text)
+def test_an_edited_cache_is_refused_or_is_the_text_of_what_was_read(text):
+    got = read(table_from_json, text)
+    if got is not None:
+        assert text == table_to_json(got) + ("\n" if text.endswith("\n") else "")
+        # json.loads reads the same table from it
+        assert got == json_reader(text)

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 import semple2
 from semple2 import cli, recursion
-from semple2.recursion import INVARIANT_LABELS, compute_up_to, load_table, save_table
+from semple2.recursion import (
+    INVARIANT_LABELS,
+    compute_up_to,
+    load_table,
+    save_table,
+    table_to_json,
+)
 from semple2.verify import TABLE1_REFERENCE
 
 TABLE6_CSV = """\
@@ -144,18 +150,20 @@ def refused_at_once(tmp_path, capsys, monkeypatch, text):
 
 
 def test_tiny_hostile_cache_fails_count_at_once(tmp_path, capsys, monkeypatch):
-    # 12 characters hold no 3000 degrees: the key is refused unread
-    code, out, err = refused_at_once(tmp_path, capsys, monkeypatch, '{"3000": {}}')
+    # a cache opens with degree 1: a first key of 3000 is refused unread
+    text = table_to_json(compute_up_to(1)).replace('"1": {', '"3000": {')
+    code, out, err = refused_at_once(tmp_path, capsys, monkeypatch, text)
     assert (code, out) == (4, "")
-    assert "bad degree key '3000'" in err
+    assert "degree 1 of the cache reads '3000' where semple2 writes '1'" in err
 
 
 def test_a_hostile_degree_the_text_could_hold_fails_count_before_the_point_row(
         tmp_path, capsys, monkeypatch):
-    # the point row up to degree 3000 would take minutes
-    code, out, err = refused_at_once(tmp_path, capsys, monkeypatch, '{"3000": {}}' + " " * 1000)
+    # the point row up to degree 3000 would take minutes; degree 2 follows 1
+    text = table_to_json(compute_up_to(8)).replace('"2": {', '"3000": {')
+    code, out, err = refused_at_once(tmp_path, capsys, monkeypatch, text)
     assert (code, out) == (4, "")
-    assert "13 labels" in err
+    assert "degree 2 of the cache reads '3000' where semple2 writes '2'" in err
 
 
 def test_a_cache_value_semple2_never_writes_fails_count(tmp_path, capsys):
@@ -537,7 +545,7 @@ def test_verify_compares_the_cache_with_the_computed_table(tmp_path, capsys, tab
     save_table(table8, str(path))
     data = json.loads(path.read_text(encoding="utf-8"))
     data["5"]["hd2z"] = str(int(data["5"]["hd2z"]) + 1)
-    path.write_text(json.dumps(data), encoding="utf-8")
+    path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
     load_table(str(path))
     code, out, err = run(capsys, "verify", "--max-degree", "6", "--cache", str(path))
     assert code == 4
@@ -793,11 +801,14 @@ def test_verify_prints_the_bytes_of_json_dumps_also_where_a_report_needs_escapin
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
     # the cache-validation report quotes the unknown label with repr: a
     # non-ASCII letter, a quote and doubled backslashes
-    path.write_text('{"1": {"h\u00e9\'\\\\": "1"}}', encoding="utf-8")
+    label = "h\u00e9'\\\\"
+    path.write_text(path.read_text(encoding="utf-8").replace('"h2hd"', f'"{label}"', 1),
+                    encoding="utf-8")
     code, out, _ = run(capsys, "verify", "--max-degree", "2", "--cache", str(path))
     assert code == 4
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
-    assert json.loads(out)[-1]["actual"] == "unknown invariant label \"h\u00e9'\\\\\\\\\""
+    assert json.loads(out)[-1]["actual"] == \
+        "degree 1 of the cache reads \"h\u00e9'\\\\\\\\\" where semple2 writes 'h2hd'"
 
 
 #: a 300,000-digit number, 300 KB that a message must not echo
@@ -805,24 +816,25 @@ HOSTILE_DIGITS = "1" + "0" * 299_999
 
 
 #: how the message that refuses each hostile number starts
-HOSTILE_REFUSAL = {"degree key": "error: bad degree key '1",
+HOSTILE_REFUSAL = {"degree key": "error: degree 2 of the cache reads '1",
                    "value": "error: degree 2 fails the point count"}
 
 
 @pytest.mark.parametrize("where", HOSTILE_REFUSAL)
 def test_a_cache_with_a_300000_digit_number_is_refused_with_a_short_message(
         tmp_path, capsys, where):
-    # the key, longer than the number of degrees the text could hold allows,
-    # is refused unread; the value is degree 2's h2.h2, which the point
-    # count refuses
+    # the key, which is not the degree 2 that follows degree 1, is refused
+    # unread; the value is degree 2's h2.h2, which the point count refuses
     path = tmp_path / "cache.json"
     compute_up_to(8, cache_path=str(path))
-    data = json.loads(path.read_text(encoding="utf-8"))
+    text = path.read_text(encoding="utf-8")
     if where == "degree key":
-        data = {HOSTILE_DIGITS: {}, **data}
+        text = text.replace('"2": {', f'"{HOSTILE_DIGITS}": {{')
     else:
+        data = json.loads(text)
         data["2"]["h2.h2"] = HOSTILE_DIGITS
-    path.write_text(json.dumps(data, indent=2), encoding="utf-8")
+        text = json.dumps(data, indent=2) + "\n"
+    path.write_text(text, encoding="utf-8")
     code, out, err = run(capsys, "count", "--degree", "2", "--points", "5",
                          "--cache", str(path))
     assert (code, out) == (4, "")

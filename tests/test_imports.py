@@ -140,7 +140,8 @@ def test_json_loads_only_for_the_free_form_json_outputs_and_an_escaped_report(tm
     compute_up_to(8, cache_path=cache)
     # the cache-validation report quotes the unknown label, which is not ASCII
     foreign = tmp_path / "foreign.json"
-    foreign.write_text('{"1": {"h\u00e9": "1"}}', encoding="utf-8")
+    with open(cache, encoding="utf-8") as handle:
+        foreign.write_text(handle.read().replace('"h2hd"', '"h\u00e9"', 1), encoding="utf-8")
     argvs = {
         "cache read": [("count", "--degree", "3", "--points", "8", "--cache", cache),
                        ("contact", "--degree", "8", "--plucker", "3,1,0", "--cache", cache),

@@ -164,27 +164,41 @@ def test_cache_rejects_garbage(tmp_path):
         load_table(str(path))
 
 
+def _data(table):
+    """The cache of `table` as a dict of decimal strings, to put a defect in."""
+    return json.loads(table_to_json(table))
+
+
+def _cache(data):
+    """`data` in the layout `save_table` writes: a cache whose only defect
+    is the one a test put in `data`."""
+    return json.dumps(data, indent=2, ensure_ascii=False) + "\n"
+
+
 def test_cache_rejects_bad_seed(tmp_path, table8):
-    column = {lbl: str(v) for lbl, v in table8.column(1).items()}
-    column["h2hd"] = "2"  # also breaks h2z = 3*h2hd
+    data = _data(table8)
+    data["1"]["h2hd"] = "2"  # also breaks h2z = 3*h2hd
     path = tmp_path / "cache.json"
-    path.write_text(json.dumps({"1": column}), encoding="utf-8")
-    with pytest.raises(CacheError):
+    path.write_text(_cache(data), encoding="utf-8")
+    with pytest.raises(CacheError, match="^cached degree-1 column disagrees with the seed$"):
         load_table(str(path))
 
 
 def test_cache_rejects_ratio_violation(tmp_path, table8):
-    column = {lbl: str(v) for lbl, v in table8.column(3).items()}
-    column["hz.hz"] = str(int(column["hz.hz"]) + 1)
+    data = _data(table8)
+    data["3"]["hz.hz"] = str(int(data["3"]["hz.hz"]) + 1)
     path = tmp_path / "cache.json"
-    path.write_text(json.dumps({"3": column}), encoding="utf-8")
-    with pytest.raises(CacheError):
+    path.write_text(_cache(data), encoding="utf-8")
+    with pytest.raises(CacheError, match="^degree 3 fails ratio identities: hz.hz != 3"):
         load_table(str(path))
 
 
 def test_cache_rejects_missing_labels():
-    with pytest.raises(CacheError):
-        table_from_json('{"2": {"h2hd": "1"}}')
+    data = _data(compute_up_to(2))
+    del data["2"]["h2hd"]
+    with pytest.raises(CacheError) as info:
+        table_from_json(_cache(data))
+    assert str(info.value) == "degree 2 of the cache reads 'h2z' where semple2 writes 'h2hd'"
 
 
 def test_cache_save_is_loadable(tmp_path, table8):
@@ -196,19 +210,18 @@ def test_cache_save_is_loadable(tmp_path, table8):
 def _value(d, label, value):
     def mutate(data):
         data[str(d)][label] = value
-        return json.dumps(data)
+        return _cache(data)
     return mutate
 
 
 def _key(key):
     def mutate(data):
-        data[key] = data.pop("2")
-        return json.dumps(data)
+        return _cache(data).replace('"2": {', f'"{key}": {{', 1)
     return mutate
 
 
 def _repeated_key(data):
-    return json.dumps(data)[:-1] + ', "2": ' + json.dumps(data["2"]) + "}"
+    return _cache(data).replace('"3": {', '"2": {', 1)
 
 
 #: spellings of a degree-6 cache that `table_to_json` never writes, each of
@@ -245,20 +258,31 @@ def test_the_cache_writer_keeps_the_bytes_of_json_dumps_with_indent_2(dmax):
 
 @pytest.mark.parametrize("name", FOREIGN_SPELLINGS)
 def test_the_cache_reader_accepts_only_what_the_writer_writes(name):
-    text = FOREIGN_SPELLINGS[name](json.loads(table_to_json(compute_up_to(6))))
+    text = FOREIGN_SPELLINGS[name](_data(compute_up_to(6)))
     with pytest.raises(CacheError):
         table_from_json(text)
 
 
-@pytest.mark.parametrize("text, message", [
-    ('{"x": {}}', "bad degree key 'x'"),
-    ('{"0": {}}', "bad entry for degree '0'"),
-    ('{"1": []}', "bad entry for degree '1'"),
-    ('{"1": {"h3": "1"}}', "unknown invariant label 'h3'"),
+#: a valid degree-2 cache, as semple2 writes it
+D2_CACHE = _cache(_data(InvariantTable({1: SEED_COLUMN, 2: D2_COLUMN})))
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ('"1": {', '"x": {', "degree 1 of the cache reads 'x' where semple2 writes '1'"),
+    ('"1": {', '"0": {', "degree 1 of the cache reads '0' where semple2 writes '1'"),
+    ('"2": {', '"3": {', "degree 2 of the cache reads '3' where semple2 writes '2'"),
+    ('"2": {', '"1": {', "degree 2 of the cache reads '1' where semple2 writes '2'"),
+    ('"2": {', '"02": {', "degree 2 of the cache reads '02' where semple2 writes '2'"),
+    ('"2": {', '"+2": {', "degree 2 of the cache reads '+2' where semple2 writes '2'"),
+    ('"2": {', '"2 ": {', "degree 2 of the cache reads '2 ' where semple2 writes '2'"),
+    ('"2": {', '"\uff12": {', "degree 2 of the cache reads '\uff12' where semple2 writes '2'"),
+    ('"1": {', '"1": [', "degree 1 of the cache reads ': [\\n    ' where semple2 writes "
+     "': {\\n    '"),
+    ('"h2hd"', '"h3"', "degree 1 of the cache reads 'h3' where semple2 writes 'h2hd'"),
 ])
-def test_the_cache_reader_names_a_bad_degree_or_label(text, message):
+def test_the_cache_reader_names_a_bad_degree_or_label(old, new, message):
     with pytest.raises(CacheError) as info:
-        table_from_json(text)
+        table_from_json(D2_CACHE.replace(old, new, 1))
     assert str(info.value) == message
 
 
@@ -268,31 +292,42 @@ def _message(text):
     return str(info.value)
 
 
-@pytest.mark.parametrize("text, message", [
+@pytest.mark.parametrize("old, new, message", [
     # up to 100 characters a key, label or number shows whole
-    ('{"1": {"%s": "1"}}' % ("x" * 100), "unknown invariant label '%s'" % ("x" * 100)),
-    ('{"%s": {}}' % ("9" * 100), "bad degree key '%s'" % ("9" * 100)),
+    ('"h2hd"', '"%s"' % ("x" * 100),
+     "degree 1 of the cache reads '%s' where semple2 writes 'h2hd'" % ("x" * 100)),
+    ('"1": {', '"%s": {' % ("9" * 100),
+     "degree 1 of the cache reads '%s' where semple2 writes '1'" % ("9" * 100)),
+    ('"h2hd": "1"', '"h2hd": "%s"' % ("0" * 100),
+     "bad integer for h2hd at degree 1: '%s'" % ("0" * 100)),
     # past that, its first 100 characters and its length
-    ('{"1": {"%s": "1"}}' % ("x" * 101),
-     "unknown invariant label '%s'... (101 characters)" % ("x" * 100)),
-    ('{"%s": {}}' % ("9" * 101), "bad degree key '%s'... (101 characters)" % ("9" * 100)),
-    ('{"%s": {}}' % ("x" * 5000), "bad degree key '%s'... (5000 characters)" % ("x" * 100)),
+    ('"h2hd"', '"%s"' % ("x" * 101),
+     "degree 1 of the cache reads '%s'... (101 characters) where semple2 writes 'h2hd'"
+     % ("x" * 100)),
+    ('"1": {', '"%s": {' % ("9" * 101),
+     "degree 1 of the cache reads '%s'... (101 characters) where semple2 writes '1'"
+     % ("9" * 100)),
+    ('"1": {', '"%s": {' % ("x" * 5000),
+     "degree 1 of the cache reads '%s'... (5000 characters) where semple2 writes '1'"
+     % ("x" * 100)),
+    ('"h2hd": "1"', '"h2hd": "%s"' % ("0" * 101),
+     "bad integer for h2hd at degree 1: '%s'... (101 characters)" % ("0" * 100)),
 ])
-def test_a_cache_error_shows_at_most_100_characters_of_a_key_or_number(text, message):
-    assert _message(text) == message
+def test_a_cache_error_shows_at_most_100_characters_of_a_key_or_number(old, new, message):
+    assert _message(D2_CACHE.replace(old, new, 1)) == message
 
 
 def test_a_cache_error_shows_numbers_of_normal_size_whole(table8):
-    data = json.loads(table_to_json(table8))
+    data = _data(table8)
     data["5"]["h2z"] = "153121"
-    assert _message(json.dumps(data)) == \
+    assert _message(_cache(data)) == \
         "degree 5 fails ratio identities: h2z != 3*h2hd (153121 vs 3*51040)"
     data["5"]["h2z"], data["5"]["h2.h2"] = "153120", "87305"
-    assert _message(json.dumps(data)) == \
+    assert _message(_cache(data)) == \
         "degree 5 fails the point count: h2.h2 = 87305, the classical recursion gives 87304"
     long = "1" + "0" * 150
     data["5"]["h2.h2"] = long
-    assert _message(json.dumps(data)) == (
+    assert _message(_cache(data)) == (
         f"degree 5 fails the point count: h2.h2 = {long[:100]}... (151 characters), "
         "the classical recursion gives 87304")
 
@@ -362,20 +397,30 @@ def test_a_300000_digit_cached_value_is_quoted_without_its_text(monkeypatch, dig
 def test_a_300000_digit_degree_key_is_refused_before_it_is_read(digit_limit_4300):
     key = "1" + "0" * 299_999
     with pytest.raises(CacheError) as info:
-        table_from_json('{"%s": {}}' % key)
-    assert str(info.value) == f"bad degree key '{key[:100]}'... (300000 characters)"
+        table_from_json(D2_CACHE.replace('"2": {', '"%s": {' % key))
+    assert str(info.value) == \
+        f"degree 2 of the cache reads '{key[:100]}'... (300000 characters) where semple2 writes '2'"
 
 
-@pytest.mark.parametrize("length", [1, 2, 3])
-def test_a_degree_key_of_normal_length_is_read_as_before(length):
-    # these texts have 9 to 11 characters, so a key of one or two digits is
-    # read as before, and a key of three is refused unread
-    text = '{"%s": {}}' % ("9" * length)
-    message = ("bad degree key '999'" if length == 3 else
-               f"degree {'9' * length} does not carry exactly the 13 labels")
+def test_a_zero_led_300000_digit_value_is_refused_before_int_reads_it(digit_limit_4300):
+    # under the digit limit, an int() of it would raise "more digits than"
+    value = "0" + "1" * 299_999
+    data = json.loads(D2_CACHE)
+    data["2"]["h2.h2"] = value
     with pytest.raises(CacheError) as info:
+        table_from_json(_cache(data))
+    assert str(info.value) == \
+        f"bad integer for h2.h2 at degree 2: '{value[:100]}'... (300000 characters)"
+
+
+def test_a_degree_k_read_converts_no_value_past_degree_k(digit_limit_4300):
+    data = _data(compute_up_to(3))
+    data["3"]["h2.hdz"] = "1" + "0" * 299_999
+    text = _cache(data)
+    assert table_from_json(text, 2) == compute_up_to(2)
+    # the whole read converts it, and the digit limit refuses that
+    with pytest.raises(CacheError, match="^h2.hdz at degree 3 has more digits than"):
         table_from_json(text)
-    assert str(info.value) == message
 
 
 def test_stencil_matches_the_fraction_recursion_through_degree20():
@@ -510,10 +555,13 @@ def test_cache_with_a_gap_in_its_degrees_is_refused_before_the_point_row(monkeyp
         raise AssertionError("point row computed")
 
     monkeypatch.setattr(recursion, "_point_counts", refuse)
-    data = json.loads(table_to_json(table8))
+    data = _data(table8)
     del data["7"]
-    with pytest.raises(CacheError, match="not exactly 1..N"):
-        table_from_json(json.dumps(data))
+    with pytest.raises(CacheError, match="^degree 7 of the cache reads '8' where semple2 writes '7'$"):
+        table_from_json(_cache(data))
+    # validation, which the reader's order check now precedes, refuses it too
+    with pytest.raises(CacheError, match="^cached degrees are not exactly 1..N$"):
+        validate_table({d: table8.column(d) for d in table8.degrees() if d != 7})
 
 
 def test_zero_filled_cache_is_refused_at_its_first_wrong_degree(tmp_path):
@@ -523,7 +571,7 @@ def test_zero_filled_cache_is_refused_at_its_first_wrong_degree(tmp_path):
     data = {"1": {label: str(n) for label, n in recursion.SEED.items()}}
     data.update({str(d): dict.fromkeys(INVARIANT_LABELS, "0") for d in range(2, 1201)})
     path = tmp_path / "zeros.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
+    path.write_text(_cache(data), encoding="utf-8")
     start = time.monotonic()
     with pytest.raises(CacheError, match="^degree 2 fails the point count"):
         table_from_json(path.read_text(encoding="utf-8"))
@@ -565,34 +613,38 @@ def test_a_read_past_the_cache_validates_all_of_it_before_the_rewrite(tmp_path, 
     assert load_table(path).degrees() == tuple(range(1, 9))
 
 
-def test_a_cache_with_its_keys_out_of_order_is_read_in_full(tmp_path, point_draws, table8):
-    data = json.loads(table_to_json(table8))
-    data["8"]["h2.h2"] = str(int(data["8"]["h2.h2"]) + 1)
+def test_an_out_of_order_cache_is_refused(tmp_path, point_draws, table8):
     path = tmp_path / "cache.json"
-    path.write_text(json.dumps(dict(reversed(data.items())), indent=2), encoding="utf-8")
-    with pytest.raises(CacheError, match="^degree 8 fails the point count"):
-        compute_up_to(3, cache_path=str(path))
-    assert point_draws[0] == 8
+    path.write_text(_cache(dict(reversed(_data(table8).items()))), encoding="utf-8")
+    for dmax in (3, 8, 9):
+        with pytest.raises(CacheError, match="^degree 1 of the cache reads '8' where semple2 "
+                                             "writes '1'$"):
+            compute_up_to(dmax, cache_path=str(path))
+    assert point_draws[0] == 0
 
 
 def test_a_degree_k_read_ignores_a_wrong_degree_past_k(table8):
-    data = json.loads(table_to_json(table8))
+    data = _data(table8)
     data["7"]["h2.h2"] = str(int(data["7"]["h2.h2"]) + 1)
-    text = json.dumps(data, indent=2)[:-2] + "  nothing JSON reads"
+    text = _cache(data)[:-3] + "  nothing JSON reads"
     assert table_from_json(text, 6) == InvariantTable({d: table8.column(d) for d in range(1, 7)})
     for dmax in (7, 8, None):
         with pytest.raises(CacheError):
             table_from_json(text, dmax)
 
 
-@pytest.mark.parametrize("text, message", [
-    ('{"1": {"h2hd": "\\u0031"}}', "bad integer for h2hd at degree 1"),
-    ('{"1": {"h2\\u0068d": "1"}}', "unknown invariant label 'h2\\\\u0068d'"),
-    ('{"\\u0031": {}}', "bad degree key '\\\\u0031'"),
-    ('{"1": {"h2hd": "1\\"2"}}', "bad integer for h2hd at degree 1"),
+@pytest.mark.parametrize("old, new, message", [
+    ('"h2hd": "1"', '"h2hd": "\\u0031"', "bad integer for h2hd at degree 1: '\\\\u0031'"),
+    ('"h2hd"', '"h2\\u0068d"',
+     "degree 1 of the cache reads 'h2\\\\u0068d' where semple2 writes 'h2hd'"),
+    ('"1": {', '"\\u0031": {', "degree 1 of the cache reads '\\\\u0031' where semple2 writes '1'"),
+    # the escaped quote ends the value: the piece after it is not the separator
+    ('"h2hd": "1"', '"h2hd": "1\\"2"',
+     "degree 1 of the cache reads '2' where semple2 writes ',\\n    '"),
 ])
-def test_the_cache_reader_refuses_backslash_escapes(text, message):
+def test_the_cache_reader_refuses_backslash_escapes(old, new, message):
     # json.loads reads each text; the cache reader refuses the escape
+    text = D2_CACHE.replace(old, new, 1)
     json.loads(text)
     with pytest.raises(CacheError) as info:
         table_from_json(text)
@@ -678,11 +730,11 @@ def test_an_invariant_past_the_digit_limit_is_a_cache_error_naming_it(tmp_path,
     assert os.listdir(tmp_path) == []
     with pytest.raises(CacheError, match="h2hd at degree 1 has more digits than the "
                                          "interpreter's int/str conversion limit"):
-        table_from_json('{"1": {"h2hd": "-1%s"}}' % ("0" * 700))
+        table_from_json(_cache({"1": dict(_data(compute_up_to(1))["1"], h2hd="-1" + "0" * 700)}))
     # only a canonical ASCII decimal is reported as past the limit
     for text in ("1e" + "0" * 700, "\uff11" * 700, "0" * 700 + "1"):
-        with pytest.raises(CacheError, match="bad integer for h2hd at degree 1"):
-            table_from_json(json.dumps({"1": {"h2hd": text}}))
+        with pytest.raises(CacheError, match="^bad integer for h2hd at degree 1"):
+            table_from_json(_cache({"1": dict(_data(compute_up_to(1))["1"], h2hd=text)}))
 
 
 def test_warm_compute_does_not_rewrite_the_cache(tmp_path):
