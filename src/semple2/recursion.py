@@ -48,16 +48,20 @@ as a differential oracle.
 A computed or cached table is an `InvariantTable`: an immutable plain class
 with `__slots__` (like the value types of `semple2.contact` and the ring
 elements of `semple2.chow`, which share its private base `_Frozen`), so
-that no subcommand imports `dataclasses`.  `table_to_json` writes the
-cache in the layout of `json.dumps(..., indent=2)` itself, byte for byte,
-and `table_from_json` reads it back with string operations alone, so
-neither writing nor reading a cache imports `json`.  A cache is read back
-only in the exact text that `save_table` writes (the final newline
-optional), by comparing its pieces with the fixed keys, labels and
-separators of that layout, and then validated.  A query that reads degree
-k splits, parses and validates only degrees 1..k.  `DIVISOR_RULE` is the
-one statement of the divisor multipliers, read by the kernel and by the
-oracles.
+that no subcommand imports `dataclasses`.  The cache layout, that of
+`json.dumps(..., indent=2)`, is stated once, as the fixed pieces between
+the quotes of one degree (`_DEGREE_LAYOUT`) and around the degrees
+(`_OPEN`, `_NEXT`, `_ENDS`): `table_to_json` writes from them, byte for
+byte, and `table_from_json` compares a cache with them, with string
+operations alone, so neither writing nor reading a cache imports `json`.
+The reader is the one place that decides whether a cache is valid.  It
+checks each degree in full as it reads it: the key and layout, the labels
+in order, the spelling of each value and then its int(), the seed at
+degree 1, the 3:1 identities, and the next classical point count.  The
+first bad degree refuses the cache, so no value past it is converted.  A
+query that reads degree k splits, reads and checks only degrees 1..k.
+`DIVISOR_RULE` is the one statement of the divisor multipliers, read by
+the kernel and by the oracles.
 """
 
 import os
@@ -72,8 +76,6 @@ INVARIANT_LABELS: tuple[str, ...] = (
     "hd2.hd2", "hd2.hz", "hd2.hdz",
     "hz.hz", "hz.hdz", "hdz.hdz",
 )
-#: the same labels, for membership tests
-_LABEL_SET = frozenset(INVARIANT_LABELS)
 
 #: identities between rows: first label is exactly three times the second
 RATIO_IDENTITIES: tuple[tuple[str, str], ...] = (
@@ -293,60 +295,38 @@ def kontsevich(d: int) -> int:
     return kontsevich_row(d)[d]
 
 
-def validate_table(values: dict[int, dict[str, int]]) -> None:
-    """Raise CacheError unless every column has the 13 labels, degree 1 is
-    the seed, each degree meets the 3:1 identities, the degrees are exactly
-    1..N, and each degree meets the classical point count.
-
-    The point count is checked last, in ascending degree, each degree as
-    soon as the row reaches it: the row up to degree d costs about d^2
-    bigint steps, so a table is refused at its first wrong degree without
-    computing the rest of the row.
-    """
-    for d, column in values.items():
-        if column.keys() != _LABEL_SET:
-            raise CacheError(f"degree {_excerpt_int(d)} does not carry exactly the 13 labels")
-        if d == 1 and column != SEED:
-            raise CacheError("cached degree-1 column disagrees with the seed")
-        bad = ratio_failures(column)
-        if bad:
-            raise CacheError(f"degree {_excerpt_int(d)} fails ratio identities: "
-                             f"{'; '.join(bad)}")
-    if sorted(values) != list(range(1, len(values) + 1)):
-        raise CacheError("cached degrees are not exactly 1..N")
-    for d, points in zip(range(1, len(values) + 1), _point_counts()):
-        column = values[d]
-        if column["h2.h2"] != points:
-            raise CacheError(f"degree {d} fails the point count: h2.h2 = "
-                             f"{_excerpt_int(column['h2.h2'])}, the classical recursion "
-                             f"gives {_excerpt_int(points)}")
+#: what `table_to_json` writes before the first degree key
+_OPEN = "{\n  "
+#: what it writes between the quotes of one degree, from its key to its
+#: last value: a None where the value of a label goes
+_DEGREE_LAYOUT = (": {\n    ", *[piece for lbl in INVARIANT_LABELS
+                                 for piece in (lbl, ": ", None, ",\n    ")][:-1])
+#: and after the last value of a degree: when another degree follows, and
+#: when none does, with and without the final newline `save_table` adds
+_NEXT, _ENDS = "\n  },\n  ", ("\n  }\n}", "\n  }\n}\n")
+#: one degree as the writer fills it in: a template of its key and values
+_DEGREE_TEXT = '"'.join(("%s", *("%s" if piece is None else piece for piece in _DEGREE_LAYOUT)))
+#: the fixed pieces of a degree that the reader compares: the separators,
+#: and the labels in order
+_SEPARATORS, _LABELS = list(_DEGREE_LAYOUT[::2]), list(_DEGREE_LAYOUT[1::4])
+#: the pieces of one degree: its key, the layout, and the text after its last value
+_PIECES = 2 + len(_DEGREE_LAYOUT)
 
 
 def table_to_json(table: InvariantTable) -> str:
     """The cache text: `json.dumps({str(d): {label: str(n)}}, indent=2)`,
-    written here in that layout, since neither the degrees, the labels nor
-    the decimal strings need escaping."""
+    written from the pieces of that layout that `table_from_json` compares
+    a cache with, since neither the degrees, the labels nor the decimal
+    strings need escaping."""
+    if not table.values:
+        return "{}"
     try:
-        columns = [f'  "{d}": {{\n' + ",\n".join(
-            f'    "{lbl}": "{table.values[d][lbl]}"' for lbl in INVARIANT_LABELS) + "\n  }"
-            for d in table.degrees()]
+        columns = [_DEGREE_TEXT % (d, *(table.values[d][lbl] for lbl in INVARIANT_LABELS))
+                   for d in table.degrees()]
     except ValueError as exc:  # only formatting an int past the digit limit raises
         raise CacheError("an invariant has more digits than the interpreter's "
                          f"int/str conversion limit: {exc}") from exc
-    return "{\n" + ",\n".join(columns) + "\n}" if columns else "{}"
-
-
-#: what `table_to_json` writes between the quotes of one degree, from its
-#: key to its last value: a None where the value of a label goes
-_DEGREE_LAYOUT = (": {\n    ", *[piece for lbl in INVARIANT_LABELS
-                                 for piece in (lbl, ": ", None, ",\n    ")][:-1])
-#: its fixed pieces: the separators, and the labels in order
-_SEPARATORS, _LABELS = list(_DEGREE_LAYOUT[::2]), list(_DEGREE_LAYOUT[1::4])
-#: the pieces of one degree: its key, the layout, and the text after its last value
-_PIECES = 2 + len(_DEGREE_LAYOUT)
-#: the text after the last value of a degree: when another degree follows,
-#: and when none does
-_NEXT, _ENDS = "\n  },\n  ", ("\n  }\n}", "\n  }\n}\n")
+    return '"'.join((_OPEN, f'"{_NEXT}"'.join(columns), _ENDS[0]))
 
 
 def _layout_error(d: int, block: list[str]) -> CacheError:
@@ -359,26 +339,41 @@ def _layout_error(d: int, block: list[str]) -> CacheError:
     return CacheError(f"the cache ends inside degree {d}: {_excerpt(block[-1], quote=True)}")
 
 
-def _read_columns(text: str, dmax: int | None) -> dict[int, dict[str, int]]:
-    """The columns of a cache text by degree, unvalidated.
+def table_from_json(text: str, dmax: int | None = None) -> InvariantTable:
+    """Read and check a cache, one degree at a time; accept only the text
+    `save_table` writes (`table_to_json` of degrees 1..N, the final newline
+    optional, `{}` for N = 0).
 
-    The text must be what `save_table` writes, the final newline optional:
-    `table_to_json` of degrees 1..N, which is `{}` for N = 0.  No piece of
-    it between two '"' holds another, so `text.split('"')` gives by turns
-    the text between two strings and a string, and each degree is a fixed
-    run of pieces: its key str(d), the 13 labels in order, their values
-    and fixed separators.  The text is split only up to degree dmax, and
-    reading stops there.  A value must be str(n) of an int n before int()
-    reads it.
+    No piece of that text between two '"' holds another, so
+    `text.split('"')` gives by turns the text between two strings and a
+    string, and each degree is a fixed run of pieces.  Degree d = 1, 2, ...
+    is checked in full before the next is read: its key must read str(d)
+    and the text between its strings must be the separators of
+    `json.dumps(..., indent=2)`; its labels must come in INVARIANT_LABELS
+    order; each value must be str(n) of an int n (ASCII digits after at
+    most one '-', no leading zero, not '-0') before int() reads it; degree
+    1 must be the seed; the 3:1 identities must hold; and h2.h2 must be the
+    next classical point count.  No other spelling (whitespace, key order,
+    leading zeros, other digit scripts, JSON numbers or booleans, backslash
+    escapes) passes, and the text is read with string operations alone, so
+    reading a cache never imports `json`.
+
+    The first bad degree refuses the cache with a CacheError: no value past
+    it is converted, and the point counts are drawn only as far as it.
+    With `dmax`, the text is split only up to degree dmax, and the table
+    holds degrees 1..dmax (all of them when the cache holds fewer).
     """
+    if dmax is not None and dmax < 1:
+        raise ValueError("dmax must be at least 1")
+    values: dict[int, dict[str, int]] = {}
     if text in ("{}", "{}\n"):
-        return {}
+        return InvariantTable(values)
     pieces = text.split('"', -1 if dmax is None else _PIECES * dmax)
-    if len(pieces) == 1 or pieces[0] != "{\n  ":
+    if len(pieces) == 1 or pieces[0] != _OPEN:
         raise CacheError(f"the cache opens with {_excerpt(pieces[0], quote=True)} "
                          "where semple2 writes '{\\n  ' or '{}'")
-    values: dict[int, dict[str, int]] = {}
     last = (len(pieces) + _PIECES - 2) // _PIECES
+    points = _point_counts()
     for d in range(1, last + 1):
         block = pieces[_PIECES * d - _PIECES + 1:_PIECES * d + 1]
         if (len(block) < _PIECES or block[0] != str(d) or block[1:-1:2] != _SEPARATORS
@@ -401,32 +396,25 @@ def _read_columns(text: str, dmax: int | None) -> dict[int, dict[str, int]]:
                 after in _ENDS or d == dmax and after.startswith(_NEXT)):
             raise CacheError(f"degree {d} of the cache is followed by "
                              f"{_excerpt(after, quote=True)}")
-    return values
-
-
-def table_from_json(text: str, dmax: int | None = None) -> InvariantTable:
-    """Parse and validate a cache; accept only the text `save_table`
-    writes (`table_to_json`, the final newline optional).
-
-    Each degree key must read str(d) for d = 1, 2, ... in turn, the labels
-    must come in INVARIANT_LABELS order, each value must be str(n) of an
-    int n, and the text between the strings must be the separators of
-    `json.dumps(..., indent=2)`: no other spelling (whitespace, key order,
-    leading zeros, other digit scripts, JSON numbers or booleans, backslash
-    escapes) passes.  The text is read with string operations alone, so
-    reading a cache never imports `json`.
-
-    With `dmax`, only degrees 1..dmax are split, parsed and validated, and
-    the table holds just them (all of them when the cache holds fewer).
-    Any refusal is a CacheError.
-    """
-    values = _read_columns(text, dmax)
-    validate_table(values)
+        if d == 1 and column != SEED:
+            raise CacheError("cached degree-1 column disagrees with the seed")
+        bad = ratio_failures(column)
+        if bad:
+            raise CacheError(f"degree {d} fails ratio identities: {'; '.join(bad)}")
+        want = next(points)
+        if column["h2.h2"] != want:
+            raise CacheError(f"degree {d} fails the point count: h2.h2 = "
+                             f"{_excerpt_int(column['h2.h2'])}, the classical recursion "
+                             f"gives {_excerpt_int(want)}")
     return InvariantTable(values)
 
 
 def load_table(path: str, dmax: int | None = None) -> InvariantTable:
-    """`table_from_json` of the file at `path`."""
+    """`table_from_json` of the file at `path`, degrees 1..dmax with
+    `dmax`: each degree checked as it is read, and the cache refused at
+    its first bad degree.  A file that cannot be read is a CacheError."""
+    if dmax is not None and dmax < 1:
+        raise ValueError("dmax must be at least 1")
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()

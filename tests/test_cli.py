@@ -137,33 +137,31 @@ def test_cache_with_wrong_point_count_fails_count(tmp_path, capsys):
     assert "point count" in err
 
 
-def refused_at_once(tmp_path, capsys, monkeypatch, text):
-    """The exit code, stdout and stderr of `count` on a cache `text`, with
-    the point row made to raise."""
-    def refuse():
-        raise AssertionError("point row computed")
-
-    monkeypatch.setattr(recursion, "_point_counts", refuse)
+def refused_at_once(tmp_path, capsys, text):
+    """The exit code, stdout and stderr of `count` on a cache `text`."""
     path = tmp_path / "bad.json"
     path.write_text(text, encoding="utf-8")
     return run(capsys, "count", "--degree", "2", "--points", "5", "--cache", str(path))
 
 
-def test_tiny_hostile_cache_fails_count_at_once(tmp_path, capsys, monkeypatch):
+def test_tiny_hostile_cache_fails_count_at_once(tmp_path, capsys, point_draws):
     # a cache opens with degree 1: a first key of 3000 is refused unread
     text = table_to_json(compute_up_to(1)).replace('"1": {', '"3000": {')
-    code, out, err = refused_at_once(tmp_path, capsys, monkeypatch, text)
+    code, out, err = refused_at_once(tmp_path, capsys, text)
     assert (code, out) == (4, "")
     assert "degree 1 of the cache reads '3000' where semple2 writes '1'" in err
+    assert point_draws[0] == 0
 
 
 def test_a_hostile_degree_the_text_could_hold_fails_count_before_the_point_row(
-        tmp_path, capsys, monkeypatch):
-    # the point row up to degree 3000 would take minutes; degree 2 follows 1
+        tmp_path, capsys, point_draws):
+    # the point row up to degree 3000 would take minutes; degree 2 follows
+    # degree 1, which is checked in full, its point count the one drawn
     text = table_to_json(compute_up_to(8)).replace('"2": {', '"3000": {')
-    code, out, err = refused_at_once(tmp_path, capsys, monkeypatch, text)
+    code, out, err = refused_at_once(tmp_path, capsys, text)
     assert (code, out) == (4, "")
     assert "degree 2 of the cache reads '3000' where semple2 writes '2'" in err
+    assert point_draws[0] == 1
 
 
 def test_a_cache_value_semple2_never_writes_fails_count(tmp_path, capsys):

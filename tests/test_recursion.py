@@ -33,7 +33,6 @@ from semple2.recursion import (
     save_table,
     table_from_json,
     table_to_json,
-    validate_table,
 )
 from semple2.verify import (
     TABLE1_REFERENCE,
@@ -332,18 +331,6 @@ def test_a_cache_error_shows_numbers_of_normal_size_whole(table8):
         "the classical recursion gives 87304")
 
 
-@pytest.mark.parametrize("degree, message", [
-    (int("9" * 100), "degree %s does not carry exactly the 13 labels" % ("9" * 100)),
-    (int("9" * 101), "degree %s... (101 characters) does not carry exactly the 13 labels"
-     % ("9" * 100)),
-])
-def test_validation_shows_at_most_100_characters_of_a_degree(degree, message):
-    # a key this long is refused by the reader before it is a degree
-    with pytest.raises(CacheError) as info:
-        validate_table({degree: {}})
-    assert str(info.value) == message
-
-
 def _excerpt_cases():
     """Ints whose decimal text is at and around every length from 1 to 1001
     characters, of both signs, and 0."""
@@ -421,6 +408,42 @@ def test_a_degree_k_read_converts_no_value_past_degree_k(digit_limit_4300):
     # the whole read converts it, and the digit limit refuses that
     with pytest.raises(CacheError, match="^h2.hdz at degree 3 has more digits than"):
         table_from_json(text)
+
+
+def test_a_cache_is_refused_at_its_first_bad_degree_before_a_later_value_is_converted(
+        digit_limit_4300):
+    # degree 2 fails the point count; under the digit limit an int() of
+    # degree 3's 300,000-digit value would raise "more digits than"
+    data = _data(compute_up_to(3))
+    data["2"]["h2.h2"] = "2"
+    data["3"]["h2.hdz"] = "1" + "0" * 299_999
+    text = _cache(data)
+    for dmax in (None, 3):
+        with pytest.raises(CacheError) as info:
+            table_from_json(text, dmax)
+        assert str(info.value) == \
+            "degree 2 fails the point count: h2.h2 = 2, the classical recursion gives 1"
+
+
+def test_a_point_count_defect_is_refused_before_a_ratio_defect_at_a_higher_degree(table8):
+    data = _data(table8)
+    data["5"]["h2z"] = str(int(data["5"]["h2z"]) + 1)
+    data["3"]["h2.h2"] = str(int(data["3"]["h2.h2"]) + 1)
+    with pytest.raises(CacheError) as info:
+        table_from_json(_cache(data))
+    assert str(info.value) == \
+        "degree 3 fails the point count: h2.h2 = 13, the classical recursion gives 12"
+
+
+@pytest.mark.parametrize("dmax", [0, -1])
+@pytest.mark.parametrize("text", ["{}", table_to_json(compute_up_to(3))], ids=["empty", "degree 3"])
+def test_a_read_of_fewer_than_one_degree_is_a_value_error(tmp_path, text, dmax):
+    path = tmp_path / "cache.json"
+    path.write_text(text + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^dmax must be at least 1$"):
+        table_from_json(text, dmax)
+    with pytest.raises(ValueError, match="^dmax must be at least 1$"):
+        load_table(str(path), dmax)
 
 
 def test_stencil_matches_the_fraction_recursion_through_degree20():
@@ -550,18 +573,13 @@ def test_cache_rejects_wrong_point_count(tmp_path, table8):
         compute_up_to(5, cache_path=str(path))
 
 
-def test_cache_with_a_gap_in_its_degrees_is_refused_before_the_point_row(monkeypatch, table8):
-    def refuse():
-        raise AssertionError("point row computed")
-
-    monkeypatch.setattr(recursion, "_point_counts", refuse)
+def test_cache_with_a_gap_in_its_degrees_is_refused_before_the_point_row(point_draws, table8):
+    # degrees 1..6 are read and checked in full, then degree 7 reads '8'
     data = _data(table8)
     del data["7"]
     with pytest.raises(CacheError, match="^degree 7 of the cache reads '8' where semple2 writes '7'$"):
         table_from_json(_cache(data))
-    # validation, which the reader's order check now precedes, refuses it too
-    with pytest.raises(CacheError, match="^cached degrees are not exactly 1..N$"):
-        validate_table({d: table8.column(d) for d in table8.degrees() if d != 7})
+    assert point_draws[0] == 6
 
 
 def test_zero_filled_cache_is_refused_at_its_first_wrong_degree(tmp_path):
@@ -579,21 +597,6 @@ def test_zero_filled_cache_is_refused_at_its_first_wrong_degree(tmp_path):
         with pytest.raises(CacheError, match="^degree 2 fails the point count"):
             compute_up_to(dmax, cache_path=str(path))
     assert time.monotonic() - start < 2
-
-
-@pytest.fixture
-def point_draws(monkeypatch):
-    """The number of point counts drawn from `_point_counts`, in a list of one."""
-    draws = [0]
-    point_counts = recursion._point_counts
-
-    def counted():
-        for n in point_counts():
-            draws[0] += 1
-            yield n
-
-    monkeypatch.setattr(recursion, "_point_counts", counted)
-    return draws
 
 
 @pytest.mark.parametrize("k", [1, 5, 39, 40])
