@@ -15,12 +15,13 @@ warning prints as one `warning:` line, or, where warnings are errors
 (`python -W error`), refuses the request like any other (exit 2).  Each
 subcommand imports only the modules it runs, so `table`, `contact` and
 `count` load neither the Chow ring, the polynomials nor the oracles, also
-when they compute new degrees.  `json` loads only to print a free-form
-JSON, `--format json` of `contact`, `count` and `chow-eval`, which carry
-user expressions and non-ASCII symbols, and for a `verify` report string
-that needs escaping.  `table --format json` and `verify`'s reports are
-written in json's indent=2 layout here, as `recursion.table_to_json` does
-for the cache, and a cache is read without json.  A query that reads
+when they compute new degrees.  Every JSON a subcommand prints, the
+`--format json` of `table`, `contact`, `count` and `chow-eval` and
+`verify`'s reports, is written by one writer, `_json`, in the bytes of
+`json.dumps(..., indent=2)`; `json` loads only for a printed string that
+needs escaping (such as `contact`'s č and κ, or a quote in a user
+expression or a report).  The cache is written and read without json, by
+`recursion.table_to_json` and `recursion.table_from_json`.  A query that reads
 degree k validates degrees 1..k of the cache; `verify --cache` reads and
 checks all of it.
 
@@ -50,7 +51,7 @@ from .contact import (
     mixed_count,
     plucker_class,
 )
-from .recursion import INVARIANT_LABELS, CacheError, InvariantTable, compute_up_to
+from .recursion import INVARIANT_LABELS, CacheError, compute_up_to
 
 CACHE_ENV = "SEMPLE2_CACHE"
 
@@ -76,46 +77,54 @@ def _diag(text: str) -> None:
     sys.stderr.write(text + "\n")
 
 
-def _table_json(table: InvariantTable, dmax: int) -> str:
-    """`json.dumps` with indent=2 of {"max_degree": dmax, "labels": [...],
-    "values": {label: [str(n) per degree]}}, written here in that layout,
-    since neither the labels nor the decimal strings need escaping."""
-    labels = ",\n".join(f'    "{label}"' for label in INVARIANT_LABELS)
-    rows = ",\n".join(f'    "{label}": [\n' + ",\n".join(
-        f'      "{table.get(d, label)}"' for d in range(1, dmax + 1)) + "\n    ]"
-        for label in INVARIANT_LABELS)
-    return (f'{{\n  "max_degree": {dmax},\n  "labels": [\n{labels}\n  ],\n'
-            f'  "values": {{\n{rows}\n  }}\n}}')
+def _json(value, indent: str = "\n") -> str:
+    """`json.dumps(value, indent=2)` of the values the subcommands print:
+    dicts with str keys, lists, strs and ints.  Any other type, a bool
+    included, is a TypeError."""
+    kind, inner = type(value), indent + "  "
+    if kind is str:
+        return _json_string(value)
+    if kind is int:
+        return str(value)
+    if kind is list:
+        items = [_json(item, inner) for item in value]
+    elif kind is dict and all(type(key) is str for key in value):
+        items = [f"{_json_string(key)}: {_json(item, inner)}" for key, item in value.items()]
+    else:
+        raise TypeError(f"cannot write a {kind.__name__} as JSON")
+    ends = "[]" if kind is list else "{}"
+    if not items:
+        return ends
+    return ends[0] + inner + f",{inner}".join(items) + indent + ends[1]
 
 
-def _table_csv(table: InvariantTable, dmax: int) -> str:
-    lines = ["invariant," + ",".join(str(d) for d in range(1, dmax + 1))]
-    for label in INVARIANT_LABELS:
-        lines.append(label + "," + ",".join(
-            str(table.get(d, label)) for d in range(1, dmax + 1)))
-    return "\n".join(lines)
+def _json_string(text: str) -> str:
+    """`json.dumps(text)`: json writes printable ASCII other than '"' and
+    '\\' as it is, and is imported only for a string that needs escaping."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    import json
 
-
-def _table_pretty(table: InvariantTable, dmax: int) -> str:
-    rows = [[label] + [str(table.get(d, label)) for d in range(1, dmax + 1)]
-            for label in INVARIANT_LABELS]
-    header = ["invariant"] + [f"d={d}" for d in range(1, dmax + 1)]
-    widths = [max(len(header[i]), *(len(r[i]) for r in rows))
-              for i in range(len(header))]
-    fmt_row = lambda r: "  ".join(
-        r[i].ljust(widths[i]) if i == 0 else r[i].rjust(widths[i])
-        for i in range(len(r)))
-    return "\n".join([fmt_row(header)] + [fmt_row(r) for r in rows])
+    return json.dumps(text)
 
 
 def _cmd_table(args) -> int:
-    table = compute_up_to(args.max_degree, cache_path=_default_cache(args.cache))
+    dmax = args.max_degree
+    table = compute_up_to(dmax, cache_path=_default_cache(args.cache))
+    degrees = range(1, dmax + 1)
+    # one row per invariant: its label, then its decimal strings by degree
+    rows = [[label, *(str(table.get(d, label)) for d in degrees)]
+            for label in INVARIANT_LABELS]
     if args.format == "json":
-        _emit(_table_json(table, args.max_degree))
+        _emit(_json({"max_degree": dmax, "labels": list(INVARIANT_LABELS),
+                     "values": {label: values for label, *values in rows}}))
     elif args.format == "csv":
-        _emit(_table_csv(table, args.max_degree))
+        _emit("\n".join(",".join(row) for row in [["invariant", *map(str, degrees)], *rows]))
     else:
-        _emit(_table_pretty(table, args.max_degree))
+        rows.insert(0, ["invariant", *(f"d={d}" for d in degrees)])
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        _emit("\n".join("  ".join([row[0].ljust(widths[0]), *map(str.rjust, row[1:], widths[1:])])
+                        for row in rows))
     return EXIT_OK
 
 
@@ -134,8 +143,6 @@ def _cmd_contact(args) -> int:
     formula = contact_formula(d, table)
     a, b, k = contact_coefficients(d, table)
     if args.format == "json":
-        import json
-
         data = {
             "degree": d,
             "formula": formula,
@@ -145,7 +152,7 @@ def _cmd_contact(args) -> int:
             data["curve"] = {"c": str(curve.c), "class": str(curve.cdual),
                              "kappa": str(curve.kappa)}
             data["count"] = str(contact_number(d, curve, table))
-        _emit(json.dumps(data, indent=2))
+        _emit(_json(data))
     else:
         _emit(f"N_{d}(C) = {formula}")
         if curve is not None:
@@ -203,8 +210,6 @@ def _cmd_count(args) -> int:
     table = compute_up_to(d, cache_path=_default_cache(args.cache))
     value = mixed_count(profile, table)
     if args.format == "json":
-        import json
-
         data = {
             "degree": d,
             "points": args.points,
@@ -212,7 +217,7 @@ def _cmd_count(args) -> int:
             "osculate": [[c.c, c.cdual, c.kappa] for c in osculants],
             "count": str(value),
         }
-        _emit(json.dumps(data, indent=2))
+        _emit(_json(data))
     else:
         _emit(str(value))
     return EXIT_OK
@@ -233,8 +238,6 @@ def _cmd_chow_eval(args) -> int:
         symbolic = format_coords(icoords, I_BASIS_ORDER, I_BASIS_SYMBOL)
         order = I_BASIS_ORDER
     if args.format == "json":
-        import json
-
         data = {
             "expression": args.expr,
             "basis": args.basis,
@@ -243,7 +246,7 @@ def _cmd_chow_eval(args) -> int:
         }
         if args.integrate:
             data["integral"] = str(integrate(cls))
-        _emit(json.dumps(data, indent=2))
+        _emit(_json(data))
     else:
         if args.integrate:
             _emit(str(integrate(cls)))
@@ -252,34 +255,13 @@ def _cmd_chow_eval(args) -> int:
     return EXIT_OK
 
 
-def _json_string(text: str) -> str:
-    """`json.dumps(text)`: json writes printable ASCII other than '"' and
-    '\\' as it is, and is imported only for a string that needs escaping."""
-    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
-        return f'"{text}"'
-    import json
-
-    return json.dumps(text)
-
-
-def _reports_json(reports: list[dict[str, str]]) -> str:
-    """`json.dumps(reports, indent=2)` of a list of dicts of strings, written
-    here in that layout."""
-    if not reports:
-        return "[]"
-    bodies = [",\n".join(f"    {_json_string(key)}: {_json_string(value)}"
-                         for key, value in r.items()) for r in reports]
-    return "[\n" + ",\n".join(f"  {{\n{body}\n  }}" if body else "  {}"
-                               for body in bodies) + "\n]"
-
-
 def _cmd_verify(args) -> int:
     from .verify import run_selftest
 
     reports = run_selftest(args.max_degree, cache_path=args.cache)
     for r in reports:
         _diag(f"{r['status'].upper()} {r['name']} [{r['degrees']}]")
-    _emit(_reports_json(reports))
+    _emit(_json(reports))
     return EXIT_OK if all(r["status"] == "pass" for r in reports) else EXIT_VERIFY
 
 

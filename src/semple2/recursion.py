@@ -474,11 +474,11 @@ def compute_up_to(dmax: int, cache_path: str | None = None) -> InvariantTable:
         raise ValueError("dmax must be at least 1")
     known: dict[int, dict[str, int]] = {}
     if cache_path and os.path.exists(cache_path):
-        known = dict(load_table(cache_path, dmax).values)
+        known = load_table(cache_path, dmax).values
 
-    # a cache holds exactly the degrees 1..N, so values holds 1..min(N, dmax)
-    values: dict[int, dict[str, int]] = {1: dict(SEED)}
-    values.update((d, dict(column)) for d, column in known.items() if d <= dmax)
+    # a cache holds exactly the degrees 1..N, and load_table reads none past
+    # dmax, so values holds 1..min(N, dmax)
+    values: dict[int, dict[str, int]] = {1: dict(SEED), **known}
     if dmax > len(values):
         from ._kernel import degree_forms
         forms = {d: degree_forms(d, tuple(column[lbl] for lbl in INVARIANT_LABELS))

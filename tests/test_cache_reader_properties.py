@@ -2,11 +2,13 @@
 refused, and a json-based reader is the reference for what a cache holds."""
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from semple2 import recursion
 from semple2.recursion import (
     RATIO_IDENTITIES,
     SEED,
@@ -242,3 +244,43 @@ def test_an_edited_cache_is_refused_or_is_the_text_of_what_was_read(text):
         assert text == table_to_json(got) + ("\n" if text.endswith("\n") else "")
         # json.loads reads the same table from it
         assert got == json_reader(text)
+
+
+#: the text of the shipped recursion module, whose reader the mutants edit
+RECURSION_TEXT = Path(recursion.__file__).read_text(encoding="utf-8")
+
+#: the degree-3 cache as semple2 writes it
+_D3 = table_to_json(compute_up_to(3)) + "\n"
+
+#: each check of the reader, disabled by one edit of its code, and one edit
+#: of the degree-3 cache that this check alone refuses
+READER_MUTANTS = {
+    "key": (("block[0] != str(d)", "False"), ('"3": {', '"x": {')),
+    "separators": (("block[1:-1:2] != _SEPARATORS", "False"),
+                   ('"h2.h2": "12"', '"h2.h2":"12"')),
+    "labels": (("block[2::4] != _LABELS", "False"), ('"h2.hdz": "54"', '"h2.hdx": "54"')),
+    "leading zero": ((' and (digits[0] != "0" or number == "0")', ""),
+                     ('"h2.hdz": "54"', '"h2.hdz": "054"')),
+    "ascii digits": (("digits.isascii() and ", ""), ('"h2.hdz": "54"', '"h2.hdz": "５4"')),
+    "trailer": (("if not (after == _NEXT", "if False and (after == _NEXT"),
+                ('},\n  "2"', '}, \n  "2"')),
+    "seed": (("d == 1 and column != SEED", "False"), ('"hdz.hdz": "9"', '"hdz.hdz": "8"')),
+    "ratio identities": (("bad = ratio_failures(column)", "bad = []"),
+                         ('"h2z": "30"', '"h2z": "31"')),
+    "point count": (('column["h2.h2"] != want', "False"), ('"h2.h2": "12"', '"h2.h2": "13"')),
+}
+
+
+@pytest.mark.parametrize("check", READER_MUTANTS)
+def test_each_check_of_the_reader_alone_refuses_an_edited_cache(check):
+    # the reader refuses the edited cache, and a copy of the module without
+    # that one check reads it, so the check can fail and no other catches
+    # the edit
+    (code, disabled), (cached, edited) = READER_MUTANTS[check]
+    assert RECURSION_TEXT.count(code) == 1 and _D3.count(cached) == 1
+    text = _D3.replace(cached, edited)
+    with pytest.raises(CacheError):
+        table_from_json(text)
+    mutant = {"__name__": "edited_recursion"}
+    exec(compile(RECURSION_TEXT.replace(code, disabled), "<edited reader>", "exec"), mutant)
+    assert mutant["table_from_json"](text).degrees() == (1, 2, 3)

@@ -784,10 +784,27 @@ REPORT_TEXT = st.one_of(st.text(PRINTABLE_ASCII), st.text(st.one_of(
     st.characters())))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=100)
-@given(st.lists(st.dictionaries(REPORT_TEXT, REPORT_TEXT, max_size=5), max_size=3))
-def test_the_report_writer_writes_the_bytes_of_json_dumps(reports):
-    assert cli._reports_json(reports) == json.dumps(reports, indent=2)
+#: the values the subcommands print: ints and strings, and lists and dicts
+#: with string keys of them, nested and empty ones included
+PRINTED_VALUES = st.recursive(
+    st.one_of(st.integers(), REPORT_TEXT),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(REPORT_TEXT, inner, max_size=4)),
+    max_leaves=12)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(PRINTED_VALUES)
+def test_the_json_writer_writes_the_bytes_of_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [True, None, 1.5, [0, False], {"key": None}, {1: "one"},
+                                   ("a tuple",)])
+def test_the_json_writer_refuses_any_other_type(value):
+    # json.dumps writes each of these; no subcommand prints one
+    with pytest.raises(TypeError):
+        cli._json(value)
 
 
 def test_verify_prints_the_bytes_of_json_dumps_also_where_a_report_needs_escaping(

@@ -131,11 +131,12 @@ def test_the_table_and_queries_without_a_cache_load_no_json(tmp_path):
     assert "json" not in loaded
 
 
-@pytest.mark.parametrize("kind", ["cache read", "verify", "escaped report", "json output"])
-def test_json_loads_only_for_the_free_form_json_outputs_and_an_escaped_report(tmp_path, kind):
-    # a cache is read, and the table, the cache and verify's reports are
-    # written, with string operations alone; json prints the JSON of
-    # contact, count and chow-eval, and a report string that needs escaping
+@pytest.mark.parametrize("kind", ["cache read", "verify", "ascii json", "escaped string"])
+def test_json_loads_only_for_a_printed_string_that_needs_escaping(tmp_path, kind):
+    # a cache is read, and the cache and every printed JSON are written,
+    # with string operations alone; json loads only to escape a string:
+    # contact's formula, with its non-ASCII symbols, or a report that
+    # quotes a non-ASCII label
     cache = str(tmp_path / "cache.json")
     compute_up_to(8, cache_path=cache)
     # the cache-validation report quotes the unknown label, which is not ASCII
@@ -143,21 +144,20 @@ def test_json_loads_only_for_the_free_form_json_outputs_and_an_escaped_report(tm
     with open(cache, encoding="utf-8") as handle:
         foreign.write_text(handle.read().replace('"h2hd"', '"h\u00e9"', 1), encoding="utf-8")
     argvs = {
-        "cache read": [("count", "--degree", "3", "--points", "8", "--cache", cache),
-                       ("contact", "--degree", "8", "--plucker", "3,1,0", "--cache", cache),
-                       ("table", "--max-degree", "8", "--format", "csv", "--cache", cache)],
-        "verify": [("verify", "--max-degree", "2"),
-                   ("verify", "--max-degree", "8", "--cache", cache)],
-        "escaped report": [("verify", "--max-degree", "2", "--cache", str(foreign))],
-        "json output": [("contact", "--degree", "3", "--format", "json", "--cache", cache),
-                        ("count", "--degree", "3", "--points", "8", "--format", "json",
-                         "--cache", cache),
-                        ("chow-eval", "h^2*hd*z", "--format", "json")],
+        "cache read": [(0, "count", "--degree", "3", "--points", "8", "--cache", cache),
+                       (0, "contact", "--degree", "8", "--plucker", "3,1,0", "--cache", cache),
+                       (0, "table", "--max-degree", "8", "--format", "csv", "--cache", cache)],
+        "verify": [(0, "verify", "--max-degree", "2"),
+                   (0, "verify", "--max-degree", "8", "--cache", cache)],
+        "ascii json": [(0, "count", "--degree", "3", "--points", "7", "--tangent", "2,2,0",
+                        "--format", "json", "--cache", cache),
+                       (0, "chow-eval", "h^2*hd*z", "--integrate", "--format", "json")],
+        "escaped string": [(0, "contact", "--degree", "3", "--format", "json", "--cache", cache),
+                           (4, "verify", "--max-degree", "2", "--cache", str(foreign))],
     }[kind]
-    for argv in argvs:
-        code = 4 if kind == "escaped report" else 0
+    for code, *argv in argvs:
         loaded = modules_after_cli(argv, flags=("-S",), codes=[code])
-        assert ("json" in loaded) == (kind in ("escaped report", "json output")), argv
+        assert ("json" in loaded) == (kind == "escaped string"), argv
 
 
 #: what `import fractions` loads beside itself
