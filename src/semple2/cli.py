@@ -33,6 +33,11 @@ option.  A usage error prints the usage and one `semple2 CMD: error: ...`
 line to stderr and raises SystemExit(2).  argparse formats the usage, the
 `--help` text and the error line from the same table; it is imported only
 to print one of them and never parses argv.
+
+Run as the program (`main()` with no argv), the CLI freezes its start-up
+heap with `gc.freeze()`, so the collector's passes during the command and
+at exit skip the interpreter's and semple2's start-up objects; `main(argv)`
+with an explicit argv leaves the collector as it found it.
 """
 
 import os
@@ -448,7 +453,15 @@ def _read_argv(argv: list[str]):
 
 
 def main(argv: list[str] | None = None) -> int:
-    handler, args = _read_argv(sys.argv[1:] if argv is None else list(argv))
+    if argv is None:
+        # run as the program: the start-up objects move to the permanent
+        # generation, so the collections during the command and at exit
+        # skip them; what the command allocates is collected as before.
+        # An in-process caller passes argv, and its heap is left alone.
+        import gc
+        gc.freeze()
+        argv = sys.argv[1:]
+    handler, args = _read_argv(list(argv))
     # from degree 572 on an invariant has more than the 4300 digits that
     # Python 3.11 and 3.10.7+ convert to and from str by default; the limit
     # is lifted for this call and put back after it

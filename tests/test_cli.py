@@ -1,3 +1,5 @@
+import ast
+import gc
 import json
 import os
 import subprocess
@@ -41,6 +43,14 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def child_env() -> dict:
+    """The environment of a child interpreter that imports this tree's semple2."""
+    src = str(Path(semple2.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env.pop("SEMPLE2_CACHE", None)
+    return env
 
 
 def test_table_csv_matches_reference(capsys):
@@ -375,9 +385,7 @@ def test_a_curve_of_degree_zero_is_refused_in_every_curve_option(capsys, argv):
 
 def test_a_degree_one_curve_warns_in_one_line_and_prints_the_same_count():
     # the count is the one the formula gives; the line is the only stderr
-    src = str(Path(semple2.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    env.pop("SEMPLE2_CACHE", None)
+    env = child_env()
     proc = subprocess.run([sys.executable, "-m", "semple2.cli", "contact", "--degree", "3",
                            "--curve", "1,0,0"], env=env, capture_output=True, text=True,
                           timeout=60)
@@ -393,9 +401,7 @@ def test_a_degree_one_curve_warns_in_one_line_and_prints_the_same_count():
 ], ids=["curve", "plucker", "tangent"])
 def test_a_degree_one_curve_is_refused_in_one_line_where_warnings_are_errors(
         tmp_path, argv, stdout):
-    src = str(Path(semple2.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    env.pop("SEMPLE2_CACHE", None)
+    env = child_env()
     line = "a degree-1 curve is a line; the contact formulas assume the fixed curves contain no line"
     for flags, code, out, err in (([], 0, stdout, f"warning: {line}\n"),
                                   (["-W", "error"], 2, "", f"error: {line}\n")):
@@ -873,3 +879,98 @@ def test_verify_quotes_a_300000_digit_cached_value_in_a_short_report(tmp_path, c
     assert report["name"] == "cache-validation" and report["status"] == "fail"
     assert report["actual"] == \
         f"h2.hdz(d=2)={HOSTILE_DIGITS[:100]}... (300000 characters) computed 0"
+
+
+# run as the program (`main()` reading sys.argv), the CLI freezes its
+# start-up heap; called with an explicit argv it leaves the collector alone,
+# and either way it prints the same bytes
+
+def test_main_run_as_the_program_freezes_the_start_up_heap():
+    body = ("import contextlib, gc, io, sys\n"
+            "from semple2 import cli\n"
+            "sys.argv = ['semple2', 'count', '--degree', '3', '--points', '8']\n"
+            "before = gc.get_freeze_count()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main()\n"
+            "print(before, gc.get_freeze_count(), code)\n")
+    proc = subprocess.run([sys.executable, "-c", body], env=child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    before, after, code = map(int, proc.stdout.split())
+    assert (before, code) == (0, 0)
+    assert after > 0
+
+
+def test_main_with_an_explicit_argv_leaves_the_collector_as_it_found_it(capsys):
+    def collector():
+        return gc.get_freeze_count(), gc.isenabled(), gc.get_threshold()
+
+    before = collector()
+    assert run(capsys, "count", "--degree", "3", "--points", "8")[0] == 0
+    assert run(capsys, "chow-eval", "h +")[0] == 2
+    usage_error(capsys, "table", "--max-degree", "x")
+    assert collector() == before
+
+
+#: stands for the path of a cache that is refused at degree 1
+REFUSED_CACHE = object()
+
+#: (interpreter flags, argv, exit code): every subcommand, each exit code,
+#: a refused cache, a `warning:` line, `-W error` and `-O`
+PROGRAM_CASES = [
+    pytest.param([], ["table", "--max-degree", "6", "--format", "csv"], 0, id="table"),
+    pytest.param([], ["table", "--max-degree", "x"], 2, id="table-usage-error"),
+    pytest.param([], [], 2, id="no-subcommand"),
+    pytest.param([], ["--help"], 0, id="help"),
+    pytest.param([], ["contact", "--degree", "3", "--curve", "2,2,0", "--format", "json"], 0,
+                 id="contact"),
+    pytest.param([], ["contact", "--degree", "3", "--curve", "1,0,0"], 0, id="contact-warning"),
+    pytest.param(["-W", "error"], ["contact", "--degree", "3", "--curve", "1,0,0"], 2,
+                 id="contact-warning-as-error"),
+    pytest.param([], ["count", "--degree", "3", "--points", "8"], 0, id="count"),
+    pytest.param([], ["count", "--degree", "3", "--points", "3",
+                      "--osculate", "2,2,0", "--osculate", "2,2,0"], 3, id="count-unsupported"),
+    pytest.param([], ["count", "--degree", "3", "--points", "8", "--cache", REFUSED_CACHE], 4,
+                 id="count-refused-cache"),
+    pytest.param([], ["chow-eval", "(1/2*i)^2", "--basis", "i"], 0, id="chow-eval"),
+    pytest.param([], ["chow-eval", "h +"], 2, id="chow-eval-parse-error"),
+    pytest.param([], ["verify", "--max-degree", "2"], 0, id="verify"),
+    pytest.param([], ["verify", "--max-degree", "1", "--cache", REFUSED_CACHE], 4,
+                 id="verify-refused-cache"),
+    pytest.param(["-O"], ["verify", "--max-degree", "2"], 0, id="verify-O"),
+    pytest.param(["-O"], ["table", "--max-degree", "12", "--format", "json"], 0, id="table-O"),
+]
+
+
+@pytest.mark.parametrize("flags, argv, code", PROGRAM_CASES)
+def test_the_program_and_an_explicit_argv_print_the_same_bytes(tmp_path, flags, argv, code):
+    cache = tmp_path / "refused.json"
+    cache.write_text('{"1": {"h2hd": "7"}}', encoding="utf-8")
+    argv = [str(cache) if arg is REFUSED_CACHE else arg for arg in argv]
+    explicit = "import sys, semple2.cli as c; sys.exit(c.main(sys.argv[1:]))"
+    results = []
+    for entry in (["-m", "semple2.cli"], ["-c", explicit]):
+        proc = subprocess.run([sys.executable, *flags, *entry, *argv], env=child_env(),
+                              capture_output=True, timeout=120)
+        results.append((proc.returncode, proc.stdout, proc.stderr))
+    assert results[0] == results[1]
+    assert results[0][0] == code, results[0][2]
+    assert results[0][1] or results[0][2]
+    assert cache.read_text(encoding="utf-8") == '{"1": {"h2hd": "7"}}'
+
+
+def test_no_module_has_a_finalizer_a_frozen_heap_could_skip():
+    # the collector never visits a frozen object, so a finalizer on a
+    # start-up reference cycle of semple2's would not run at exit; semple2
+    # defines none
+    found = []
+    for path in sorted(Path(semple2.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "__del__":
+                found.append((path.name, "__del__"))
+            elif isinstance(node, ast.Import):
+                found += [(path.name, alias.name) for alias in node.names
+                          if alias.name in ("atexit", "weakref")]
+            elif isinstance(node, ast.ImportFrom) and node.module in ("atexit", "weakref"):
+                found.append((path.name, node.module))
+    assert found == []
