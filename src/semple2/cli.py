@@ -43,6 +43,7 @@ with an explicit argv leaves the collector as it found it.
 import os
 import sys
 import warnings
+from collections import deque
 from types import SimpleNamespace
 
 from .contact import (
@@ -408,9 +409,9 @@ def _read_argv(argv: list[str]):
     arguments = _arguments(command)
     options = {name for name in arguments if name.startswith("-")} | set(_HELP)
     positional = [name for name in arguments if name not in options]
-    values, words, ended = {}, argv[at + 1:], False
+    values, words, ended = {}, deque(argv[at + 1:]), False
     while words:
-        word = words.pop(0)
+        word = words.popleft()
         if ended or not _is_option(word, options):
             if positional and positional[0] not in values:
                 values[positional[0]] = word
@@ -433,7 +434,7 @@ def _read_argv(argv: list[str]):
             if not equals:
                 if not words or _is_option(words[0], options):
                     _fail(command, f"argument {name}: expected one argument")
-                text = words.pop(0)
+                text = words.popleft()
             value = _value(command, name, read, text)
             if default is _REPEATED:
                 values.setdefault(name, []).append(value)

@@ -10,8 +10,18 @@ contact as c*hd^2*z + cdual*h^2*z + kappa*h^2*hd, after which the count
 distributes multilinearly over the stored thirteen invariants.  Each term
 names its invariant directly: one h2 per point beyond the 3d-3 that every
 invariant carries, plus the inserted classes, sorted and joined by ".".
-`check_profile` decides whether the thirteen answer a profile without
-reading a table, so the CLI refuses a profile before it computes anything.
+
+That naming rule alone decides which profiles the thirteen answer: a
+profile with s tangencies and t triple contacts is answered when every
+term has a label at the 3d-1-s-2t points its other conditions leave.
+Beyond its 3d-3 points a label carries two classes of points or
+tangencies, or the one class of a triple contact, so this is points
+only, one or two tangencies, or one triple contact.  A term's label
+depends only on the multiset of its classes, so `check_profile` walks
+the multisets, not the ordered terms, and decides without reading a
+table; the CLI refuses a profile before it computes anything.  A
+refusal names at most the first eight missing invariants, each past 100
+characters cut short, and ends with ", ..." when there are more.
 
 The counts are enumerative only under general-position hypotheses (fixed
 curves reduced, containing no line, in general position).  The library
@@ -26,17 +36,18 @@ pickle and copy through their constructors, which validate again.
 
 import warnings
 from collections.abc import Iterable
-from itertools import product
+from itertools import combinations_with_replacement, islice, product
+from math import prod
 
-from .recursion import INVARIANT_LABELS, InvariantTable, _Frozen
+from .recursion import INVARIANT_LABELS, InvariantTable, _excerpt, _Frozen
 
 #: expansion of a tangency insertion: (curve attribute, inserted class label)
 _TANGENCY_PARTS = (("c", "hd2"), ("cdual", "h2"))
 #: expansion of a triple-contact insertion
 _CONTACT_PARTS = (("c", "hd2z"), ("cdual", "h2z"), ("kappa", "h2hd"))
 
-#: (tangency count, triple-contact count) patterns covered by the 13 invariants
-SUPPORTED_PATTERNS = ((0, 0), (1, 0), (2, 0), (0, 1))
+#: the most missing invariants a refusal names
+_MISSING_MAX = 8
 
 
 class UnsupportedProfileError(ValueError):
@@ -139,34 +150,34 @@ def _combo_label(points: int, classes: tuple[str, ...], d: int) -> str | None:
 def check_profile(profile: ConditionProfile) -> None:
     """Raise unless the thirteen stored invariants answer the profile.
 
-    Supported profiles are exactly those whose expansion stays inside the
-    thirteen stored invariants: points only, one or two tangencies, or one
-    triple contact.  Anything else is rejected with an
-    UnsupportedProfileError naming the missing invariants; a negative or
-    wrong number of point conditions is a plain ValueError.
+    A negative point count is a ValueError.  A profile with a term that
+    has no label at the points its other conditions leave is an
+    UnsupportedProfileError naming the first eight missing invariants;
+    only then is a wrong point count a ValueError.
     """
-    d = profile.degree
-    r = profile.points
-    s = len(profile.tangents)
-    t = len(profile.osculants)
+    d, r = profile.degree, profile.points
+    s, t = len(profile.tangents), len(profile.osculants)
     if r < 0:
         raise ValueError("point count must be nonnegative")
 
-    if (s, t) not in SUPPORTED_PATTERNS:
-        missing = []
-        part_lists = [[p for _, p in _TANGENCY_PARTS]] * s \
-            + [[p for _, p in _CONTACT_PARTS]] * t
-        for combo in product(*part_lists):
-            if _combo_label(r, combo, d) is None:
-                name = _insertion_name(r, combo, d)
-                if name not in missing:
-                    missing.append(name)
+    # the class sets in the order of their first terms, both walks lazy
+    # (product() would build every set before it yields one)
+    left = 3 * d - 1 - s - 2 * t
+    tangency, contact = [p for _, p in _TANGENCY_PARTS], [p for _, p in _CONTACT_PARTS]
+    missing = list(islice(
+        (_insertion_name(r, a + b, d)
+         for a in combinations_with_replacement(tangency, s)
+         for b in combinations_with_replacement(contact, t)
+         if _combo_label(left, a + b, d) is None), _MISSING_MAX + 1))
+    if missing:
+        more = ", ..." if len(missing) > _MISSING_MAX else ""
+        del missing[_MISSING_MAX:]
         raise UnsupportedProfileError(
             f"profile with {s} tangency and {t} triple-contact conditions needs "
-            f"invariants outside the stored thirteen: {', '.join(missing)}",
+            f"invariants outside the stored thirteen: {', '.join(map(_excerpt, missing))}{more}",
             missing)
 
-    if r + s + 2 * t != 3 * d - 1:
+    if r != left:
         raise ValueError(
             f"a degree-{d} profile needs points + tangencies + 2*contacts "
             f"= {3 * d - 1}, got {r + s + 2 * t}")
@@ -182,21 +193,13 @@ def mixed_count(profile: ConditionProfile, table: InvariantTable) -> int:
     if d not in table.values:
         raise KeyError(f"degree {d} not computed")
     check_profile(profile)
-    factor_lists = [
-        [(getattr(curve, attr), cls) for attr, cls in _TANGENCY_PARTS]
-        for curve in profile.tangents
-    ] + [
-        [(getattr(curve, attr), cls) for attr, cls in _CONTACT_PARTS]
-        for curve in profile.osculants
-    ]
-    column = table.column(d)
+    column = table.values[d]
     total = 0
-    for combo in product(*factor_lists):
-        coeff = 1
-        for value, _ in combo:
-            coeff *= value
+    for combo in product(
+            *([(getattr(curve, attr), cls) for attr, cls in _TANGENCY_PARTS]
+              for curve in profile.tangents),
+            *([(getattr(curve, attr), cls) for attr, cls in _CONTACT_PARTS]
+              for curve in profile.osculants)):
         label = _combo_label(profile.points, tuple(cls for _, cls in combo), d)
-        if label is None:
-            raise AssertionError("supported profile fell outside the 13 labels")
-        total += coeff * column[label]
+        total += prod(value for value, _ in combo) * column[label]
     return total

@@ -1,13 +1,16 @@
 import random
+import signal
 from collections import Counter
 from itertools import product
 
 import pytest
 
+from semple2 import cli
 from semple2.contact import (
     ConditionProfile,
     CurveInvariants,
     UnsupportedProfileError,
+    check_profile,
     contact_coefficients,
     contact_formula,
     contact_number,
@@ -119,6 +122,88 @@ def test_wrong_point_count_is_a_usage_error(table8):
         mixed_count(ConditionProfile(2, 4), table8)
     with pytest.raises(ValueError):
         mixed_count(ConditionProfile(3, 6, tangents=(SMOOTH_CONIC,)), table8)
+
+
+def _expected_outcome(d, r, s, t):
+    """What a profile gives, stated apart from the labels: each invariant
+    carries two classes beyond its 3d-3 points, a tangency inserts one and a
+    triple contact two, and the points fill the rest of 3d-1."""
+    if r < 0:
+        return ValueError
+    if s + 2 * t > 2:
+        return UnsupportedProfileError
+    if r != 3 * d - 1 - s - 2 * t:
+        return ValueError
+    return int
+
+
+def test_the_profiles_answered_are_those_within_two_inserted_classes(table8):
+    curves = (SMOOTH_CONIC, CUSPIDAL_CUBIC, CurveInvariants(4, 12, 0))
+    cases = 0
+    for d, s, t in product(range(1, 5), range(4), range(3)):
+        right = 3 * d - 1 - s - 2 * t
+        for r in sorted({-1, right - 1, right, right + 1}):
+            profile = ConditionProfile(d, r, curves[:s], curves[::-1][:t])
+            try:
+                outcome = type(mixed_count(profile, table8))
+            except ValueError as exc:  # UnsupportedProfileError is one too
+                outcome = type(exc)
+            assert outcome is _expected_outcome(d, r, s, t), (d, r, s, t)
+            cases += 1
+    assert cases == 182
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--points", "3", "--osculate", "2,2,0", "--osculate", "2,2,0"],
+     "profile with 0 tangency and 2 triple-contact conditions needs invariants "
+     "outside the stored thirteen: <(h2)^3.hd2z.hd2z>_d=3, <(h2)^3.h2z.hd2z>_d=3, "
+     "<(h2)^3.h2hd.hd2z>_d=3, <(h2)^3.h2z.h2z>_d=3, <(h2)^3.h2hd.h2z>_d=3, "
+     "<(h2)^3.h2hd.h2hd>_d=3"),
+    (["--points", "5", "--tangent", "2,2,0", "--osculate", "2,2,0"],
+     "profile with 1 tangency and 1 triple-contact conditions needs invariants "
+     "outside the stored thirteen: <(h2)^5.hd2.hd2z>_d=3, <(h2)^5.h2z.hd2>_d=3, "
+     "<(h2)^5.h2hd.hd2>_d=3, <(h2)^5.h2.hd2z>_d=3, <(h2)^5.h2.h2z>_d=3, "
+     "<(h2)^5.h2.h2hd>_d=3"),
+    (["--points", "5"] + ["--tangent", "2,2,0"] * 3,
+     "profile with 3 tangency and 0 triple-contact conditions needs invariants "
+     "outside the stored thirteen: <(h2)^5.hd2.hd2.hd2>_d=3, <(h2)^5.h2.hd2.hd2>_d=3, "
+     "<(h2)^5.h2.h2.hd2>_d=3, <(h2)^5.h2.h2.h2>_d=3"),
+], ids=["two-osculants", "tangent-and-osculant", "three-tangents"])
+def test_a_refusal_names_the_missing_invariants_in_first_term_order(capsys, argv, message):
+    assert cli.main(["count", "--degree", "3", *argv]) == cli.EXIT_UNSUPPORTED
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.fixture
+def within_10_s():
+    """Fail a test that runs for more than 10 s, where a walk over the
+    2^s ordered terms of s tangencies would hang."""
+    def timed_out(signum, frame):
+        raise TimeoutError("the refusal took more than 10 s")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_64_tangencies_are_refused_without_walking_the_ordered_terms(within_10_s):
+    with pytest.raises(UnsupportedProfileError):
+        check_profile(ConditionProfile(3, 0, (SMOOTH_CONIC,) * 64))
+
+
+def test_a_refusal_names_at_most_eight_invariants_each_cut_short(within_10_s):
+    profile = ConditionProfile(3, 0, (SMOOTH_CONIC,) * 10_000)
+    with pytest.raises(UnsupportedProfileError) as info:
+        check_profile(profile)
+    message = str(info.value)
+    assert len(message) < 2000
+    assert "... (40012 characters), " in message
+    assert message.endswith(" characters), ...")
+    # the names themselves are kept whole
+    assert len(info.value.missing) == 8
+    assert info.value.missing[0] == "<(h2)^0" + ".hd2" * 10_000 + ">_d=3"
 
 
 def test_plucker_class_of_smooth_and_singular_cubics():
