@@ -20,8 +20,9 @@ when they compute new degrees.  Every JSON a subcommand prints, the
 `verify`'s reports, is written by one writer, `_json`, in the bytes of
 `json.dumps(..., indent=2)`; `json` loads only for a printed string that
 needs escaping (such as `contact`'s č and κ, or a quote in a user
-expression or a report).  The cache is written and read without json, by
-`recursion.table_to_json` and `recursion.table_from_json`.  A query that reads
+expression or a report).  The cache is the text `table --format csv`
+prints, written by the same `recursion.rows_to_csv` and read by
+`recursion.table_from_csv`, without json or csv.  A query that reads
 degree k validates degrees 1..k of the cache; `verify --cache` reads and
 checks all of it.
 
@@ -30,9 +31,10 @@ the full name only; the last of a repeated option wins and
 `--tangent`/`--osculate` collect theirs in order; `--` ends the options; a
 negative number is a value, any other word that starts with a dash is an
 option.  A usage error prints the usage and one `semple2 CMD: error: ...`
-line to stderr and raises SystemExit(2).  argparse formats the usage, the
-`--help` text and the error line from the same table; it is imported only
-to print one of them and never parses argv.
+line to stderr and raises SystemExit(2); it quotes each offending word cut
+by `recursion._excerpt`, and names at most the first 8 unrecognized words.
+argparse formats the usage, the `--help` text and the error line from the
+same table; it is imported only to print one of them and never parses argv.
 
 Run as the program (`main()` with no argv), the CLI freezes its start-up
 heap with `gc.freeze()`, so the collector's passes during the command and
@@ -57,7 +59,8 @@ from .contact import (
     mixed_count,
     plucker_class,
 )
-from .recursion import INVARIANT_LABELS, CacheError, compute_up_to
+from .recursion import (INVARIANT_LABELS, CacheError, _excerpt, _excerpt_int, compute_up_to,
+                        rows_to_csv, table_rows)
 
 CACHE_ENV = "SEMPLE2_CACHE"
 
@@ -117,17 +120,14 @@ def _json_string(text: str) -> str:
 def _cmd_table(args) -> int:
     dmax = args.max_degree
     table = compute_up_to(dmax, cache_path=_default_cache(args.cache))
-    degrees = range(1, dmax + 1)
-    # one row per invariant: its label, then its decimal strings by degree
-    rows = [[label, *(str(table.get(d, label)) for d in degrees)]
-            for label in INVARIANT_LABELS]
+    rows = table_rows(table)
     if args.format == "json":
         _emit(_json({"max_degree": dmax, "labels": list(INVARIANT_LABELS),
                      "values": {label: values for label, *values in rows}}))
     elif args.format == "csv":
-        _emit("\n".join(",".join(row) for row in [["invariant", *map(str, degrees)], *rows]))
+        _emit(rows_to_csv(rows))
     else:
-        rows.insert(0, ["invariant", *(f"d={d}" for d in degrees)])
+        rows.insert(0, ["invariant", *(f"d={d}" for d in range(1, dmax + 1))])
         widths = [max(map(len, column)) for column in zip(*rows)]
         _emit("\n".join("  ".join([row[0].ljust(widths[0]), *map(str.rjust, row[1:], widths[1:])])
                         for row in rows))
@@ -177,24 +177,25 @@ def _integer(text: str) -> int:
             return int(s)
         except ValueError:  # past the int-str digit limit, as int() refuses it
             pass
-    raise _OptionError(f"invalid int value: {text!r}")
+    raise _OptionError(f"invalid int value: {_excerpt(text, quote=True)}")
 
 
 def _degree(text: str) -> int:
     d = _integer(text)
     if d < 1:
-        raise _OptionError(f"must be at least 1, got {d}")
+        raise _OptionError(f"must be at least 1, got {_excerpt_int(d)}")
     return d
 
 
 def _parse_triple(text: str) -> tuple:
     parts = text.split(",")
     if len(parts) != 3:
-        raise ValueError(f"expected three comma-separated integers, got {text!r}")
+        raise ValueError("expected three comma-separated integers, got "
+                         f"{_excerpt(text, quote=True)}")
     try:
         return tuple(_integer(p) for p in parts)
     except _OptionError as exc:
-        raise ValueError(f"bad curve triple {text!r}") from exc
+        raise ValueError(f"bad curve triple {_excerpt(text, quote=True)}") from exc
 
 
 def _fixed_curve(text: str) -> CurveInvariants:
@@ -320,6 +321,9 @@ _COMMANDS = {
 
 _HELP = ("-h", "--help")
 
+#: the most unrecognized words a usage error names; each is cut by `_excerpt`
+_UNKNOWN_MAX = 8
+
 
 def _arguments(command: str) -> dict:
     """The subcommand's arguments by name, each (name, read, default, metavar, help)."""
@@ -381,7 +385,8 @@ def _value(command: str, name: str, read, text: str):
     if isinstance(read, tuple):
         if text not in read:
             choices = ", ".join(map(repr, read))
-            _fail(command, f"argument {name}: invalid choice: {text!r} (choose from {choices})")
+            _fail(command, f"argument {name}: invalid choice: {_excerpt(text, quote=True)} "
+                           f"(choose from {choices})")
         return text
     try:
         return read(text)
@@ -405,7 +410,8 @@ def _read_argv(argv: list[str]):
     command = argv[at]
     if command not in _COMMANDS:
         choices = ", ".join(map(repr, _COMMANDS))
-        _fail(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+        _fail(None, f"argument command: invalid choice: {_excerpt(command, quote=True)} "
+                    f"(choose from {choices})")
     arguments = _arguments(command)
     options = {name for name in arguments if name.startswith("-")} | set(_HELP)
     positional = [name for name in arguments if name not in options]
@@ -428,7 +434,8 @@ def _read_argv(argv: list[str]):
             _, read, default, _, _ = arguments[name]
             if default is _FLAG:
                 if equals:
-                    _fail(command, f"argument {name}: ignored explicit argument {text!r}")
+                    _fail(command, f"argument {name}: ignored explicit argument "
+                                   f"{_excerpt(text, quote=True)}")
                 values[name] = True
                 continue
             if not equals:
@@ -445,7 +452,9 @@ def _read_argv(argv: list[str]):
     if missing:
         _fail(command, f"the following arguments are required: {', '.join(missing)}")
     if unknown:
-        _fail(command, f"unrecognized arguments: {' '.join(unknown)}")
+        more = " ..." if len(unknown) > _UNKNOWN_MAX else ""
+        _fail(command, "unrecognized arguments: "
+              f"{' '.join(map(_excerpt, unknown[:_UNKNOWN_MAX]))}{more}")
     for name, (_, _, default, _, _) in arguments.items():
         if name not in values:
             values[name] = [] if default is _REPEATED else False if default is _FLAG else default

@@ -152,8 +152,9 @@ def check_profile(profile: ConditionProfile) -> None:
 
     A negative point count is a ValueError.  A profile with a term that
     has no label at the points its other conditions leave is an
-    UnsupportedProfileError naming the first eight missing invariants;
-    only then is a wrong point count a ValueError.
+    UnsupportedProfileError naming the first eight missing invariants at
+    those points (at none when the conditions need more than 3d-1), not at
+    the points given; only then is a wrong point count a ValueError.
     """
     d, r = profile.degree, profile.points
     s, t = len(profile.tangents), len(profile.osculants)
@@ -165,7 +166,7 @@ def check_profile(profile: ConditionProfile) -> None:
     left = 3 * d - 1 - s - 2 * t
     tangency, contact = [p for _, p in _TANGENCY_PARTS], [p for _, p in _CONTACT_PARTS]
     missing = list(islice(
-        (_insertion_name(r, a + b, d)
+        (_insertion_name(max(left, 0), a + b, d)
          for a in combinations_with_replacement(tangency, s)
          for b in combinations_with_replacement(contact, t)
          if _combo_label(left, a + b, d) is None), _MISSING_MAX + 1))

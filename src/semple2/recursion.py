@@ -48,18 +48,16 @@ as a differential oracle.
 A computed or cached table is an `InvariantTable`: an immutable plain class
 with `__slots__` (like the value types of `semple2.contact` and the ring
 elements of `semple2.chow`, which share its private base `_Frozen`), so
-that no subcommand imports `dataclasses`.  The cache layout, that of
-`json.dumps(..., indent=2)`, is stated once, as the fixed pieces between
-the quotes of one degree (`_DEGREE_LAYOUT`) and around the degrees
-(`_OPEN`, `_NEXT`, `_ENDS`): `table_to_json` writes from them, byte for
-byte, and `table_from_json` compares a cache with them, with string
-operations alone, so neither writing nor reading a cache imports `json`.
-The reader is the one place that decides whether a cache is valid.  It
-checks each degree in full as it reads it: the key and layout, the labels
-in order, the spelling of each value and then its int(), the seed at
-degree 1, the 3:1 identities, and the next classical point count.  The
-first bad degree refuses the cache, so no value past it is converted.  A
-query that reads degree k splits, reads and checks only degrees 1..k.
+that no subcommand imports `dataclasses`.  The cache is the text that
+`table --format csv` prints: `rows_to_csv` of the table's `table_rows`, one
+writer for both.  `table_from_csv` reads it with string operations alone,
+so neither writing nor reading a cache imports `json` or `csv`.  The
+reader is the one place that decides whether a cache is valid.  It checks
+the header and the labels in order, then each degree in full as it reads
+it: its header cell, the spelling of each value and then its int(), the
+seed at degree 1, the 3:1 identities, and the next classical point count.
+The first bad degree refuses the cache, so no value past it is converted.
+A query that reads degree k splits, reads and checks only degrees 1..k.
 `DIVISOR_RULE` is the one statement of the divisor multipliers, read by
 the kernel and by the oracles.
 """
@@ -295,92 +293,82 @@ def kontsevich(d: int) -> int:
     return kontsevich_row(d)[d]
 
 
-#: what `table_to_json` writes before the first degree key
-_OPEN = "{\n  "
-#: what it writes between the quotes of one degree, from its key to its
-#: last value: a None where the value of a label goes
-_DEGREE_LAYOUT = (": {\n    ", *[piece for lbl in INVARIANT_LABELS
-                                 for piece in (lbl, ": ", None, ",\n    ")][:-1])
-#: and after the last value of a degree: when another degree follows, and
-#: when none does, with and without the final newline `save_table` adds
-_NEXT, _ENDS = "\n  },\n  ", ("\n  }\n}", "\n  }\n}\n")
-#: one degree as the writer fills it in: a template of its key and values
-_DEGREE_TEXT = '"'.join(("%s", *("%s" if piece is None else piece for piece in _DEGREE_LAYOUT)))
-#: the fixed pieces of a degree that the reader compares: the separators,
-#: and the labels in order
-_SEPARATORS, _LABELS = list(_DEGREE_LAYOUT[::2]), list(_DEGREE_LAYOUT[1::4])
-#: the pieces of one degree: its key, the layout, and the text after its last value
-_PIECES = 2 + len(_DEGREE_LAYOUT)
+def table_rows(table: InvariantTable) -> list[list[str]]:
+    """One row per invariant, in INVARIANT_LABELS order: its label, then its
+    decimal strings at degrees 1..N, where N is the number of degrees the
+    table holds (a table that lacks one of them is a KeyError)."""
+    degrees = range(1, len(table.values) + 1)
+    return [[label, *(str(table.values[d][label]) for d in degrees)]
+            for label in INVARIANT_LABELS]
 
 
-def table_to_json(table: InvariantTable) -> str:
-    """The cache text: `json.dumps({str(d): {label: str(n)}}, indent=2)`,
-    written from the pieces of that layout that `table_from_json` compares
-    a cache with, since neither the degrees, the labels nor the decimal
-    strings need escaping."""
-    if not table.values:
-        return "{}"
-    try:
-        columns = [_DEGREE_TEXT % (d, *(table.values[d][lbl] for lbl in INVARIANT_LABELS))
-                   for d in table.degrees()]
-    except ValueError as exc:  # only formatting an int past the digit limit raises
-        raise CacheError("an invariant has more digits than the interpreter's "
-                         f"int/str conversion limit: {exc}") from exc
-    return '"'.join((_OPEN, f'"{_NEXT}"'.join(columns), _ENDS[0]))
+def rows_to_csv(rows: list[list[str]]) -> str:
+    """The CSV of `table_rows`: the header `invariant,1,...,N`, then one line
+    per row, without a final newline.  `table --format csv` prints this
+    text, and `save_table` writes it as the cache."""
+    header = ["invariant", *map(str, range(1, len(rows[0])))]
+    return "\n".join(",".join(row) for row in [header, *rows])
 
 
-def _layout_error(d: int, block: list[str]) -> CacheError:
-    """The refusal of degree d, whose pieces from its key on are `block`:
-    it quotes the first piece that is not the one `table_to_json` writes."""
-    for want, got in zip((str(d), *_DEGREE_LAYOUT), block):
-        if want is not None and got != want:
-            return CacheError(f"degree {d} of the cache reads {_excerpt(got, quote=True)} "
-                              f"where semple2 writes {want!r}")
-    return CacheError(f"the cache ends inside degree {d}: {_excerpt(block[-1], quote=True)}")
+#: the cells that open the lines of the cache: the header's, then the labels
+_LINE_HEADS = ("invariant", *INVARIANT_LABELS)
 
 
-def table_from_json(text: str, dmax: int | None = None) -> InvariantTable:
+def table_from_csv(text: str, dmax: int | None = None) -> InvariantTable:
     """Read and check a cache, one degree at a time; accept only the text
-    `save_table` writes (`table_to_json` of degrees 1..N, the final newline
-    optional, `{}` for N = 0).
+    `save_table` writes (`rows_to_csv` of degrees 1..N, the final newline
+    optional).
 
-    No piece of that text between two '"' holds another, so
-    `text.split('"')` gives by turns the text between two strings and a
-    string, and each degree is a fixed run of pieces.  Degree d = 1, 2, ...
-    is checked in full before the next is read: its key must read str(d)
-    and the text between its strings must be the separators of
-    `json.dumps(..., indent=2)`; its labels must come in INVARIANT_LABELS
-    order; each value must be str(n) of an int n (ASCII digits after at
+    The text must be the header and one row per label, fourteen lines with
+    no '\\r' in them.  Each line is split at its commas only as far as
+    degree dmax, and the cells are compared in place: the header must open
+    with 'invariant' and the rows with the labels in INVARIANT_LABELS order,
+    and every row must end where the header does.  Then degree d = 1, 2, ...
+    is checked in full before the next is read: its header cell must read
+    str(d); each value must be str(n) of an int n (ASCII digits after at
     most one '-', no leading zero, not '-0') before int() reads it; degree
     1 must be the seed; the 3:1 identities must hold; and h2.h2 must be the
-    next classical point count.  No other spelling (whitespace, key order,
-    leading zeros, other digit scripts, JSON numbers or booleans, backslash
-    escapes) passes, and the text is read with string operations alone, so
-    reading a cache never imports `json`.
+    next classical point count.  No other spelling (whitespace, quotes,
+    leading zeros, other digit scripts) passes, and the text is read with
+    string operations alone, so reading a cache imports neither `json` nor
+    `csv`.
 
     The first bad degree refuses the cache with a CacheError: no value past
     it is converted, and the point counts are drawn only as far as it.
-    With `dmax`, the text is split only up to degree dmax, and the table
-    holds degrees 1..dmax (all of them when the cache holds fewer).
+    With `dmax`, no line is split past degree dmax, and the table holds
+    degrees 1..dmax (all of them when the cache holds fewer).
     """
     if dmax is not None and dmax < 1:
         raise ValueError("dmax must be at least 1")
+    lines = text.split("\n", len(_LINE_HEADS))
+    if len(lines) > len(_LINE_HEADS) and lines[-1] == "":
+        del lines[-1]  # the final newline
+    if len(lines) < len(_LINE_HEADS):
+        raise CacheError(f"the cache ends at line {len(lines)} of the {len(_LINE_HEADS)} "
+                         "semple2 writes")
+    if len(lines) > len(_LINE_HEADS):
+        raise CacheError(f"the cache goes on past the {len(_LINE_HEADS)} lines semple2 "
+                         f"writes: {_excerpt(lines[-1], quote=True)}")
+    if "\r" in text:
+        raise CacheError("the cache holds a '\\r', which semple2 never writes")
+    header, *rows = cells = [line.split(",", -1 if dmax is None else dmax + 1)
+                             for line in lines]
+    for want, line in zip(_LINE_HEADS, cells):
+        if line[0] != want:
+            raise CacheError(f"a line of the cache opens with {_excerpt(line[0], quote=True)} "
+                             f"where semple2 writes {want!r}")
+        if len(line) != len(header):
+            raise CacheError(f"the row of {want} and the header end at different degrees")
     values: dict[int, dict[str, int]] = {}
-    if text in ("{}", "{}\n"):
-        return InvariantTable(values)
-    pieces = text.split('"', -1 if dmax is None else _PIECES * dmax)
-    if len(pieces) == 1 or pieces[0] != _OPEN:
-        raise CacheError(f"the cache opens with {_excerpt(pieces[0], quote=True)} "
-                         "where semple2 writes '{\\n  ' or '{}'")
-    last = (len(pieces) + _PIECES - 2) // _PIECES
     points = _point_counts()
-    for d in range(1, last + 1):
-        block = pieces[_PIECES * d - _PIECES + 1:_PIECES * d + 1]
-        if (len(block) < _PIECES or block[0] != str(d) or block[1:-1:2] != _SEPARATORS
-                or block[2::4] != _LABELS):
-            raise _layout_error(d, block)
+    # past dmax, the header's last cell holds the rest of its line, unread
+    for d in range(1, len(header) if dmax is None else min(len(header), dmax + 1)):
+        if header[d] != str(d):
+            raise CacheError(f"degree {d} of the cache reads {_excerpt(header[d], quote=True)} "
+                             f"where semple2 writes {str(d)!r}")
         column = values[d] = {}
-        for label, number in zip(INVARIANT_LABELS, block[4::4]):
+        for label, row in zip(INVARIANT_LABELS, rows):
+            number = row[d]
             digits = number.removeprefix("-")
             if not (digits.isascii() and digits.isdigit() and (digits[0] != "0" or number == "0")):
                 raise CacheError(f"bad integer for {label} at degree {d}: "
@@ -390,12 +378,6 @@ def table_from_json(text: str, dmax: int | None = None) -> InvariantTable:
             except ValueError as exc:  # only a decimal past the digit limit
                 raise CacheError(f"{label} at degree {d} has more digits than the "
                                  f"interpreter's int/str conversion limit: {exc}") from exc
-        # the last piece holds the rest of the text, unread past degree dmax
-        after = block[-1]
-        if not (after == _NEXT if d < last else
-                after in _ENDS or d == dmax and after.startswith(_NEXT)):
-            raise CacheError(f"degree {d} of the cache is followed by "
-                             f"{_excerpt(after, quote=True)}")
         if d == 1 and column != SEED:
             raise CacheError("cached degree-1 column disagrees with the seed")
         bad = ratio_failures(column)
@@ -410,17 +392,19 @@ def table_from_json(text: str, dmax: int | None = None) -> InvariantTable:
 
 
 def load_table(path: str, dmax: int | None = None) -> InvariantTable:
-    """`table_from_json` of the file at `path`, degrees 1..dmax with
+    """`table_from_csv` of the file at `path`, degrees 1..dmax with
     `dmax`: each degree checked as it is read, and the cache refused at
-    its first bad degree.  A file that cannot be read is a CacheError."""
+    its first bad degree.  The file is read with its line ends as they are,
+    so '\\r\\n' ones are refused.  A file that cannot be read is a
+    CacheError."""
     if dmax is not None and dmax < 1:
         raise ValueError("dmax must be at least 1")
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise CacheError(f"cannot read cache {path}: {exc}") from exc
-    return table_from_json(text, dmax)
+    return table_from_csv(text, dmax)
 
 
 def save_table(table: InvariantTable, path: str) -> None:
@@ -432,7 +416,11 @@ def save_table(table: InvariantTable, path: str) -> None:
     when an invariant is too long to write, or when the file cannot be
     created, written or renamed.
     """
-    text = table_to_json(table) + "\n"
+    try:
+        text = rows_to_csv(table_rows(table)) + "\n"
+    except ValueError as exc:  # only formatting an int past the digit limit raises
+        raise CacheError("an invariant has more digits than the interpreter's "
+                         f"int/str conversion limit: {exc}") from exc
     tmp = None
     try:
         try:
@@ -447,7 +435,7 @@ def save_table(table: InvariantTable, path: str) -> None:
                 continue
             tmp = name
             break
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             if mode is not None:
                 os.chmod(tmp, mode)
             handle.write(text)

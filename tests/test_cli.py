@@ -16,8 +16,9 @@ from semple2.recursion import (
     INVARIANT_LABELS,
     compute_up_to,
     load_table,
+    rows_to_csv,
     save_table,
-    table_to_json,
+    table_rows,
 )
 from semple2.verify import TABLE1_REFERENCE
 
@@ -43,6 +44,20 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def edit_cache(path, d: int, label: str, value) -> None:
+    """Put `value`, or `value` of the cell, in place of the cell of `label`
+    at degree `d` of the cache at `path`."""
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    cells = lines[1 + INVARIANT_LABELS.index(label)].split(",")
+    cells[d] = value(cells[d]) if callable(value) else value
+    lines[1 + INVARIANT_LABELS.index(label)] = ",".join(cells)
+    Path(path).write_text("\n".join(lines), encoding="utf-8")
+
+
+def bump(cell: str) -> str:
+    return str(int(cell) + 1)
 
 
 def child_env() -> dict:
@@ -71,8 +86,8 @@ def test_table_json_uses_decimal_strings(capsys):
 
 @pytest.mark.parametrize("dmax", [1, 2, 40])
 def test_table_json_keeps_the_bytes_of_json_dumps_with_indent_2(tmp_path, capsys, dmax):
-    # the table and its cache are written without json; both keep its layout
-    path = tmp_path / "cache.json"
+    # the table is written without json, in its layout
+    path = tmp_path / "cache.csv"
     code, out, _ = run(capsys, "table", "--max-degree", str(dmax), "--format", "json",
                        "--cache", str(path))
     assert code == 0
@@ -82,8 +97,16 @@ def test_table_json_keeps_the_bytes_of_json_dumps_with_indent_2(tmp_path, capsys
             "values": {label: [str(table.get(d, label)) for d in range(1, dmax + 1)]
                        for label in INVARIANT_LABELS}}
     assert out == json.dumps(data, indent=2) + "\n" == json.dumps(json.loads(out), indent=2) + "\n"
-    cache = path.read_text(encoding="utf-8")
-    assert cache == json.dumps(json.loads(cache), indent=2) + "\n"
+    assert path.read_text(encoding="utf-8") == rows_to_csv(table_rows(table)) + "\n"
+
+
+@pytest.mark.parametrize("dmax", [1, 2, 12, 40, 200])
+def test_the_cache_a_table_writes_is_its_csv(tmp_path, capsys, dmax):
+    path = tmp_path / "cache.csv"
+    code, out, _ = run(capsys, "table", "--max-degree", str(dmax), "--format", "csv",
+                       "--cache", str(path))
+    assert code == 0
+    assert path.read_bytes() == out.encode("utf-8")
 
 
 def test_table_degree_one(capsys):
@@ -105,41 +128,60 @@ def test_table_output_is_deterministic(capsys):
 
 
 def test_table_uses_cache(tmp_path, capsys):
-    path = str(tmp_path / "cache.json")
+    path = str(tmp_path / "cache.csv")
     code, out1, _ = run(capsys, "table", "--max-degree", "5", "--format", "csv",
                         "--cache", path)
     assert code == 0
     code, out2, _ = run(capsys, "table", "--max-degree", "5", "--format", "csv",
                         "--cache", path)
     assert code == 0
-    assert out1 == out2
-    assert json.loads(Path(path).read_text())["5"]["h2hd"] == "51040"
+    assert out1 == out2 == Path(path).read_text(encoding="utf-8")
+    assert out1.splitlines()[1].split(",")[5] == "51040"
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
-    path = str(tmp_path / "envcache.json")
+    path = str(tmp_path / "envcache.csv")
     monkeypatch.setenv(cli.CACHE_ENV, path)
     code, _, _ = run(capsys, "table", "--max-degree", "2", "--format", "csv")
     assert code == 0
-    assert "2" in json.loads(Path(path).read_text())
+    assert Path(path).read_text(encoding="utf-8").startswith("invariant,1,2\n")
 
 
 def test_corrupt_cache_fails_table(tmp_path, capsys):
-    path = tmp_path / "cache.json"
+    path = tmp_path / "cache.csv"
     path.write_text("{broken", encoding="utf-8")
     code, _, err = run(capsys, "table", "--max-degree", "2", "--cache", str(path))
     assert code == 4
     assert "cache" in err
 
 
+#: a valid degree-8 cache rewritten in a layout semple2 never writes
+FOREIGN_CACHES = {
+    "crlf": lambda text, table: text.replace("\n", "\r\n"),
+    "space after each comma": lambda text, table: text.replace(",", ", "),
+    "json of earlier versions": lambda text, table: json.dumps(
+        {str(d): {label: str(n) for label, n in table.column(d).items()}
+         for d in table.degrees()}, indent=2) + "\n",
+}
+
+
+@pytest.mark.parametrize("layout", FOREIGN_CACHES)
+def test_a_valid_cache_in_another_layout_fails_count(tmp_path, capsys, table8, layout):
+    # the file is read with its line ends as they are
+    path = tmp_path / "cache.csv"
+    save_table(table8, str(path))
+    assert run(capsys, "count", "--degree", "3", "--points", "8", "--cache", str(path)) == \
+        (0, "12\n", "")
+    path.write_bytes(FOREIGN_CACHES[layout](path.read_text(encoding="utf-8"), table8).encode())
+    code, out, err = run(capsys, "count", "--degree", "3", "--points", "8", "--cache", str(path))
+    assert (code, out) == (4, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cache_with_wrong_point_count_fails_count(tmp_path, capsys):
-    path = str(tmp_path / "cache.json")
+    path = str(tmp_path / "cache.csv")
     assert run(capsys, "table", "--max-degree", "6", "--cache", path)[0] == 0
-    with open(path) as handle:
-        data = json.load(handle)
-    data["5"]["h2.h2"] = str(int(data["5"]["h2.h2"]) + 1)
-    with open(path, "w") as handle:
-        json.dump(data, handle, indent=2)
+    edit_cache(path, 5, "h2.h2", bump)
     code, out, err = run(capsys, "count", "--degree", "5", "--points", "14",
                          "--cache", path)
     assert code == 4
@@ -149,14 +191,14 @@ def test_cache_with_wrong_point_count_fails_count(tmp_path, capsys):
 
 def refused_at_once(tmp_path, capsys, text):
     """The exit code, stdout and stderr of `count` on a cache `text`."""
-    path = tmp_path / "bad.json"
+    path = tmp_path / "bad.csv"
     path.write_text(text, encoding="utf-8")
     return run(capsys, "count", "--degree", "2", "--points", "5", "--cache", str(path))
 
 
 def test_tiny_hostile_cache_fails_count_at_once(tmp_path, capsys, point_draws):
     # a cache opens with degree 1: a first key of 3000 is refused unread
-    text = table_to_json(compute_up_to(1)).replace('"1": {', '"3000": {')
+    text = rows_to_csv(table_rows(compute_up_to(1))).replace("invariant,1", "invariant,3000")
     code, out, err = refused_at_once(tmp_path, capsys, text)
     assert (code, out) == (4, "")
     assert "degree 1 of the cache reads '3000' where semple2 writes '1'" in err
@@ -167,7 +209,7 @@ def test_a_hostile_degree_the_text_could_hold_fails_count_before_the_point_row(
         tmp_path, capsys, point_draws):
     # the point row up to degree 3000 would take minutes; degree 2 follows
     # degree 1, which is checked in full, its point count the one drawn
-    text = table_to_json(compute_up_to(8)).replace('"2": {', '"3000": {')
+    text = rows_to_csv(table_rows(compute_up_to(8))).replace("invariant,1,2,", "invariant,1,3000,")
     code, out, err = refused_at_once(tmp_path, capsys, text)
     assert (code, out) == (4, "")
     assert "degree 2 of the cache reads '3000' where semple2 writes '2'" in err
@@ -175,13 +217,9 @@ def test_a_hostile_degree_the_text_could_hold_fails_count_before_the_point_row(
 
 
 def test_a_cache_value_semple2_never_writes_fails_count(tmp_path, capsys):
-    path = str(tmp_path / "cache.json")
+    path = str(tmp_path / "cache.csv")
     assert run(capsys, "table", "--max-degree", "6", "--cache", path)[0] == 0
-    with open(path) as handle:
-        data = json.load(handle)
-    data["4"]["h2hd"] = "4_28"
-    with open(path, "w") as handle:
-        json.dump(data, handle, indent=2)
+    edit_cache(path, 4, "h2hd", "4_28")
     code, out, err = run(capsys, "count", "--degree", "4", "--points", "11",
                          "--cache", path)
     assert (code, out) == (4, "")
@@ -191,13 +229,9 @@ def test_a_cache_value_semple2_never_writes_fails_count(tmp_path, capsys):
 def test_a_query_validates_only_the_degrees_it_reads(tmp_path, capsys):
     # degree-30 h2.h2 one too large: a degree-5 query reads degrees 1..5 and
     # answers; a degree-30 query and verify --cache read degree 30 and refuse
-    path = str(tmp_path / "cache.json")
+    path = str(tmp_path / "cache.csv")
     compute_up_to(40, cache_path=path)
-    with open(path) as handle:
-        data = json.load(handle)
-    data["30"]["h2.h2"] = str(int(data["30"]["h2.h2"]) + 1)
-    with open(path, "w") as handle:
-        json.dump(data, handle, indent=2)
+    edit_cache(path, 30, "h2.h2", bump)
     assert run(capsys, "count", "--degree", "5", "--points", "14", "--cache", path) == \
         (0, "87304\n", "")
     code, out, err = run(capsys, "count", "--degree", "30", "--points", "89", "--cache", path)
@@ -225,7 +259,7 @@ def test_a_refused_request_computes_nothing_and_writes_no_cache(
         raise AssertionError(f"degree {d} computed")
 
     monkeypatch.setattr(recursion, "recursion_rhs", refuse)
-    path = tmp_path / "cache.json"
+    path = tmp_path / "cache.csv"
     code, out, err = run(capsys, *argv, "--cache", str(path))
     assert (code, out) == (status, "")
     assert err.startswith("error: ")
@@ -233,7 +267,7 @@ def test_a_refused_request_computes_nothing_and_writes_no_cache(
 
 
 def test_missing_cache_directory_is_a_cache_error(tmp_path, capsys):
-    path = tmp_path / "no" / "such" / "dir" / "cache.json"
+    path = tmp_path / "no" / "such" / "dir" / "cache.csv"
     code, out, err = run(capsys, "table", "--max-degree", "3", "--cache", str(path))
     assert code == 4
     assert out == ""
@@ -306,7 +340,7 @@ def test_contact_plucker_rejects_explicit_curve_options(capsys):
     ["contact", "--degree", "2", "--pl", "3,1,0"],
     ["contact", "--degree", "3", "--cu", "2,2,0"],
     ["chow-eval", "h", "--int"],
-    ["verify", "--max-degree", "1", "--cach", "cache.json"],
+    ["verify", "--max-degree", "1", "--cach", "cache.csv"],
 ])
 def test_an_option_prefix_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as info:
@@ -446,7 +480,8 @@ def test_an_option_past_the_int_str_digit_limit_is_an_invalid_int(capsys):
         cli.main(["table", "--max-degree", digits])
     out, err = capsys.readouterr()
     assert (info.value.code, out) == (2, "")
-    assert err.endswith(f": error: argument --max-degree: invalid int value: '{digits}'\n")
+    assert err.endswith(f": error: argument --max-degree: invalid int value: '{digits[:100]}'... "
+                        "(4400 characters)\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -534,7 +569,7 @@ def test_verify_passes(capsys):
 
 
 def test_verify_corrupt_cache(tmp_path, capsys):
-    path = tmp_path / "cache.json"
+    path = tmp_path / "cache.csv"
     path.write_text('{"1": {"h2hd": "7"}}', encoding="utf-8")
     code, out, _ = run(capsys, "verify", "--max-degree", "1", "--cache", str(path))
     assert code == 4
@@ -545,11 +580,9 @@ def test_verify_corrupt_cache(tmp_path, capsys):
 
 def test_verify_compares_the_cache_with_the_computed_table(tmp_path, capsys, table8):
     # hd2z is in no 3:1 identity and is not the point row, so loading passes
-    path = tmp_path / "bad.json"
+    path = tmp_path / "bad.csv"
     save_table(table8, str(path))
-    data = json.loads(path.read_text(encoding="utf-8"))
-    data["5"]["hd2z"] = str(int(data["5"]["hd2z"]) + 1)
-    path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    edit_cache(path, 5, "hd2z", bump)
     load_table(str(path))
     code, out, err = run(capsys, "verify", "--max-degree", "6", "--cache", str(path))
     assert code == 4
@@ -715,6 +748,45 @@ def test_a_usage_error_names_what_is_wrong(capsys, argv, message):
     assert err.startswith("usage: semple2") and message in err
 
 
+#: a long word: an option value, option or subcommand a usage error quotes
+LONG_WORD = "y" * 100_000
+
+
+@pytest.mark.parametrize("argv, line", [
+    pytest.param(["count", "--degree", "3", "--points", "8", *["x"] * 50_000],
+                 "semple2 count: error: unrecognized arguments: x x x x x x x x ...",
+                 id="50000 extra words"),
+    pytest.param(["chow-eval", "h", f"--nope={LONG_WORD}"],
+                 f"semple2 chow-eval: error: unrecognized arguments: --nope={LONG_WORD[:93]}... "
+                 "(100007 characters)", id="unknown option"),
+    pytest.param(["table", "--max-degree", "2", "--format", LONG_WORD],
+                 f"semple2 table: error: argument --format: invalid choice: '{LONG_WORD[:100]}'... "
+                 "(100000 characters) (choose from 'json', 'csv', 'pretty')", id="format value"),
+    pytest.param([LONG_WORD], f"semple2: error: argument command: invalid choice: "
+                 f"'{LONG_WORD[:100]}'... (100000 characters) (choose from 'table', 'contact', "
+                 "'count', 'chow-eval', 'verify')", id="subcommand"),
+    pytest.param(["table", "--max-degree", "9" * 5000],
+                 f"semple2 table: error: argument --max-degree: invalid int value: "
+                 f"'{'9' * 100}'... (5000 characters)", id="5000-digit degree"),
+    pytest.param(["count", "--degree", "-" + "9" * 4000, "--points", "0"],
+                 f"semple2 count: error: argument --degree: must be at least 1, got "
+                 f"-{'9' * 99}... (4001 characters)", id="4000-digit negative degree"),
+    pytest.param(["chow-eval", "h", f"--integrate={LONG_WORD}"],
+                 f"semple2 chow-eval: error: argument --integrate: ignored explicit argument "
+                 f"'{LONG_WORD[:100]}'... (100000 characters)", id="flag value"),
+])
+def test_a_usage_error_quotes_at_most_100_characters_of_a_word_and_8_words(capsys, argv, line):
+    err = usage_error(capsys, *argv)
+    assert len(err.encode()) < 2048
+    assert err.splitlines()[-1] == line
+
+
+@pytest.mark.parametrize("words, named", [(8, "a b c d e f g h"), (9, "a b c d e f g h ...")])
+def test_a_usage_error_names_the_first_8_unrecognized_words(capsys, words, named):
+    err = usage_error(capsys, "chow-eval", "h", *"abcdefghi"[:words])
+    assert err.splitlines()[-1] == f"semple2 chow-eval: error: unrecognized arguments: {named}"
+
+
 @pytest.mark.parametrize("flag", ["-h", "--help"])
 @pytest.mark.parametrize("command", [None, *HELP_OPTIONS])
 def test_help_prints_usage_to_stdout_and_exits_zero(capsys, command, flag):
@@ -815,7 +887,7 @@ def test_the_json_writer_refuses_any_other_type(value):
 
 def test_verify_prints_the_bytes_of_json_dumps_also_where_a_report_needs_escaping(
         tmp_path, capsys):
-    path = tmp_path / "cache.json"
+    path = tmp_path / "cache.csv"
     compute_up_to(8, cache_path=str(path))
     code, out, _ = run(capsys, "verify", "--max-degree", "8", "--cache", str(path))
     assert code == 0
@@ -823,13 +895,13 @@ def test_verify_prints_the_bytes_of_json_dumps_also_where_a_report_needs_escapin
     # the cache-validation report quotes the unknown label with repr: a
     # non-ASCII letter, a quote and doubled backslashes
     label = "h\u00e9'\\\\"
-    path.write_text(path.read_text(encoding="utf-8").replace('"h2hd"', f'"{label}"', 1),
+    path.write_text(path.read_text(encoding="utf-8").replace("\nh2hd,", f"\n{label},", 1),
                     encoding="utf-8")
     code, out, _ = run(capsys, "verify", "--max-degree", "2", "--cache", str(path))
     assert code == 4
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
     assert json.loads(out)[-1]["actual"] == \
-        "degree 1 of the cache reads \"h\u00e9'\\\\\\\\\" where semple2 writes 'h2hd'"
+        "a line of the cache opens with \"h\u00e9'\\\\\\\\\" where semple2 writes 'h2hd'"
 
 
 #: a 300,000-digit number, 300 KB that a message must not echo
@@ -846,16 +918,14 @@ def test_a_cache_with_a_300000_digit_number_is_refused_with_a_short_message(
         tmp_path, capsys, where):
     # the key, which is not the degree 2 that follows degree 1, is refused
     # unread; the value is degree 2's h2.h2, which the point count refuses
-    path = tmp_path / "cache.json"
+    path = tmp_path / "cache.csv"
     compute_up_to(8, cache_path=str(path))
-    text = path.read_text(encoding="utf-8")
     if where == "degree key":
-        text = text.replace('"2": {', f'"{HOSTILE_DIGITS}": {{')
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace("invariant,1,2,", f"invariant,1,{HOSTILE_DIGITS},"),
+                        encoding="utf-8")
     else:
-        data = json.loads(text)
-        data["2"]["h2.h2"] = HOSTILE_DIGITS
-        text = json.dumps(data, indent=2) + "\n"
-    path.write_text(text, encoding="utf-8")
+        edit_cache(path, 2, "h2.h2", HOSTILE_DIGITS)
     code, out, err = run(capsys, "count", "--degree", "2", "--points", "5",
                          "--cache", str(path))
     assert (code, out) == (4, "")
@@ -867,11 +937,9 @@ def test_verify_quotes_a_300000_digit_cached_value_in_a_short_report(tmp_path, c
     # degree 2's h2.hdz is in no 3:1 identity and is not the point row, so
     # the cache loads, and cache-validation quotes it cut to its first 100
     # characters and its length
-    path = tmp_path / "cache.json"
+    path = tmp_path / "cache.csv"
     compute_up_to(8, cache_path=str(path))
-    data = json.loads(path.read_text(encoding="utf-8"))
-    data["2"]["h2.hdz"] = HOSTILE_DIGITS
-    path.write_text(json.dumps(data, indent=2), encoding="utf-8")
+    edit_cache(path, 2, "h2.hdz", HOSTILE_DIGITS)
     code, out, err = run(capsys, "verify", "--max-degree", "2", "--cache", str(path))
     assert code == 4
     assert len(out.encode()) <= 3000 and len(err.encode()) <= 3000

@@ -153,12 +153,31 @@ def test_the_profiles_answered_are_those_within_two_inserted_classes(table8):
     assert cases == 182
 
 
+#: the refusal of two triple contacts at degree 3: the insertions they
+#: miss at the 8 - 4 points they leave, whatever point count is given
+TWO_OSCULANTS = (
+    "profile with 0 tangency and 2 triple-contact conditions needs invariants "
+    "outside the stored thirteen: <(h2)^4.hd2z.hd2z>_d=3, <(h2)^4.h2z.hd2z>_d=3, "
+    "<(h2)^4.h2hd.hd2z>_d=3, <(h2)^4.h2z.h2z>_d=3, <(h2)^4.h2hd.h2z>_d=3, "
+    "<(h2)^4.h2hd.h2hd>_d=3")
+
+
+def test_a_refusal_names_the_insertions_at_the_points_the_conditions_leave():
+    curves = (SMOOTH_CONIC, CUSPIDAL_CUBIC, CurveInvariants(4, 12, 0))
+    for d, s, t in product(range(1, 5), range(4), range(3)):
+        left = max(3 * d - 1 - s - 2 * t, 0)
+        for r in sorted({0, left - 1, left, left + 1, 3 * d + 4} - {-1}):
+            try:
+                check_profile(ConditionProfile(d, r, curves[:s], curves[::-1][:t]))
+            except UnsupportedProfileError as exc:
+                assert all(name.startswith(f"<(h2)^{left}.") for name in exc.missing), (d, r, s, t)
+            except ValueError:
+                pass
+
+
 @pytest.mark.parametrize("argv, message", [
-    (["--points", "3", "--osculate", "2,2,0", "--osculate", "2,2,0"],
-     "profile with 0 tangency and 2 triple-contact conditions needs invariants "
-     "outside the stored thirteen: <(h2)^3.hd2z.hd2z>_d=3, <(h2)^3.h2z.hd2z>_d=3, "
-     "<(h2)^3.h2hd.hd2z>_d=3, <(h2)^3.h2z.h2z>_d=3, <(h2)^3.h2hd.h2z>_d=3, "
-     "<(h2)^3.h2hd.h2hd>_d=3"),
+    (["--points", "3", "--osculate", "2,2,0", "--osculate", "2,2,0"], TWO_OSCULANTS),
+    (["--points", "9", "--osculate", "2,2,0", "--osculate", "2,2,0"], TWO_OSCULANTS),
     (["--points", "5", "--tangent", "2,2,0", "--osculate", "2,2,0"],
      "profile with 1 tangency and 1 triple-contact conditions needs invariants "
      "outside the stored thirteen: <(h2)^5.hd2.hd2z>_d=3, <(h2)^5.h2z.hd2>_d=3, "
@@ -168,7 +187,7 @@ def test_the_profiles_answered_are_those_within_two_inserted_classes(table8):
      "profile with 3 tangency and 0 triple-contact conditions needs invariants "
      "outside the stored thirteen: <(h2)^5.hd2.hd2.hd2>_d=3, <(h2)^5.h2.hd2.hd2>_d=3, "
      "<(h2)^5.h2.h2.hd2>_d=3, <(h2)^5.h2.h2.h2>_d=3"),
-], ids=["two-osculants", "tangent-and-osculant", "three-tangents"])
+], ids=["two-osculants", "two-osculants-at-9-points", "tangent-and-osculant", "three-tangents"])
 def test_a_refusal_names_the_missing_invariants_in_first_term_order(capsys, argv, message):
     assert cli.main(["count", "--degree", "3", *argv]) == cli.EXIT_UNSUPPORTED
     assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -63,7 +63,7 @@ def modules_after_cli(*argvs, flags=(), codes=None) -> set:
 
 
 def test_warm_queries_load_neither_the_ring_nor_the_polynomials_nor_the_oracles(tmp_path):
-    cache = str(tmp_path / "cache.json")
+    cache = str(tmp_path / "cache.csv")
     compute_up_to(10, cache_path=cache)
     loaded = modules_after_cli(
         ("count", "--degree", "7", "--points", "19", "--tangent", "2,2,0",
@@ -88,7 +88,7 @@ def test_a_cold_table_loads_neither_the_ring_nor_the_polynomials_nor_the_oracles
 
 
 def test_a_cold_table_loads_the_kernel_and_a_warm_one_does_not(tmp_path):
-    cache = str(tmp_path / "cache.json")
+    cache = str(tmp_path / "cache.csv")
     cold = modules_after_cli(("table", "--max-degree", "40", "--cache", cache))
     assert "semple2._kernel" in cold and "semple2.verify" not in cold
     warm = modules_after_cli(("table", "--max-degree", "40", "--cache", cache))
@@ -97,7 +97,7 @@ def test_a_cold_table_loads_the_kernel_and_a_warm_one_does_not(tmp_path):
 
 @pytest.mark.parametrize("kind", ["warm", "cold-table", "chow-eval", "verify"])
 def test_queries_load_neither_dataclasses_nor_tempfile(tmp_path, kind):
-    cache = str(tmp_path / "cache.json")
+    cache = str(tmp_path / "cache.csv")
     compute_up_to(10, cache_path=cache)
     argvs = {
         "warm": [("count", "--degree", "7", "--points", "19", "--tangent", "2,2,0",
@@ -119,7 +119,7 @@ def test_the_table_and_queries_without_a_cache_load_no_json(tmp_path):
     # `site` hook may load json itself
     loaded = modules_after_cli(
         ("table", "--max-degree", "12", "--format", "json",
-         "--cache", str(tmp_path / "new.json")),
+         "--cache", str(tmp_path / "new.csv")),
         ("table", "--max-degree", "6", "--format", "pretty"),
         ("contact", "--degree", "4"),
         ("chow-eval", "h^2*hd*z", "--integrate"),
@@ -137,12 +137,12 @@ def test_json_loads_only_for_a_printed_string_that_needs_escaping(tmp_path, kind
     # with string operations alone; json loads only to escape a string:
     # contact's formula, with its non-ASCII symbols, or a report that
     # quotes a non-ASCII label
-    cache = str(tmp_path / "cache.json")
+    cache = str(tmp_path / "cache.csv")
     compute_up_to(8, cache_path=cache)
     # the cache-validation report quotes the unknown label, which is not ASCII
-    foreign = tmp_path / "foreign.json"
+    foreign = tmp_path / "foreign.csv"
     with open(cache, encoding="utf-8") as handle:
-        foreign.write_text(handle.read().replace('"h2hd"', '"h\u00e9"', 1), encoding="utf-8")
+        foreign.write_text(handle.read().replace("\nh2hd,", "\nh\u00e9,", 1), encoding="utf-8")
     argvs = {
         "cache read": [(0, "count", "--degree", "3", "--points", "8", "--cache", cache),
                        (0, "contact", "--degree", "8", "--plucker", "3,1,0", "--cache", cache),
@@ -160,6 +160,25 @@ def test_json_loads_only_for_a_printed_string_that_needs_escaping(tmp_path, kind
         assert ("json" in loaded) == (kind == "escaped string"), argv
 
 
+def test_no_cache_read_or_write_loads_json_or_csv(tmp_path):
+    # a cache is written, extended, read in part and in full, and refused at
+    # degree 2, by string operations alone; under -S, since a `site` hook
+    # may load json itself
+    cache, refused = str(tmp_path / "cache.csv"), tmp_path / "refused.csv"
+    compute_up_to(2, cache_path=str(refused))
+    refused.write_text(refused.read_text(encoding="utf-8").replace("h2.h2,1,1", "h2.h2,1,2"),
+                       encoding="utf-8")
+    loaded = modules_after_cli(
+        ("table", "--max-degree", "6", "--cache", cache),
+        ("table", "--max-degree", "8", "--format", "csv", "--cache", cache),
+        ("count", "--degree", "3", "--points", "8", "--cache", cache),
+        ("verify", "--max-degree", "8", "--cache", cache),
+        ("count", "--degree", "2", "--points", "5", "--cache", str(refused)),
+        codes=(0, 0, 0, 0, 4), flags=("-S",))
+    assert {"semple2.cli", "semple2.recursion", "semple2._kernel", "semple2.verify"} <= loaded
+    assert loaded.isdisjoint({"json", "csv"})
+
+
 #: what `import fractions` loads beside itself
 RATIONALS = ("fractions", "decimal", "numbers")
 
@@ -172,7 +191,7 @@ README_CHOW_EVAL = (("chow-eval", "i*z"), ("chow-eval", "h^2*hd*z", "--integrate
 def test_integral_work_loads_no_rationals(tmp_path, kind):
     # every number verify computes is an int numerator over a known
     # denominator, and an integral class has int coordinates
-    cache = str(tmp_path / "cache.json")
+    cache = str(tmp_path / "cache.csv")
     compute_up_to(8, cache_path=cache)
     argvs = {
         "verify": [("verify", "--max-degree", "8")],
@@ -192,7 +211,7 @@ def test_a_rational_chow_eval_loads_fractions():
 def test_no_subcommand_loads_future(tmp_path):
     # the modules hold no `from __future__ import annotations`, so no call,
     # computed, cached, refused, failed or printing json, loads the module
-    cache = str(tmp_path / "cache.json")
+    cache = str(tmp_path / "cache.csv")
     compute_up_to(8, cache_path=cache)
     loaded = modules_after_cli(
         ("table", "--max-degree", "10", "--format", "json", "--cache", cache),
@@ -203,7 +222,7 @@ def test_no_subcommand_loads_future(tmp_path):
          "--osculate", "2,2,0"),
         ("chow-eval", "h^2*hd*z", "--integrate", "--format", "json"),
         ("verify", "--max-degree", "8", "--cache", cache),
-        ("verify", "--max-degree", "2", "--cache", str(tmp_path / "missing.json")),
+        ("verify", "--max-degree", "2", "--cache", str(tmp_path / "missing.csv")),
         codes=(0, 0, 0, 0, 3, 0, 0, 4), flags=("-S",))
     assert {"semple2.cli", "semple2._kernel", "semple2.chow", "semple2.verify", "json"} <= loaded
     assert "__future__" not in loaded

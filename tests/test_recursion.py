@@ -1,6 +1,5 @@
 import ast
 import hashlib
-import json
 import os
 import random
 import stat
@@ -30,9 +29,10 @@ from semple2.recursion import (
     load_table,
     ratio_failures,
     recursion_rhs,
+    rows_to_csv,
     save_table,
-    table_from_json,
-    table_to_json,
+    table_from_csv,
+    table_rows,
 )
 from semple2.verify import (
     TABLE1_REFERENCE,
@@ -147,7 +147,7 @@ def test_compute_up_to_one():
 
 
 def test_cache_roundtrip(tmp_path):
-    path = str(tmp_path / "cache.json")
+    path = str(tmp_path / "cache.csv")
     direct = compute_up_to(5)
     first = compute_up_to(3, cache_path=path)
     resumed = compute_up_to(5, cache_path=path)
@@ -157,27 +157,37 @@ def test_cache_roundtrip(tmp_path):
 
 
 def test_cache_rejects_garbage(tmp_path):
-    path = tmp_path / "cache.json"
+    path = tmp_path / "cache.csv"
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(CacheError):
         load_table(str(path))
 
 
 def _data(table):
-    """The cache of `table` as a dict of decimal strings, to put a defect in."""
-    return json.loads(table_to_json(table))
+    """The cache of `table` as a dict of decimal strings by degree key, to
+    put a defect in."""
+    return {str(d): {label: str(n) for label, n in column.items()}
+            for d, column in table.values.items()}
 
 
 def _cache(data):
-    """`data` in the layout `save_table` writes: a cache whose only defect
-    is the one a test put in `data`."""
-    return json.dumps(data, indent=2, ensure_ascii=False) + "\n"
+    """`data` in the layout `save_table` writes, its keys in the header and
+    each label's values in its row: a cache whose only defect is the one a
+    test put in `data`."""
+    return "\n".join([",".join(["invariant", *data]), *(
+        ",".join([label, *(str(column[label]) for column in data.values())])
+        for label in INVARIANT_LABELS)]) + "\n"
+
+
+def _csv(table):
+    """The cache semple2 writes for `table`, without its final newline."""
+    return rows_to_csv(table_rows(table))
 
 
 def test_cache_rejects_bad_seed(tmp_path, table8):
     data = _data(table8)
     data["1"]["h2hd"] = "2"  # also breaks h2z = 3*h2hd
-    path = tmp_path / "cache.json"
+    path = tmp_path / "cache.csv"
     path.write_text(_cache(data), encoding="utf-8")
     with pytest.raises(CacheError, match="^cached degree-1 column disagrees with the seed$"):
         load_table(str(path))
@@ -186,22 +196,27 @@ def test_cache_rejects_bad_seed(tmp_path, table8):
 def test_cache_rejects_ratio_violation(tmp_path, table8):
     data = _data(table8)
     data["3"]["hz.hz"] = str(int(data["3"]["hz.hz"]) + 1)
-    path = tmp_path / "cache.json"
+    path = tmp_path / "cache.csv"
     path.write_text(_cache(data), encoding="utf-8")
     with pytest.raises(CacheError, match="^degree 3 fails ratio identities: hz.hz != 3"):
         load_table(str(path))
 
 
 def test_cache_rejects_missing_labels():
-    data = _data(compute_up_to(2))
-    del data["2"]["h2hd"]
+    text = _cache(_data(compute_up_to(2))).replace("h2hd,1,1\n", "", 1)
     with pytest.raises(CacheError) as info:
-        table_from_json(_cache(data))
-    assert str(info.value) == "degree 2 of the cache reads 'h2z' where semple2 writes 'h2hd'"
+        table_from_csv(text.removesuffix("\n"))
+    assert str(info.value) == "the cache ends at line 13 of the 14 semple2 writes"
+    # the final newline is read as a 14th line, which is empty
+    for edited in (text, text + "hdz.hdz,9,0\n"):
+        with pytest.raises(CacheError) as info:
+            table_from_csv(edited)
+        assert str(info.value) == \
+            "a line of the cache opens with 'h2z' where semple2 writes 'h2hd'"
 
 
 def test_cache_save_is_loadable(tmp_path, table8):
-    path = str(tmp_path / "cache.json")
+    path = str(tmp_path / "cache.csv")
     save_table(table8, path)
     assert load_table(path).values == table8.values
 
@@ -215,15 +230,15 @@ def _value(d, label, value):
 
 def _key(key):
     def mutate(data):
-        return _cache(data).replace('"2": {', f'"{key}": {{', 1)
+        return _cache(data).replace("invariant,1,2,", f"invariant,1,{key},", 1)
     return mutate
 
 
 def _repeated_key(data):
-    return _cache(data).replace('"3": {', '"2": {', 1)
+    return _cache(data).replace("invariant,1,2,3,", "invariant,1,2,2,", 1)
 
 
-#: spellings of a degree-6 cache that `table_to_json` never writes, each of
+#: spellings of a degree-6 cache that `save_table` never writes, each of
 #: which an integer parse alone would read as the written value
 FOREIGN_SPELLINGS = {
     "true for 1": _value(2, "h2hd", True),
@@ -241,25 +256,29 @@ FOREIGN_SPELLINGS = {
 
 def test_a_cache_written_by_semple2_loads():
     table = compute_up_to(6)
-    assert table_from_json(table_to_json(table)) == table
+    assert table_from_csv(_csv(table)) == table
 
 
 @pytest.mark.parametrize("dmax", [0, 1, 2, 6, 40])
-def test_the_cache_writer_keeps_the_bytes_of_json_dumps_with_indent_2(dmax):
-    # the writer builds the text itself; dmax 0 is the empty table
+def test_the_cache_writer_writes_the_bytes_of_table_format_csv(capsys, dmax):
+    # the header of the degrees, then a row per label; dmax 0 is the empty
+    # table, which no CLI call prints
     table = compute_up_to(dmax) if dmax else InvariantTable({})
-    text = table_to_json(table)
-    data = {str(d): {label: str(table.get(d, label)) for label in INVARIANT_LABELS}
-            for d in table.degrees()}
-    assert text == json.dumps(data, indent=2) == json.dumps(json.loads(text), indent=2)
-    assert table_from_json(text) == table
+    text = _csv(table)
+    assert text == "\n".join([",".join(["invariant", *map(str, range(1, dmax + 1))]), *(
+        ",".join([label, *(str(table.get(d, label)) for d in range(1, dmax + 1))])
+        for label in INVARIANT_LABELS)])
+    assert table_from_csv(text) == table
+    if dmax:
+        assert cli.main(["table", "--max-degree", str(dmax), "--format", "csv"]) == 0
+        assert capsys.readouterr().out == text + "\n"
 
 
 @pytest.mark.parametrize("name", FOREIGN_SPELLINGS)
 def test_the_cache_reader_accepts_only_what_the_writer_writes(name):
     text = FOREIGN_SPELLINGS[name](_data(compute_up_to(6)))
     with pytest.raises(CacheError):
-        table_from_json(text)
+        table_from_csv(text)
 
 
 #: a valid degree-2 cache, as semple2 writes it
@@ -267,50 +286,76 @@ D2_CACHE = _cache(_data(InvariantTable({1: SEED_COLUMN, 2: D2_COLUMN})))
 
 
 @pytest.mark.parametrize("old, new, message", [
-    ('"1": {', '"x": {', "degree 1 of the cache reads 'x' where semple2 writes '1'"),
-    ('"1": {', '"0": {', "degree 1 of the cache reads '0' where semple2 writes '1'"),
-    ('"2": {', '"3": {', "degree 2 of the cache reads '3' where semple2 writes '2'"),
-    ('"2": {', '"1": {', "degree 2 of the cache reads '1' where semple2 writes '2'"),
-    ('"2": {', '"02": {', "degree 2 of the cache reads '02' where semple2 writes '2'"),
-    ('"2": {', '"+2": {', "degree 2 of the cache reads '+2' where semple2 writes '2'"),
-    ('"2": {', '"2 ": {', "degree 2 of the cache reads '2 ' where semple2 writes '2'"),
-    ('"2": {', '"\uff12": {', "degree 2 of the cache reads '\uff12' where semple2 writes '2'"),
-    ('"1": {', '"1": [', "degree 1 of the cache reads ': [\\n    ' where semple2 writes "
-     "': {\\n    '"),
-    ('"h2hd"', '"h3"', "degree 1 of the cache reads 'h3' where semple2 writes 'h2hd'"),
+    pytest.param("invariant,1,", "invariant,x,",
+                 "degree 1 of the cache reads 'x' where semple2 writes '1'", id="x for 1"),
+    pytest.param("invariant,1,", "invariant,0,",
+                 "degree 1 of the cache reads '0' where semple2 writes '1'", id="0 for 1"),
+    pytest.param(",2\n", ",3\n",
+                 "degree 2 of the cache reads '3' where semple2 writes '2'", id="3 for 2"),
+    pytest.param(",2\n", ",1\n",
+                 "degree 2 of the cache reads '1' where semple2 writes '2'", id="1 for 2"),
+    pytest.param(",2\n", ",02\n",
+                 "degree 2 of the cache reads '02' where semple2 writes '2'", id="02 for 2"),
+    pytest.param(",2\n", ",+2\n",
+                 "degree 2 of the cache reads '+2' where semple2 writes '2'", id="+2 for 2"),
+    pytest.param(",2\n", ",2 \n",
+                 "degree 2 of the cache reads '2 ' where semple2 writes '2'", id="2 space for 2"),
+    pytest.param(",2\n", ",\uff12\n",
+                 "degree 2 of the cache reads '\uff12' where semple2 writes '2'",
+                 id="full-width 2 for 2"),
+    pytest.param("invariant,", "degree,",
+                 "a line of the cache opens with 'degree' where semple2 writes 'invariant'",
+                 id="degree for invariant"),
+    pytest.param("h2hd,", "h3,",
+                 "a line of the cache opens with 'h3' where semple2 writes 'h2hd'",
+                 id="h3 for h2hd"),
+    pytest.param("h2hd,1,1\n", "h2hd,1,1,\n",
+                 "the row of h2hd and the header end at different degrees", id="trailing comma"),
+    pytest.param("h2hd,1,1\n", "h2hd,1\n",
+                 "the row of h2hd and the header end at different degrees", id="short row"),
+    pytest.param("hdz.hdz,9,0\n", "hdz.hdz,9,0\n\n",
+                 "the cache goes on past the 14 lines semple2 writes: '\\n'", id="blank line"),
+    pytest.param("h2hd,1,1\n", "h2hd,1,1\r\n",
+                 "the cache holds a '\\r', which semple2 never writes", id="crlf"),
 ])
 def test_the_cache_reader_names_a_bad_degree_or_label(old, new, message):
     with pytest.raises(CacheError) as info:
-        table_from_json(D2_CACHE.replace(old, new, 1))
+        table_from_csv(D2_CACHE.replace(old, new, 1))
     assert str(info.value) == message
 
 
 def _message(text):
     with pytest.raises(CacheError) as info:
-        table_from_json(text)
+        table_from_csv(text)
     return str(info.value)
 
 
 @pytest.mark.parametrize("old, new, message", [
-    # up to 100 characters a key, label or number shows whole
-    ('"h2hd"', '"%s"' % ("x" * 100),
-     "degree 1 of the cache reads '%s' where semple2 writes 'h2hd'" % ("x" * 100)),
-    ('"1": {', '"%s": {' % ("9" * 100),
-     "degree 1 of the cache reads '%s' where semple2 writes '1'" % ("9" * 100)),
-    ('"h2hd": "1"', '"h2hd": "%s"' % ("0" * 100),
-     "bad integer for h2hd at degree 1: '%s'" % ("0" * 100)),
+    # up to 100 characters a degree, label or number shows whole
+    pytest.param("h2hd,", "%s," % ("x" * 100),
+                 "a line of the cache opens with '%s' where semple2 writes 'h2hd'" % ("x" * 100),
+                 id="100-character label"),
+    pytest.param("invariant,1,", "invariant,%s," % ("9" * 100),
+                 "degree 1 of the cache reads '%s' where semple2 writes '1'" % ("9" * 100),
+                 id="100-digit degree"),
+    pytest.param("h2hd,1,", "h2hd,%s," % ("0" * 100),
+                 "bad integer for h2hd at degree 1: '%s'" % ("0" * 100), id="100-digit value"),
     # past that, its first 100 characters and its length
-    ('"h2hd"', '"%s"' % ("x" * 101),
-     "degree 1 of the cache reads '%s'... (101 characters) where semple2 writes 'h2hd'"
-     % ("x" * 100)),
-    ('"1": {', '"%s": {' % ("9" * 101),
-     "degree 1 of the cache reads '%s'... (101 characters) where semple2 writes '1'"
-     % ("9" * 100)),
-    ('"1": {', '"%s": {' % ("x" * 5000),
-     "degree 1 of the cache reads '%s'... (5000 characters) where semple2 writes '1'"
-     % ("x" * 100)),
-    ('"h2hd": "1"', '"h2hd": "%s"' % ("0" * 101),
-     "bad integer for h2hd at degree 1: '%s'... (101 characters)" % ("0" * 100)),
+    pytest.param("h2hd,", "%s," % ("x" * 101),
+                 "a line of the cache opens with '%s'... (101 characters) where semple2 writes "
+                 "'h2hd'" % ("x" * 100), id="101-character label"),
+    pytest.param("invariant,1,", "invariant,%s," % ("9" * 101),
+                 "degree 1 of the cache reads '%s'... (101 characters) where semple2 writes '1'"
+                 % ("9" * 100), id="101-digit degree"),
+    pytest.param("invariant,1,", "invariant,%s," % ("x" * 5000),
+                 "degree 1 of the cache reads '%s'... (5000 characters) where semple2 writes '1'"
+                 % ("x" * 100), id="5000-character degree"),
+    pytest.param("h2hd,1,", "h2hd,%s," % ("0" * 101),
+                 "bad integer for h2hd at degree 1: '%s'... (101 characters)" % ("0" * 100),
+                 id="101-digit value"),
+    pytest.param("hdz.hdz,9,0\n", "hdz.hdz,9,0\n%s" % ("x" * 5000),
+                 "the cache goes on past the 14 lines semple2 writes: '%s'... (5000 characters)"
+                 % ("x" * 100), id="5000 characters past the last line"),
 ])
 def test_a_cache_error_shows_at_most_100_characters_of_a_key_or_number(old, new, message):
     assert _message(D2_CACHE.replace(old, new, 1)) == message
@@ -376,7 +421,7 @@ def test_a_300000_digit_cached_value_is_quoted_without_its_text(monkeypatch, dig
     table = compute_up_to(2)
     cached = InvariantTable({1: dict(SEED), 2: dict(table.column(2), **{"h2.hdz": HOSTILE})})
     monkeypatch.setattr(verify, "load_table", lambda path: cached)
-    report = verify._check_cache("cache.json", table, 2)
+    report = verify._check_cache("cache.csv", table, 2)
     assert report["status"] == "fail"
     assert report["actual"] == f"h2.hdz(d=2)={HOSTILE_EXCERPT} computed 0"
 
@@ -384,7 +429,7 @@ def test_a_300000_digit_cached_value_is_quoted_without_its_text(monkeypatch, dig
 def test_a_300000_digit_degree_key_is_refused_before_it_is_read(digit_limit_4300):
     key = "1" + "0" * 299_999
     with pytest.raises(CacheError) as info:
-        table_from_json(D2_CACHE.replace('"2": {', '"%s": {' % key))
+        table_from_csv(D2_CACHE.replace("invariant,1,2\n", "invariant,1,%s\n" % key))
     assert str(info.value) == \
         f"degree 2 of the cache reads '{key[:100]}'... (300000 characters) where semple2 writes '2'"
 
@@ -392,10 +437,10 @@ def test_a_300000_digit_degree_key_is_refused_before_it_is_read(digit_limit_4300
 def test_a_zero_led_300000_digit_value_is_refused_before_int_reads_it(digit_limit_4300):
     # under the digit limit, an int() of it would raise "more digits than"
     value = "0" + "1" * 299_999
-    data = json.loads(D2_CACHE)
+    data = _data(InvariantTable({1: SEED_COLUMN, 2: D2_COLUMN}))
     data["2"]["h2.h2"] = value
     with pytest.raises(CacheError) as info:
-        table_from_json(_cache(data))
+        table_from_csv(_cache(data))
     assert str(info.value) == \
         f"bad integer for h2.h2 at degree 2: '{value[:100]}'... (300000 characters)"
 
@@ -404,10 +449,10 @@ def test_a_degree_k_read_converts_no_value_past_degree_k(digit_limit_4300):
     data = _data(compute_up_to(3))
     data["3"]["h2.hdz"] = "1" + "0" * 299_999
     text = _cache(data)
-    assert table_from_json(text, 2) == compute_up_to(2)
+    assert table_from_csv(text, 2) == compute_up_to(2)
     # the whole read converts it, and the digit limit refuses that
     with pytest.raises(CacheError, match="^h2.hdz at degree 3 has more digits than"):
-        table_from_json(text)
+        table_from_csv(text)
 
 
 def test_a_cache_is_refused_at_its_first_bad_degree_before_a_later_value_is_converted(
@@ -420,7 +465,7 @@ def test_a_cache_is_refused_at_its_first_bad_degree_before_a_later_value_is_conv
     text = _cache(data)
     for dmax in (None, 3):
         with pytest.raises(CacheError) as info:
-            table_from_json(text, dmax)
+            table_from_csv(text, dmax)
         assert str(info.value) == \
             "degree 2 fails the point count: h2.h2 = 2, the classical recursion gives 1"
 
@@ -430,18 +475,19 @@ def test_a_point_count_defect_is_refused_before_a_ratio_defect_at_a_higher_degre
     data["5"]["h2z"] = str(int(data["5"]["h2z"]) + 1)
     data["3"]["h2.h2"] = str(int(data["3"]["h2.h2"]) + 1)
     with pytest.raises(CacheError) as info:
-        table_from_json(_cache(data))
+        table_from_csv(_cache(data))
     assert str(info.value) == \
         "degree 3 fails the point count: h2.h2 = 13, the classical recursion gives 12"
 
 
 @pytest.mark.parametrize("dmax", [0, -1])
-@pytest.mark.parametrize("text", ["{}", table_to_json(compute_up_to(3))], ids=["empty", "degree 3"])
+@pytest.mark.parametrize("text", [_csv(InvariantTable({})), _csv(compute_up_to(3))],
+                         ids=["empty", "degree 3"])
 def test_a_read_of_fewer_than_one_degree_is_a_value_error(tmp_path, text, dmax):
-    path = tmp_path / "cache.json"
+    path = tmp_path / "cache.csv"
     path.write_text(text + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match="^dmax must be at least 1$"):
-        table_from_json(text, dmax)
+        table_from_csv(text, dmax)
     with pytest.raises(ValueError, match="^dmax must be at least 1$"):
         load_table(str(path), dmax)
 
@@ -563,10 +609,10 @@ def test_each_computed_row_reads_exactly_the_rows_the_readme_names(label):
 
 def test_cache_rejects_wrong_point_count(tmp_path, table8):
     # h2.h2 enters no 3:1 identity: only the classical recursion catches it
-    data = json.loads(table_to_json(table8))
+    data = _data(table8)
     data["5"]["h2.h2"] = str(int(data["5"]["h2.h2"]) + 1)
-    path = tmp_path / "cache.json"
-    path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    path = tmp_path / "cache.csv"
+    path.write_text(_cache(data), encoding="utf-8")
     with pytest.raises(CacheError, match="point count"):
         load_table(str(path))
     with pytest.raises(CacheError):
@@ -578,7 +624,7 @@ def test_cache_with_a_gap_in_its_degrees_is_refused_before_the_point_row(point_d
     data = _data(table8)
     del data["7"]
     with pytest.raises(CacheError, match="^degree 7 of the cache reads '8' where semple2 writes '7'$"):
-        table_from_json(_cache(data))
+        table_from_csv(_cache(data))
     assert point_draws[0] == 6
 
 
@@ -588,11 +634,11 @@ def test_zero_filled_cache_is_refused_at_its_first_wrong_degree(tmp_path):
     # when the whole cache is read and when only degrees 1..2 are
     data = {"1": {label: str(n) for label, n in recursion.SEED.items()}}
     data.update({str(d): dict.fromkeys(INVARIANT_LABELS, "0") for d in range(2, 1201)})
-    path = tmp_path / "zeros.json"
+    path = tmp_path / "zeros.csv"
     path.write_text(_cache(data), encoding="utf-8")
     start = time.monotonic()
     with pytest.raises(CacheError, match="^degree 2 fails the point count"):
-        table_from_json(path.read_text(encoding="utf-8"))
+        table_from_csv(path.read_text(encoding="utf-8"))
     for dmax in (2, 1200):
         with pytest.raises(CacheError, match="^degree 2 fails the point count"):
             compute_up_to(dmax, cache_path=str(path))
@@ -601,7 +647,7 @@ def test_zero_filled_cache_is_refused_at_its_first_wrong_degree(tmp_path):
 
 @pytest.mark.parametrize("k", [1, 5, 39, 40])
 def test_a_degree_k_read_validates_degrees_1_to_k(tmp_path, point_draws, k):
-    path = str(tmp_path / "cache.json")
+    path = str(tmp_path / "cache.csv")
     save_table(compute_up_to(40), path)
     assert compute_up_to(k, cache_path=path) == compute_up_to(k)
     assert point_draws[0] == k
@@ -609,7 +655,7 @@ def test_a_degree_k_read_validates_degrees_1_to_k(tmp_path, point_draws, k):
 
 
 def test_a_read_past_the_cache_validates_all_of_it_before_the_rewrite(tmp_path, point_draws):
-    path = str(tmp_path / "cache.json")
+    path = str(tmp_path / "cache.csv")
     save_table(compute_up_to(6), path)
     assert compute_up_to(8, cache_path=path) == compute_up_to(8)
     assert point_draws[0] == 6
@@ -617,7 +663,7 @@ def test_a_read_past_the_cache_validates_all_of_it_before_the_rewrite(tmp_path, 
 
 
 def test_an_out_of_order_cache_is_refused(tmp_path, point_draws, table8):
-    path = tmp_path / "cache.json"
+    path = tmp_path / "cache.csv"
     path.write_text(_cache(dict(reversed(_data(table8).items()))), encoding="utf-8")
     for dmax in (3, 8, 9):
         with pytest.raises(CacheError, match="^degree 1 of the cache reads '8' where semple2 "
@@ -629,47 +675,49 @@ def test_an_out_of_order_cache_is_refused(tmp_path, point_draws, table8):
 def test_a_degree_k_read_ignores_a_wrong_degree_past_k(table8):
     data = _data(table8)
     data["7"]["h2.h2"] = str(int(data["7"]["h2.h2"]) + 1)
-    text = _cache(data)[:-3] + "  nothing JSON reads"
-    assert table_from_json(text, 6) == InvariantTable({d: table8.column(d) for d in range(1, 7)})
+    data["8"]["hdz.hdz"] = "nothing a reader reads"
+    text = _cache(data)
+    assert table_from_csv(text, 6) == InvariantTable({d: table8.column(d) for d in range(1, 7)})
     for dmax in (7, 8, None):
         with pytest.raises(CacheError):
-            table_from_json(text, dmax)
+            table_from_csv(text, dmax)
 
 
 @pytest.mark.parametrize("old, new, message", [
-    ('"h2hd": "1"', '"h2hd": "\\u0031"', "bad integer for h2hd at degree 1: '\\\\u0031'"),
-    ('"h2hd"', '"h2\\u0068d"',
-     "degree 1 of the cache reads 'h2\\\\u0068d' where semple2 writes 'h2hd'"),
-    ('"1": {', '"\\u0031": {', "degree 1 of the cache reads '\\\\u0031' where semple2 writes '1'"),
-    # the escaped quote ends the value: the piece after it is not the separator
-    ('"h2hd": "1"', '"h2hd": "1\\"2"',
-     "degree 1 of the cache reads '2' where semple2 writes ',\\n    '"),
+    pytest.param("h2hd,1,", "h2hd,\\u0031,", "bad integer for h2hd at degree 1: '\\\\u0031'",
+                 id="escaped value"),
+    pytest.param("h2hd,", "h2\\u0068d,",
+                 "a line of the cache opens with 'h2\\\\u0068d' where semple2 writes 'h2hd'",
+                 id="escaped label"),
+    pytest.param("invariant,1,", "invariant,\\u0031,",
+                 "degree 1 of the cache reads '\\\\u0031' where semple2 writes '1'",
+                 id="escaped degree"),
+    # the csv module reads a quoted cell as its text; the cache reader does not
+    pytest.param("h2hd,1,", 'h2hd,"1",', "bad integer for h2hd at degree 1: '\"1\"'",
+                 id="quoted value"),
 ])
-def test_the_cache_reader_refuses_backslash_escapes(old, new, message):
-    # json.loads reads each text; the cache reader refuses the escape
-    text = D2_CACHE.replace(old, new, 1)
-    json.loads(text)
+def test_the_cache_reader_refuses_escapes_and_quotes(old, new, message):
     with pytest.raises(CacheError) as info:
-        table_from_json(text)
+        table_from_csv(D2_CACHE.replace(old, new, 1))
     assert str(info.value) == message
 
 
 def test_a_cache_that_is_not_utf8_is_a_cache_error(tmp_path):
-    path = tmp_path / "cache.json"
+    path = tmp_path / "cache.csv"
     path.write_bytes(b"\xff\xfe{}")
     with pytest.raises(CacheError, match="^cannot read cache"):
         load_table(str(path))
 
 
 def test_save_leaves_no_temporary_file(tmp_path, table8):
-    path = tmp_path / "cache.json"
+    path = tmp_path / "cache.csv"
     save_table(table8, str(path))
     save_table(table8, str(path))
-    assert os.listdir(tmp_path) == ["cache.json"]
+    assert os.listdir(tmp_path) == ["cache.csv"]
 
 
 def test_failed_save_removes_its_temporary_file(tmp_path, table8, monkeypatch):
-    path = tmp_path / "cache.json"
+    path = tmp_path / "cache.csv"
     save_table(table8, str(path))
     before = path.read_bytes()
 
@@ -680,12 +728,12 @@ def test_failed_save_removes_its_temporary_file(tmp_path, table8, monkeypatch):
     with pytest.raises(CacheError, match="cannot write cache") as info:
         save_table(compute_up_to(2), str(path))
     assert isinstance(info.value.__cause__, OSError)
-    assert os.listdir(tmp_path) == ["cache.json"]
+    assert os.listdir(tmp_path) == ["cache.csv"]
     assert path.read_bytes() == before
 
 
 def test_cache_in_a_missing_directory_is_a_cache_error(tmp_path):
-    path = tmp_path / "missing" / "cache.json"
+    path = tmp_path / "missing" / "cache.csv"
     with pytest.raises(CacheError, match="cannot write cache"):
         compute_up_to(3, cache_path=str(path))
     assert os.listdir(tmp_path) == []
@@ -696,7 +744,7 @@ def mode(path) -> int:
 
 
 def test_a_rewrite_keeps_the_mode_of_the_cache(tmp_path):
-    path = tmp_path / "cache.json"
+    path = tmp_path / "cache.csv"
     compute_up_to(3, cache_path=str(path))
     os.chmod(path, 0o640)
     compute_up_to(5, cache_path=str(path))
@@ -705,7 +753,7 @@ def test_a_rewrite_keeps_the_mode_of_the_cache(tmp_path):
 
 
 def test_a_new_cache_gets_the_mode_of_a_plain_open(tmp_path):
-    path = tmp_path / "cache.json"
+    path = tmp_path / "cache.csv"
     compute_up_to(3, cache_path=str(path))
     with open(tmp_path / "sibling", "w", encoding="utf-8"):
         pass
@@ -726,22 +774,22 @@ def small_digit_limit():
 def test_an_invariant_past_the_digit_limit_is_a_cache_error_naming_it(tmp_path,
                                                                       small_digit_limit):
     table = InvariantTable({1: {label: 10 ** 700 for label in INVARIANT_LABELS}})
+    with pytest.raises(ValueError, match="limit"):
+        table_rows(table)
     with pytest.raises(CacheError, match="int/str conversion limit"):
-        table_to_json(table)
-    with pytest.raises(CacheError, match="int/str conversion limit"):
-        save_table(table, str(tmp_path / "cache.json"))
+        save_table(table, str(tmp_path / "cache.csv"))
     assert os.listdir(tmp_path) == []
     with pytest.raises(CacheError, match="h2hd at degree 1 has more digits than the "
                                          "interpreter's int/str conversion limit"):
-        table_from_json(_cache({"1": dict(_data(compute_up_to(1))["1"], h2hd="-1" + "0" * 700)}))
+        table_from_csv(_cache({"1": dict(_data(compute_up_to(1))["1"], h2hd="-1" + "0" * 700)}))
     # only a canonical ASCII decimal is reported as past the limit
     for text in ("1e" + "0" * 700, "\uff11" * 700, "0" * 700 + "1"):
         with pytest.raises(CacheError, match="^bad integer for h2hd at degree 1"):
-            table_from_json(_cache({"1": dict(_data(compute_up_to(1))["1"], h2hd=text)}))
+            table_from_csv(_cache({"1": dict(_data(compute_up_to(1))["1"], h2hd=text)}))
 
 
 def test_warm_compute_does_not_rewrite_the_cache(tmp_path):
-    path = tmp_path / "cache.json"
+    path = tmp_path / "cache.csv"
     compute_up_to(6, cache_path=str(path))
     before = (path.read_bytes(), path.stat().st_mtime_ns)
     os.utime(path, ns=(0, 0))

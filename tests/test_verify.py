@@ -71,7 +71,7 @@ def test_selftest_reports_are_machine_readable():
 
 
 def test_selftest_flags_corrupt_cache(tmp_path):
-    path = tmp_path / "cache.json"
+    path = tmp_path / "cache.csv"
     path.write_text("[]", encoding="utf-8")
     reports = run_selftest(2, cache_path=str(path))
     assert len(reports) == 10
@@ -82,7 +82,7 @@ def test_selftest_flags_corrupt_cache(tmp_path):
 
 
 def test_selftest_accepts_valid_cache(tmp_path, table8):
-    path = str(tmp_path / "cache.json")
+    path = str(tmp_path / "cache.csv")
     save_table(table8, path)
     reports = run_selftest(2, cache_path=path)
     assert reports[-1]["name"] == "cache-validation"
@@ -210,7 +210,7 @@ def test_verify_exits_4_on_an_edited_kernel(capsys, edit, max_degree):
 
 
 def test_a_kernel_that_raises_fails_every_check_that_reads_the_table(tmp_path, table8):
-    path = str(tmp_path / "cache.json")
+    path = str(tmp_path / "cache.csv")
     save_table(table8, path)
     with edited_kernel(KERNEL_TEXT.replace(*RAISING_EDIT)):
         reports = run_selftest(8, cache_path=path)
@@ -337,7 +337,7 @@ SELFTEST8_REPORT = [
 
 
 def test_the_selftest_report_is_pinned(tmp_path, table8):
-    path = str(tmp_path / "cache.json")
+    path = str(tmp_path / "cache.csv")
     save_table(table8, path)
     assert run_selftest(8) == SELFTEST8_REPORT[:-1]
     assert run_selftest(8, cache_path=path) == SELFTEST8_REPORT
