@@ -36,10 +36,17 @@ by `recursion._excerpt`, and names at most the first 8 unrecognized words.
 argparse formats the usage, the `--help` text and the error line from the
 same table; it is imported only to print one of them and never parses argv.
 
-Run as the program (`main()` with no argv), the CLI freezes its start-up
-heap with `gc.freeze()`, so the collector's passes during the command and
-at exit skip the interpreter's and semple2's start-up objects; `main(argv)`
-with an explicit argv leaves the collector as it found it.
+Run as the program (`semple2` or `python -m semple2.cli`), `run()` ends
+the process at its last byte: it takes the exit code of `main()`, or the
+int code of the SystemExit of a usage error or `--help`, runs the
+registered atexit handlers, flushes stdout and then stderr, and calls
+`os._exit`, so the interpreter's finalisation (module teardown and the
+collector's last passes) is skipped.  Where finalisation would report
+something else it is not skipped: an uncaught exception, a SystemExit
+whose code is not an int, a live thread other than the main one, or a
+flush that raises (stdout on a full disk exits 120) take `sys.exit` as
+before.  `os._exit` runs no object finalizer, so semple2 defines none.
+`main(argv)` called in process returns its code.
 """
 
 import os
@@ -464,12 +471,6 @@ def _read_argv(argv: list[str]):
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
-        # run as the program: the start-up objects move to the permanent
-        # generation, so the collections during the command and at exit
-        # skip them; what the command allocates is collected as before.
-        # An in-process caller passes argv, and its heap is left alone.
-        import gc
-        gc.freeze()
         argv = sys.argv[1:]
     handler, args = _read_argv(list(argv))
     # from degree 572 on an invariant has more than the 4300 digits that
@@ -500,5 +501,30 @@ def main(argv: list[str] | None = None) -> int:
                 sys.set_int_max_str_digits(limit)
 
 
+def run() -> None:
+    """The program: `main()` on sys.argv, then the exit that finalisation
+    would make, without finalisation where nothing is left for it to do."""
+    import atexit
+
+    try:
+        code = main()
+    except SystemExit as exc:  # a usage error or --help
+        if not isinstance(exc.code, int):
+            raise
+        code = exc.code
+    # finalisation would wait for another thread, which os._exit would end
+    threading = sys.modules.get("threading")
+    if threading is None or threading.active_count() == 1:
+        atexit._run_exitfuncs()
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except Exception:
+            pass  # finalisation flushes again and reports it
+        else:
+            os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -71,7 +71,11 @@ COVERS = {
         "slots": {"z010": (0,), "z110": (1,), "z210": (2,)},
         "sums": ((2,),),
     },
-    # (first, second) entries; all third entries are 1 and do not constrain
+    # (first, second) entries; all third entries are 1 and do not constrain.
+    # Moving an entry of y211 by one changes only the cap-3 matrix, and
+    # one of w211, the slot dual to the index 000, only the 000 row and
+    # column of the cap-2 one, which derive_stencil never reads: the
+    # stencil, and so every self-test check, is blind to both
     "triple_cover": {
         "k": 3, "divisor": "y001",
         "y": {"y101": (1, 0), "y201": (2, 0), "y011": (0, 1),

@@ -949,24 +949,90 @@ def test_verify_quotes_a_300000_digit_cached_value_in_a_short_report(tmp_path, c
         f"h2.hdz(d=2)={HOSTILE_DIGITS[:100]}... (300000 characters) computed 0"
 
 
-# run as the program (`main()` reading sys.argv), the CLI freezes its
-# start-up heap; called with an explicit argv it leaves the collector alone,
-# and either way it prints the same bytes
+# run as the program, `cli.run()` ends the process with `os._exit` once the
+# atexit handlers have run and stdout and stderr are flushed, and takes
+# `sys.exit` wherever finalisation would report something else; called with
+# an explicit argv, `main` leaves the collector alone, and either way the
+# CLI prints the same bytes
 
-def test_main_run_as_the_program_freezes_the_start_up_heap():
-    body = ("import contextlib, gc, io, sys\n"
-            "from semple2 import cli\n"
+def run_program(body: str) -> subprocess.CompletedProcess:
+    """A child interpreter that runs `body`, which calls `cli.run()`."""
+    return subprocess.run([sys.executable, "-c", "import sys\nfrom semple2 import cli\n" + body],
+                          env=child_env(), capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (["count", "--degree", "3", "--points", "8"], 0, "12\n"),
+    (["table", "--max-degree", "x"], 2, ""),
+    (["--help"], 0, None),
+])
+def test_an_atexit_handler_runs_after_the_output_of_the_command(argv, code, out):
+    body = ("import atexit\n"
+            "atexit.register(print, 'the handler ran')\n"
+            f"sys.argv = ['semple2', *{argv!r}]\n"
+            "cli.run()\n")
+    proc = run_program(body)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.endswith("the handler ran\n")
+    assert proc.stdout.count("the handler ran") == 1
+    if out is not None:
+        assert proc.stdout == out + "the handler ran\n"
+
+
+def test_a_live_thread_makes_the_program_take_the_normal_exit():
+    # finalisation waits for a non-daemon thread; os._exit would end it
+    body = ("import threading, time\n"
+            "def late():\n"
+            "    time.sleep(0.2)\n"
+            "    print('the thread ran', flush=True)\n"
+            "threading.Thread(target=late).start()\n"
             "sys.argv = ['semple2', 'count', '--degree', '3', '--points', '8']\n"
-            "before = gc.get_freeze_count()\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    code = cli.main()\n"
-            "print(before, gc.get_freeze_count(), code)\n")
-    proc = subprocess.run([sys.executable, "-c", body], env=child_env(),
-                          capture_output=True, text=True, timeout=60)
+            "cli.run()\n")
+    proc = run_program(body)
     assert proc.returncode == 0, proc.stderr
-    before, after, code = map(int, proc.stdout.split())
-    assert (before, code) == (0, 0)
-    assert after > 0
+    assert sorted(proc.stdout.splitlines()) == ["12", "the thread ran"]
+
+
+@pytest.mark.parametrize("code, status, err", [
+    ("'a message'", 1, "a message\n"),
+    ("None", 0, ""),
+])
+def test_a_system_exit_without_an_int_code_exits_as_sys_exit_does(code, status, err):
+    body = f"cli.main = lambda: sys.exit({code})\ncli.run()\n"
+    proc = run_program(body)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (status, "", err)
+
+
+FULL_DEVICE = Path("/dev/full")
+
+
+@pytest.mark.skipif(not FULL_DEVICE.exists(), reason="needs a device that is always full")
+@pytest.mark.parametrize("unbuffered, code", [("", 120), ("1", 1)])
+def test_stdout_on_a_full_device_exits_as_sys_exit_does(unbuffered, code):
+    # buffered, the flush at the end fails, and finalisation reports it
+    # with 120; unbuffered, the write itself raises out of the command
+    argv = ["count", "--degree", "3", "--points", "8"]
+    explicit = "import sys, semple2.cli as c; sys.exit(c.main(sys.argv[1:]))"
+    # Python reads an empty PYTHONUNBUFFERED as unset
+    env = dict(child_env(), PYTHONUNBUFFERED=unbuffered)
+    results = []
+    for entry in (["-m", "semple2.cli"], ["-c", explicit]):
+        with FULL_DEVICE.open("w") as full:
+            proc = subprocess.run([sys.executable, *entry, *argv], env=env, stdout=full,
+                                  stderr=subprocess.PIPE, text=True, timeout=60)
+        results.append((proc.returncode, proc.stderr.splitlines()[-1]))
+    assert results == [(code, "OSError: [Errno 28] No space left on device")] * 2
+
+
+def test_a_cache_written_in_development_mode_warns_of_nothing(tmp_path, capsys):
+    # -X dev shows every ResourceWarning, such as that of a file left open
+    path = tmp_path / "cache.csv"
+    proc = subprocess.run([sys.executable, "-X", "dev", "-m", "semple2.cli", "table",
+                           "--max-degree", "6", "--cache", str(path)],
+                          env=child_env(), capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    code, out, _ = run(capsys, "table", "--max-degree", "6", "--format", "csv")
+    assert (code, path.read_bytes()) == (0, out.encode())
 
 
 def test_main_with_an_explicit_argv_leaves_the_collector_as_it_found_it(capsys):
@@ -1027,10 +1093,10 @@ def test_the_program_and_an_explicit_argv_print_the_same_bytes(tmp_path, flags, 
     assert cache.read_text(encoding="utf-8") == '{"1": {"h2hd": "7"}}'
 
 
-def test_no_module_has_a_finalizer_a_frozen_heap_could_skip():
-    # the collector never visits a frozen object, so a finalizer on a
-    # start-up reference cycle of semple2's would not run at exit; semple2
-    # defines none
+def test_no_module_has_a_finalizer_that_os_exit_would_skip():
+    # os._exit runs no object finalizer, so semple2 defines no __del__ and
+    # registers no atexit or weakref.finalize handler; the one use of atexit
+    # is the program's, which runs the handlers others registered
     found = []
     for path in sorted(Path(semple2.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -1041,4 +1107,7 @@ def test_no_module_has_a_finalizer_a_frozen_heap_could_skip():
                           if alias.name in ("atexit", "weakref")]
             elif isinstance(node, ast.ImportFrom) and node.module in ("atexit", "weakref"):
                 found.append((path.name, node.module))
-    assert found == []
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id == "atexit":
+                found.append((path.name, f"atexit.{node.attr}"))
+    assert found == [("cli.py", "atexit"), ("cli.py", "atexit._run_exitfuncs")]

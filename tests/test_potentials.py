@@ -230,3 +230,33 @@ def test_the_stencil_source_matrix_survives_other_builds():
     for p in changed.values():
         p.clear()
     assert verify._check_stencil(build_gluing_matrix(2))["status"] == "pass"
+
+
+#: every other value of a (2, 1) subscript entry, one step off in one place
+ENTRY_MUTANTS = [(1, 1), (3, 1), (2, 0), (2, 2)]
+
+
+@pytest.mark.parametrize("entry", ENTRY_MUTANTS)
+def test_the_y211_entry_reaches_only_the_cap_3_matrix(monkeypatch, matrix2, entry):
+    cap3 = build_gluing_matrix(3)
+    monkeypatch.setitem(COVERS["triple_cover"]["y"], "y211", entry)
+    assert build_gluing_matrix(2) == matrix2
+    assert build_gluing_matrix(3) != cap3
+
+
+@pytest.mark.parametrize("entry", ENTRY_MUTANTS)
+def test_the_w211_entry_reaches_only_the_000_row_and_column(monkeypatch, matrix2, entry):
+    # w211 is the slot dual to the index 000
+    monkeypatch.setitem(COVERS["triple_cover"]["slots"], "w211", entry)
+    (entries, den), (before, before_den) = build_gluing_matrix(2), matrix2
+    changed = {key for key in entries.keys() | before.keys()
+               if entries.get(key) != before.get(key)}
+    assert den == before_den
+    assert changed and all("000" in key for key in changed)
+
+
+def test_the_stencil_reads_no_entry_of_the_000_row_or_column(matrix2):
+    entries, den = matrix2
+    kept = {key: p for key, p in entries.items() if "000" not in key}
+    assert (len(entries), len(kept)) == (19, 15)
+    assert verify.derive_stencil((kept, den)) == verify.derive_stencil(matrix2)

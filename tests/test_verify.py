@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from semple2 import _kernel, chow, cli, potentials, recursion, verify
+from semple2 import _kernel, chow, cli, contact, potentials, recursion, verify
 from semple2.poly import monomial
 from semple2.recursion import kontsevich, save_table
 from semple2.verify import (
@@ -347,6 +347,43 @@ def test_the_selftest_report_is_pinned(tmp_path, table8):
 def test_the_stencil_check_is_the_same_at_every_max_degree(dmax):
     stencil = next(r for r in SELFTEST8_REPORT if r["name"] == "stencil-derivation")
     assert stencil in run_selftest(dmax)
+
+
+def edited_copy(module, edit):
+    """The namespace of the module's text with `edit` (old, new) made in it,
+    run as a module of the package; `old` must occur exactly once."""
+    text = Path(module.__file__).read_text(encoding="utf-8")
+    assert text.count(edit[0]) == 1
+    namespace = {"__name__": f"{module.__name__}_edited", "__package__": "semple2"}
+    exec(compile(text.replace(*edit), f"<edited {module.__name__}>", "exec"), namespace)
+    return namespace
+
+
+#: for a check, a mutation of the code it guards: the module, the edit, the
+#: name whose edited copy stands in for the shipped one, and how the check
+#: then reports it
+CHECK_MUTATIONS = {
+    # cdual and kappa swap their rows
+    "contact-coefficients": (contact, ('("cdual", "h2z"), ("kappa", "h2hd")',
+                                       '("cdual", "h2hd"), ("kappa", "h2z")'), "_CONTACT_PARTS",
+                             "d=1: (-3, 1, 3) expected (-3, 3, 1); "),
+    # each degree reads the binomial row of 3d-5 in place of 3d-4
+    "kontsevich-oracle": (recursion, ("binomial_row(3 * d - 4, ", "binomial_row(3 * d - 5, "),
+                          "_point_counts", "d=2: 1 expected 0; "),
+}
+
+
+@pytest.mark.parametrize("check", CHECK_MUTATIONS)
+def test_a_named_mutation_fails_exactly_its_check(monkeypatch, check):
+    module, edit, name, actual = CHECK_MUTATIONS[check]
+    # a copy without the edit passes every check
+    monkeypatch.setattr(module, name, edited_copy(module, (edit[0], edit[0]))[name])
+    assert run_selftest(8) == SELFTEST8_REPORT[:-1]
+    monkeypatch.setattr(module, name, edited_copy(module, edit)[name])
+    reports = run_selftest(8)
+    failed = [r for r in reports if r["status"] == "fail"]
+    assert [r["name"] for r in failed] == [check]
+    assert failed[0]["actual"].startswith(actual)
 
 
 @pytest.mark.parametrize("term", list(verify.SEED_NUMERATORS))
