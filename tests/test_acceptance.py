@@ -26,6 +26,7 @@ from semple2.contact import (
     contact_coefficients,
     contact_number,
     mixed_count,
+    plucker_class,
 )
 from semple2.poly import truncate_weight
 from semple2.potentials import GLUABLE, build_cover_potential, build_gluing_matrix
@@ -132,9 +133,23 @@ def test_criterion_7_construction_equivalence(matrix2):
 
 
 def test_criterion_8_contact_sanity(table8):
-    for c in range(2, 11):
-        smooth = CurveInvariants(c, c * (c - 1), 0)
-        assert contact_number(1, smooth, table8) == 3 * c * (c - 2), c
+    # classical counts for a curve of degree c with nodes and cusps, which
+    # read no reference row: Plücker's flex count at degree 1, and at
+    # degree 2 the flexes of its image under the quadratic Cremona map
+    curves = []
+    for c in range(2, 12):
+        for nodes in range(6):
+            for cusps in range(6):
+                try:
+                    curves.append((c, nodes, cusps, plucker_class(c, nodes, cusps)))
+                except ValueError:  # a negative class
+                    pass
+    assert len(curves) == 275
+    for c, nodes, cusps, curve in curves:
+        assert contact_number(1, curve, table8) == \
+            3 * c * (c - 2) - 6 * nodes - 8 * cusps, curve
+        assert contact_number(2, curve, table8) == \
+            3 * 2 * c * (2 * c - 2) - 9 * c * (c - 1) - 6 * nodes - 8 * cusps, curve
     rng = random.Random(456)
     for d in range(1, 7):
         for _ in range(4):
@@ -143,4 +158,4 @@ def test_criterion_8_contact_sanity(table8):
             profile = ConditionProfile(d, 3 * d - 3, osculants=(curve,))
             assert mixed_count(profile, table8) == \
                 contact_number(d, curve, table8), (d, curve)
-    _ok("criterion 8: flex counts and triple-contact profile consistency")
+    _ok("criterion 8: flex counts at degrees 1 and 2 and triple-contact profile consistency")

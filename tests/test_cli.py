@@ -1,9 +1,12 @@
 import ast
 import gc
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -68,6 +71,12 @@ def child_env() -> dict:
     return env
 
 
+def program(flags, argv, timeout=60) -> subprocess.CompletedProcess:
+    """`python FLAGS -m semple2.cli ARGV` in a fresh interpreter, its output as bytes."""
+    return subprocess.run([sys.executable, *flags, "-m", "semple2.cli", *argv], env=child_env(),
+                          capture_output=True, timeout=timeout)
+
+
 def test_table_csv_matches_reference(capsys):
     code, out, _ = run(capsys, "table", "--max-degree", "6", "--format", "csv")
     assert code == 0
@@ -100,13 +109,58 @@ def test_table_json_keeps_the_bytes_of_json_dumps_with_indent_2(tmp_path, capsys
     assert path.read_text(encoding="utf-8") == rows_to_csv(table_rows(table)) + "\n"
 
 
+@pytest.fixture(scope="module")
+def written_table(tmp_path_factory):
+    """`table --max-degree d --format csv --cache PATH` into an empty cache,
+    run once for each d: its stdout and PATH."""
+    runs = {}
+
+    def written(dmax):
+        if dmax not in runs:
+            path = tmp_path_factory.mktemp("table") / "cache.csv"
+            with redirect_stdout(io.StringIO()) as out:
+                code = cli.main(["table", "--max-degree", str(dmax), "--format", "csv",
+                                 "--cache", str(path)])
+            assert code == 0
+            runs[dmax] = out.getvalue(), path
+        return runs[dmax]
+
+    return written
+
+
 @pytest.mark.parametrize("dmax", [1, 2, 12, 40, 200])
-def test_the_cache_a_table_writes_is_its_csv(tmp_path, capsys, dmax):
-    path = tmp_path / "cache.csv"
-    code, out, _ = run(capsys, "table", "--max-degree", str(dmax), "--format", "csv",
-                       "--cache", str(path))
-    assert code == 0
+def test_the_cache_a_table_writes_is_its_csv(written_table, dmax):
+    out, path = written_table(dmax)
     assert path.read_bytes() == out.encode("utf-8")
+
+
+# the release gates: the bytes of the table that every change to the
+# recursion must keep; `pytest -k release_gate` runs just these
+
+GOLDEN_TABLE = Path(__file__).resolve().parent.parent / "bench" / "golden_table.json"
+
+#: sha256 of `table --max-degree 200 --format json`
+DEGREE200_SHA256 = "3294cdf38e4a20e303275e2510b7b9bd5b3f7282037d126ebb9e3863d252ad23"
+
+
+def test_release_gate_the_degree40_table_is_the_golden_file(capsys):
+    code, out, err = run(capsys, "table", "--max-degree", "40", "--format", "json")
+    assert (code, out.encode("utf-8"), err) == (0, GOLDEN_TABLE.read_bytes(), "")
+
+
+def test_release_gate_the_degree200_table_has_its_sha256(capsys, written_table):
+    # the table computed once for the cache test above, read back from its cache
+    code, out, _ = run(capsys, "table", "--max-degree", "200", "--format", "json",
+                       "--cache", str(written_table(200)[1]))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DEGREE200_SHA256
+
+
+def test_release_gate_the_degree200_table_has_its_sha256_under_O():
+    # -O strips every assert; the child computes the table itself
+    proc = program(["-O"], ["table", "--max-degree", "200", "--format", "json"])
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == DEGREE200_SHA256
 
 
 def test_table_degree_one(capsys):
@@ -167,7 +221,7 @@ FOREIGN_CACHES = {
 
 @pytest.mark.parametrize("layout", FOREIGN_CACHES)
 def test_a_valid_cache_in_another_layout_fails_count(tmp_path, capsys, table8, layout):
-    # the file is read with its line ends as they are
+    # the file is read with its line ends as they are; verify refuses it too
     path = tmp_path / "cache.csv"
     save_table(table8, str(path))
     assert run(capsys, "count", "--degree", "3", "--points", "8", "--cache", str(path)) == \
@@ -176,6 +230,8 @@ def test_a_valid_cache_in_another_layout_fails_count(tmp_path, capsys, table8, l
     code, out, err = run(capsys, "count", "--degree", "3", "--points", "8", "--cache", str(path))
     assert (code, out) == (4, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+    code, _, err = run(capsys, "verify", "--max-degree", "2", "--cache", str(path))
+    assert code == 4 and "FAIL cache-validation [-]" in err.splitlines()
 
 
 def test_cache_with_wrong_point_count_fails_count(tmp_path, capsys):
@@ -252,6 +308,9 @@ def test_a_query_validates_only_the_degrees_it_reads(tmp_path, capsys):
     (["contact", "--degree", "30", "--curve", "0,0,0"], 2),
     (["count", "--degree", "30", "--points", "88", "--tangent", "0,0,0"], 2),
     (["count", "--degree", "30", "--points", "87", "--osculate", "0,0,0"], 2),
+    # a points-only profile is answered at 3d-1 points
+    (["count", "--degree", "3", "--points", "7"], 2),
+    (["count", "--degree", "3", "--points", "5", "--tangent", "2,2,0", "--osculate", "2,2,0"], 3),
 ])
 def test_a_refused_request_computes_nothing_and_writes_no_cache(
         tmp_path, capsys, monkeypatch, argv, status):
@@ -284,7 +343,7 @@ def test_contact_formula_only(capsys):
 def test_contact_with_curve(capsys):
     code, out, _ = run(capsys, "contact", "--degree", "3", "--curve", "2,2,0")
     assert code == 0
-    assert "count = 102" in out
+    assert out.splitlines()[-1] == "count = 102"
 
 
 def test_contact_smooth_cubic_flexes(capsys):
@@ -296,7 +355,7 @@ def test_contact_smooth_cubic_flexes(capsys):
 def test_contact_plucker_form(capsys):
     code, out, _ = run(capsys, "contact", "--degree", "1", "--plucker", "3,1,0")
     assert code == 0
-    assert "count = 3" in out
+    assert out.splitlines()[-1] == "count = 3"
 
 
 def test_contact_nodes_cusps_form(capsys):
@@ -370,10 +429,15 @@ def test_count_osculate_json(capsys):
     assert data["osculate"] == [[2, 2, 0]]
 
 
+def test_count_osculate(capsys):
+    assert run(capsys, "count", "--degree", "3", "--points", "6", "--osculate", "2,2,0") == \
+        (0, "102\n", "")
+
+
 def test_count_unsupported_profile(capsys):
-    code, _, err = run(capsys, "count", "--degree", "3", "--points", "3",
-                       "--osculate", "2,2,0", "--osculate", "2,2,0")
-    assert code == 3
+    code, out, err = run(capsys, "count", "--degree", "3", "--points", "3",
+                         "--osculate", "2,2,0", "--osculate", "2,2,0")
+    assert (code, out) == (3, "") and err.count("\n") == 1
     assert "outside the stored thirteen" in err
     assert "hd2z.hd2z" in err
 
@@ -533,6 +597,23 @@ def test_chow_eval_json(capsys):
     data = json.loads(out)
     assert data["coords"] == {"101": "-3", "011": "3"}
     assert data["normal_form"] == "-3*h*z + 3*hd*z"
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["(1/2*i)^2", "--basis", "i"], "-3/4*hd*i + 3/4*h*i"),
+    # a value that crosses between an int and a Fraction prints as either would
+    (["1/3*h + 2/3*h"], "h"),
+    (["6/3"], "2"),
+    (["1/2*h^2*hd*z", "--integrate"], "1/2"),
+    (["1/2*h^2*hd*z", "--basis", "i"], "1/2*h^2*hd*i"),
+])
+def test_chow_eval_prints_rational_values(capsys, argv, line):
+    assert run(capsys, "chow-eval", *argv) == (0, line + "\n", "")
+
+
+def test_chow_eval_json_prints_an_integral_sum_of_fractions_as_an_int(capsys):
+    code, out, _ = run(capsys, "chow-eval", "1/3*h + 2/3*h", "--format", "json")
+    assert (code, json.dumps(json.loads(out)["coords"])) == (0, '{"100": "1"}')
 
 
 def test_chow_eval_parse_error(capsys):
@@ -742,6 +823,7 @@ def test_a_value_outside_the_choices_is_a_usage_error(capsys):
     (["table", "--max-degree", "2", "x"], "unrecognized arguments: x"),
     (["chow-eval", "h", "--integrate=yes"],
      "argument --integrate: ignored explicit argument 'yes'"),
+    (["contact", "--degree", "3", "--c", "2"], "unrecognized arguments: --c 2"),
 ])
 def test_a_usage_error_names_what_is_wrong(capsys, argv, message):
     err = usage_error(capsys, *argv)
@@ -774,6 +856,9 @@ LONG_WORD = "y" * 100_000
     pytest.param(["chow-eval", "h", f"--integrate={LONG_WORD}"],
                  f"semple2 chow-eval: error: argument --integrate: ignored explicit argument "
                  f"'{LONG_WORD[:100]}'... (100000 characters)", id="flag value"),
+    pytest.param(["table", "--max-degree", "x"],
+                 "semple2 table: error: argument --max-degree: invalid int value: 'x'",
+                 id="short word"),
 ])
 def test_a_usage_error_quotes_at_most_100_characters_of_a_word_and_8_words(capsys, argv, line):
     err = usage_error(capsys, *argv)
@@ -795,7 +880,7 @@ def test_help_prints_usage_to_stdout_and_exits_zero(capsys, command, flag):
         cli.main(argv)
     out, err = capsys.readouterr()
     assert (info.value.code, err) == (0, "")
-    assert out.startswith("usage: semple2")
+    assert out.startswith("usage: semple2 " if command is None else f"usage: semple2 {command} ")
     names = HELP_OPTIONS if command is None else HELP_OPTIONS[command]
     assert all(name in out for name in names), out
 
@@ -883,6 +968,24 @@ def test_the_json_writer_refuses_any_other_type(value):
     # json.dumps writes each of these; no subcommand prints one
     with pytest.raises(TypeError):
         cli._json(value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--max-degree", "1", "--format", "json"],
+    ["table", "--max-degree", "12", "--format", "json"],
+    ["contact", "--degree", "1", "--plucker", "3,1,0", "--format", "json"],
+    # no tangency gives an empty list, two give a list of lists
+    ["count", "--degree", "3", "--points", "8", "--format", "json"],
+    ["count", "--degree", "3", "--points", "6", "--tangent", "2,2,0", "--tangent", "3,6,0",
+     "--format", "json"],
+    # the zero class has no coordinates: an empty object
+    ["chow-eval", "0", "--format", "json"],
+    ["chow-eval", "(1/2*i)^2", "--basis", "i", "--integrate", "--format", "json"],
+    ["verify", "--max-degree", "2"],
+])
+def test_every_json_the_cli_prints_has_the_bytes_of_json_dumps(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (0, json.dumps(json.loads(out), indent=2) + "\n")
 
 
 def test_verify_prints_the_bytes_of_json_dumps_also_where_a_report_needs_escaping(
@@ -1111,3 +1214,46 @@ def test_no_module_has_a_finalizer_that_os_exit_would_skip():
                     and node.value.id == "atexit":
                 found.append((path.name, f"atexit.{node.attr}"))
     assert found == [("cli.py", "atexit"), ("cli.py", "atexit._run_exitfuncs")]
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["no cache", "degree-40 cache"])
+def test_the_self_test_prints_the_same_bytes_where_warnings_are_errors_and_under_O(
+        written_table, cached):
+    argv = ["verify", "--max-degree", "8"]
+    if cached:
+        argv += ["--cache", str(written_table(40)[1])]
+    runs = [program(flags, argv) for flags in ([], ["-W", "error"], ["-O"])]
+    out = runs[0].stdout.decode("utf-8")
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert [(r.returncode, r.stdout) for r in runs] == [(0, runs[0].stdout)] * 3
+
+
+#: stands for the path of a cache of the seed and then zero columns through
+#: degree 1200, in the layout semple2 writes
+ZERO_CACHE = object()
+
+
+@pytest.mark.parametrize("argv, code, out, last", [
+    pytest.param(["count", "--degree", "2", "--points", "5", "--cache", ZERO_CACHE], 4, "",
+                 "error: degree 2 fails the point count: h2.h2 = 0, the classical recursion "
+                 "gives 1", id="zero-filled cache, count"),
+    # verify reads the whole cache, which is refused at degree 2 all the same
+    pytest.param(["verify", "--max-degree", "2", "--cache", ZERO_CACHE], 4,
+                 "degree 2 fails the point count: h2.h2 = 0, the classical recursion gives 1",
+                 "FAIL cache-validation [-]", id="zero-filled cache, verify"),
+    pytest.param(["count", "--degree", "3", "--points", "0", *["--tangent", "2,2,0"] * 64], 3,
+                 "", None, id="64 tangencies"),
+    pytest.param(["count", "--degree", "3", "--points", "8", *["x"] * 50_000], 2, "",
+                 "semple2 count: error: unrecognized arguments: x x x x x x x x ...",
+                 id="50000 words"),
+])
+def test_a_hostile_request_ends_within_10_s_with_a_short_stderr(tmp_path, argv, code, out, last):
+    zeros = tmp_path / "zeros.csv"
+    zeros.write_text("\n".join(["invariant," + ",".join(map(str, range(1, 1201)))] + [
+        ",".join([label, str(recursion.SEED[label])] + ["0"] * 1199)
+        for label in INVARIANT_LABELS]) + "\n", encoding="utf-8")
+    proc = program([], [str(zeros) if arg is ZERO_CACHE else arg for arg in argv], timeout=10)
+    stdout, stderr = proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")
+    assert proc.returncode == code and len(proc.stderr) < 2048, stderr
+    assert out in stdout if out else stdout == ""
+    assert last is None or stderr.splitlines()[-1] == last

@@ -205,8 +205,19 @@ def test_verify_exits_4_on_an_edited_kernel(capsys, edit, max_degree):
     out, err = capsys.readouterr()
     assert code == 4
     assert "FAIL stencil-derivation [2..6]" in err.splitlines()
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
     stencil = next(r for r in json.loads(out) if r["name"] == "stencil-derivation")
     assert stencil["actual"].startswith("d=2: the kernel ")
+
+
+def test_an_edited_kernel_fails_the_golden_table_gate(capsys):
+    # the release gate of tests/test_cli.py can fail: the edited kernel
+    # prints a degree-40 table other than the golden file
+    golden = Path(__file__).resolve().parent.parent / "bench" / "golden_table.json"
+    with edited_kernel(KERNEL_TEXT.replace(*WEIGHT_EDIT)):
+        code = cli.main(["table", "--max-degree", "40", "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0 and out.encode("utf-8") != golden.read_bytes()
 
 
 def test_a_kernel_that_raises_fails_every_check_that_reads_the_table(tmp_path, table8):
@@ -370,6 +381,16 @@ CHECK_MUTATIONS = {
     # each degree reads the binomial row of 3d-5 in place of 3d-4
     "kontsevich-oracle": (recursion, ("binomial_row(3 * d - 4, ", "binomial_row(3 * d - 5, "),
                           "_point_counts", "d=2: 1 expected 0; "),
+    # the 3:1 fill is one too large past degree 6, where no reference reads it
+    "ratio-identities": (recursion, ("column[big] = 3 * column[small]",
+                                     "column[big] = 3 * column[small] + (d > 6)"),
+                         "recursion_rhs", "d=7: h2z != 3*h2hd (19494228577 vs 3*6498076192)"),
+    # a degree-1 value of the seed
+    "invariant-table": (recursion, ('"hdz.hdz": 9', '"hdz.hdz": 10'), "SEED",
+                        "hdz.hdz(d=1)=10 expected 9"),
+    # the i-basis coordinates read off the class below the top one
+    "dual-pairing-matrix": (chow, ('top = _LABEL_INDEX["211"]', 'top = _LABEL_INDEX["210"]'),
+                            "to_i_basis", "pair(000,210)=1 expected 0"),
 }
 
 
