@@ -1,6 +1,6 @@
 """Independent oracles and the bundled self-test.
 
-Four oracles live here, sharing no code with the production stencil
+Three oracles live here, sharing no code with the production stencil
 beyond the polynomial substrate and the label tables:
 
 * the classical count of rational plane curves of degree d through 3d-1
@@ -17,23 +17,18 @@ beyond the polynomial substrate and the label tables:
 
 * the stencil compiler (`derive_stencil`), which derives the 149 integer
   weights from the gluing matrix, and the stencil read term by term
-  (`stencil_rhs`); the self-test evaluates `recursion_rhs`, which runs
-  the shipped kernel `semple2._kernel` and fills the five 3:1 rows, and
-  `stencil_rhs` on fixed 3:1 columns and requires the same outputs;
-
-* the degree recursion run literally on Fraction tail polynomials
-  (`reference_table`), the differential oracle for the integer stencil
-  of `semple2.recursion`.  It is for tests: through degree 8 it costs
-  about 0.2 s, most of the self-test's budget, so the self-test does not
-  run it.
+  (`stencil_rhs`), the one statement of the degree recursion that the
+  shipped kernel is compared with; the self-test evaluates
+  `recursion_rhs`, which runs the shipped kernel `semple2._kernel` and
+  fills the five 3:1 rows, and `stencil_rhs` on fixed 3:1 columns and
+  requires the same outputs.
 
 The self-test's own arithmetic is on ints: the gluing matrix comes as int
 numerators over one denominator, the stencil compiler and the degree-1
 seed divide exactly once, and the ring checks meet integral classes
-only, so `verify` does not import `fractions`.  The oracles that only
-tests call (`reference_table` and the functions it runs, and
-`expand_cover_series`) are on Fractions, and import `Fraction` where they
-make one.
+only, so `verify` does not import `fractions`.  The oracle that only
+tests call, `expand_cover_series`, is on Fractions, and imports
+`Fraction` where it makes one.
 
 run_selftest wires these and the golden reference tables into a single
 machine-readable report list; each call builds the cap-2 gluing matrix
@@ -55,7 +50,6 @@ from math import comb, factorial, lcm, prod
 from . import _kernel, chow
 from .poly import (
     Poly,
-    add_scaled,
     homogeneous_weight,
     monomial,
     monomial_degree_in,
@@ -279,116 +273,7 @@ SEED_NUMERATORS: Poly = {
 SEED_DENOMINATOR = 2
 
 
-def seed_degree1() -> Poly:
-    """The closed-form degree-1 generating polynomial (the whole tail), on
-    Fractions."""
-    from fractions import Fraction
-
-    return _tail(1, {m: Fraction(n, SEED_DENOMINATOR) for m, n in SEED_NUMERATORS.items()})
-
-
-def _insert(label: str, degree: int, p: Poly) -> Poly:
-    """Apply the index-s insertion to a divisor-free polynomial."""
-    if label in DIVISOR_RULE:
-        out: Poly = {}
-        add_scaled(out, p, DIVISOR_RULE[label](degree))
-        return out
-    return partial(p, "y" + label)
-
-
-def reference_rhs(d: int, tails: dict[int, Poly],
-                  matrix: GluingMatrix) -> Poly:
-    """The weight-2 polynomial whose coefficients carry the degree-d invariants.
-
-    Requires tails for every degree below d and a gluing matrix built with
-    cap >= 2.  The result equals the (3d-3)-fold y200-derivative of the
-    degree-d potential.
-    """
-    from fractions import Fraction
-
-    if d < 2:
-        raise ValueError("the recursion starts at degree 2")
-    for dd in range(1, d):
-        if dd not in tails:
-            raise ValueError(f"missing tail for degree {dd}")
-
-    # weight slices of the matrix entries, fetched by needed weight
-    entries, den = matrix
-    slices: dict[tuple[str, str, int], Poly] = {}
-    for (s, t), p in entries.items():
-        for m, c in p.items():
-            w = monomial_weight(m)
-            slices.setdefault((s, t, w), {})[m] = Fraction(c, den)
-
-    der_cache: dict[tuple[int, int], Poly] = {}
-
-    def dpow(dd: int, order: int) -> Poly:
-        key = (dd, order)
-        if key not in der_cache:
-            der_cache[key] = partial(tails[dd], "y200", order)
-        return der_cache[key]
-
-    ins_cache: dict[tuple[str, int, int], Poly] = {}
-
-    def inserted(label: str, deg: int, order: int) -> Poly:
-        key = (label, deg, order)
-        if key not in ins_cache:
-            ins_cache[key] = _insert(label, deg, dpow(deg, order))
-        return ins_cache[key]
-
-    acc: Poly = {}
-
-    def accumulate(scalar: int, d1: int, o1: int, d2: int, o2: int) -> None:
-        left = dpow(d1, o1)
-        right = dpow(d2, o2)
-        # a read below the stored tail range must come with a vanishing partner
-        if o1 < 3 * d1 - 3 and right:
-            raise AssertionError(
-                f"recursion would read outside the degree-{d1} tail (order {o1})")
-        if o2 < 3 * d2 - 3 and left:
-            raise AssertionError(
-                f"recursion would read outside the degree-{d2} tail (order {o2})")
-        if not left or not right:
-            return
-        for s in _ACTIVE:
-            f = inserted(s, d1, o1)
-            if not f:
-                continue
-            wf = homogeneous_weight(f)
-            for t in _ACTIVE:
-                g = inserted(t, d2, o2)
-                if not g:
-                    continue
-                entry = slices.get((s, t, 2 - wf - homogeneous_weight(g)))
-                if entry:
-                    add_scaled(acc, mul(mul(f, entry), g), scalar)
-
-    m = 3 * d - 6
-    for d1 in range(1, d):
-        d2 = d - d1
-        for a1 in range(m + 1):
-            a2 = m - a1
-            c = 18 * comb(m, a1)
-            accumulate(c * d1 * d2, d1, a1 + 1, d2, a2 + 1)
-            accumulate(-c * d1 * d1, d1, a1, d2, a2 + 2)
-    return acc
-
-
-def tail_from_weight2(d: int, w2: Poly) -> Poly:
-    """Reattach the 3d-3 forced point slots to a weight-2 derivative polynomial."""
-    from fractions import Fraction
-
-    shift = 3 * d - 3
-    p: Poly = {}
-    for m, c in w2.items():
-        exps = dict(m)
-        b200 = exps.get("y200", 0)
-        exps["y200"] = b200 + shift
-        p[monomial(exps)] = c * Fraction(factorial(b200), factorial(b200 + shift))
-    return _tail(d, p)
-
-
-def extract_invariants(d: int, tail: Poly, den: int = 1) -> dict[str, int]:
+def extract_invariants(d: int, tail: Poly, den: int) -> dict[str, int]:
     """The thirteen labeled integers of a degree-d tail over `den`, via b!
     times a coefficient; ArithmeticError unless each is an integer."""
     w2 = partial(tail, "y200", 3 * d - 3)
@@ -406,17 +291,6 @@ def extract_invariants(d: int, tail: Poly, den: int = 1) -> dict[str, int]:
             raise ArithmeticError(
                 f"invariant {label} at degree {d} is not an integer: {Fraction(value, den)}")
     return out
-
-
-def reference_table(dmax: int) -> InvariantTable:
-    """Invariants for degrees 1..dmax by the Fraction-polynomial recursion."""
-    if dmax < 1:
-        raise ValueError("dmax must be at least 1")
-    matrix = build_gluing_matrix(2)
-    tails: dict[int, Poly] = {1: seed_degree1()}
-    for d in range(2, dmax + 1):
-        tails[d] = tail_from_weight2(d, reference_rhs(d, tails, matrix))
-    return InvariantTable({d: extract_invariants(d, t) for d, t in tails.items()})
 
 
 def _exp_factor(name: str, coeff: int, order: int) -> Poly:

@@ -8,7 +8,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -16,7 +16,7 @@ import pytest
 import semple2
 from semple2 import cli, recursion, verify
 from semple2._kernel import degree_forms
-from semple2.poly import monomial_weight, term
+from semple2.poly import term
 from semple2.recursion import (
     CacheError,
     INVARIANT_LABELS,
@@ -35,15 +35,15 @@ from semple2.recursion import (
     table_rows,
 )
 from semple2.verify import (
+    LABEL_FACTORIAL,
+    LABEL_MONOMIAL,
+    SEED_DENOMINATOR,
+    SEED_NUMERATORS,
     TABLE1_REFERENCE,
     _tail,
     derive_stencil,
     extract_invariants,
-    reference_rhs,
-    reference_table,
-    seed_degree1,
     stencil_rhs,
-    tail_from_weight2,
 )
 
 SEED_COLUMN = {
@@ -64,14 +64,34 @@ D3_COLUMN = dict(zip(INVARIANT_LABELS,
                      (10, 30, 21, 12, 36, 108, 54, 100, 300, 150, 900, 450, 63)))
 
 
+def _seed_column():
+    """The degree-1 column read off the integer seed polynomial."""
+    return extract_invariants(1, _tail(1, SEED_NUMERATORS), SEED_DENOMINATOR)
+
+
 def test_seed_invariants():
-    assert extract_invariants(1, seed_degree1()) == SEED_COLUMN
+    assert _seed_column() == SEED_COLUMN == SEED
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_the_invariants_are_read_off_a_degree_d_tail(table8, d):
+    # the tail whose (3d-3)-fold y200-derivative has the coefficient n_L / b!
+    # at each label's monomial, as int numerators over den
+    shift, den = 3 * d - 3, 2 * factorial(3 * d - 1)
+    tail = {}
+    for label, exps in LABEL_MONOMIAL.items():
+        b = exps.get("y200", 0)
+        numerator, rest = divmod(table8.get(d, label) * factorial(b) * den,
+                                 LABEL_FACTORIAL[label] * factorial(b + shift))
+        assert rest == 0
+        tail.update(term({**exps, "y200": b + shift}, numerator))
+    assert extract_invariants(d, _tail(d, tail), den) == table8.column(d)
 
 
 def test_degree2_from_gluing_matrix(matrix2):
-    tails = {1: seed_degree1()}
-    tail2 = tail_from_weight2(2, reference_rhs(2, tails, matrix2))
-    assert extract_invariants(2, tail2) == D2_COLUMN
+    seed = tuple(_seed_column().values())
+    column = stencil_rhs(2, {1: seed}, derive_stencil(matrix2))
+    assert dict(zip(INVARIANT_LABELS, column)) == D2_COLUMN
 
 
 def test_degree3_column(table8):
@@ -100,32 +120,30 @@ def test_kontsevich_row_through_degree8(table8):
         assert table8.get(d, "h2.h2") == kontsevich(d)
 
 
-def test_tail_well_formedness(matrix2):
-    tails = {1: seed_degree1()}
-    for d in range(2, 7):
-        tails[d] = tail_from_weight2(d, reference_rhs(d, tails, matrix2))
-        assert len(tails[d]) <= 13
-        for m in tails[d]:
-            assert dict(m).get("y200", 0) >= 3 * d - 3
-            assert monomial_weight(m) == 3 * d - 1
-
-
 def test_tail_shape_is_enforced():
     with pytest.raises(AssertionError):
         _tail(2, term({"y200": 1, "y210": 2}, 1))  # too few point slots
     with pytest.raises(AssertionError):
         _tail(1, term({"y200": 3}, 1))  # wrong weight
+    # a full degree-2 tail: y200^3 times each label's monomial, 13 terms
+    full = {}
+    for exps in LABEL_MONOMIAL.values():
+        full.update(term({**exps, "y200": exps.get("y200", 0) + 3}, 1))
+    assert len(full) == 13 and _tail(2, full) is full
+    # one more term of the right shape: times w001, of weight 0
+    exps = LABEL_MONOMIAL["h2hd"]
+    extra = {**full, **term({**exps, "y200": 3, "w001": 1}, 1)}
+    with pytest.raises(AssertionError, match="at most thirteen terms"):
+        _tail(2, extra)
 
 
 def test_non_integral_invariant_is_a_hard_failure():
     bad = _tail(1, term({"y210": 1}, Fraction(1, 3)))
     with pytest.raises(ArithmeticError):
-        extract_invariants(1, bad)
+        extract_invariants(1, bad, 1)
 
 
-def test_recursion_requires_all_lower_tails(matrix2):
-    with pytest.raises(ValueError):
-        reference_rhs(3, {1: seed_degree1()}, matrix2)
+def test_recursion_requires_all_lower_tails():
     forms = {1: degree_forms(1, tuple(SEED.values()))}
     with pytest.raises(ValueError, match="missing forms for degree 2"):
         recursion_rhs(3, forms, binomial_row(3))
@@ -490,10 +508,6 @@ def test_a_read_of_fewer_than_one_degree_is_a_value_error(tmp_path, text, dmax):
         table_from_csv(text, dmax)
     with pytest.raises(ValueError, match="^dmax must be at least 1$"):
         load_table(str(path), dmax)
-
-
-def test_stencil_matches_the_fraction_recursion_through_degree20():
-    assert compute_up_to(20) == reference_table(20)
 
 
 def test_the_stencil_read_term_by_term_gives_the_table_through_degree20(matrix2):

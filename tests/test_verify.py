@@ -3,7 +3,6 @@ import io
 import json
 import tokenize
 from contextlib import contextmanager
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -391,17 +390,35 @@ CHECK_MUTATIONS = {
     # the i-basis coordinates read off the class below the top one
     "dual-pairing-matrix": (chow, ('top = _LABEL_INDEX["211"]', 'top = _LABEL_INDEX["210"]'),
                             "to_i_basis", "pair(000,210)=1 expected 0"),
+    # a numerator of the integer seed polynomial
+    "degree1-seed": (verify, ('monomial({"y011": 2}): 9', 'monomial({"y011": 2}): 10'),
+                     "SEED_NUMERATORS", "hdz.hdz: 10 expected 9"),
+    # a product of two coordinates is one too large when the left factor has
+    # three or more terms, as i has
+    "ring-relations": (chow, ("f = x1 * x2", "f = x1 * x2 + (len(left) > 2)"), "mul_classes",
+                       "i^2 != 3(h-hd)i; i*z != 0"),
+    # the reader adds one to a row that no check of the cache reads
+    "cache-validation": (recursion, ("column[label] = int(number)",
+                                     'column[label] = int(number) + (label == "hd2z" and d == 5)'),
+                         "table_from_csv", "hd2z(d=5)=216181 computed 216180"),
 }
 
 
 @pytest.mark.parametrize("check", CHECK_MUTATIONS)
-def test_a_named_mutation_fails_exactly_its_check(monkeypatch, check):
+def test_a_named_mutation_fails_exactly_its_check(monkeypatch, tmp_path, table8, check):
     module, edit, name, actual = CHECK_MUTATIONS[check]
+    # only cache-validation reads a cache, and then every check runs
+    if check == "cache-validation":
+        path = str(tmp_path / "cache.csv")
+        save_table(table8, path)
+        args, passing = (8, path), SELFTEST8_REPORT
+    else:
+        args, passing = (8,), SELFTEST8_REPORT[:-1]
     # a copy without the edit passes every check
     monkeypatch.setattr(module, name, edited_copy(module, (edit[0], edit[0]))[name])
-    assert run_selftest(8) == SELFTEST8_REPORT[:-1]
+    assert run_selftest(*args) == passing
     monkeypatch.setattr(module, name, edited_copy(module, edit)[name])
-    reports = run_selftest(8)
+    reports = run_selftest(*args)
     failed = [r for r in reports if r["status"] == "fail"]
     assert [r["name"] for r in failed] == [check]
     assert failed[0]["actual"].startswith(actual)
@@ -425,9 +442,7 @@ def test_a_half_integral_seed_value_is_reported_not_raised(monkeypatch):
         "invariant h2hd at degree 1 is not an integer: 3/2"
 
 
-def test_the_seed_numerators_over_their_denominator_are_the_fraction_seed():
-    assert {m: Fraction(n, verify.SEED_DENOMINATOR)
-            for m, n in verify.SEED_NUMERATORS.items()} == verify.seed_degree1()
+def test_the_seed_numerators_are_ints():
     assert all(type(n) is int for n in verify.SEED_NUMERATORS.values())
 
 
