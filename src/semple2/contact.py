@@ -191,10 +191,8 @@ def mixed_count(profile: ConditionProfile, table: InvariantTable) -> int:
     refuses what `check_profile` refuses.
     """
     d = profile.degree
-    if d not in table.values:
-        raise KeyError(f"degree {d} not computed")
+    column = table.column(d)
     check_profile(profile)
-    column = table.values[d]
     total = 0
     for combo in product(
             *([(getattr(curve, attr), cls) for attr, cls in _TANGENCY_PARTS]

@@ -11,13 +11,12 @@ positive:
 The zero polynomial is the empty dict; the empty monomial () is the
 constant term.  Zero coefficients are never stored, so equality of
 polynomials is plain dict equality.  No floating point enters anywhere.
-Coefficients are kept as given: `term` keeps an int and makes any other
-value an exact Fraction, and `mul`, `add_scaled` and `partial` of int
-polynomials by int scalars stay int, so a caller can run a sum on integer
-numerators and divide once at the end.  This module does not import
-`fractions`: `term` imports it for a value that is not an int, and a
-Fraction coefficient arrives from a caller that has imported it already.
-The annotations name Fraction as a string for that reason.
+Coefficients are kept as given, by `term` too, and `mul`, `add_scaled`
+and `partial` of int polynomials by int scalars stay int, so a caller can
+run a sum on integer numerators and divide once at the end.  This module
+does not import `fractions`: a Fraction coefficient arrives from a caller
+that has imported it already.  The annotations name Fraction as a string
+for that reason.
 
 The variable alphabet is fixed.  Eight "reduced" variables carry the
 weight grading used throughout the generating-function computations
@@ -86,13 +85,7 @@ def monomial_degree_in(m: Monomial, names: Iterable[str]) -> int:
 
 
 def term(exps: Mapping[str, int], value: "int | Fraction") -> Poly:
-    """The one-term polynomial value * monomial(exps), {} for a zero value.
-    An int stays an int; any other value, a float too, becomes the exact
-    Fraction it equals."""
-    if type(value) is not int:
-        from fractions import Fraction
-
-        value = Fraction(value)
+    """The one-term polynomial value * monomial(exps), {} for a zero value."""
     return {monomial(exps): value} if value else {}
 
 
@@ -130,29 +123,22 @@ def add_scaled(acc: Poly, p: Poly, value: "int | Fraction") -> None:
             acc[m] = k * value
 
 
-def partial(p: Poly, name: str, order: int = 1) -> Poly:
-    """Formal partial derivative, applied `order` times."""
+def partial(p: Poly, name: str) -> Poly:
+    """Formal partial derivative in one variable."""
     _check_var(name)
-    if order < 0:
-        raise PolyError("derivative order must be nonnegative")
-    if order == 0:
-        return dict(p)
     out: Poly = {}
     for m, c in p.items():
         exps = dict(m)
         e = exps.get(name, 0)
-        if e < order:
+        if not e:
             continue
-        fall = 1
-        for i in range(order):
-            fall *= e - i
-        if e == order:
+        if e == 1:
             exps.pop(name)
         else:
-            exps[name] = e - order
+            exps[name] = e - 1
         # lowering or dropping one exponent keeps the canonical order, and
         # distinct monomials stay distinct, so no two terms meet in `out`
-        out[tuple(exps.items())] = c * fall
+        out[tuple(exps.items())] = c * e
     return out
 
 
@@ -161,21 +147,6 @@ def truncate_weight(p: Poly, cap: int) -> Poly:
     if cap < 0:
         raise PolyError("weight cap must be nonnegative")
     return {m: c for m, c in p.items() if monomial_weight(m) <= cap}
-
-
-def homogeneous_weight(p: Poly) -> int | None:
-    """Weight of a weight-homogeneous polynomial; None for the zero poly.
-
-    Raises PolyError on a non-homogeneous input.
-    """
-    w: int | None = None
-    for m in p:
-        mw = monomial_weight(m)
-        if w is None:
-            w = mw
-        elif w != mw:
-            raise PolyError("polynomial is not weight-homogeneous")
-    return w
 
 
 def variables(p: Poly) -> set:

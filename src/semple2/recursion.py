@@ -37,13 +37,12 @@ the terms share, with the divisor multipliers of the degree applied;
 `compute_up_to` keeps one tuple of them per degree, whether the degree was
 computed or read from the cache.  `kernel` then pays, per split, only for
 a few products of these forms with entries scaled by the binomial
-factors, which it reads from the row comb(3d-6, k) that `compute_up_to`
+factors, which it reads from the row comb(3d-6, k) that `recursion_rhs`
 builds by the multiplicative update (`binomial_row`) and passes in.
 `compute_up_to` imports the module on the first computed degree.
-`semple2.verify` keeps the derivation (`derive_stencil`), the stencil
+`semple2.verify` keeps the derivation (`derive_stencil`) and the stencil
 read term by term (`stencil_rhs`, which the self-test evaluates against
-the shipped kernel), and the Fraction-polynomial form of the same identity
-as a differential oracle.
+the shipped kernel).
 
 A computed or cached table is an `InvariantTable`: an immutable plain class
 with `__slots__` (like the value types of `semple2.contact` and the ring
@@ -64,7 +63,7 @@ the kernel and by the oracles.
 
 import os
 import stat
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from itertools import count, islice
 
 #: the thirteen labels in printed-table row order
@@ -146,24 +145,22 @@ def binomial_row(m: int, length: int | None = None) -> list[int]:
     return row
 
 
-def recursion_rhs(d: int, forms: dict[int, tuple], row: Sequence[int]) -> tuple[int, ...]:
+def recursion_rhs(d: int, forms: dict[int, tuple]) -> tuple[int, ...]:
     """The degree-d column, in INVARIANT_LABELS order, from the per-degree
-    forms of all lower ones and the row comb(3d-6, k), k = 0..3d-6.
+    forms of all lower ones.
 
     `forms[d']` is `semple2._kernel.degree_forms(d', column)` of the
     degree-d' column.  Runs the shipped kernel (imported here, as it reads
-    DIVISOR_RULE), then fills RATIO_IDENTITIES in order: big = 3 * small.
+    DIVISOR_RULE) on the row comb(3d-6, k), k = 0..3d-6, then fills
+    RATIO_IDENTITIES in order: big = 3 * small.
     """
     if d < 2:
         raise ValueError("the recursion starts at degree 2")
     for dd in range(1, d):
         if dd not in forms:
             raise ValueError(f"missing forms for degree {dd}")
-    if len(row) != 3 * d - 5:
-        raise ValueError(f"the row for degree {d} holds comb({3 * d - 6}, k) "
-                         f"for k = 0..{3 * d - 6}, not {len(row)} entries")
     from ._kernel import kernel
-    column = dict(zip(_FREE_LABELS, kernel(d, forms, row), strict=True))
+    column = dict(zip(_FREE_LABELS, kernel(d, forms, binomial_row(3 * d - 6)), strict=True))
     for big, small in RATIO_IDENTITIES:
         column[big] = 3 * column[small]
     return tuple(column[lbl] for lbl in INVARIANT_LABELS)
@@ -472,7 +469,7 @@ def compute_up_to(dmax: int, cache_path: str | None = None) -> InvariantTable:
         forms = {d: degree_forms(d, tuple(column[lbl] for lbl in INVARIANT_LABELS))
                  for d, column in values.items()}
         for d in range(len(values) + 1, dmax + 1):
-            column = recursion_rhs(d, forms, binomial_row(3 * d - 6))
+            column = recursion_rhs(d, forms)
             values[d] = dict(zip(INVARIANT_LABELS, column))
             forms[d] = degree_forms(d, column)
 

@@ -37,11 +37,12 @@ fixtures, never inputs to any computation.
 
 Everything here is plain data.  A report is the dict that `semple2 verify`
 prints, with the keys name, status ("pass" or "fail"), expected, actual
-and degrees, in that order.  A tail is a `Poly`, checked for its shape by
-`_tail` when it is built; the gluing matrix is the pair that
-`semple2.potentials.build_gluing_matrix` returns, the plain dict of its
-nonzero entries keyed by index pair, as int numerators, and their one
-denominator.
+and degrees, in that order.  The degree-1 seed is a `Poly` of int
+numerators over one denominator, which `seed_invariants` reads: each of
+its terms must be one of the thirteen label monomials.  The gluing matrix
+is the pair that `semple2.potentials.build_gluing_matrix` returns, the
+plain dict of its nonzero entries keyed by index pair, as int numerators,
+and their one denominator.
 """
 
 from collections import Counter
@@ -50,7 +51,6 @@ from math import comb, factorial, lcm, prod
 from . import _kernel, chow
 from .poly import (
     Poly,
-    homogeneous_weight,
     monomial,
     monomial_degree_in,
     monomial_weight,
@@ -67,7 +67,6 @@ from .recursion import (
     InvariantTable,
     RATIO_IDENTITIES,
     _excerpt_int,
-    binomial_row,
     compute_up_to,
     kontsevich_row,
     load_table,
@@ -181,7 +180,8 @@ def derive_stencil(matrix: GluingMatrix) -> Stencil:
                 else:
                     kind, f = None, partial(part, "y" + s)
                 if f:
-                    row.append((s, kind, f, homogeneous_weight(f)))
+                    (m,) = f
+                    row.append((s, kind, f, monomial_weight(m)))
 
     weights: list[dict[tuple, int]] = [{}, {}, {}]
     for j1, acc in enumerate(weights):
@@ -244,24 +244,9 @@ def stencil_rhs(d: int, columns: dict[int, tuple[int, ...]],
     return tuple(out)
 
 
-def _tail(d: int, poly: Poly) -> Poly:
-    """The stored part of the degree-d potential, its thirteen coefficients,
-    once its shape is checked."""
-    if d < 1:
-        raise ValueError("degree must be positive")
-    if len(poly) > 13:
-        raise AssertionError("a tail has at most thirteen terms")
-    for m in poly:
-        exps = dict(m)
-        if exps.get("y200", 0) < 3 * d - 3:
-            raise AssertionError(f"tail term {m} has fewer than {3*d-3} point slots")
-        if monomial_weight(m) != 3 * d - 1:
-            raise AssertionError(f"tail term {m} has weight != {3*d-1}")
-    return poly
-
-
-#: the closed-form degree-1 generating polynomial (the whole tail), as int
-#: numerators over SEED_DENOMINATOR
+#: the closed-form degree-1 generating polynomial, as int numerators over
+#: SEED_DENOMINATOR: each term is a label's monomial (labels of value 0 have
+#: none)
 SEED_NUMERATORS: Poly = {
     monomial({"y210": 1}): 2,
     monomial({"y201": 1}): 6,
@@ -273,23 +258,25 @@ SEED_NUMERATORS: Poly = {
 SEED_DENOMINATOR = 2
 
 
-def extract_invariants(d: int, tail: Poly, den: int) -> dict[str, int]:
-    """The thirteen labeled integers of a degree-d tail over `den`, via b!
-    times a coefficient; ArithmeticError unless each is an integer."""
-    w2 = partial(tail, "y200", 3 * d - 3)
-    known = {monomial(LABEL_MONOMIAL[lbl]): lbl for lbl in INVARIANT_LABELS}
-    stray = set(w2) - set(known)
+def seed_invariants() -> dict[str, int]:
+    """The thirteen labeled integers of the degree-1 seed: b! times the
+    coefficient of each label's monomial in SEED_NUMERATORS, over
+    SEED_DENOMINATOR.  ArithmeticError for a term that is not one of the
+    thirteen label monomials, or for a value that is not an integer."""
+    labels = {monomial(LABEL_MONOMIAL[lbl]): lbl for lbl in INVARIANT_LABELS}
+    stray = [m for m in SEED_NUMERATORS if m not in labels]
     if stray:
-        raise ArithmeticError(f"degree-{d} tail has terms outside the 13 labels: {stray}")
-    out: dict[str, int] = {}
-    for label in INVARIANT_LABELS:
-        value = w2.get(monomial(LABEL_MONOMIAL[label]), 0) * LABEL_FACTORIAL[label]
-        out[label], rest = divmod(value, den)
+        raise ArithmeticError(f"the degree-1 seed has terms outside the 13 labels: {stray}")
+    out = dict.fromkeys(INVARIANT_LABELS, 0)
+    for m, numerator in SEED_NUMERATORS.items():
+        label = labels[m]
+        value = numerator * LABEL_FACTORIAL[label]
+        out[label], rest = divmod(value, SEED_DENOMINATOR)
         if rest:
             from fractions import Fraction
 
-            raise ArithmeticError(
-                f"invariant {label} at degree {d} is not an integer: {Fraction(value, den)}")
+            raise ArithmeticError(f"invariant {label} at degree 1 is not an integer: "
+                                  f"{Fraction(value, SEED_DENOMINATOR)}")
     return out
 
 
@@ -362,7 +349,7 @@ def _check_relations() -> dict[str, str]:
 def _check_seed() -> dict[str, str]:
     expected = "the 13 printed degree-1 values"
     try:
-        values = extract_invariants(1, _tail(1, SEED_NUMERATORS), SEED_DENOMINATOR)
+        values = seed_invariants()
     except ArithmeticError as exc:
         return _report("degree1-seed", [str(exc)], "1", expected)
     bad = [f"{lbl}: {values[lbl]} expected {TABLE1_REFERENCE[lbl][0]}"
@@ -461,7 +448,7 @@ def _check_stencil(m2: GluingMatrix) -> dict[str, str]:
     for d in range(2, 7):
         try:
             forms[d - 1] = _kernel.degree_forms(d - 1, columns[d - 1])
-            got = recursion_rhs(d, forms, binomial_row(3 * d - 6))
+            got = recursion_rhs(d, forms)
         except Exception as exc:
             bad.append(f"d={d}: the kernel raised {exc!r}")
             break

@@ -38,13 +38,10 @@ from semple2.recursion import (
     ratio_failures,
 )
 from semple2.verify import (
-    SEED_DENOMINATOR,
-    SEED_NUMERATORS,
     TABLE1_REFERENCE,
     TABLE2_REFERENCE,
-    _tail,
     expand_cover_series,
-    extract_invariants,
+    seed_invariants,
 )
 
 
@@ -69,7 +66,7 @@ def test_criterion_1_invariant_table_through_degree_6():
 
 
 def test_criterion_2_degree1_seed():
-    values = extract_invariants(1, _tail(1, SEED_NUMERATORS), SEED_DENOMINATOR)
+    values = seed_invariants()
     assert values == {
         "h2hd": 1, "h2z": 3, "hd2z": -3,
         "h2.h2": 1, "h2.hd2": 0, "h2.hz": 0, "h2.hdz": -3,

@@ -35,6 +35,9 @@ def test_coefficient_rows_need_computed_degree(table8):
         contact_coefficients(9, table8)
     with pytest.raises(KeyError, match="degree 9 not computed"):
         mixed_count(ConditionProfile(9, 26), table8)
+    # the degree is read before the profile is checked
+    with pytest.raises(KeyError, match="degree 9 not computed"):
+        mixed_count(ConditionProfile(9, -1), table8)
 
 
 def test_formula_strings(table8):

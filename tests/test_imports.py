@@ -350,3 +350,55 @@ def test_every_definition_has_a_caller():
     uncalled = {name: module for name, module in defined.items()
                 if name not in used | set(semple2.__all__) | TEST_ORACLES}
     assert uncalled == {}
+
+
+#: defaulted parameters that no call in the package passes, and why they
+#: stay: the tests and programs that embed the CLI pass `main` its argv
+UNPASSED_DEFAULTS = {("main", "argv")}
+
+
+def _defaulted(fn: ast.FunctionDef, bound: int) -> list:
+    """(name, index among the arguments a call writes, or None for a
+    keyword-only one) of each parameter of `fn` that has a default;
+    `bound` is how many leading parameters the call does not write."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    return ([(a.arg, i - bound) for i, a in enumerate(positional) if i >= first]
+            + [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+               if d is not None])
+
+
+def test_every_defaulted_parameter_is_passed_by_some_caller():
+    # a parameter with one value in use is a constant; a call passes it by
+    # position, by keyword, or through *args or **kwargs.  Calls match by
+    # name, a call to a class is one to its __init__, and a method does not
+    # count its self or cls
+    defaults, calls, methods = {}, {}, set()
+    for path in sorted(Path(semple2.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        methods.add(item)
+                        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                     for d in item.decorator_list)
+                        name = node.name if item.name == "__init__" else item.name
+                        defaults.setdefault(name, []).extend(_defaulted(item, not static))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node not in methods:
+                    defaults.setdefault(node.name, []).extend(_defaulted(node, 0))
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                starred = (any(isinstance(a, ast.Starred) for a in node.args)
+                           or any(k.arg is None for k in node.keywords))
+                calls.setdefault(name, []).append(
+                    (starred, len(node.args), {k.arg for k in node.keywords}))
+
+    def passed(name, param, index):
+        return any(starred or param in keywords or (index is not None and index < npos)
+                   for starred, npos, keywords in calls.get(name, ()))
+
+    unpassed = {(name, param) for name, params in defaults.items()
+                for param, index in params if not passed(name, param, index)}
+    assert unpassed == UNPASSED_DEFAULTS

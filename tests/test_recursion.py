@@ -2,13 +2,14 @@ import ast
 import hashlib
 import os
 import random
+import re
 import stat
 import subprocess
 import sys
 import time
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -16,13 +17,12 @@ import pytest
 import semple2
 from semple2 import cli, recursion, verify
 from semple2._kernel import degree_forms
-from semple2.poly import term
+from semple2.poly import monomial
 from semple2.recursion import (
     CacheError,
     INVARIANT_LABELS,
     InvariantTable,
     SEED,
-    binomial_row,
     compute_up_to,
     kontsevich,
     kontsevich_row,
@@ -35,14 +35,10 @@ from semple2.recursion import (
     table_rows,
 )
 from semple2.verify import (
-    LABEL_FACTORIAL,
-    LABEL_MONOMIAL,
-    SEED_DENOMINATOR,
     SEED_NUMERATORS,
     TABLE1_REFERENCE,
-    _tail,
     derive_stencil,
-    extract_invariants,
+    seed_invariants,
     stencil_rhs,
 )
 
@@ -64,32 +60,12 @@ D3_COLUMN = dict(zip(INVARIANT_LABELS,
                      (10, 30, 21, 12, 36, 108, 54, 100, 300, 150, 900, 450, 63)))
 
 
-def _seed_column():
-    """The degree-1 column read off the integer seed polynomial."""
-    return extract_invariants(1, _tail(1, SEED_NUMERATORS), SEED_DENOMINATOR)
-
-
 def test_seed_invariants():
-    assert _seed_column() == SEED_COLUMN == SEED
-
-
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_the_invariants_are_read_off_a_degree_d_tail(table8, d):
-    # the tail whose (3d-3)-fold y200-derivative has the coefficient n_L / b!
-    # at each label's monomial, as int numerators over den
-    shift, den = 3 * d - 3, 2 * factorial(3 * d - 1)
-    tail = {}
-    for label, exps in LABEL_MONOMIAL.items():
-        b = exps.get("y200", 0)
-        numerator, rest = divmod(table8.get(d, label) * factorial(b) * den,
-                                 LABEL_FACTORIAL[label] * factorial(b + shift))
-        assert rest == 0
-        tail.update(term({**exps, "y200": b + shift}, numerator))
-    assert extract_invariants(d, _tail(d, tail), den) == table8.column(d)
+    assert seed_invariants() == SEED_COLUMN == SEED
 
 
 def test_degree2_from_gluing_matrix(matrix2):
-    seed = tuple(_seed_column().values())
+    seed = tuple(seed_invariants().values())
     column = stencil_rhs(2, {1: seed}, derive_stencil(matrix2))
     assert dict(zip(INVARIANT_LABELS, column)) == D2_COLUMN
 
@@ -120,36 +96,43 @@ def test_kontsevich_row_through_degree8(table8):
         assert table8.get(d, "h2.h2") == kontsevich(d)
 
 
-def test_tail_shape_is_enforced():
-    with pytest.raises(AssertionError):
-        _tail(2, term({"y200": 1, "y210": 2}, 1))  # too few point slots
-    with pytest.raises(AssertionError):
-        _tail(1, term({"y200": 3}, 1))  # wrong weight
-    # a full degree-2 tail: y200^3 times each label's monomial, 13 terms
-    full = {}
-    for exps in LABEL_MONOMIAL.values():
-        full.update(term({**exps, "y200": exps.get("y200", 0) + 3}, 1))
-    assert len(full) == 13 and _tail(2, full) is full
-    # one more term of the right shape: times w001, of weight 0
-    exps = LABEL_MONOMIAL["h2hd"]
-    extra = {**full, **term({**exps, "y200": 3, "w001": 1}, 1)}
-    with pytest.raises(AssertionError, match="at most thirteen terms"):
-        _tail(2, extra)
+def test_tail_shape_is_enforced(monkeypatch):
+    # at degree 1 the tail is the seed, and its shape is that each term is
+    # one of the thirteen label monomials
+    for stray in ({"y200": 3},  # of weight 3, not 2
+                  {"y011": 3},  # of weight 3, in a label's variable
+                  {"y210": 1, "w001": 1}):  # a label's monomial times a weight-0 slot
+        numerators = {**SEED_NUMERATORS, monomial(stray): 1}
+        monkeypatch.setattr(verify, "SEED_NUMERATORS", numerators)
+        with pytest.raises(ArithmeticError, match=re.escape(
+                f"the degree-1 seed has terms outside the 13 labels: {[monomial(stray)]}")):
+            seed_invariants()
 
 
-def test_non_integral_invariant_is_a_hard_failure():
-    bad = _tail(1, term({"y210": 1}, Fraction(1, 3)))
-    with pytest.raises(ArithmeticError):
-        extract_invariants(1, bad, 1)
+def test_non_integral_invariant_is_a_hard_failure(monkeypatch):
+    numerators = {**SEED_NUMERATORS, monomial({"y210": 1}): Fraction(1, 3)}
+    monkeypatch.setattr(verify, "SEED_NUMERATORS", numerators)
+    with pytest.raises(ArithmeticError,
+                       match="^invariant h2hd at degree 1 is not an integer: 1/6$"):
+        seed_invariants()
 
 
 def test_recursion_requires_all_lower_tails():
     forms = {1: degree_forms(1, tuple(SEED.values()))}
-    with pytest.raises(ValueError, match="missing forms for degree 2"):
-        recursion_rhs(3, forms, binomial_row(3))
+    with pytest.raises(ValueError, match="^the recursion starts at degree 2$"):
+        recursion_rhs(1, forms)
+    with pytest.raises(ValueError, match="^missing forms for degree 2$"):
+        recursion_rhs(3, forms)
     forms[2] = degree_forms(2, tuple(compute_up_to(2).column(2).values()))
-    with pytest.raises(ValueError, match="holds comb"):
-        recursion_rhs(3, forms, binomial_row(4))
+    with pytest.raises(ValueError, match="^missing forms for degree 1$"):
+        recursion_rhs(3, {2: forms[2]})
+    assert recursion_rhs(3, forms) == tuple(D3_COLUMN.values())
+
+
+def test_compute_up_to_starts_at_degree_1():
+    with pytest.raises(ValueError, match="^dmax must be at least 1$"):
+        compute_up_to(0)
+    assert compute_up_to(1).degrees() == (1,)
 
 
 def test_determinism():
@@ -601,7 +584,7 @@ def test_every_weight_of_a_computed_row_reads_two_computed_rows(matrix2):
 
 def _kernel_row(label, columns, d):
     forms = {dd: degree_forms(dd, c) for dd, c in columns.items()}
-    return recursion_rhs(d, forms, binomial_row(3 * d - 6))[INVARIANT_LABELS.index(label)]
+    return recursion_rhs(d, forms)[INVARIANT_LABELS.index(label)]
 
 
 @pytest.mark.parametrize("label", KERNEL_READS)

@@ -50,7 +50,7 @@ def free(column):
 def test_shipped_recursion_equals_the_per_term_definition_of_the_derived_stencil(d, data):
     columns = {dd: with_ratio_rows(data.draw(column)) for dd in range(1, d)}
     forms = {dd: degree_forms(dd, c) for dd, c in columns.items()}
-    assert recursion_rhs(d, forms, binomial_row(3 * d - 6)) == stencil_rhs(d, columns, DERIVED)
+    assert recursion_rhs(d, forms) == stencil_rhs(d, columns, DERIVED)
 
 
 @PROPERTY
@@ -61,7 +61,7 @@ def test_the_eight_computed_rows_do_not_read_the_ratio_rows(d, data):
     forms = {dd: degree_forms(dd, c) for dd, c in columns.items()}
     filled = {dd: with_ratio_rows(c) for dd, c in columns.items()}
     want = free(stencil_rhs(d, filled, DERIVED))
-    assert free(recursion_rhs(d, forms, binomial_row(3 * d - 6))) == want
+    assert free(recursion_rhs(d, forms)) == want
     assert free(stencil_rhs(d, columns, DERIVED)) == want
 
 

@@ -442,6 +442,23 @@ def test_a_half_integral_seed_value_is_reported_not_raised(monkeypatch):
         "invariant h2hd at degree 1 is not an integer: 3/2"
 
 
+@pytest.mark.parametrize("label_term, stray", [
+    ({"y011": 2}, {"y011": 3}),  # of weight 3
+    ({"y210": 1}, {"y210": 1, "w001": 1}),  # of weight 2, times a gluing slot
+], ids=["y011^3", "y210*w001"])
+def test_a_seed_term_outside_the_labels_is_reported_not_raised(monkeypatch, capsys,
+                                                                label_term, stray):
+    numerators = dict(verify.SEED_NUMERATORS)
+    numerators[monomial(stray)] = numerators.pop(monomial(label_term))
+    monkeypatch.setattr(verify, "SEED_NUMERATORS", numerators)
+    report = verify._check_seed()
+    assert (report["name"], report["status"]) == ("degree1-seed", "fail")
+    assert report["actual"] == \
+        f"the degree-1 seed has terms outside the 13 labels: {[monomial(stray)]}"
+    assert cli.main(["verify", "--max-degree", "2"]) == cli.EXIT_VERIFY == 4
+    assert "FAIL degree1-seed [1]" in capsys.readouterr().err.splitlines()
+
+
 def test_the_seed_numerators_are_ints():
     assert all(type(n) is int for n in verify.SEED_NUMERATORS.values())
 
