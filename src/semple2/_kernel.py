@@ -1,96 +1,62 @@
-"""The stencil that `semple2.verify.derive_stencil` derives from the gluing
-matrix, as straight-line code for the eight rows the recursion closes on:
-its 92 weights that add to a row `semple2.recursion.RATIO_IDENTITIES` does
-not fill.  `degree_forms(d, v)`, once per degree, computes the linear forms
-of the column v that the terms share, which read only those eight rows;
-`kernel(d, forms, row)` visits each unordered split of d once, multiplies
-the forms, scaled by the binomial factors of both orientations read off
-row = comb(3d-6, k), and returns h2hd, hd2z, h2.h2, h2.hd2, h2.hdz,
-hd2.hd2, hd2.hdz and hdz.hdz.  The self-test's `stencil-derivation` check
-evaluates it, through `recursion_rhs`, against `verify.stencil_rhs`.
+"""The degree recursion for the eight rows that
+`semple2.recursion.RATIO_IDENTITIES` does not fill, one formula per row.
+
+P, H, N, T, U, Q, V, W are the rows h2hd, hd2z, h2.h2, h2.hd2, h2.hdz,
+hd2.hd2, hd2.hdz and hdz.hdz.  `degree_forms(e, v)` runs once per degree
+e, on its column v, and returns N, T, U, the linear form alpha_R of each
+row R, and beta_U, beta_V, beta_W (every other beta_R is 0).
+`kernel(d, forms, row)` visits each split s + t = d, s <= t, once and adds
+to each row R
+
+    c0 N_t (t alpha_R(s) + beta_R(s)) + c2 N_s (s alpha_R(t) + beta_R(t)) + c1 G_R,
+
+where G_R is bilinear in the N, T, U of s and of t, with weights in s, t
+and d; in the code XY is c1 X_s Y_t.  The split factors c0, c1, c2 read
+comb(3d-6, 3s-5..3s-1) off row, which holds comb(3d-6, k) for k < 3*(d//2)
+only.  The README states the formulas; the self-test's `stencil-derivation`
+check evaluates both functions, through `recursion_rhs`, against
+`verify.stencil_rhs`.
 """
-from semple2.recursion import DIVISOR_RULE
-
-rule0 = DIVISOR_RULE["100"]
-rule1 = DIVISOR_RULE["010"]
 
 
-def degree_forms(d, v):
-    m0 = rule0(d)
-    m1 = rule1(d)
-    return (
-        m0*v[0],  # 0
-        m0*v[3],  # 1
-        2*v[3],  # 2
-        v[3],  # 3
-        6*v[3],  # 4
-        3*v[0] + m0*v[2],  # 5
-        3*v[4],  # 6
-        3*v[3],  # 7
-        v[4],  # 8
-        m0*2*v[3],  # 9
-        2*v[3] + m0*v[4],  # 10
-        m0*v[4],  # 11
-        3*v[3] + 3*v[4] + m0*v[6],  # 12
-        m0*3*v[3] + m1*3*v[3],  # 13
-        m0*3*v[3],  # 14
-        m0*v[6],  # 15
-        4*v[4] + m0*v[7],  # 16
-        4*v[3] + m0*4*v[4],  # 17
-        4*v[3] + m0*2*v[4],  # 18
-        6*v[0] + 3*v[4] + 2*v[6] + 3*v[7] + m0*v[9],  # 19
-        12*v[3] + 6*v[4] + m0*(3*v[4] + 2*v[6]) + m1*3*v[4],  # 20
-        6*v[3] + m0*3*v[4],  # 21
-        9*v[0] + 6*v[6] + 6*v[9] + m0*v[12],  # 22
-        18*v[0] + 6*v[6],  # 23
-        18*v[3] + 27*v[4] + m0*6*v[6] + m1*6*v[6],  # 24
-        27*v[3] + 18*v[4] + m0*6*v[6],  # 25
-        6*v[3] + 6*v[4] + m0*2*v[6],  # 26
-        v[6],  # 27
-    )
+def degree_forms(e, v):
+    P, H, N, T, U, Q, V, W = v[0], v[2], v[3], v[4], v[6], v[7], v[9], v[12]
+    return (N, T, U, e * P, 3 * P + e * H, e * N, 2 * N + e * T, 9 * N + 3 * T + e * U,
+            4 * T + e * Q, 6 * P + 9 * T + 2 * U + 3 * Q + e * V,
+            45 * P + 18 * U + 6 * V + e * W, -6 * N, -6 * T, -36 * P - 12 * U)
 
 
 def kernel(d, forms, row):
-    row = [0, *row, 0, 0]
-    o0 = o1 = o2 = o3 = o4 = o5 = o6 = o7 = 0
-    for d1 in range(1, d // 2 + 1):
-        d2 = d - d1
-        A = forms[d1]
-        B = forms[d2]
-        s0 = rule0(d1)
-        s1 = rule1(d1)
-        t0 = rule0(d2)
-        t1 = rule1(d2)
-        both = d1 * d2
-        q = d1 * d1
-        e = 3 * d1 - 3
-        r0, r1, r2, r3 = row[e:e + 4]
-        c0 = r0 * both - r1 * q
-        c1 = r1 * both - r2 * q
-        c2 = r2 * both - r3 * q
-        if d1 != d2:
-            q = d2 * d2
-            e = 3 * d2 - 3
-            r0, r1, r2, r3 = row[e:e + 4]
-            c0 += r2 * both - r3 * q
-            c1 += r1 * both - r2 * q
-            c2 += r0 * both - r1 * q
-        x0_1 = c0 * B[1]
-        x0_3 = c0 * B[3]
-        x1_1 = c1 * B[1]
-        x1_3 = c1 * B[3]
-        x1_8 = c1 * B[8]
-        x1_11 = c1 * B[11]
-        x1_15 = c1 * B[15]
-        x1_27 = c1 * B[27]
-        x2_1 = c2 * A[1]
-        x2_3 = c2 * A[3]
-        o0 += x0_1*A[0] + x1_3*A[2] + x2_1*B[0]
-        o1 += x0_1*A[5] + x1_3*A[6] + x1_8*A[7] + x2_1*B[5]
-        o2 += x0_1*A[1] + x1_1*A[9] + x2_1*B[1]
-        o3 += x0_1*A[10] + x1_3*(A[9] + t0*A[10]) + x1_11*A[1] + x2_1*B[10]
-        o4 += x0_3*(t0*A[12] + t1*A[7]) + x1_3*(A[13] + t0*A[12] + t1*A[7]) + x1_8*A[14] + x1_15*A[1] + x2_3*(s0*B[12] + s1*B[7])
-        o5 += x0_1*A[16] + x1_3*A[17] + x1_11*A[18] + x2_1*B[16]
-        o6 += x0_3*(t0*A[19] + t1*A[6]) + x1_3*A[20] + x1_8*(A[21] + t0*A[12] + t1*A[7]) + x1_15*A[10] + x2_3*(s0*B[19] + s1*B[6])
-        o7 += x0_3*(t0*A[22] + t1*A[23]) + x1_3*A[24] + x1_8*A[25] + x1_27*(t0*A[26] + t1*A[4]) + x2_3*(s0*B[22] + s1*B[23])
-    return o0, o1, o2, o3, o4, o5, o6, o7
+    row = [0, 0, *row]
+    oP = oH = oN = oT = oU = oQ = oV = oW = 0
+    for s in range(1, d // 2 + 1):
+        t = d - s
+        Ns, Ts, Us, aPs, aHs, aNs, aTs, aUs, aQs, aVs, aWs, bUs, bVs, bWs = forms[s]
+        Nt, Tt, Ut, aPt, aHt, aNt, aTt, aUt, aQt, aVt, aWt, bUt, bVt, bWt = forms[t]
+        r0, r1, r2, r3, r4 = row[3 * s - 3:3 * s + 2]
+        st = s * t
+        st2 = 2 * st
+        if s < t:
+            ss, tt = s * s, t * t
+            c0 = st2 * r1 - ss * r2 - tt * r0
+            c1 = st2 * r2 - ss * r3 - tt * r1
+            c2 = st2 * r3 - ss * r4 - tt * r2
+        else:
+            c0, c1, c2 = st * (r1 - r2), st * (r2 - r3), st * (r3 - r4)
+        x, y, n, m, u = c0 * Nt, c2 * Ns, c1 * Ns, c1 * Ts, c1 * Us
+        tx, sy = t * x, s * y
+        NN, NT, NU, TN, TT, TU = n * Nt, n * Tt, n * Ut, m * Nt, m * Tt, m * Ut
+        UN, UT, UU = u * Nt, u * Tt, u * Ut
+        a = NT + TN
+        oP += tx * aPs + sy * aPt + 2 * NN
+        oH += tx * aHs + sy * aHt + 3 * a
+        oN += tx * aNs + sy * aNt + st2 * NN
+        oT += tx * aTs + sy * aTt + 2 * d * NN + st * a
+        oU += (x * (t * aUs + bUs) + y * (s * aUt + bUt) + (9 * d - 12) * NN
+               + 3 * (s * NT + t * TN) + st * (NU + UN))
+        oQ += tx * aQs + sy * aQt + 4 * (NN + t * NT + s * TN) + st2 * TT
+        oV += (x * (t * aVs + bVs) + y * (s * aVt + bVt) + 12 * NN + 9 * (t * NT + s * TN)
+               + 2 * (t * NU + s * UN) + 3 * d * TT + st * (TU + UT))
+        oW += (x * (t * aWs + bWs) + y * (s * aWt + bWt) + 18 * (NN + TT) + 27 * a
+               + (18 * t - 12) * NU + (18 * s - 12) * UN + 6 * (t * TU + s * UT) + st2 * UU)
+    return oP, oH, oN, oT, oU, oQ, oV, oW

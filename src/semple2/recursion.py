@@ -27,22 +27,21 @@ in the residual variables whose coefficients are the n_L over a small
 factorial, independent of d'.  The whole identity therefore reduces to
 a bilinear stencil: 149 integer weights on (j1, insertion kinds, L1, L2,
 Lout), applied to the integer columns of lower degrees, so computing a
-degree needs no polynomial arithmetic.  The stencil ships as code for
-the eight rows that `RATIO_IDENTITIES` does not fill, whose 92 terms read
-only each other: the module `semple2._kernel` holds two straight-line
-functions in which the work of walking them is already done, and
-`recursion_rhs` fills the other five rows.  `degree_forms` computes, once
-per degree, the small-weight linear forms of that degree's column that
-the terms share, with the divisor multipliers of the degree applied;
-`compute_up_to` keeps one tuple of them per degree, whether the degree was
-computed or read from the cache.  `kernel` then pays, per split, only for
-a few products of these forms with entries scaled by the binomial
-factors, which it reads from the row comb(3d-6, k) that `recursion_rhs`
-builds by the multiplicative update (`binomial_row`) and passes in.
-`compute_up_to` imports the module on the first computed degree.
-`semple2.verify` keeps the derivation (`derive_stencil`) and the stencil
-read term by term (`stencil_rhs`, which the self-test evaluates against
-the shipped kernel).
+degree needs no polynomial arithmetic.  The 92 weights that add to the
+eight rows `RATIO_IDENTITIES` does not fill read only those rows, and the
+module `semple2._kernel` states them as one formula per row:
+`degree_forms` computes fourteen linear forms of a degree's column, once
+per degree, and `kernel` sums over the splits d1 <= d2 a few products of
+these forms by split factors.  It reads the factors off the first
+3*(d//2) entries of the row comb(3d-6, k), which `recursion_rhs` builds
+by the multiplicative update (`binomial_row`) and passes in;
+`recursion_rhs` fills the other five rows.  `compute_up_to` keeps one
+tuple of forms per degree, whether the degree was computed or read from
+the cache, and imports the kernel only on the first computed degree, so
+that a query the cache answers never loads it.  `semple2.verify` keeps
+the derivation (`derive_stencil`), the stencil read term by term
+(`stencil_rhs`, which the self-test evaluates against the shipped kernel)
+and the divisor multipliers that only these two read (`DIVISOR_RULE`).
 
 A computed or cached table is an `InvariantTable`: an immutable plain class
 with `__slots__` (like the value types of `semple2.contact` and the ring
@@ -57,8 +56,6 @@ it: its header cell, the spelling of each value and then its int(), the
 seed at degree 1, the 3:1 identities, and the next classical point count.
 The first bad degree refuses the cache, so no value past it is converted.
 A query that reads degree k splits, reads and checks only degrees 1..k.
-`DIVISOR_RULE` is the one statement of the divisor multipliers, read by
-the kernel and by the oracles.
 """
 
 import os
@@ -84,15 +81,6 @@ RATIO_IDENTITIES: tuple[tuple[str, str], ...] = (
 )
 #: the rows no identity fills, which the kernel computes, in label order
 _FREE_LABELS = tuple(lbl for lbl in INVARIANT_LABELS if lbl not in dict(RATIO_IDENTITIES))
-
-#: divisor insertion multipliers by basis index, as functions of the degree:
-#: the pairing of each basis divisor with the lifted degree-d curve
-DIVISOR_RULE = {
-    "100": lambda d: d,
-    "010": lambda d: 2 * d - 2,
-    "001": lambda d: 3 * d - 6,
-}
-
 
 class CacheError(ValueError):
     """Raised when a persisted invariant table fails validation."""
@@ -150,8 +138,9 @@ def recursion_rhs(d: int, forms: dict[int, tuple]) -> tuple[int, ...]:
     forms of all lower ones.
 
     `forms[d']` is `semple2._kernel.degree_forms(d', column)` of the
-    degree-d' column.  Runs the shipped kernel (imported here, as it reads
-    DIVISOR_RULE) on the row comb(3d-6, k), k = 0..3d-6, then fills
+    degree-d' column.  Runs the shipped kernel (imported here, so that a
+    query the cache answers never loads it) on the row comb(3d-6, k) for
+    k < 3*(d//2), as far as its splits d1 <= d/2 read, then fills
     RATIO_IDENTITIES in order: big = 3 * small.
     """
     if d < 2:
@@ -160,7 +149,8 @@ def recursion_rhs(d: int, forms: dict[int, tuple]) -> tuple[int, ...]:
         if dd not in forms:
             raise ValueError(f"missing forms for degree {dd}")
     from ._kernel import kernel
-    column = dict(zip(_FREE_LABELS, kernel(d, forms, binomial_row(3 * d - 6)), strict=True))
+    row = binomial_row(3 * d - 6, 3 * (d // 2))
+    column = dict(zip(_FREE_LABELS, kernel(d, forms, row), strict=True))
     for big, small in RATIO_IDENTITIES:
         column[big] = 3 * column[small]
     return tuple(column[lbl] for lbl in INVARIANT_LABELS)

@@ -18,7 +18,8 @@ beyond the polynomial substrate and the label tables:
 * the stencil compiler (`derive_stencil`), which derives the 149 integer
   weights from the gluing matrix, and the stencil read term by term
   (`stencil_rhs`), the one statement of the degree recursion that the
-  shipped kernel is compared with; the self-test evaluates
+  shipped kernel is compared with; only these two read the divisor
+  multipliers (`DIVISOR_RULE`).  The self-test evaluates
   `recursion_rhs`, which runs the shipped kernel `semple2._kernel` and
   fills the five 3:1 rows, and `stencil_rhs` on fixed 3:1 columns and
   requires the same outputs.
@@ -62,7 +63,6 @@ from .poly import (
 from .potentials import COVERS, GLUABLE, GluingMatrix, build_gluing_matrix
 from .recursion import (
     CacheError,
-    DIVISOR_RULE,
     INVARIANT_LABELS,
     InvariantTable,
     RATIO_IDENTITIES,
@@ -102,6 +102,14 @@ TABLE2_REFERENCE: dict[int, tuple[int, int, int]] = {
     6: (64150200, 39900528, 13300176),
 }
 
+
+#: divisor insertion multipliers by basis index, as functions of the degree:
+#: the pairing of each basis divisor with the lifted degree-d curve
+DIVISOR_RULE = {
+    "100": lambda d: d,
+    "010": lambda d: 2 * d - 2,
+    "001": lambda d: 3 * d - 6,
+}
 
 #: the reduced variable that each class of the labels inserts
 CLASS_VAR = {"h2": "y200", "hd2": "y020", "hz": "y101", "hdz": "y011",

@@ -31,13 +31,13 @@ from semple2.contact import (
 from semple2.poly import truncate_weight
 from semple2.potentials import GLUABLE, build_cover_potential, build_gluing_matrix
 from semple2.recursion import (
-    DIVISOR_RULE,
     INVARIANT_LABELS,
     compute_up_to,
     kontsevich,
     ratio_failures,
 )
 from semple2.verify import (
+    DIVISOR_RULE,
     TABLE1_REFERENCE,
     TABLE2_REFERENCE,
     expand_cover_series,

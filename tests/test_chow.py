@@ -21,7 +21,7 @@ from semple2.chow import (
     parse_class_expr,
     to_i_basis,
 )
-from semple2.recursion import DIVISOR_RULE
+from semple2.verify import DIVISOR_RULE
 
 H2 = mul_classes(H, H)
 HD2 = mul_classes(HD, HD)

@@ -314,7 +314,7 @@ def test_a_query_validates_only_the_degrees_it_reads(tmp_path, capsys):
 ])
 def test_a_refused_request_computes_nothing_and_writes_no_cache(
         tmp_path, capsys, monkeypatch, argv, status):
-    def refuse(d, forms, row):
+    def refuse(d, forms):
         raise AssertionError(f"degree {d} computed")
 
     monkeypatch.setattr(recursion, "recursion_rhs", refuse)

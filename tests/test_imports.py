@@ -95,6 +95,12 @@ def test_a_cold_table_loads_the_kernel_and_a_warm_one_does_not(tmp_path):
     assert "semple2._kernel" not in warm
 
 
+def test_the_kernel_imports_no_module():
+    path = Path(semple2.__file__).with_name("_kernel.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))] == []
+
+
 @pytest.mark.parametrize("kind", ["warm", "cold-table", "chow-eval", "verify"])
 def test_queries_load_neither_dataclasses_nor_tempfile(tmp_path, kind):
     cache = str(tmp_path / "cache.csv")

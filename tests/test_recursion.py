@@ -16,13 +16,14 @@ import pytest
 
 import semple2
 from semple2 import cli, recursion, verify
-from semple2._kernel import degree_forms
+from semple2._kernel import degree_forms, kernel
 from semple2.poly import monomial
 from semple2.recursion import (
     CacheError,
     INVARIANT_LABELS,
     InvariantTable,
     SEED,
+    binomial_row,
     compute_up_to,
     kontsevich,
     kontsevich_row,
@@ -557,7 +558,18 @@ def kernel_split_loop_operations():
 def test_the_kernel_split_loop_keeps_its_operation_count():
     # the linear work of the stencil runs once per degree, in degree_forms;
     # an edit that moves it back into the loop fails here
-    assert kernel_split_loop_operations() == (79, 51, 9)
+    assert kernel_split_loop_operations() == (92, 55, 14)
+
+
+def test_the_kernel_reads_only_the_first_half_of_the_binomial_row():
+    # the splits d1 <= d/2 read comb(3d-6, k) for k < 3*(d//2) only
+    rng = random.Random(0)
+    table = compute_up_to(59)
+    forms = {d: degree_forms(d, tuple(table.column(d).values())) for d in table.degrees()}
+    for d in range(2, 61):
+        half = binomial_row(3 * d - 6, 3 * (d // 2))
+        junk = [rng.randrange(1, 10 ** 20) for _ in range(3 * d)]
+        assert kernel(d, forms, half + junk) == kernel(d, forms, half), d
 
 
 #: the rows of lower degrees that each row the kernel computes reads, as

@@ -109,11 +109,11 @@ def test_a_broken_ring_table_is_caught_in_verify(monkeypatch, key, check):
 KERNEL_TEXT = Path(_kernel.__file__).read_text(encoding="utf-8")
 
 
-#: the weight 2 of a per-degree form, in the kernel's degree_forms, made 3
-WEIGHT_EDIT = ("        2*v[3],  # 2\n", "        3*v[3],  # 2\n")
+#: the weight 2 of N_s N_t in the row formula of h2hd made 3
+WEIGHT_EDIT = (" + 2 * NN\n", " + 3 * NN\n")
 
-#: a form index past the end of the tuple: the kernel raises IndexError
-RAISING_EDIT = ("B[27]", "B[99]")
+#: an index past the end of the column: degree_forms raises IndexError
+RAISING_EDIT = ("v[12]", "v[99]")
 
 
 @contextmanager
@@ -159,7 +159,7 @@ def test_every_integer_literal_of_the_kernel_is_checked(matrix2):
     # each literal of the shipped kernel, one at a time, one larger
     literals = [node for node in ast.walk(ast.parse(KERNEL_TEXT))
                 if isinstance(node, ast.Constant) and type(node.value) is int]
-    assert len(literals) == 167
+    assert len(literals) == 53
     assert edits_that_pass(matrix2, [(n.lineno, n.col_offset, n.end_col_offset, str(n.value + 1))
                                      for n in literals]) == []
 
